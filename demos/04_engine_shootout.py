@@ -1,9 +1,10 @@
 """Compare all five engines on one signal at the same change count.
 
 dynp is exact, so its contrast is the floor; binseg, bottomup and window
-trade a little contrast for a lot of speed.  All engines share one segment
-cost table per fitted cost, so later runs reuse earlier evaluations --
-run the script and watch the eval column collapse.
+trade a little contrast for a lot of speed.  Only dynp keeps a dense
+segment cost matrix on the fitted cost; every engine that runs after it on
+the same grid reads that matrix, while the others evaluate on demand and
+pay again when repeated -- run the script and watch the eval column.
 """
 
 import time
@@ -35,8 +36,8 @@ race("window", lambda: ss.window(fitted, stop, config))
 race("pelt", lambda: ss.pelt(fitted, 200.0, config))
 exact = race("dynp", lambda: ss.dynp(fitted, K, config))
 
-# second pass: the table is full, nothing left to evaluate
+# second pass: dynp's matrix is built, so dynp and binseg evaluate nothing
 print()
-print("again, on the warm cache:")
+print("again, after dynp built its matrix:")
 race("dynp", lambda: ss.dynp(fitted, K, config))
 race("binseg", lambda: ss.binseg(fitted, stop, config))

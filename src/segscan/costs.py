@@ -44,6 +44,7 @@ AUTO_METRIC = "auto"
 
 _FAMILIES = ("l2", "normal", "linear", "ar", "kernel", "mahalanobis")
 _KERNELS = ("linear", "rbf")
+# caps every dense n x n float64 matrix: the kernel Gram and dynp's cost matrix
 _GRAM_SAMPLE_LIMIT = 20_000
 _COV_RIDGE = 1e-6
 _REGRESSION_RIDGE = 1e-8
@@ -162,8 +163,8 @@ class FittedCost:
 
     Subclasses precompute their summaries in __init__.  cost() checks bounds
     and the family's minimum segment length, then delegates to _segment_cost.
-    The instance also carries a private cache slot where search engines stash
-    reusable tables keyed by their grid parameters.
+    The instance also carries a private cache slot where dynp stashes its
+    cost matrix and value table keyed by their grid parameters.
     """
 
     family: str = ""

@@ -12,25 +12,29 @@ again; binseg(), bottomup() and window() are greedy approximations that
 accept any of the three stopping rules; solve_budget() finds the fewest
 change points whose optimal cost fits a budget by growing the dynp table.
 
-Segment costs are memoized per (fitted cost, min_size, jump), so repeated
-calls on the same fitted cost reuse every earlier evaluation, and the dynp
-value table is kept and extended instead of recomputed.  Ties are always
-broken toward the smallest change point indices.
+Only dynp and solve_budget keep a dense grid x grid segment-cost matrix,
+cached on the fitted cost per (min_size, jump) together with the dynp value
+table, which is extended instead of recomputed.  The other engines hold
+O(grid) state: they read dynp's matrix when dynp has already run on the same
+fitted cost and grid, and otherwise evaluate costs on demand, memoized only
+within one call, so repeating a pelt or greedy search pays its evaluations
+again.  Ties are always broken toward the smallest change point indices.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DetectionResult, validate_breakpoints
+from .costs import _GRAM_SAMPLE_LIMIT
 from .exceptions import (
     BadParamError,
     BudgetUnreachableError,
     InfeasibleError,
+    MemoryBudgetError,
     WindowTooLargeError,
 )
 
@@ -127,71 +131,6 @@ def max_changes(n_samples: int, min_size: int, jump: int) -> int:
     return count
 
 
-class _SegmentTable:
-    """Memoized segment costs over {0, grid..., T}, shared by the engines.
-
-    Cells are filled through fitted.cost() on first use; a lock makes the
-    fill-on-miss safe when engine instances run on separate threads.
-    """
-
-    def __init__(self, fitted, min_size: int, jump: int):
-        self.fitted = fitted
-        self.min_size = min_size
-        self.jump = jump
-        n_samples = fitted.n_samples
-        self.positions = [0] + _grid(n_samples, min_size, jump) + [n_samples]
-        self.pos_index = {pos: i for i, pos in enumerate(self.positions)}
-        count = len(self.positions)
-        self.values = np.full((count, count), np.nan)
-        self._lock = threading.Lock()
-        self._all_filled = False
-        self._matrix = None
-
-    def seg(self, i: int, k: int) -> float:
-        value = self.values[i, k]
-        if np.isnan(value):
-            with self._lock:
-                value = self.values[i, k]
-                if np.isnan(value):
-                    value = self.fitted.cost(self.positions[i], self.positions[k])
-                    self.values[i, k] = value
-        return float(value)
-
-    def fill_all(self) -> None:
-        if self._all_filled:
-            return
-        with self._lock:
-            if self._all_filled:
-                return
-            positions = self.positions
-            for i, start in enumerate(positions):
-                for k in range(i + 1, len(positions)):
-                    if positions[k] - start >= self.min_size and np.isnan(self.values[i, k]):
-                        self.values[i, k] = self.fitted.cost(start, positions[k])
-            self._all_filled = True
-
-    def matrix(self) -> np.ndarray:
-        """Dense cost matrix with +inf on inadmissible pairs (fills everything)."""
-        if self._matrix is None:
-            self.fill_all()
-            pos = np.asarray(self.positions)
-            dense = self.values.copy()
-            dense[(pos[None, :] - pos[:, None]) < self.min_size] = np.inf
-            dense[np.isnan(dense)] = np.inf
-            self._matrix = dense
-        return self._matrix
-
-    def total(self, ends) -> float:
-        """Sum of memoized segment costs, accumulated left to right."""
-        value = 0.0
-        start_idx = 0
-        for end in ends:
-            end_idx = self.pos_index[int(end)]
-            value += self.seg(start_idx, end_idx)
-            start_idx = end_idx
-        return value
-
-
 def _prepare(fitted, config):
     cfg = config if config is not None else SearchConfig()
     if not isinstance(cfg, SearchConfig):
@@ -202,13 +141,8 @@ def _prepare(fitted, config):
         raise InfeasibleError(
             f"signal length {fitted.n_samples} below the minimum segment length {min_size}"
         )
-    with fitted._state_lock:
-        key = ("table", min_size, jump)
-        table = fitted._search_state.get(key)
-        if table is None:
-            table = _SegmentTable(fitted, min_size, jump)
-            fitted._search_state[key] = table
-    return cfg, min_size, jump, table
+    positions = [0] + _grid(fitted.n_samples, min_size, jump) + [fitted.n_samples]
+    return cfg, min_size, jump, positions
 
 
 def _result(fitted, ends, contrast, evals_before, n_pruned=0) -> DetectionResult:
@@ -221,30 +155,81 @@ def _result(fitted, ends, contrast, evals_before, n_pruned=0) -> DetectionResult
     )
 
 
+def _total(cost, ends) -> float:
+    """Sum of cost(start, end) over consecutive ends, accumulated left to right."""
+    value = 0.0
+    start = 0
+    for end in ends:
+        end = int(end)
+        value += cost(start, end)
+        start = end
+    return value
+
+
+def _segment_cost(fitted, dense=None):
+    """cost(start, end) for one engine call.
+
+    Reads dynp's matrix when `dense` holds one for the caller's grid;
+    otherwise evaluates through fitted.cost once per distinct segment of
+    this call.
+    """
+    if dense is not None:
+        return dense.cost
+    memo: dict[tuple[int, int], float] = {}
+
+    def cost(start: int, end: int) -> float:
+        key = (start, end)
+        value = memo.get(key)
+        if value is None:
+            value = fitted.cost(start, end)
+            memo[key] = value
+        return value
+
+    return cost
+
+
+def _dense(fitted, min_size, jump):
+    """dynp's state for this grid if dynp has run on this fitted cost, else None."""
+    return fitted._search_state.get(("dynp", min_size, jump))
+
+
 class _DynpState:
-    """Value table of the dynamic program, grown one layer per change count.
+    """Dense segment-cost matrix and value table of the dynamic program.
 
-    layers[k][i] is the best cost of cutting [0, positions[i]) into k + 1
-    segments; paths[k][i] is the lexicographically smallest internal end tuple
-    achieving it.  Both are retained across calls so a repeat or a smaller k
-    costs nothing."""
+    matrix[i, k] is the cost of [positions[i], positions[k]), +inf where the
+    segment is shorter than min_size.  layers[k][i] is the best cost of
+    cutting [0, positions[i]) into k + 1 segments; paths[k][i] is the
+    lexicographically smallest internal end tuple achieving it.  All are
+    retained across calls so a repeat or a smaller k costs nothing, and the
+    other engines read the matrix instead of evaluating again."""
 
-    def __init__(self, table: _SegmentTable):
-        self.table = table
-        self.matrix = table.matrix()
-        count = len(table.positions)
+    def __init__(self, fitted, min_size: int, jump: int, positions: list[int]):
+        count = len(positions)
+        if count > _GRAM_SAMPLE_LIMIT:
+            raise MemoryBudgetError(
+                f"dynp needs a {count} x {count} cost matrix; the limit is "
+                f"{_GRAM_SAMPLE_LIMIT} grid positions (raise jump to thin the grid)"
+            )
+        self.positions = positions
+        self.pos_index = {pos: i for i, pos in enumerate(positions)}
+        self.matrix = np.full((count, count), np.inf)
+        cost = fitted.cost
+        for i, start in enumerate(positions):
+            lo = bisect.bisect_left(positions, start + min_size)
+            self.matrix[i, lo:] = [cost(start, end) for end in positions[lo:]]
         first = self.matrix[0].copy()
         self.layers = [first]
         self.paths: list[list] = [
             [() if np.isfinite(first[i]) else None for i in range(count)]
         ]
         self.results: dict[int, tuple[tuple[int, ...], float]] = {}
-        self.max_changes = max_changes(
-            table.fitted.n_samples, table.min_size, table.jump
-        )
+        self.max_changes = max_changes(fitted.n_samples, min_size, jump)
+
+    def cost(self, start: int, end: int) -> float:
+        return float(self.matrix[self.pos_index[start], self.pos_index[end]])
 
     def _extend_to(self, n_layers: int) -> None:
-        positions = self.table.positions
+        positions = self.positions
         count = len(positions)
         while len(self.layers) <= n_layers:
             prev = self.layers[-1]
@@ -277,22 +262,22 @@ class _DynpState:
                 f"{n_bkps} change points do not fit: the grid admits at most {self.max_changes}"
             )
         self._extend_to(n_bkps)
-        terminal = len(self.table.positions) - 1
+        terminal = len(self.positions) - 1
         value = self.layers[n_bkps][terminal]
         if not np.isfinite(value):
             raise InfeasibleError(f"no valid segmentation with {n_bkps} change points")
-        ends = self.paths[n_bkps][terminal] + (self.table.positions[terminal],)
-        contrast = self.table.total(ends)
+        ends = self.paths[n_bkps][terminal] + (self.positions[terminal],)
+        contrast = _total(self.cost, ends)
         self.results[n_bkps] = (ends, contrast)
         return ends, contrast
 
 
-def _dynp_state(fitted, min_size, jump, table) -> _DynpState:
+def _dynp_state(fitted, min_size, jump, positions) -> _DynpState:
     with fitted._state_lock:
         key = ("dynp", min_size, jump)
         state = fitted._search_state.get(key)
         if state is None:
-            state = _DynpState(table)
+            state = _DynpState(fitted, min_size, jump, positions)
             fitted._search_state[key] = state
     return state
 
@@ -300,17 +285,20 @@ def _dynp_state(fitted, min_size, jump, table) -> _DynpState:
 def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionResult:
     """Exact minimum-cost segmentation with a fixed number of change points.
 
-    Solves the full dynamic program over the admissible grid.  The value
-    table is cached on the fitted cost, so asking again (or for fewer change
-    points) evaluates no new segment costs.  Ties go to the lexicographically
-    smallest end sequence.  Raises InfeasibleError when n_bkps changes do not
-    fit under the constraints.
+    Solves the full dynamic program over the admissible grid from a dense
+    grid x grid cost matrix.  Matrix and value table are cached on the fitted
+    cost, so asking again (or for fewer change points) evaluates no new
+    segment costs, and the other engines read the same matrix.  Ties go to
+    the lexicographically smallest end sequence.  Raises InfeasibleError
+    when n_bkps changes do not fit under the constraints, and
+    MemoryBudgetError, before allocating, when the grid has more than 20,000
+    positions.
     """
     if isinstance(n_bkps, bool) or not isinstance(n_bkps, int) or n_bkps < 0:
         raise BadParamError(f"n_bkps must be an integer >= 0, got {n_bkps!r}")
     evals_before = fitted.eval_counter
-    _, min_size, jump, table = _prepare(fitted, config)
-    state = _dynp_state(fitted, min_size, jump, table)
+    _, min_size, jump, positions = _prepare(fitted, config)
+    state = _dynp_state(fitted, min_size, jump, positions)
     ends, contrast = state.solve(n_bkps)
     return _result(fitted, ends, contrast, evals_before)
 
@@ -319,15 +307,16 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     """Fewest change points whose exact optimal cost is at most `budget`.
 
     Grows the dynp table one change count at a time, so the work is shared
-    with any earlier or later dynp call.  Raises BudgetUnreachableError when
-    even the largest feasible number of change points stays above the budget.
+    with any earlier or later dynp call, and refuses large grids the same way.
+    Raises BudgetUnreachableError when even the largest feasible number of
+    change points stays above the budget.
     """
     budget = float(budget)
     if not np.isfinite(budget) or budget < 0.0:
         raise BadParamError(f"budget must be finite and >= 0, got {budget}")
     evals_before = fitted.eval_counter
-    _, min_size, jump, table = _prepare(fitted, config)
-    state = _dynp_state(fitted, min_size, jump, table)
+    _, min_size, jump, positions = _prepare(fitted, config)
+    state = _dynp_state(fitted, min_size, jump, positions)
     contrast = np.inf
     for k in range(state.max_changes + 1):
         ends, contrast = state.solve(k)
@@ -338,14 +327,19 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     )
 
 
-def _prefix_path(parent, positions, idx) -> tuple[int, ...]:
-    """Internal ends of the partition encoded by the parent chain, idx included."""
+def _path_indices(parent, idx) -> list[int]:
+    """Grid indices of the internal and final ends encoded by the parent chain."""
     out = []
     while idx > 0:
-        out.append(positions[idx])
+        out.append(idx)
         idx = parent[idx]
     out.reverse()
-    return tuple(out)
+    return out
+
+
+def _prefix_path(parent, positions, idx) -> tuple[int, ...]:
+    """Internal ends of the partition encoded by the parent chain, idx included."""
+    return tuple(positions[i] for i in _path_indices(parent, idx))
 
 
 def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> DetectionResult:
@@ -358,57 +352,68 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     directly would lose exactness for min_size > 1.  Superadditivity of the
     shipped costs is what makes the rule safe; fitting a CostSpec with
     superadditive=False disables pruning (n_pruned stays 0).
+
+    State is O(grid): live candidates, values, parents and the cost of each
+    end's last segment.  Segment costs come from dynp's matrix when dynp has
+    run on this fitted cost with the same grid; otherwise each live
+    (candidate, end) pair is evaluated once, so a repeated call pays again.
     """
     penalty = float(penalty)
     if not np.isfinite(penalty) or penalty < 0.0:
         raise BadParamError(f"penalty must be finite and >= 0, got {penalty}")
     evals_before = fitted.eval_counter
-    _, min_size, jump, table = _prepare(fitted, config)
-    positions = table.positions
+    _, min_size, jump, positions = _prepare(fitted, config)
+    dense = _dense(fitted, min_size, jump)
+    cost = fitted.cost
     count = len(positions)
     values = np.full(count, np.inf)
     values[0] = 0.0
     parent = np.full(count, -1, dtype=np.int64)
-    candidates: list[int] = []
+    last_cost = np.zeros(count)
+    doomed_from = np.full(count, np.inf)
+    candidates = np.empty(0, dtype=np.int64)
     next_admission = 0
     n_pruned = 0
     prune = fitted.spec.superadditive
-    doomed_from = np.full(count, np.inf)
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
+        admitted = next_admission
         while next_admission < count and positions[next_admission] + min_size <= end_pos:
-            candidates.append(next_admission)
             next_admission += 1
+        if next_admission > admitted:
+            candidates = np.concatenate((candidates, np.arange(admitted, next_admission)))
         if prune:
-            live = [s for s in candidates if doomed_from[s] > end_pos]
-            n_pruned += len(candidates) - len(live)
-            candidates = live
-        best_value = np.inf
-        best_idx = -1
-        seg_costs = []
-        for s in candidates:
-            seg_cost = table.seg(s, end_idx)
-            seg_costs.append(seg_cost)
-            total = values[s] + seg_cost + penalty
-            if total < best_value:
-                best_value = total
-                best_idx = s
-            elif total == best_value and best_idx >= 0:
-                # exact tie: keep the lexicographically smaller end sequence;
-                # the shared end must take part, else a path that is a prefix
-                # of another would win even when its next end comes later
-                held = _prefix_path(parent, positions, best_idx) + (end_pos,)
-                offered = _prefix_path(parent, positions, s) + (end_pos,)
-                if offered < held:
-                    best_idx = s
+            live = doomed_from[candidates] > end_pos
+            n_pruned += len(candidates) - int(np.count_nonzero(live))
+            candidates = candidates[live]
+        if dense is not None:
+            seg_costs = dense.matrix[candidates, end_idx]
+        else:
+            seg_costs = np.array([cost(positions[s], end_pos) for s in candidates.tolist()])
+        fits = values[candidates] + seg_costs
+        totals = fits + penalty
+        pick = int(np.argmin(totals))
+        best_value = totals[pick]
+        ties = np.flatnonzero(totals == best_value)
+        if len(ties) > 1:
+            # exact tie: keep the lexicographically smaller end sequence;
+            # the shared end must take part, else a path that is a prefix
+            # of another would win even when its next end comes later
+            pick = min(
+                ties.tolist(),
+                key=lambda j: _prefix_path(parent, positions, candidates[j]) + (end_pos,),
+            )
         values[end_idx] = best_value
-        parent[end_idx] = best_idx
+        parent[end_idx] = candidates[pick]
+        last_cost[end_idx] = seg_costs[pick]
         if prune:
-            for s, seg_cost in zip(candidates, seg_costs):
-                if values[s] + seg_cost > best_value and not np.isfinite(doomed_from[s]):
-                    doomed_from[s] = end_pos + min_size
-    ends = _prefix_path(parent, positions, count - 1)
-    contrast = table.total(ends)
+            doomed = (fits > best_value) & np.isinf(doomed_from[candidates])
+            doomed_from[candidates[doomed]] = end_pos + min_size
+    path = _path_indices(parent, count - 1)
+    ends = tuple(positions[i] for i in path)
+    contrast = 0.0
+    for idx in path:
+        contrast += float(last_cost[idx])
     return _result(fitted, ends, contrast, evals_before, n_pruned=n_pruned)
 
 
@@ -423,8 +428,8 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     if not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     evals_before = fitted.eval_counter
-    _, min_size, jump, table = _prepare(fitted, config)
-    positions = table.positions
+    _, min_size, jump, positions = _prepare(fitted, config)
+    cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
     terminal = len(positions) - 1
     ends_idx = [terminal]
     best_split: dict[tuple[int, int], tuple[float, int] | None] = {}
@@ -437,9 +442,10 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
         hi = int(np.searchsorted(positions, positions[b_idx] - min_size, side="right"))
         found = None
         if lo < hi:
-            base = table.seg(a_idx, b_idx)
+            a, b = positions[a_idx], positions[b_idx]
+            base = cost(a, b)
             for s in range(lo, hi):
-                gain = base - (table.seg(a_idx, s) + table.seg(s, b_idx))
+                gain = base - (cost(a, positions[s]) + cost(positions[s], b))
                 if found is None or gain > found[0]:
                     found = (gain, s)
         best_split[key] = found
@@ -473,7 +479,7 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
                 break
             apply(chosen[1])
     else:
-        while table.total(positions[i] for i in ends_idx) > stop.budget:
+        while _total(cost, [positions[i] for i in ends_idx]) > stop.budget:
             chosen = pick()
             if chosen is None:
                 raise BudgetUnreachableError(
@@ -481,7 +487,7 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
                 )
             apply(chosen[1])
     ends = tuple(positions[i] for i in ends_idx)
-    contrast = table.total(ends)
+    contrast = _total(cost, ends)
     return _result(fitted, ends, contrast, evals_before)
 
 
@@ -508,8 +514,8 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     if not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     evals_before = fitted.eval_counter
-    _, min_size, jump, table = _prepare(fitted, config)
-    positions = table.positions
+    _, min_size, jump, positions = _prepare(fitted, config)
+    cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
     terminal = len(positions) - 1
     internal = _finest_grid(positions, min_size, terminal)
     if stop.kind == "n_bkps" and stop.n_bkps > len(internal):
@@ -526,14 +532,12 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
             key = (left, mid, right)
             delta = merge_delta.get(key)
             if delta is None:
-                delta = table.seg(left, right) - (table.seg(left, mid) + table.seg(mid, right))
+                a, m, b = positions[left], positions[mid], positions[right]
+                delta = cost(a, b) - (cost(a, m) + cost(m, b))
                 merge_delta[key] = delta
             if best is None or delta < best[0]:
                 best = (delta, pos_in_list)
         return best
-
-    def current_total() -> float:
-        return table.total([positions[i] for i in internal] + [positions[terminal]])
 
     if stop.kind == "n_bkps":
         while len(internal) > stop.n_bkps:
@@ -550,12 +554,12 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
             delta, where = cheapest()
             removed = internal[where]
             trial = internal[:where] + internal[where + 1 :]
-            trial_total = table.total([positions[i] for i in trial] + [positions[terminal]])
+            trial_total = _total(cost, [positions[i] for i in trial] + [positions[terminal]])
             if trial_total > stop.budget:
                 break
             internal = trial
     ends = tuple(positions[i] for i in internal) + (positions[terminal],)
-    contrast = table.total(ends)
+    contrast = _total(cost, ends)
     return _result(fitted, ends, contrast, evals_before)
 
 
@@ -573,7 +577,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     if not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     evals_before = fitted.eval_counter
-    cfg, min_size, jump, _table = _prepare(fitted, config)
+    cfg, min_size, jump, _ = _prepare(fitted, config)
     n_samples = fitted.n_samples
     width = cfg.window_width
     if width is None:
@@ -585,16 +589,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             f"window_width {width} below twice the minimum segment length {min_size}"
         )
     half = width // 2
-    memo: dict[tuple[int, int], float] = {}
-
-    def seg_cost(a: int, b: int) -> float:
-        key = (a, b)
-        value = memo.get(key)
-        if value is None:
-            value = fitted.cost(a, b)
-            memo[key] = value
-        return value
-
+    seg_cost = _segment_cost(fitted)
     first = ((half + jump - 1) // jump) * jump
     grid = list(range(first, n_samples - half + 1, jump))
     scores = [
@@ -637,12 +632,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     else:
 
         def total_for(points: list[int]) -> float:
-            value = 0.0
-            start = 0
-            for end in sorted(points) + [n_samples]:
-                value += seg_cost(start, end)
-                start = end
-            return value
+            return _total(seg_cost, sorted(points) + [n_samples])
 
         total = total_for(chosen)
         for t, _score in ranked:
@@ -657,9 +647,5 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             )
 
     ends = tuple(sorted(chosen)) + (n_samples,)
-    contrast = 0.0
-    start = 0
-    for end in ends:
-        contrast += seg_cost(start, end)
-        start = end
+    contrast = _total(seg_cost, ends)
     return _result(fitted, ends, contrast, evals_before)

@@ -1,0 +1,137 @@
+"""Exact engines against exhaustive enumeration for every cost family, and
+the engines' answers independent of whether dynp's cost matrix exists.
+
+Segment costs go through one memo of fitted.cost, as in AC-1, so the
+comparison isolates the search; AC-2 certifies the cost values themselves.
+The exact-tie instance is an integer-valued l2 signal of constant runs
+whose boundaries lie on every grid used, so all refinements of the runs
+cost exactly 0.0 and only the tie-break decides.
+"""
+
+import numpy as np
+import pytest
+
+import _oracles as oracle
+from segscan import (
+    CostSpec,
+    SearchConfig,
+    StoppingRule,
+    binseg,
+    bottomup,
+    dynp,
+    fit,
+    pelt,
+    validate_signal,
+)
+from segscan.exceptions import SegscanError
+
+FAMILIES = {
+    "l2": dict(family="l2"),
+    "normal": dict(family="normal"),
+    "linear": dict(family="linear"),
+    "ar": dict(family="ar", order=1),
+    "kernel": dict(family="kernel", kernel="rbf"),
+    "mahalanobis": dict(family="mahalanobis"),
+}
+TIE_DATA = np.repeat([[2.0, -1.0], [-1.0, 3.0], [2.0, 3.0]], 4, axis=0)
+
+
+def random_instance(rng, family, sizes):
+    """A signal with one planted change and a random grid config."""
+    n = int(rng.integers(*sizes))
+    data = rng.normal(size=(n, 2))
+    cut = n // 2
+    if family == "normal":
+        data[cut:] *= rng.uniform(2.0, 4.0)
+    elif family == "linear":
+        data[:, 0] = np.where(np.arange(n) < cut, 1.0, -1.0) * 2.0 * data[:, 1] + 0.1 * data[:, 0]
+    else:
+        data[cut:] += rng.normal(scale=2.0, size=2)
+    config = SearchConfig(min_size=int(rng.integers(1, 4)), jump=int(rng.integers(1, 4)))
+    return data, config
+
+
+def instances(family, count, seed, sizes=(8, 13)):
+    rng = np.random.default_rng(seed)
+    out = [random_instance(rng, family, sizes) for _ in range(count)]
+    if family == "l2":
+        out += [(TIE_DATA, SearchConfig(min_size=m, jump=j)) for m in (1, 3) for j in (1, 2, 4)]
+    return out
+
+
+def fitted_for(family, data, **extra):
+    return fit(CostSpec(**FAMILIES[family], **extra), validate_signal(data))
+
+
+def penalties(memo, n):
+    """Penalties spanning the cost scale of the instance, plus zero."""
+    scale = abs(memo(0, n)) / 4.0 + 0.01
+    return (0.0, 0.1 * scale, scale, 10.0 * scale)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_exact_engines_match_enumeration(family):
+    for trial, (data, config) in enumerate(instances(family, 8, seed=300)):
+        n = len(data)
+        fresh = fitted_for(family, data)
+        min_size = max(config.min_size, fresh.min_seg_len)
+        memo = oracle.MemoCost(fitted_for(family, data).cost)
+        expected = {
+            pen: oracle.best_penalized(memo, n, pen, min_size=min_size, jump=config.jump)
+            for pen in penalties(memo, n)
+        }
+        for pen, (expect_ends, expect_contrast) in expected.items():
+            result = pelt(fresh, pen, config)
+            assert result.bkps.ends == expect_ends, f"{family} trial {trial} pen={pen}"
+            assert result.contrast == expect_contrast, f"{family} trial {trial} pen={pen}"
+
+        warm = fitted_for(family, data)
+        for k in range(3):
+            expect_ends, expect_value = oracle.best_fixed_k(
+                memo, n, k, min_size=min_size, jump=config.jump
+            )
+            if expect_ends is None:
+                break
+            result = dynp(warm, k, config)
+            assert result.bkps.ends == expect_ends, f"{family} trial {trial} k={k}"
+            assert result.contrast == expect_value, f"{family} trial {trial} k={k}"
+        # k = 0 always fits, so dynp's matrix exists from here on
+        for pen, (expect_ends, expect_contrast) in expected.items():
+            result = pelt(warm, pen, config)
+            assert result.n_cost_evals == 0
+            assert result.bkps.ends == expect_ends, f"{family} trial {trial} pen={pen} warm"
+            assert result.contrast == expect_contrast, f"{family} trial {trial} pen={pen} warm"
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_greedy_engines_same_with_and_without_dynp_matrix(family):
+    stops = (StoppingRule(n_bkps=1), StoppingRule(penalty=1.0), StoppingRule(budget=1.0))
+    for trial, (data, config) in enumerate(instances(family, 6, seed=301)):
+        warm = fitted_for(family, data)
+        dynp(warm, 0, config)
+        for engine in (binseg, bottomup):
+            for stop in stops:
+                try:
+                    cold_result = engine(fitted_for(family, data), stop, config)
+                except SegscanError as exc:
+                    with pytest.raises(type(exc)):
+                        engine(warm, stop, config)
+                    continue
+                warm_result = engine(warm, stop, config)
+                label = f"{family} trial {trial} {engine.__name__} {stop}"
+                assert warm_result.n_cost_evals == 0, label
+                assert warm_result.bkps.ends == cold_result.bkps.ends, label
+                assert warm_result.contrast == cold_result.contrast, label
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_pruned_pelt_equals_unpruned(family):
+    """Pruning relies on superadditivity; check it is lossless per family."""
+    for trial, (data, config) in enumerate(instances(family, 5, seed=302, sizes=(40, 90))):
+        for pen in (0.0, 0.5, 5.0, 50.0):
+            pruned = pelt(fitted_for(family, data), pen, config)
+            unpruned = pelt(fitted_for(family, data, superadditive=False), pen, config)
+            label = f"{family} trial {trial} pen={pen}"
+            assert unpruned.n_pruned == 0
+            assert pruned.bkps.ends == unpruned.bkps.ends, label
+            assert pruned.contrast == unpruned.contrast, label

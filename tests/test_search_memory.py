@@ -1,0 +1,93 @@
+"""Memory bounds of the search engines.
+
+Only dynp and solve_budget hold a dense grid x grid cost matrix, and they
+refuse grids above 20,000 positions before allocating it.  The other
+engines keep O(T) state, checked by peak RSS in a fresh process.  Every
+check runs in a child process with a capped address space.
+"""
+
+import json
+import resource
+import subprocess
+import sys
+
+import numpy as np
+
+LARGE_T = 6000
+DENSE_MB = (LARGE_T + 1) ** 2 * 8 / 1e6
+OVER_LIMIT_T = 20_000  # grid of 20,001 positions with jump 1
+ADDRESS_CAP = 2**30
+
+
+def run_capped(*args):
+    """Run a child Python whose address space is capped at 1 GiB, so a
+    regression that allocates a dense matrix fails with MemoryError in the
+    child instead of taking the memory from the host."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_CAP, ADDRESS_CAP))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, preexec_fn=cap)
+
+
+LARGE_T_CHILD = f"""
+import json, math, resource
+import numpy as np
+from segscan import CostSpec, SearchConfig, StoppingRule, binseg, fit, pelt, window
+
+rng = np.random.default_rng(7)
+levels = np.cumsum(rng.choice([-1.0, 1.0], size=60) * rng.uniform(3.0, 5.0, size=60))
+signal = np.repeat(levels, 100) + rng.normal(size={LARGE_T})
+fitted = fit(CostSpec("l2"), signal)
+config = SearchConfig(jump=1, window_width=40)
+found = {{
+    "pelt": pelt(fitted, 3.0 * math.log({LARGE_T}), config).bkps.n_bkps,
+    "binseg": binseg(fitted, StoppingRule(n_bkps=59), config).bkps.n_bkps,
+    "window": window(fitted, StoppingRule(n_bkps=59), config).bkps.n_bkps,
+}}
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+print(json.dumps({{"found": found, "peak_mb": peak_mb}}))
+"""
+
+OVER_LIMIT_CHILD = f"""
+import numpy as np
+from segscan import CostSpec, dynp, fit, solve_budget
+from segscan.exceptions import MemoryBudgetError
+
+fitted = fit(CostSpec("l2"), np.zeros({OVER_LIMIT_T}))
+for name, call in (("dynp", lambda: dynp(fitted, 1)), ("solve_budget", lambda: solve_budget(fitted, 0.0))):
+    try:
+        call()
+    except MemoryBudgetError:
+        print(name, "refused after", fitted.eval_counter, "evals")
+    else:
+        print(name, "ran")
+"""
+
+
+def test_non_dynp_engines_stay_far_below_a_dense_matrix():
+    proc = run_capped("-c", LARGE_T_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["found"] == {"pelt": 59, "binseg": 59, "window": 59}
+    assert report["peak_mb"] < DENSE_MB / 2, (
+        f"peak RSS {report['peak_mb']:.0f} MB; a dense cost matrix alone is {DENSE_MB:.0f} MB"
+    )
+
+
+def test_dense_engines_refuse_grids_over_the_limit():
+    proc = run_capped("-c", OVER_LIMIT_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "dynp refused after 0 evals",
+        "solve_budget refused after 0 evals",
+    ]
+
+
+def test_cli_dynp_over_the_limit_is_exit_4(tmp_path):
+    path = tmp_path / "long.csv"
+    np.savetxt(path, np.zeros(OVER_LIMIT_T), fmt="%.1f")
+    proc = run_capped("-m", "segscan", "detect", "--input", str(path), "--method", "dynp",
+                      "--n-bkps", "1")
+    assert proc.returncode == 4, proc.stderr
+    assert "MemoryBudgetError" in proc.stderr
