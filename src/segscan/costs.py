@@ -16,8 +16,10 @@ Six families are available, selected by CostSpec.family:
 
 fit() binds a spec to one signal and precomputes cumulative sums (or the Gram
 matrix) so that cost(start, end) answers in O(1) arithmetic, or O(end - start)
-for the kernel family.  Every completed cost() call bumps eval_counter by
-exactly one; increments are lock-protected so concurrent callers read exact
+for the kernel family.  The l2 and mahalanobis families read their prefix sums
+through zero-copy float memoryviews, so one evaluation is O(d) plain float
+arithmetic with no numpy call.  Every completed cost() call bumps eval_counter
+by exactly one; increments are lock-protected so concurrent callers read exact
 totals.
 """
 
@@ -142,27 +144,42 @@ def median_heuristic(signal) -> float:
 
 
 class _PrefixL2:
-    """Cumulative sums giving the within-segment sum of squared deviations."""
+    """Cumulative sums giving the within-segment sum of squared deviations.
+
+    cost() reads sums (flat, at row * d + k) and sq through zero-copy float
+    memoryviews: d subtractions and products in plain Python, no numpy call.
+    """
 
     def __init__(self, data: np.ndarray):
-        n = data.shape[0]
-        self.sums = np.zeros((n + 1, data.shape[1]))
+        n, d = data.shape
+        self.sums = np.zeros((n + 1, d))
         np.cumsum(data, axis=0, out=self.sums[1:])
         self.sq = np.zeros(n + 1)
         np.cumsum(np.einsum("td,td->t", data, data), out=self.sq[1:])
+        self._d = d
+        self._flat_sums = memoryview(self.sums).cast("B").cast("d")
+        self._flat_sq = memoryview(self.sq).cast("B").cast("d")
 
     def cost(self, start: int, end: int) -> float:
-        length = end - start
-        seg_sum = self.sums[end] - self.sums[start]
-        value = (self.sq[end] - self.sq[start]) - (seg_sum @ seg_sum) / length
+        d = self._d
+        sums = self._flat_sums
+        lo = start * d
+        hi = end * d
+        sq_dev = 0.0
+        for k in range(d):
+            diff = sums[hi + k] - sums[lo + k]
+            sq_dev += diff * diff
+        value = (self._flat_sq[end] - self._flat_sq[start]) - sq_dev / (end - start)
         return value if value > 0.0 else 0.0
 
 
 class FittedCost:
     """A cost family bound to one signal, answering segment queries.
 
-    Subclasses precompute their summaries in __init__.  cost() checks bounds
-    and the family's minimum segment length, then delegates to _segment_cost.
+    Subclasses precompute their summaries in __init__ and supply
+    _segment_cost, as a method or a bound callable.  cost() checks bounds and
+    the family's minimum segment length, counts the evaluation, then delegates
+    to _segment_cost; subclasses do not override it.
     The instance also carries a private cache slot where dynp stashes its
     cost matrix and value table keyed by their grid parameters.
     """
@@ -186,11 +203,13 @@ class FittedCost:
         """Cost of the half-open segment [start, end)."""
         start = int(start)
         end = int(end)
-        if not 0 <= start < end <= self.signal.n_samples:
-            raise IndexOutOfRangeError(
-                f"segment [{start}, {end}) outside a signal of length {self.signal.n_samples}"
-            )
-        if end - start < self.min_seg_len:
+        n = self.signal.n_samples
+        # min_seg_len >= 1, so passing this one test implies start < end
+        if start < 0 or end > n or end - start < self.min_seg_len:
+            if not 0 <= start < end <= n:
+                raise IndexOutOfRangeError(
+                    f"segment [{start}, {end}) outside a signal of length {n}"
+                )
             raise SegmentTooShortError(
                 f"segment [{start}, {end}) shorter than min_seg_len={self.min_seg_len}"
             )
@@ -208,9 +227,7 @@ class L2Cost(FittedCost):
     def __init__(self, spec, signal):
         super().__init__(spec, signal, min_seg_len=1)
         self._prefix = _PrefixL2(signal.data)
-
-    def _segment_cost(self, start, end):
-        return self._prefix.cost(start, end)
+        self._segment_cost = self._prefix.cost
 
 
 class NormalCost(FittedCost):
@@ -413,9 +430,7 @@ class MahalanobisCost(FittedCost):
         transformed = signal.data @ eigvecs * np.sqrt(eigvals)
         self.metric = metric
         self._prefix = _PrefixL2(transformed)
-
-    def _segment_cost(self, start, end):
-        return self._prefix.cost(start, end)
+        self._segment_cost = self._prefix.cost
 
 
 _FAMILY_CLASSES = {

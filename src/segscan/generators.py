@@ -68,10 +68,10 @@ def _draw_ends(rng: np.random.Generator, n_samples: int, n_bkps: int) -> Breakpo
         if np.all(np.diff(candidates) >= spacing):
             ends = tuple(int(c) for c in candidates) + (n_samples,)
             return validate_breakpoints(ends, n_samples)
-    raise SpacingInfeasibleError(
-        f"gave up after {_REDRAW_CAP} draws: {n_bkps} change points in "
-        f"{n_samples} samples with spacing {spacing}"
-    )
+    # dense requests rarely pass the rejection test; this draw always does
+    slack = np.sort(rng.integers(0, n_samples - (n_bkps + 1) * spacing + 1, size=n_bkps))
+    ends = tuple(int(c) for c in slack + spacing * np.arange(1, n_bkps + 1)) + (n_samples,)
+    return validate_breakpoints(ends, n_samples)
 
 
 def draw_bkps(n_samples: int, n_bkps: int, seed: int = 0) -> Breakpoints:

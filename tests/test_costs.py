@@ -269,3 +269,59 @@ def test_fit_rejections(noisy_signal):
 def test_mahalanobis_metric_shape_must_match(noisy_signal):
     with pytest.raises(BadParamError):
         fit(CostSpec(family="mahalanobis", metric=np.eye(2)), noisy_signal)
+
+
+GUARD_FAMILIES = [
+    ("l2", {}),
+    ("normal", {}),
+    ("linear", {}),
+    ("ar", {"order": 2}),
+    ("kernel", {"kernel": "rbf", "gamma": 0.5}),
+    ("mahalanobis", {}),
+]
+
+
+@pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
+def test_cost_guard_every_family(noisy_signal, family, kw):
+    fitted = fit(CostSpec(family=family, **kw), noisy_signal)
+    n = noisy_signal.n_samples
+    m = fitted.min_seg_len
+    outside = [(-1, m), (-5, -3), (n - m, n + 1), (n, n + 2), (0, 0), (10, 10), (n, n), (12, 10)]
+    for start, end in outside:
+        with pytest.raises(IndexOutOfRangeError, match=f"outside a signal of length {n}"):
+            fitted.cost(start, end)
+    if m > 1:
+        for start, end in ((0, m - 1), (n - 1, n), (30, 30 + m - 1)):
+            with pytest.raises(SegmentTooShortError, match=f"shorter than min_seg_len={m}"):
+                fitted.cost(start, end)
+    assert fitted.eval_counter == 0
+    for start, end in ((0, m), (n - m, n), (0, n), (7, 40)):
+        expected = fitted.cost(start, end)
+        for cast in (np.int64, np.int32):
+            before = fitted.eval_counter
+            assert fitted.cost(cast(start), cast(end)) == expected
+            assert fitted.eval_counter == before + 1
+
+
+def numpy_prefix_cost(prefix, start, end):
+    """The whole-row numpy form of the prefix-sum l2 cost, clipped at 0."""
+    seg = prefix.sums[end] - prefix.sums[start]
+    value = (prefix.sq[end] - prefix.sq[start]) - (seg @ seg) / (end - start)
+    return max(value, 0.0)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 5])
+@pytest.mark.parametrize("offset,scale", [(0.0, 1.0), (5.0, 1e-7), (1e6, 1e-6)])
+@pytest.mark.parametrize("family", ["l2", "mahalanobis"])
+def test_prefix_cost_matches_numpy_form(family, dims, offset, scale):
+    rng = np.random.default_rng(14 + dims)
+    steps = np.repeat(rng.normal(scale=3.0, size=(4, dims)), 50, axis=0)
+    signal = validate_signal(offset + scale * (steps + rng.normal(size=(200, dims))))
+    fitted = fit(CostSpec(family=family), signal)
+    prefix = fitted._prefix
+    queries = random_queries(rng, 200, 1, count=300) + [(0, 1), (199, 200), (0, 200)]
+    for a, b in queries:
+        value = fitted.cost(a, b)
+        assert value >= 0.0
+        spread = prefix.sq[b] - prefix.sq[a]
+        assert abs(value - numpy_prefix_cost(prefix, a, b)) <= 1e-12 * spread, (a, b)

@@ -42,6 +42,19 @@ def test_draw_bkps_zero_changes():
     assert draw_bkps(50, 0).ends == (50,)
 
 
+def test_dense_feasible_request_succeeds():
+    # 80 changes at this spacing defeat the rejection draws; the constructive draw places them
+    spec = GenSpec(n_samples=8000, n_dims=2, n_bkps=80, noise_std=1.0, seed=1)
+    signal, bkps = pw_constant(spec)
+    again_signal, again_bkps = pw_constant(spec)
+    assert bkps.n_bkps == 80 and bkps.ends[-1] == 8000
+    assert bkps.ends == again_bkps.ends
+    assert np.array_equal(signal.data, again_signal.data)
+    gaps = np.diff((0,) + bkps.ends)
+    assert gaps.min() >= spec.spacing
+    assert draw_bkps(8000, 80, seed=1).ends == bkps.ends
+
+
 def test_spacing_infeasible():
     with pytest.raises(SpacingInfeasibleError):
         draw_bkps(9, 4)  # spacing 2 needs (4 + 1) * 2 = 10 samples

@@ -135,3 +135,68 @@ def test_pruned_pelt_equals_unpruned(family):
             assert unpruned.n_pruned == 0
             assert pruned.bkps.ends == unpruned.bkps.ends, label
             assert pruned.contrast == unpruned.contrast, label
+
+
+# offset and scale applied to the random instances: near-constant signals and
+# badly scaled ones, where the prefix-sum costs lose most of their digits
+ILL_CONDITIONED = {"near-constant": (5.0, 1e-7), "badly-scaled": (1e6, 1e-6)}
+
+
+def ill_conditioned_instances(family, conditioning):
+    offset, scale = ILL_CONDITIONED[conditioning]
+    return [(offset + scale * data, config) for data, config in instances(family, 8, seed=303)]
+
+
+@pytest.mark.parametrize("conditioning", list(ILL_CONDITIONED))
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_exact_engines_match_enumeration_on_ill_conditioned_signals(family, conditioning):
+    """dynp and unpruned pelt assume nothing of the costs, so they stay exact
+    whatever rounding does to the cost values."""
+    for trial, (data, config) in enumerate(ill_conditioned_instances(family, conditioning)):
+        n = len(data)
+        fresh = fitted_for(family, data, superadditive=False)
+        min_size = max(config.min_size, fresh.min_seg_len)
+        memo = oracle.MemoCost(fitted_for(family, data).cost)
+        label = f"{family} {conditioning} trial {trial}"
+        for pen in penalties(memo, n):
+            expect_ends, expect_contrast = oracle.best_penalized(
+                memo, n, pen, min_size=min_size, jump=config.jump
+            )
+            result = pelt(fresh, pen, config)
+            assert result.bkps.ends == expect_ends, f"{label} pen={pen}"
+            assert result.contrast == expect_contrast, f"{label} pen={pen}"
+        warm = fitted_for(family, data)
+        for k in range(3):
+            expect_ends, expect_value = oracle.best_fixed_k(
+                memo, n, k, min_size=min_size, jump=config.jump
+            )
+            if expect_ends is None:
+                break
+            result = dynp(warm, k, config)
+            assert result.bkps.ends == expect_ends, f"{label} k={k}"
+            assert result.contrast == expect_value, f"{label} k={k}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="on ill-conditioned signals rounding leaves the computed costs short of "
+    "superadditivity, so pruning can drop the optimal candidate",
+)
+def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals():
+    mismatches = []
+    for family in FAMILIES:
+        for conditioning in ILL_CONDITIONED:
+            for trial, (data, config) in enumerate(ill_conditioned_instances(family, conditioning)):
+                n = len(data)
+                fresh = fitted_for(family, data)
+                min_size = max(config.min_size, fresh.min_seg_len)
+                memo = oracle.MemoCost(fitted_for(family, data).cost)
+                for pen in penalties(memo, n):
+                    expected = oracle.best_penalized(
+                        memo, n, pen, min_size=min_size, jump=config.jump
+                    )
+                    result = pelt(fresh, pen, config)
+                    if (result.bkps.ends, result.contrast) != expected:
+                        mismatches.append(f"{family} {conditioning} trial {trial} pen={pen}")
+    assert not mismatches, mismatches

@@ -2,8 +2,10 @@
 
 Only dynp and solve_budget hold a dense grid x grid cost matrix, and they
 refuse grids above 20,000 positions before allocating it.  The other
-engines keep O(T) state, checked by peak RSS in a fresh process.  Every
-check runs in a child process with a capped address space.
+engines keep O(T) state, checked by peak RSS in a fresh process.  bottomup
+scans every remaining end per merge, O(grid^2) time at jump 1, so it gets a
+shorter signal.  Every check runs in a child process with a capped address
+space.
 """
 
 import json
@@ -15,6 +17,8 @@ import numpy as np
 
 LARGE_T = 6000
 DENSE_MB = (LARGE_T + 1) ** 2 * 8 / 1e6
+BOTTOMUP_T = 4000
+BOTTOMUP_DENSE_MB = (BOTTOMUP_T + 1) ** 2 * 8 / 1e6
 OVER_LIMIT_T = 20_000  # grid of 20,001 positions with jump 1
 ADDRESS_CAP = 2**30
 
@@ -49,6 +53,19 @@ peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 print(json.dumps({{"found": found, "peak_mb": peak_mb}}))
 """
 
+BOTTOMUP_CHILD = f"""
+import json, resource
+import numpy as np
+from segscan import CostSpec, SearchConfig, StoppingRule, bottomup, fit
+
+rng = np.random.default_rng(8)
+levels = np.cumsum(rng.choice([-1.0, 1.0], size=40) * rng.uniform(3.0, 5.0, size=40))
+signal = np.repeat(levels, 100) + rng.normal(size={BOTTOMUP_T})
+found = bottomup(fit(CostSpec("l2"), signal), StoppingRule(n_bkps=39), SearchConfig(jump=1))
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+print(json.dumps({{"found": found.bkps.n_bkps, "peak_mb": peak_mb}}))
+"""
+
 OVER_LIMIT_CHILD = f"""
 import numpy as np
 from segscan import CostSpec, dynp, fit, solve_budget
@@ -72,6 +89,17 @@ def test_non_dynp_engines_stay_far_below_a_dense_matrix():
     assert report["found"] == {"pelt": 59, "binseg": 59, "window": 59}
     assert report["peak_mb"] < DENSE_MB / 2, (
         f"peak RSS {report['peak_mb']:.0f} MB; a dense cost matrix alone is {DENSE_MB:.0f} MB"
+    )
+
+
+def test_bottomup_stays_far_below_a_dense_matrix():
+    proc = run_capped("-c", BOTTOMUP_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["found"] == 39
+    assert report["peak_mb"] < BOTTOMUP_DENSE_MB / 2, (
+        f"peak RSS {report['peak_mb']:.0f} MB; a dense cost matrix alone is "
+        f"{BOTTOMUP_DENSE_MB:.0f} MB"
     )
 
 
