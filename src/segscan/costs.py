@@ -10,21 +10,31 @@ Six families are available, selected by CostSpec.family:
 - "ar": per-dimension autoregression on `order` lags plus an intercept, using
   only lags inside the segment (shifts in autoregressive coefficients)
 - "kernel": squared distance to the segment mean in the feature space of a
-  linear or Gaussian kernel, from a full Gram matrix with per-row prefix sums
+  linear or Gaussian kernel
 - "mahalanobis": squared Mahalanobis deviation from the segment mean, either
   with an explicit PSD metric or one derived from the whole signal
 
-fit() binds a spec to one signal and precomputes cumulative sums (or the Gram
-matrix) so that cost(start, end) answers in O(1) arithmetic, or O(end - start)
-for the kernel family.  The l2 and mahalanobis families read their prefix sums
-through zero-copy float memoryviews, so one evaluation is O(d) plain float
-arithmetic with no numpy call.  Every completed cost() call bumps eval_counter
-by exactly one; increments are lock-protected so concurrent callers read exact
-totals.
+fit() binds a spec to one signal and lays out its summaries, so that every
+cost(start, end) is one prefix difference plus at most one LAPACK call:
+
+- l2, mahalanobis and the linear kernel: prefix sums of the centred signal
+  and of its squared norms, read through zero-copy float memoryviews, so one
+  evaluation is O(d) plain float arithmetic with no numpy call;
+- normal: prefix sums of the outer products of [x, 1], with the ridge folded
+  in, and one slogdet;
+- linear: prefix sums of the outer products of [x, 1, y] and one solve;
+- ar: per-dimension prefix sums of the outer products of [lags, 1, y] and
+  one batched solve over the dimensions;
+- rbf kernel: the 2D integral image of the Gram matrix, built in place, so a
+  query reads three corners: O(1) instead of O(end - start).
+
+Every completed cost() call bumps eval_counter by exactly one; increments are
+lock-protected so concurrent callers read exact totals.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -143,19 +153,33 @@ def median_heuristic(signal) -> float:
     return 1.0 / med
 
 
+def _centred(data: np.ndarray) -> np.ndarray:
+    """The signal minus its column (lower) medians, for shift-invariant costs.
+
+    Summaries of an offset signal (1e6 + noise, say) would otherwise cancel
+    away the variation they are taken for.  A median sample rather than the
+    mean keeps integer data integral, so their sums stay exact.  np.partition
+    rather than np.median, which imports numpy.ma on first use.
+    """
+    middle = (len(data) - 1) // 2
+    return data - np.partition(data, middle, axis=0)[middle]
+
+
 class _PrefixL2:
     """Cumulative sums giving the within-segment sum of squared deviations.
 
+    The sums are taken of the centred signal (the cost is shift-invariant).
     cost() reads sums (flat, at row * d + k) and sq through zero-copy float
     memoryviews: d subtractions and products in plain Python, no numpy call.
     """
 
     def __init__(self, data: np.ndarray):
         n, d = data.shape
+        centred = _centred(data)
         self.sums = np.zeros((n + 1, d))
-        np.cumsum(data, axis=0, out=self.sums[1:])
+        np.cumsum(centred, axis=0, out=self.sums[1:])
         self.sq = np.zeros(n + 1)
-        np.cumsum(np.einsum("td,td->t", data, data), out=self.sq[1:])
+        np.cumsum(np.einsum("td,td->t", centred, centred), out=self.sq[1:])
         self._d = d
         self._flat_sums = memoryview(self.sums).cast("B").cast("d")
         self._flat_sq = memoryview(self.sq).cast("B").cast("d")
@@ -171,6 +195,18 @@ class _PrefixL2:
             sq_dev += diff * diff
         value = (self._flat_sq[end] - self._flat_sq[start]) - sq_dev / (end - start)
         return value if value > 0.0 else 0.0
+
+
+def _prefix_outer(rows: np.ndarray) -> np.ndarray:
+    """Prefix sums of the outer products of the last axis of `rows`.
+
+    out[t] sums rows[:t] outer rows[:t] over the first axis; the products are
+    written into the output and accumulated in place, with no second buffer.
+    """
+    out = np.zeros((rows.shape[0] + 1,) + rows.shape[1:] + rows.shape[-1:])
+    np.einsum("...i,...j->...ij", rows, rows, out=out[1:])
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    return out
 
 
 class FittedCost:
@@ -236,6 +272,13 @@ class NormalCost(FittedCost):
     The covariance is the biased estimate; a 1e-6 ridge keeps the determinant
     positive, so short or constant segments stay finite.  Note the value can
     be negative when the covariance determinant is below one.
+
+    The fit keeps prefix sums of the outer products of [x, 1], x centred
+    (the covariance is shift-invariant), plus t times the ridge on the x
+    diagonal at row t.  For a segment of length m the prefix difference is
+    then B + m * diag(ridge, ..., ridge, 0), where B holds the scatter, the
+    sums and m, and its determinant is m^(d+1) det(cov + ridge * I): one
+    slogdet per query gives the cost.
     """
 
     family = "normal"
@@ -244,26 +287,26 @@ class NormalCost(FittedCost):
         super().__init__(spec, signal, min_seg_len=signal.n_dims + 1)
         data = signal.data
         n, d = data.shape
-        self._sums = np.zeros((n + 1, d))
-        np.cumsum(data, axis=0, out=self._sums[1:])
-        self._outer = np.zeros((n + 1, d, d))
-        np.cumsum(np.einsum("ti,tj->tij", data, data), axis=0, out=self._outer[1:])
-        self._ridge = _COV_RIDGE * np.eye(d)
+        aug = np.empty((n, d + 1))
+        aug[:, :d] = _centred(data)
+        aug[:, d] = 1.0
+        self._prod = _prefix_outer(aug)
+        diag = np.arange(d)
+        self._prod[:, diag, diag] += _COV_RIDGE * np.arange(n + 1.0)[:, None]
+        self._n_aug = d + 1
 
     def _segment_cost(self, start, end):
         length = end - start
-        mean = (self._sums[end] - self._sums[start]) / length
-        cov = (self._outer[end] - self._outer[start]) / length - np.outer(mean, mean)
-        cov = (cov + cov.T) / 2.0 + self._ridge
-        _, logdet = np.linalg.slogdet(cov)
-        return length * logdet
+        _, logdet = np.linalg.slogdet(self._prod[end] - self._prod[start])
+        return length * (logdet - self._n_aug * math.log(length))
 
 
 class LinearCost(FittedCost):
     """RSS of column 0 regressed on the remaining columns plus an intercept.
 
-    Normal equations are assembled from cumulative cross products; a 1e-8
-    ridge on the Gram keeps them solvable for collinear segments.
+    The fit keeps prefix sums of the outer products of [x, 1, y]; a query
+    takes one prefix difference, adds the 1e-8 ridge (which keeps collinear
+    segments solvable) to its regressor block and solves once.
     """
 
     family = "linear"
@@ -276,19 +319,17 @@ class LinearCost(FittedCost):
         aug[:, : d - 1] = signal.data[:, 1:]
         aug[:, d - 1] = 1.0
         aug[:, d] = signal.data[:, 0]
-        self._prod = np.zeros((n + 1, d + 1, d + 1))
-        np.cumsum(np.einsum("ti,tj->tij", aug, aug), axis=0, out=self._prod[1:])
+        self._prod = _prefix_outer(aug)
         self._n_reg = d
         self._ridge = _REGRESSION_RIDGE * np.eye(d)
 
     def _segment_cost(self, start, end):
-        block = self._prod[end] - self._prod[start]
         k = self._n_reg
+        block = self._prod[end] - self._prod[start]
         gram = block[:k, :k]
         xy = block[:k, k]
-        yy = block[k, k]
         coef = np.linalg.solve(gram + self._ridge, xy)
-        rss = yy - 2.0 * (xy @ coef) + coef @ (gram @ coef)
+        rss = block[k, k] - 2.0 * xy.dot(coef) + coef.dot(gram.dot(coef))
         return rss if rss > 0.0 else 0.0
 
 
@@ -298,6 +339,10 @@ class ARCost(FittedCost):
     Each dimension is regressed on its own `order` lags plus an intercept.
     Only rows whose lags lie inside the segment contribute, so a segment
     [start, end) yields end - start - order residuals per dimension.
+
+    The fit keeps, per dimension, prefix sums of the outer products of
+    [lag_1, ..., lag_order, 1, y]; a query takes one prefix difference and
+    solves every dimension's normal equations in one batched call.
     """
 
     family = "ar"
@@ -311,94 +356,111 @@ class ARCost(FittedCost):
         super().__init__(spec, signal, min_seg_len=order + 2)
         data = signal.data
         n, d = data.shape
-        rows = n - order
-        lagged = np.empty((rows, order + 1, d))
-        for lag in range(order + 1):
-            lagged[:, lag, :] = data[order - lag : n - lag, :]
-        self._xprod = np.zeros((rows + 1, order + 1, order + 1, d))
-        np.cumsum(np.einsum("rid,rjd->rijd", lagged, lagged), axis=0, out=self._xprod[1:])
-        self._xsum = np.zeros((rows + 1, order + 1, d))
-        np.cumsum(lagged, axis=0, out=self._xsum[1:])
+        aug = np.empty((n - order, d, order + 2))
+        for lag in range(1, order + 1):
+            aug[:, :, lag - 1] = data[order - lag : n - lag, :]
+        aug[:, :, order] = 1.0
+        aug[:, :, order + 1] = data[order:, :]
+        self._prod = _prefix_outer(aug)
         self._order = order
         self._ridge = _REGRESSION_RIDGE * np.eye(order + 1)
 
     def _segment_cost(self, start, end):
-        p = self._order
-        lo, hi = start, end - p
-        rows = hi - lo
-        prods = self._xprod[hi] - self._xprod[lo]
-        sums = self._xsum[hi] - self._xsum[lo]
+        k = self._order + 1
+        block = self._prod[end - self._order] - self._prod[start]
+        gram = block[:, :k, :k]
+        # an explicit (d, k, 1) right-hand side: a stack of column vectors
+        # under every numpy version
+        xy = block[:, :k, k:]
+        coef = np.linalg.solve(gram + self._ridge, xy)
+        coef_t = coef.transpose(0, 2, 1)
+        rss = block[:, k, k] - 2.0 * (coef_t @ xy).ravel() + (coef_t @ (gram @ coef)).ravel()
         total = 0.0
-        for dim in range(self.signal.n_dims):
-            m = prods[:, :, dim]
-            s = sums[:, dim]
-            gram = np.empty((p + 1, p + 1))
-            gram[:p, :p] = m[1:, 1:]
-            gram[:p, p] = s[1:]
-            gram[p, :p] = s[1:]
-            gram[p, p] = rows
-            xy = np.empty(p + 1)
-            xy[:p] = m[1:, 0]
-            xy[p] = s[0]
-            coef = np.linalg.solve(gram + self._ridge, xy)
-            rss = m[0, 0] - 2.0 * (xy @ coef) + coef @ (gram @ coef)
-            total += rss if rss > 0.0 else 0.0
+        for value in rss.tolist():
+            if value > 0.0:
+                total += value
         return total
 
 
 class KernelCost(FittedCost):
-    """Feature-space spread around the segment mean, from a full Gram matrix.
+    """Feature-space spread around the segment mean.
 
     c(a, b) = sum of diagonal entries over [a, b) minus the mean of the
-    (b - a)^2 Gram block.  The Gram matrix is replaced in place by its per-row
-    prefix sums, so a query costs one pass over the segment.  Signals longer
-    than 20,000 samples are refused: the matrix would not fit the budget.
+    (b - a)^2 Gram block.  For the linear kernel the Gram matrix is x x', so
+    the cost is the l2 cost and the l2 prefix sums answer it without any
+    n x n matrix.  For the rbf kernel the Gram matrix is turned in place into
+    its 2D integral image (inclusive prefix sums along both axes): the block
+    sum is then three corner reads, through a zero-copy float memoryview, and
+    a query is O(1).  Adding f(i) + f(j) to every entry (i, j) leaves the cost
+    unchanged, so the image is built from the double-centred Gram matrix,
+    which keeps the corner values small; the absolute rounding error of a
+    query is still about 1e-16 times the largest corner divided by the
+    segment length.  rbf signals longer than 20,000 samples are refused: the
+    matrix would not fit the budget.
     """
 
     family = "kernel"
 
     def __init__(self, spec, signal):
+        super().__init__(spec, signal, min_seg_len=1)
+        self.gamma = None
+        if spec.kernel == "linear":
+            self._prefix = _PrefixL2(signal.data)
+            self._segment_cost = self._prefix.cost
+            return
         n = signal.n_samples
         if n > _GRAM_SAMPLE_LIMIT:
             raise MemoryBudgetError(
                 f"kernel cost needs a {n} x {n} Gram matrix; the limit is {_GRAM_SAMPLE_LIMIT} samples"
             )
-        super().__init__(spec, signal, min_seg_len=1)
-        self.gamma = None
-        if spec.kernel == "rbf":
-            if spec.gamma == MEDIAN_HEURISTIC:
-                self.gamma = median_heuristic(signal)
-            else:
-                self.gamma = float(spec.gamma)
-        gram = self._gram(signal.data)
+        if spec.gamma == MEDIAN_HEURISTIC:
+            self.gamma = median_heuristic(signal)
+        else:
+            self.gamma = float(spec.gamma)
+        image = self._gram(_centred(signal.data))
+        # the Gram matrix is symmetric: its row means are its column means
+        means = image.mean(axis=1)
+        grand = float(means.mean())
         self._diag_prefix = np.zeros(n + 1)
-        np.cumsum(np.ascontiguousarray(np.diagonal(gram)), out=self._diag_prefix[1:])
-        np.cumsum(gram, axis=1, out=gram)
-        self._row_prefix = gram
+        np.cumsum(np.diagonal(image) - 2.0 * means + grand, out=self._diag_prefix[1:])
+        image -= means[:, None]
+        image -= means - grand
+        # prefix sums down the rows, then along them, one vector add per row
+        # or column: np.cumsum is several times slower on an n x n matrix
+        for i in range(1, n):
+            np.add(image[i], image[i - 1], out=image[i])
+        for j in range(1, n):
+            np.add(image[:, j], image[:, j - 1], out=image[:, j])
+        self._n = n
+        self._flat_image = memoryview(image).cast("B").cast("d")
+        self._flat_diag = memoryview(self._diag_prefix).cast("B").cast("d")
 
     def _gram(self, data: np.ndarray) -> np.ndarray:
-        if self.spec.kernel == "linear":
-            return data @ data.T
+        """rbf Gram matrix of the centred signal, built in row blocks."""
         n = data.shape[0]
-        sq = np.einsum("td,td->t", data, data)
         gram = np.empty((n, n))
-        step = max(1, 4_000_000 // max(n, 1))
+        sq = np.einsum("td,td->t", data, data)
+        step = max(1, 1_000_000 // n)
         for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            block = sq[lo:hi, None] + sq[None, :] - 2.0 * (data[lo:hi] @ data.T)
+            block = gram[lo : lo + step]
+            np.matmul(data[lo : lo + step], data.T, out=block)
+            block *= -2.0
+            block += sq[lo : lo + step, None]
+            block += sq[None, :]
             np.maximum(block, 0.0, out=block)
             block *= -self.gamma
             np.exp(block, out=block)
-            gram[lo:hi] = block
         return gram
 
     def _segment_cost(self, start, end):
-        length = end - start
-        rows = self._row_prefix[start:end]
-        block = rows[:, end - 1].sum()
-        if start > 0:
-            block -= rows[:, start - 1].sum()
-        value = (self._diag_prefix[end] - self._diag_prefix[start]) - block / length
+        image = self._flat_image
+        n = self._n
+        last = (end - 1) * n
+        block = image[last + end - 1]
+        if start:
+            first = (start - 1) * n
+            block += image[first + start - 1] - 2.0 * image[first + end - 1]
+        value = (self._flat_diag[end] - self._flat_diag[start]) - block / (end - start)
         return value if value > 0.0 else 0.0
 
 

@@ -24,6 +24,7 @@ again.  Ties are always broken toward the smallest change point indices.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +64,26 @@ class StoppingRule:
                 f"exactly one stopping rule must be set, got {given or 'none'}"
             )
         if self.n_bkps is not None:
-            if isinstance(self.n_bkps, bool) or not isinstance(self.n_bkps, int) or self.n_bkps < 0:
-                raise BadParamError(f"n_bkps must be an integer >= 0, got {self.n_bkps!r}")
+            self.checked_n_bkps(self.n_bkps)
         for name in ("penalty", "budget"):
             value = getattr(self, name)
             if value is not None:
-                value = float(value)
-                if not np.isfinite(value) or value < 0.0:
-                    raise BadParamError(f"{name} must be finite and >= 0, got {value}")
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, self.checked_level(name, value))
+
+    @staticmethod
+    def checked_n_bkps(value) -> int:
+        """value if it is a valid change point count, else BadParamError."""
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise BadParamError(f"n_bkps must be an integer >= 0, got {value!r}")
+        return value
+
+    @staticmethod
+    def checked_level(name: str, value) -> float:
+        """value as a float if it is a valid penalty or budget, else BadParamError."""
+        value = float(value)
+        if not np.isfinite(value) or value < 0.0:
+            raise BadParamError(f"{name} must be finite and >= 0, got {value}")
+        return value
 
     @property
     def kind(self) -> str:
@@ -294,8 +306,7 @@ def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionRe
     MemoryBudgetError, before allocating, when the grid has more than 20,000
     positions.
     """
-    if isinstance(n_bkps, bool) or not isinstance(n_bkps, int) or n_bkps < 0:
-        raise BadParamError(f"n_bkps must be an integer >= 0, got {n_bkps!r}")
+    StoppingRule.checked_n_bkps(n_bkps)
     evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
     state = _dynp_state(fitted, min_size, jump, positions)
@@ -311,9 +322,7 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     Raises BudgetUnreachableError when even the largest feasible number of
     change points stays above the budget.
     """
-    budget = float(budget)
-    if not np.isfinite(budget) or budget < 0.0:
-        raise BadParamError(f"budget must be finite and >= 0, got {budget}")
+    budget = StoppingRule.checked_level("budget", budget)
     evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
     state = _dynp_state(fitted, min_size, jump, positions)
@@ -358,9 +367,7 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     run on this fitted cost with the same grid; otherwise each live
     (candidate, end) pair is evaluated once, so a repeated call pays again.
     """
-    penalty = float(penalty)
-    if not np.isfinite(penalty) or penalty < 0.0:
-        raise BadParamError(f"penalty must be finite and >= 0, got {penalty}")
+    penalty = StoppingRule.checked_level("penalty", penalty)
     evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
     dense = _dense(fitted, min_size, jump)
@@ -509,7 +516,8 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     the end whose removal raises the total cost least (smallest index on a
     tie).  Stops when n_bkps ends remain, when the smallest merge penalty
     exceeds the penalty value, or just before the total cost would exceed the
-    budget.
+    budget.  The merge deltas sit in a min-heap; a merge re-prices only the
+    two neighbouring ends, so a step costs O(log grid) instead of a rescan.
     """
     if not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
@@ -522,42 +530,62 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
         raise InfeasibleError(
             f"{stop.n_bkps} change points requested but the finest grid has {len(internal)}"
         )
-    merge_delta: dict[tuple[int, int, int], float] = {}
+    # merge deltas keyed (delta, grid index, left, right): the heap's top is
+    # the cheapest merge with the smallest index on a tie; an entry whose end
+    # is gone or has other neighbours by now is dropped when it surfaces
+    heap: list[tuple[float, int, int, int]] = []
+    # ends whose current merge delta is not on the heap yet; they are
+    # evaluated at the next pick, as a rescan of every end would
+    unpriced = set(internal)
 
-    def cheapest():
-        best = None
-        for pos_in_list, mid in enumerate(internal):
-            left = internal[pos_in_list - 1] if pos_in_list > 0 else 0
-            right = internal[pos_in_list + 1] if pos_in_list + 1 < len(internal) else terminal
-            key = (left, mid, right)
-            delta = merge_delta.get(key)
-            if delta is None:
-                a, m, b = positions[left], positions[mid], positions[right]
-                delta = cost(a, b) - (cost(a, m) + cost(m, b))
-                merge_delta[key] = delta
-            if best is None or delta < best[0]:
-                best = (delta, pos_in_list)
-        return best
+    def neighbours(where: int) -> tuple[int, int]:
+        left = internal[where - 1] if where > 0 else 0
+        right = internal[where + 1] if where + 1 < len(internal) else terminal
+        return left, right
+
+    def cheapest() -> tuple[float, int]:
+        for mid in unpriced:
+            left, right = neighbours(bisect.bisect_left(internal, mid))
+            a, m, b = positions[left], positions[mid], positions[right]
+            heapq.heappush(heap, (cost(a, b) - (cost(a, m) + cost(m, b)), mid, left, right))
+        unpriced.clear()
+        while True:
+            delta, mid, left, right = heap[0]
+            where = bisect.bisect_left(internal, mid)
+            if where < len(internal) and internal[where] == mid and neighbours(where) == (left, right):
+                return delta, where
+            heapq.heappop(heap)
+
+    def merge(where: int) -> None:
+        heapq.heappop(heap)
+        # the two neighbours now merge across a longer segment
+        unpriced.update(internal[max(where - 1, 0) : where + 2])
+        unpriced.discard(internal.pop(where))
 
     if stop.kind == "n_bkps":
         while len(internal) > stop.n_bkps:
             _, where = cheapest()
-            internal.pop(where)
+            merge(where)
     elif stop.kind == "penalty":
         while internal:
             delta, where = cheapest()
             if delta > stop.penalty:
                 break
-            internal.pop(where)
+            merge(where)
     else:
+        # every segment here is one a merge delta or the contrast evaluates
+        ends = [positions[i] for i in [0, *internal, terminal]]
+        seg_costs = np.array([cost(a, b) for a, b in zip(ends, ends[1:])])
         while internal:
-            delta, where = cheapest()
-            removed = internal[where]
-            trial = internal[:where] + internal[where + 1 :]
-            trial_total = _total(cost, [positions[i] for i in trial] + [positions[terminal]])
-            if trial_total > stop.budget:
+            _, where = cheapest()
+            left, right = neighbours(where)
+            merged = cost(positions[left], positions[right])
+            trial = np.concatenate((seg_costs[:where], [merged], seg_costs[where + 2 :]))
+            # np.cumsum adds left to right, so this is _total of the trial ends
+            if np.cumsum(trial)[-1] > stop.budget:
                 break
-            internal = trial
+            seg_costs = trial
+            merge(where)
     ends = tuple(positions[i] for i in internal) + (positions[terminal],)
     contrast = _total(cost, ends)
     return _result(fitted, ends, contrast, evals_before)

@@ -178,6 +178,41 @@ def best_penalized(cost_fn, n_samples, penalty, min_size=1, jump=1):
     return best_ends, best_contrast
 
 
+def greedy_bottomup(cost_fn, n_samples, min_size=1, jump=1, n_bkps=None, penalty=None, budget=None):
+    """Greedy bottom-up merging, rescanning every end at every step.
+
+    Starts from the leftmost packing of the admissible grid (gaps of at least
+    min_size) and repeatedly deletes the end whose removal raises the total
+    cost least, the smallest end on a tie.  Exactly one stopping value is
+    given: stop with n_bkps ends left, when the cheapest merge costs more than
+    the penalty, or before the total would exceed the budget.  Returns the
+    ends (terminal included), or None when n_bkps exceeds the finest grid.
+    """
+    ends = []
+    for pos in admissible_grid(n_samples, min_size, jump):
+        if pos - (ends[-1] if ends else 0) >= min_size:
+            ends.append(pos)
+    if n_bkps is not None and n_bkps > len(ends):
+        return None
+
+    def merge_delta(i):
+        left = ends[i - 1] if i > 0 else 0
+        right = ends[i + 1] if i + 1 < len(ends) else n_samples
+        return cost_fn(left, right) - (cost_fn(left, ends[i]) + cost_fn(ends[i], right))
+
+    while ends and (n_bkps is None or len(ends) > n_bkps):
+        deltas = [merge_delta(i) for i in range(len(ends))]
+        best = min(range(len(ends)), key=lambda i: (deltas[i], i))
+        if penalty is not None and deltas[best] > penalty:
+            break
+        if budget is not None:
+            trial = ends[:best] + ends[best + 1 :] + [n_samples]
+            if total_cost(cost_fn, trial) > budget:
+                break
+        del ends[best]
+    return tuple(ends) + (n_samples,)
+
+
 def pair_rand_index(left_ends, right_ends, n_samples):
     """O(T^2) pairwise agreement count straight from the definition."""
 

@@ -2,6 +2,7 @@
 details: eval counter, minimum segment lengths, parameter validation."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,3 +326,118 @@ def test_prefix_cost_matches_numpy_form(family, dims, offset, scale):
         assert value >= 0.0
         spread = prefix.sq[b] - prefix.sq[a]
         assert abs(value - numpy_prefix_cost(prefix, a, b)) <= 1e-12 * spread, (a, b)
+
+
+# offset and scale applied to the signals of the summary checks below: plain,
+# and near-constant, where uncentred summaries cancel away the variation
+CONDITIONING = {"plain": (0.0, 1.0), "near-constant": (5.0, 1e-7)}
+
+
+def step_signal(rng, n_samples, dims, conditioning, relation=False):
+    """Four mean levels plus noise; with relation, column 0 also follows the
+    sum of the others with a slope that changes sign halfway."""
+    offset, scale = CONDITIONING[conditioning]
+    steps = np.repeat(rng.normal(scale=3.0, size=(4, dims)), -(-n_samples // 4), axis=0)
+    data = steps[:n_samples] + rng.normal(size=(n_samples, dims))
+    if relation:
+        slope = np.where(np.arange(n_samples) < n_samples // 2, 2.0, -1.0)
+        data[:, 0] += slope * data[:, 1:].sum(axis=1)
+    return offset + scale * data
+
+
+def ar_signal(rng, n_samples, dims, conditioning):
+    """Zero-mean AR(1) processes whose coefficient flips sign halfway."""
+    offset, scale = CONDITIONING[conditioning]
+    data = np.zeros((n_samples, dims))
+    data[0] = rng.normal(size=dims)
+    for t in range(1, n_samples):
+        coef = 0.7 if t < n_samples // 2 else -0.5
+        data[t] = coef * data[t - 1] + rng.normal(size=dims)
+    return offset + scale * data
+
+
+def summary_queries(rng, n_samples, min_len, count):
+    """Random segments plus the shortest ones at both ends and the whole signal."""
+    edges = [(0, min_len), (n_samples - min_len, n_samples), (0, n_samples)]
+    return random_queries(rng, n_samples, min_len, count) + edges
+
+
+def assert_matches_oracle(fitted, reference, queries):
+    for a, b in queries:
+        value = fitted.cost(a, b)
+        assert close(value, reference(a, b)), (a, b, value, reference(a, b))
+
+
+@pytest.mark.parametrize("conditioning", list(CONDITIONING))
+@pytest.mark.parametrize("dims", [1, 2, 5])
+def test_normal_summaries_match_oracle(dims, conditioning):
+    rng = np.random.default_rng(20 + dims)
+    data = step_signal(rng, 200, dims, conditioning)
+    fitted = fit(CostSpec(family="normal"), validate_signal(data))
+    queries = summary_queries(rng, 200, fitted.min_seg_len, 150)
+    assert_matches_oracle(fitted, lambda a, b: oracle.normal_cost(data, a, b), queries)
+
+
+@pytest.mark.parametrize("conditioning", list(CONDITIONING))
+@pytest.mark.parametrize("dims", [2, 3, 5])
+def test_linear_summaries_match_oracle(dims, conditioning):
+    rng = np.random.default_rng(30 + dims)
+    data = step_signal(rng, 200, dims, conditioning, relation=True)
+    fitted = fit(CostSpec(family="linear"), validate_signal(data))
+    queries = summary_queries(rng, 200, fitted.min_seg_len, 150)
+    assert_matches_oracle(fitted, lambda a, b: oracle.linear_cost(data, a, b), queries)
+
+
+@pytest.mark.parametrize("conditioning", list(CONDITIONING))
+@pytest.mark.parametrize("dims", [1, 3])
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_ar_summaries_match_oracle(order, dims, conditioning):
+    """Segments with more residual rows than coefficients match at `close`.
+    With at most order + 1 rows the fit is exact up to the ridge and the RSS
+    is rounding residue of the prefix sums (the same at the parent commit),
+    so it is held to 1e-9 of the sum of squares those prefix sums hold."""
+    rng = np.random.default_rng(40 + 10 * order + dims)
+    data = ar_signal(rng, 200, dims, conditioning)
+    fitted = fit(CostSpec(family="ar", order=order), validate_signal(data))
+    assert fitted.min_seg_len == order + 2
+    for a, b in summary_queries(rng, 200, fitted.min_seg_len, 150):
+        value = fitted.cost(a, b)
+        expected = oracle.ar_cost(data, a, b, order)
+        if b - a - order > order + 1:
+            assert close(value, expected), (a, b, value, expected)
+        else:
+            energy = float((data[:b] ** 2).sum())
+            assert abs(value - expected) <= 1e-9 * (1.0 + energy), (a, b, value, expected)
+
+
+@pytest.mark.parametrize("conditioning", list(CONDITIONING))
+@pytest.mark.parametrize("n_samples", [300, 2000])
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_kernel_summaries_match_oracle(kernel, n_samples, conditioning):
+    """Segments anywhere in the signal, up to 600 long: the oracle builds each
+    segment's Gram block and pairwise differences, a few MB at that length."""
+    rng = np.random.default_rng(50 + n_samples)
+    data = step_signal(rng, n_samples, 2, conditioning)
+    fitted = fit(CostSpec(family="kernel", kernel=kernel), validate_signal(data))
+    starts = rng.integers(0, n_samples - 1, size=40).tolist()
+    queries = [(a, min(n_samples, a + int(rng.integers(1, 600)))) for a in starts]
+    queries += [(a, a + 3) for a in rng.integers(0, n_samples - 3, size=20).tolist()]
+    queries += [(0, 1), (n_samples - 1, n_samples), (max(0, n_samples - 600), n_samples)]
+    assert_matches_oracle(
+        fitted, lambda a, b: oracle.kernel_cost(data, a, b, kernel, gamma=fitted.gamma), queries
+    )
+
+
+def test_kernel_rbf_keeps_one_gram_sized_buffer():
+    """The integral image is built in place: fitting allocates one n x n
+    float64 matrix, not a second one for the prefix sums."""
+    signal = validate_signal(np.random.default_rng(60).normal(size=(1500, 2)))
+    tracemalloc.start()
+    try:
+        fitted = fit(CostSpec(family="kernel", kernel="rbf"), signal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gram_bytes = 1500 * 1500 * 8
+    assert fitted._flat_image.nbytes == gram_bytes
+    assert peak < 1.5 * gram_bytes

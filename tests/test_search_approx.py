@@ -4,6 +4,7 @@ compliance, and dominance of the exact solver."""
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from segscan import (
     CostSpec,
     SearchConfig,
@@ -229,3 +230,76 @@ def test_approx_contrast_matches_sum_of_costs():
         assert result.contrast == sum_of_costs(fitted, result.bkps)
     result = window(fitted, StoppingRule(n_bkps=2), SearchConfig(window_width=30))
     assert result.contrast == pytest.approx(sum_of_costs(fitted, result.bkps), rel=1e-12)
+
+
+def bottomup_instances(seed, count):
+    """Random signals and grids, plus integer constant runs whose merges tie
+    exactly at 0.0 so that only the smallest-index rule decides."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(count):
+        n = int(rng.integers(12, 70))
+        if trial % 3 == 0:
+            runs = rng.integers(-2, 3, size=(int(rng.integers(2, 6)), 2)).astype(float)
+            data = np.repeat(runs, n // len(runs) + 1, axis=0)[:n]
+        else:
+            data = rng.normal(size=(n, 2))
+            data[n // 2 :] += rng.normal(scale=2.0, size=2)
+        config = SearchConfig(min_size=int(rng.integers(1, 4)), jump=int(rng.integers(1, 4)))
+        out.append((data, config))
+    return out
+
+
+@pytest.mark.parametrize("family", ["l2", "normal", "kernel"])
+def test_bottomup_matches_greedy_reference(family):
+    """Same ends, contrast and evaluation count as the rescanning reference,
+    under all three stopping rules, with and without dynp's matrix."""
+    rng = np.random.default_rng(410)
+    for trial, (data, config) in enumerate(bottomup_instances(400 + len(family), 12)):
+        spec = CostSpec(family=family)
+        probe = fit(spec, validate_signal(data))
+        min_size = max(config.min_size, probe.min_seg_len)
+        whole = probe.cost(0, len(data))
+        stops = [
+            dict(n_bkps=int(rng.integers(0, 5))),
+            dict(penalty=float(rng.uniform(0.0, 3.0))),
+            dict(penalty=0.0),
+            dict(budget=max(0.0, whole * float(rng.uniform(0.1, 1.0)))),
+        ]
+        for stop in stops:
+            memo = oracle.MemoCost(probe.cost)
+            expected = oracle.greedy_bottomup(
+                memo, len(data), min_size=min_size, jump=config.jump, **stop
+            )
+            label = f"{family} trial {trial} {stop}"
+            fitted = fit(spec, validate_signal(data))
+            if expected is None:
+                with pytest.raises(InfeasibleError):
+                    bottomup(fitted, StoppingRule(**stop), config)
+                continue
+            contrast = oracle.total_cost(memo, expected)
+            result = bottomup(fitted, StoppingRule(**stop), config)
+            assert result.bkps.ends == expected, label
+            assert result.contrast == contrast, label
+            assert result.n_cost_evals == len(memo.memo), label
+            warm = fit(spec, validate_signal(data))
+            dynp(warm, 0, config)
+            again = bottomup(warm, StoppingRule(**stop), config)
+            assert (again.bkps.ends, again.contrast, again.n_cost_evals) == (expected, contrast, 0)
+
+
+def test_bottomup_budget_equal_to_a_trial_total_still_merges():
+    """The budget test is `total > budget`: a merge landing exactly on the
+    budget is taken, which only an exact left-to-right total gets right.
+    Every greedy total is tried as the budget."""
+    for seed in range(3):
+        data = staircase(np.random.default_rng(seed), lengths=(20, 20, 20), noise=0.3)
+        memo = oracle.MemoCost(fresh_fitted(data).cost)
+        n = len(data)
+        assert oracle.greedy_bottomup(memo, n, budget=0.0) == tuple(range(1, n + 1))
+        for k in range(n):
+            budget = oracle.total_cost(memo, oracle.greedy_bottomup(memo, n, n_bkps=k))
+            result = bottomup(fresh_fitted(data), StoppingRule(budget=budget), SearchConfig())
+            assert result.bkps.ends == oracle.greedy_bottomup(memo, n, budget=budget), (seed, k)
+            assert result.bkps.n_bkps <= k
+            assert result.contrast <= budget

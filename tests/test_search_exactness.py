@@ -177,15 +177,10 @@ def test_exact_engines_match_enumeration_on_ill_conditioned_signals(family, cond
             assert result.contrast == expect_value, f"{label} k={k}"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="on ill-conditioned signals rounding leaves the computed costs short of "
-    "superadditivity, so pruning can drop the optimal candidate",
-)
-def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals():
+def pruned_pelt_mismatches(families):
+    """Ill-conditioned instances where pruned pelt differs from enumeration."""
     mismatches = []
-    for family in FAMILIES:
+    for family in families:
         for conditioning in ILL_CONDITIONED:
             for trial, (data, config) in enumerate(ill_conditioned_instances(family, conditioning)):
                 n = len(data)
@@ -199,4 +194,27 @@ def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals():
                     result = pelt(fresh, pen, config)
                     if (result.bkps.ends, result.contrast) != expected:
                         mismatches.append(f"{family} {conditioning} trial {trial} pen={pen}")
+    return mismatches
+
+
+# the ridge on the intercept makes these two families not exactly
+# shift-invariant, so their summaries are taken of the raw signal
+UNCENTRED = ("linear", "ar")
+
+
+def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals():
+    """The shift-invariant families summarise the centred signal, so their
+    costs keep superadditivity on offset signals and pruning stays exact."""
+    mismatches = pruned_pelt_mismatches([f for f in FAMILIES if f not in UNCENTRED])
+    assert not mismatches, mismatches
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="on ill-conditioned signals rounding leaves the computed costs short of "
+    "superadditivity, so pruning can drop the optimal candidate",
+)
+def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals_uncentred():
+    mismatches = pruned_pelt_mismatches(UNCENTRED)
     assert not mismatches, mismatches

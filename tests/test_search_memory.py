@@ -2,10 +2,9 @@
 
 Only dynp and solve_budget hold a dense grid x grid cost matrix, and they
 refuse grids above 20,000 positions before allocating it.  The other
-engines keep O(T) state, checked by peak RSS in a fresh process.  bottomup
-scans every remaining end per merge, O(grid^2) time at jump 1, so it gets a
-shorter signal.  Every check runs in a child process with a capped address
-space.
+engines keep O(T) state, checked by the peak RSS of a fresh process.
+bottomup has its own, shorter signal.  Every check runs in a child process
+with a capped address space.
 """
 
 import json
@@ -21,6 +20,16 @@ BOTTOMUP_T = 4000
 BOTTOMUP_DENSE_MB = (BOTTOMUP_T + 1) ** 2 * 8 / 1e6
 OVER_LIMIT_T = 20_000  # grid of 20,001 positions with jump 1
 ADDRESS_CAP = 2**30
+# the child's own high-water RSS.  Not ru_maxrss: Linux carries that across
+# execve, so a child forked from a large test runner would report the
+# runner's RSS instead of its own.
+PEAK_MB_SOURCE = """
+def peak_rss_mb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024 / 1e6
+"""
 
 
 def run_capped(*args):
@@ -34,8 +43,8 @@ def run_capped(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, preexec_fn=cap)
 
 
-LARGE_T_CHILD = f"""
-import json, math, resource
+LARGE_T_CHILD = PEAK_MB_SOURCE + f"""
+import json, math
 import numpy as np
 from segscan import CostSpec, SearchConfig, StoppingRule, binseg, fit, pelt, window
 
@@ -49,12 +58,12 @@ found = {{
     "binseg": binseg(fitted, StoppingRule(n_bkps=59), config).bkps.n_bkps,
     "window": window(fitted, StoppingRule(n_bkps=59), config).bkps.n_bkps,
 }}
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+peak_mb = peak_rss_mb()
 print(json.dumps({{"found": found, "peak_mb": peak_mb}}))
 """
 
-BOTTOMUP_CHILD = f"""
-import json, resource
+BOTTOMUP_CHILD = PEAK_MB_SOURCE + f"""
+import json
 import numpy as np
 from segscan import CostSpec, SearchConfig, StoppingRule, bottomup, fit
 
@@ -62,7 +71,7 @@ rng = np.random.default_rng(8)
 levels = np.cumsum(rng.choice([-1.0, 1.0], size=40) * rng.uniform(3.0, 5.0, size=40))
 signal = np.repeat(levels, 100) + rng.normal(size={BOTTOMUP_T})
 found = bottomup(fit(CostSpec("l2"), signal), StoppingRule(n_bkps=39), SearchConfig(jump=1))
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+peak_mb = peak_rss_mb()
 print(json.dumps({{"found": found.bkps.n_bkps, "peak_mb": peak_mb}}))
 """
 
