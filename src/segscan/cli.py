@@ -11,18 +11,19 @@ Exit codes
 5   a breakpoint list failed validation against the signal length
 
 ``detect`` and ``eval`` print a single JSON document on stdout and nothing
-else; all diagnostics go to stderr.  ``SEGSCAN_THREADS`` caps worker threads
-(0 or unset picks automatically); current engines run single-threaded.
+else; all diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -108,20 +109,40 @@ def _exit_code(exc: BaseException) -> int:
     return 1
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SEGSCAN_THREADS")
-    if raw is None or raw.strip() == "":
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BadParamError(f"SEGSCAN_THREADS must be an integer >= 0, got {raw!r}") from None
-    if value < 0:
-        raise BadParamError(f"SEGSCAN_THREADS must be an integer >= 0, got {raw!r}")
-    return value
-
-
 def _read_csv(path: str, header: bool) -> Signal:
+    """Read a signal CSV: one sample per row, one dimension per column.
+
+    A cell holds one number as Python's float() reads it, optionally quoted
+    ("1.5") or padded with spaces.  Blank lines are skipped and '#' starts no
+    comment.  With header=True the first record is skipped.
+
+    One np.loadtxt call parses a regular file.  When it raises or finds no
+    rows, and for anything but a regular file (a pipe can be read only once),
+    the file is scanned record by record instead: that scan accepts what only
+    float() reads (1_000, say) and raises the error of the first bad record,
+    naming its line.
+    """
+    if not os.path.isfile(path):
+        return _scan_csv(path, header)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if header:
+                # the csv module finds the end of the header record, which may
+                # span lines inside quotes; loadtxt's skiprows counts lines
+                next(csv.reader(fh), None)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on empty input
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except (OSError, ValueError, csv.Error):
+        # the scan raises the very error the old reader raised, or reads what
+        # only float() accepts
+        return _scan_csv(path, header)
+    if data.size == 0:
+        return _scan_csv(path, header)
+    return validate_signal(data)
+
+
+def _scan_csv(path: str, header: bool) -> Signal:
     rows = []
     expected = None
     with open(path, newline="", encoding="utf-8") as fh:
@@ -240,7 +261,6 @@ def _cost_spec(args: argparse.Namespace) -> CostSpec:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    _thread_count()
     stopping_flags = [
         ("n-bkps", args.n_bkps),
         ("pen", args.pen),
@@ -350,7 +370,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="segscan",
         description="Offline change point detection on multivariate CSV signals.",

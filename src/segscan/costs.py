@@ -25,8 +25,9 @@ cost(start, end) is one prefix difference plus at most one LAPACK call:
 - linear: prefix sums of the outer products of [x, 1, y] and one solve;
 - ar: per-dimension prefix sums of the outer products of [lags, 1, y] and
   one batched solve over the dimensions;
-- rbf kernel: the 2D integral image of the Gram matrix, built in place, so a
-  query reads three corners: O(1) instead of O(end - start).
+- rbf kernel: the integral image of the upper triangle of the Gram matrix,
+  built band by band, so a query reads two corners: O(1) instead of
+  O(end - start).
 
 Every completed cost() call bumps eval_counter by exactly one; increments are
 lock-protected so concurrent callers read exact totals.
@@ -62,6 +63,8 @@ _COV_RIDGE = 1e-6
 _REGRESSION_RIDGE = 1e-8
 _MEDIAN_PAIR_CAP = 10_000
 _MEDIAN_SEED = 12345
+# float64 entries in one row band of the rbf integral image (512 kB)
+_BAND_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +145,7 @@ def median_heuristic(signal) -> float:
         right = np.where(right >= left, right + 1, right)
         delta = data[left] - data[right]
         sq = np.einsum("pd,pd->p", delta, delta)
-    med = float(np.median(sq))
+    med = _median(sq)
     if med <= 0.0:
         warnings.warn(
             "all sampled pairwise distances are zero; falling back to gamma=1.0",
@@ -151,6 +154,17 @@ def median_heuristic(signal) -> float:
         )
         return 1.0
     return 1.0 / med
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1D array, bit for bit (the mean of the two middle values
+    for an even count), from np.partition: np.median imports numpy.ma on first
+    use, about 2 MB of resident memory."""
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1]
+    return float((low + high) / 2.0)
 
 
 def _centred(data: np.ndarray) -> np.ndarray:
@@ -388,15 +402,21 @@ class KernelCost(FittedCost):
     c(a, b) = sum of diagonal entries over [a, b) minus the mean of the
     (b - a)^2 Gram block.  For the linear kernel the Gram matrix is x x', so
     the cost is the l2 cost and the l2 prefix sums answer it without any
-    n x n matrix.  For the rbf kernel the Gram matrix is turned in place into
-    its 2D integral image (inclusive prefix sums along both axes): the block
-    sum is then three corner reads, through a zero-copy float memoryview, and
-    a query is O(1).  Adding f(i) + f(j) to every entry (i, j) leaves the cost
-    unchanged, so the image is built from the double-centred Gram matrix,
-    which keeps the corner values small; the absolute rounding error of a
-    query is still about 1e-16 times the largest corner divided by the
-    segment length.  rbf signals longer than 20,000 samples are refused: the
-    matrix would not fit the budget.
+    n x n matrix.
+
+    For the rbf kernel the fit builds an integral image of the upper triangle
+    of the Gram matrix K: entry (i, j), i <= j, holds the sum of K(a, b) over
+    a <= i and a < b <= j.  The pairs a < b inside [s, e) then sum to
+    image[e-1, e-1] - image[s-1, e-1], the block sum is the diagonal sum plus
+    twice that, and a query reads two corners through a zero-copy float
+    memoryview: O(1).  Adding f(a) + f(b) to every entry leaves the cost
+    unchanged, so K is double-centred first, which keeps the corner values
+    small.  Row bands of a few hundred kB are swept twice: the first computes
+    the kernel and its row sums (the band's own row sums plus, by symmetry,
+    the column sums of the bands above it); the second centres each band,
+    takes its row prefix sums and adds each row onto the one above.  The
+    lower triangle is never written.  rbf signals longer than 20,000 samples
+    are refused: the matrix would not fit the budget.
     """
 
     family = "kernel"
@@ -417,50 +437,68 @@ class KernelCost(FittedCost):
             self.gamma = median_heuristic(signal)
         else:
             self.gamma = float(spec.gamma)
-        image = self._gram(_centred(signal.data))
-        # the Gram matrix is symmetric: its row means are its column means
-        means = image.mean(axis=1)
-        grand = float(means.mean())
-        self._diag_prefix = np.zeros(n + 1)
-        np.cumsum(np.diagonal(image) - 2.0 * means + grand, out=self._diag_prefix[1:])
-        image -= means[:, None]
-        image -= means - grand
-        # prefix sums down the rows, then along them, one vector add per row
-        # or column: np.cumsum is several times slower on an n x n matrix
-        for i in range(1, n):
-            np.add(image[i], image[i - 1], out=image[i])
-        for j in range(1, n):
-            np.add(image[:, j], image[:, j - 1], out=image[:, j])
+        image, self._diag_prefix = self._upper_image(_centred(signal.data))
         self._n = n
         self._flat_image = memoryview(image).cast("B").cast("d")
         self._flat_diag = memoryview(self._diag_prefix).cast("B").cast("d")
 
-    def _gram(self, data: np.ndarray) -> np.ndarray:
-        """rbf Gram matrix of the centred signal, built in row blocks."""
-        n = data.shape[0]
-        gram = np.empty((n, n))
+    def _upper_image(self, data: np.ndarray):
+        """The integral image of the double-centred rbf Gram matrix's upper
+        triangle, and the prefix sums of its diagonal."""
+        n, d = data.shape
+        gamma = self.gamma
         sq = np.einsum("td,td->t", data, data)
-        step = max(1, 1_000_000 // n)
-        for lo in range(0, n, step):
-            block = gram[lo : lo + step]
-            np.matmul(data[lo : lo + step], data.T, out=block)
-            block *= -2.0
-            block += sq[lo : lo + step, None]
-            block += sq[None, :]
-            np.maximum(block, 0.0, out=block)
-            block *= -self.gamma
-            np.exp(block, out=block)
-        return gram
+        # left[a] . right[:, b] = -gamma * |x_a - x_b|^2 in one product
+        left = np.empty((n, d + 2))
+        left[:, :d] = data
+        left[:, d] = sq
+        left[:, d + 1] = 1.0
+        right = np.empty((d + 2, n))
+        right[:d] = (2.0 * gamma) * data.T
+        right[d] = -gamma
+        right[d + 1] = -gamma * sq
+        image = np.empty((n, n))
+        ones = np.ones(n)
+        sums = np.zeros(n)
+        diag = np.empty(n)
+        step = max(1, _BAND_ENTRIES // n)
+        bands = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+        # first sweep: the kernel values and the full row sums
+        for lo, hi in bands:
+            band = image[lo:hi, lo:]
+            np.matmul(left[lo:hi], right[:, lo:], out=band)
+            np.minimum(band, 0.0, out=band)
+            np.exp(band, out=band)
+            diag[lo:hi] = band[:, : hi - lo].diagonal()
+            sums[lo:hi] += band @ ones[lo:]
+            sums[hi:] += ones[lo:hi] @ band[:, hi - lo :]
+        means = sums / n
+        grand = float(means.mean())
+        shift = means - grand
+        diag_prefix = np.zeros(n + 1)
+        np.cumsum(diag - 2.0 * means + grand, out=diag_prefix[1:])
+        # second sweep: centre, clear the diagonal and below (only pairs a < b
+        # are summed), prefix sums along each row, then down the rows
+        lower = np.tri(step, dtype=bool)
+        for lo, hi in bands:
+            band = image[lo:hi, lo:]
+            band -= shift[lo:hi, None]
+            band -= means[lo:]
+            band[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
+            np.cumsum(band, axis=1, out=band)
+            for a in range(max(lo, 1), hi):
+                np.add(image[a, a:], image[a - 1, a:], out=image[a, a:])
+        return image, diag_prefix
 
     def _segment_cost(self, start, end):
         image = self._flat_image
         n = self._n
-        last = (end - 1) * n
-        block = image[last + end - 1]
+        last = end - 1
+        pairs = image[last * n + last]
         if start:
-            first = (start - 1) * n
-            block += image[first + start - 1] - 2.0 * image[first + end - 1]
-        value = (self._flat_diag[end] - self._flat_diag[start]) - block / (end - start)
+            pairs -= image[(start - 1) * n + last]
+        diag = self._flat_diag[end] - self._flat_diag[start]
+        value = diag - (diag + 2.0 * pairs) / (end - start)
         return value if value > 0.0 else 0.0
 
 

@@ -7,6 +7,7 @@ conventions are half-open segments and a terminal end equal to the signal
 length.
 """
 
+import csv
 import itertools
 import math
 
@@ -64,6 +65,77 @@ def kernel_cost(data, a, b, kind, gamma=None):
         diff = seg[:, None, :] - seg[None, :, :]
         gram = np.exp(-gamma * (diff * diff).sum(axis=2))
     return float(np.trace(gram) - gram.sum() / len(seg))
+
+
+def rbf_gram(data, gamma):
+    """rbf Gram matrix from explicit pairwise differences, in row blocks."""
+    n = len(data)
+    gram = np.empty((n, n))
+    step = max(1, 200_000 // (n * data.shape[1]))
+    for lo in range(0, n, step):
+        diff = data[lo : lo + step, None, :] - data[None, :, :]
+        gram[lo : lo + step] = np.exp(-gamma * (diff * diff).sum(axis=2))
+    return gram
+
+
+def centred_rbf_cost(data, gamma):
+    """The rbf cost as the kernel family computed it before its upper-triangle
+    image: the Gram matrix double-centred (row means, column means, grand
+    mean), and each cost the trace of the segment's block minus its sum over
+    the length.  The block sum is taken directly, not from corner reads, so
+    the reference carries no integral-image rounding."""
+    gram = rbf_gram(data, gamma)
+    means = gram.mean(axis=1)
+    grand = float(means.mean())
+    gram -= means[:, None]
+    gram -= means - grand
+
+    def cost(a, b):
+        block = gram[a:b, a:b]
+        value = float(np.trace(block) - block.sum() / (b - a))
+        return value if value > 0.0 else 0.0
+
+    return cost
+
+
+def read_csv(path, header):
+    """The CLI's CSV reader as it was before it parsed with np.loadtxt: the
+    csv module, a float() call per cell, the record number in every error."""
+    from segscan import validate_signal
+    from segscan.cli import FormatError
+    from segscan.exceptions import EmptySignalError, RaggedInputError
+
+    def parses(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    rows = []
+    expected = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if header and lineno == 1:
+                continue
+            if not row:
+                continue
+            if expected is None:
+                expected = len(row)
+            elif len(row) != expected:
+                raise RaggedInputError(
+                    f"{path} line {lineno}: expected {expected} columns, got {len(row)}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                bad = next(cell for cell in row if not parses(cell))
+                raise FormatError(
+                    f"{path} line {lineno}: could not parse {bad!r} as a number"
+                ) from None
+    if not rows:
+        raise EmptySignalError(f"{path}: no data rows")
+    return validate_signal(np.asarray(rows))
 
 
 def mahalanobis_cost(data, a, b, metric):

@@ -248,20 +248,51 @@ def test_eval_validation_failures(clean_case, tmp_path):
     assert "BadParamError" in proc.stderr
 
 
-def test_threads_env_var(clean_case):
+def test_detect_ignores_threads_env_var(clean_case):
+    """SEGSCAN_THREADS is no longer read: any value, even a malformed one,
+    gives the same answer as leaving it unset."""
+    args = ("detect", "--input", str(clean_case / "signal.csv"), "--method", "pelt", "--pen", "1")
+    env = {key: value for key, value in os.environ.items() if key != "SEGSCAN_THREADS"}
+    unset = subprocess.run([sys.executable, "-m", "segscan", *args],
+                           capture_output=True, text=True, env=env)
+    assert unset.returncode == 0, unset.stderr
+    expected = json.loads(unset.stdout)
+    expected.pop("elapsed_ms")
+    for value in ("4", "0", "many", "-2"):
+        proc = run_cli(*args, env_extra={"SEGSCAN_THREADS": value})
+        assert proc.returncode == 0, (value, proc.stderr)
+        payload = json.loads(proc.stdout)
+        payload.pop("elapsed_ms")
+        assert payload == expected, value
+
+
+def test_main_reuses_its_parser_without_leaking_flags(clean_case, capsys):
+    """main() builds its parser once per process.  Each call must still see
+    only its own flags: a --gamma, --order or --window-width left over from
+    the call before would turn the next call into a usage error (exit 2) or
+    change its answer, so each second call must match a fresh process."""
+    from segscan.cli import main
+
     signal = str(clean_case / "signal.csv")
-    good = run_cli("detect", "--input", signal, "--method", "pelt", "--pen", "1",
-                   env_extra={"SEGSCAN_THREADS": "4"})
-    assert good.returncode == 0, good.stderr
-    auto = run_cli("detect", "--input", signal, "--method", "pelt", "--pen", "1",
-                   env_extra={"SEGSCAN_THREADS": "0"})
-    assert auto.returncode == 0
-    bad = run_cli("detect", "--input", signal, "--method", "pelt", "--pen", "1",
-                  env_extra={"SEGSCAN_THREADS": "many"})
-    assert bad.returncode == 2
-    negative = run_cli("detect", "--input", signal, "--method", "pelt", "--pen", "1",
-                       env_extra={"SEGSCAN_THREADS": "-2"})
-    assert negative.returncode == 2
+    pairs = [
+        (["--method", "binseg", "--n-bkps", "3", "--cost", "rbf", "--gamma", "0.5"],
+         ["--method", "binseg", "--n-bkps", "3", "--cost", "rbf"]),
+        (["--method", "binseg", "--n-bkps", "3", "--cost", "ar", "--order", "2"],
+         ["--method", "binseg", "--n-bkps", "3", "--cost", "l2"]),
+        (["--method", "window", "--n-bkps", "3", "--window-width", "20"],
+         ["--method", "bottomup", "--n-bkps", "3"]),
+    ]
+    for first, second in pairs:
+        assert main(["detect", "--input", signal, *first]) == 0
+        capsys.readouterr()
+        assert main(["detect", "--input", signal, *second]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        fresh = run_cli("detect", "--input", signal, *second)
+        assert fresh.returncode == 0, fresh.stderr
+        expected = json.loads(fresh.stdout)
+        payload.pop("elapsed_ms")
+        expected.pop("elapsed_ms")
+        assert payload == expected, second
 
 
 def test_plot_writes_svg(clean_case, tmp_path):

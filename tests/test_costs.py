@@ -1,6 +1,8 @@
 """Cost families against their from-scratch definitions, plus the contract
 details: eval counter, minimum segment lengths, parameter validation."""
 
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from segscan import costs
 from segscan import (
     AUTO_METRIC,
     MEDIAN_HEURISTIC,
@@ -217,6 +220,45 @@ def test_median_heuristic_frozen_values():
         assert median_heuristic([0.0, 0.0, 0.0]) == 1.0
     with pytest.raises(SignalTooShortError):
         median_heuristic([1.0])
+
+
+@pytest.mark.parametrize("n_samples", [3, 4, 5, 6, 40, 41])
+def test_median_heuristic_matches_np_median_bitwise(n_samples):
+    """3 and 6 samples give odd pair counts, 4, 5, 40 and 41 even ones."""
+    data = np.random.default_rng(70 + n_samples).normal(size=(n_samples, 2))
+    assert median_heuristic(data) == oracle.median_gamma(data)
+
+
+@pytest.mark.parametrize("size", [1, 2, 9, 10, 10_000, 10_001])
+def test_median_helper_matches_np_median_bitwise(size):
+    """Twenty draws per size: about one even-count draw in five tells apart
+    (low + high) / 2 and low + (high - low) / 2.  One draw has ties."""
+    rng = np.random.default_rng(size)
+    for draw in range(20):
+        values = rng.exponential(size=size)
+        if draw == 0:
+            values[: size // 2 + 1] = values[0]
+        assert costs._median(values) == float(np.median(values)), draw
+
+
+def test_rbf_fit_leaves_numpy_ma_unimported():
+    """np.median imports numpy.ma on first use, about 2 MB of resident
+    memory; the bandwidth comes from np.partition instead.  Both the exact
+    (60 samples) and the sampled (300 samples) pair sets are fitted."""
+    script = (
+        "import sys, numpy as np, segscan\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "rng = np.random.default_rng(0)\n"
+        "for n in (60, 300):\n"
+        "    segscan.fit(segscan.CostSpec(family='kernel'), rng.normal(size=(n, 2)))\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after == "False"
 
 
 def test_median_heuristic_sampled_path_is_deterministic():
@@ -441,3 +483,24 @@ def test_kernel_rbf_keeps_one_gram_sized_buffer():
     gram_bytes = 1500 * 1500 * 8
     assert fitted._flat_image.nbytes == gram_bytes
     assert peak < 1.5 * gram_bytes
+
+
+@pytest.mark.parametrize("conditioning", list(CONDITIONING))
+@pytest.mark.parametrize("n_samples", [1000, 2931])
+def test_rbf_upper_image_matches_centred_gram(n_samples, conditioning):
+    """The upper-triangle image against the double-centred Gram matrix it
+    replaced, with block sums taken directly: random segments of any length,
+    both ends, length 1 and the whole signal."""
+    rng = np.random.default_rng(80 + n_samples)
+    data = step_signal(rng, n_samples, 2, conditioning)
+    fitted = fit(CostSpec(family="kernel", kernel="rbf"), validate_signal(data))
+    reference = oracle.centred_rbf_cost(data, fitted.gamma)
+    queries = random_queries(rng, n_samples, 1, count=120)
+    singles = rng.integers(0, n_samples, size=10).tolist()
+    queries += [(a, a + 1) for a in singles] + [(0, 1), (n_samples - 1, n_samples)]
+    cut = int(rng.integers(1, n_samples))
+    queries += [(0, cut), (cut, n_samples), (0, n_samples)]
+    for a, b in queries:
+        value = fitted.cost(a, b)
+        expected = reference(a, b)
+        assert abs(value - expected) <= 1e-10 * (1.0 + abs(expected)), (a, b, value, expected)
