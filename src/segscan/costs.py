@@ -461,7 +461,8 @@ class KernelCost(FittedCost):
         ones = np.ones(n)
         sums = np.zeros(n)
         diag = np.empty(n)
-        step = max(1, _BAND_ENTRIES // n)
+        # at most n rows: the step x step mask below must stay band-sized
+        step = min(n, max(1, _BAND_ENTRIES // n))
         bands = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
         # first sweep: the kernel values and the full row sums
         for lo, hi in bands:

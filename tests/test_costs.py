@@ -485,6 +485,24 @@ def test_kernel_rbf_keeps_one_gram_sized_buffer():
     assert peak < 1.5 * gram_bytes
 
 
+@pytest.mark.parametrize(
+    "n_samples, gamma", [(1, 0.5), (2, 0.5), (3, 0.5), (2, MEDIAN_HEURISTIC), (3, MEDIAN_HEURISTIC)]
+)
+def test_kernel_rbf_tiny_signal_stays_small(n_samples, gamma):
+    """The row bands never grow past the signal: a fit of one to three samples
+    allocates kilobytes, not a band-height-squared scratch mask."""
+    signal = validate_signal(np.random.default_rng(61).normal(size=(n_samples, 2)))
+    tracemalloc.start()
+    try:
+        fitted = fit(CostSpec(family="kernel", kernel="rbf", gamma=gamma), signal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert fitted.cost(0, 1) == 0.0
+    assert fitted.cost(0, n_samples) >= 0.0
+
+
 @pytest.mark.parametrize("conditioning", list(CONDITIONING))
 @pytest.mark.parametrize("n_samples", [1000, 2931])
 def test_rbf_upper_image_matches_centred_gram(n_samples, conditioning):
