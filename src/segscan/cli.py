@@ -71,6 +71,8 @@ _EXIT_RULES = (
             NonFiniteValueError,
             EmptySignalError,
             json.JSONDecodeError,
+            UnicodeDecodeError,
+            csv.Error,
             OSError,
         ),
         3,

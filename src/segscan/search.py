@@ -14,11 +14,12 @@ change points whose optimal cost fits a budget by growing the dynp table.
 
 Only dynp and solve_budget keep a dense grid x grid segment-cost matrix,
 cached on the fitted cost per (min_size, jump) together with the dynp value
-table, which is extended instead of recomputed.  The other engines hold
-O(grid) state: they read dynp's matrix when dynp has already run on the same
-fitted cost and grid, and otherwise evaluate costs on demand, memoized only
-within one call, so repeating a pelt or greedy search pays its evaluations
-again.  Ties are always broken toward the smallest change point indices.
+table (values and integer backpointers per change count), which is extended
+under a lock instead of recomputed.  The other engines hold O(grid) state:
+they read dynp's matrix when dynp has already run on the same fitted cost
+and grid, and otherwise evaluate costs on demand, memoized only within one
+call, so repeating a pelt or greedy search pays its evaluations again.
+Ties are always broken toward the smallest change point indices.
 """
 
 from __future__ import annotations
@@ -157,6 +158,13 @@ def _prepare(fitted, config):
     return cfg, min_size, jump, positions
 
 
+def _prepare_greedy(fitted, stop, config):
+    """_prepare for the engines driven by a StoppingRule, which it checks first."""
+    if not isinstance(stop, StoppingRule):
+        raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
+    return _prepare(fitted, config)
+
+
 def _result(fitted, ends, contrast, evals_before, n_pruned=0) -> DetectionResult:
     bkps = validate_breakpoints(ends, fitted.n_samples)
     return DetectionResult(
@@ -208,12 +216,15 @@ def _dense(fitted, min_size, jump):
 class _DynpState:
     """Dense segment-cost matrix and value table of the dynamic program.
 
-    matrix[i, k] is the cost of [positions[i], positions[k]), +inf where the
-    segment is shorter than min_size.  layers[k][i] is the best cost of
-    cutting [0, positions[i]) into k + 1 segments; paths[k][i] is the
-    lexicographically smallest internal end tuple achieving it.  All are
-    retained across calls so a repeat or a smaller k costs nothing, and the
-    other engines read the matrix instead of evaluating again."""
+    matrix[e, s] is the cost of [positions[s], positions[e]), +inf where the
+    segment is shorter than min_size; one row per end, so a layer's argmin
+    runs along contiguous memory.  layers[k][i] is the best cost of
+    cutting [0, positions[i]) into k + 1 segments and back[k - 1][i] the grid
+    index of that cut's last internal end.  rank orders the newest layer's
+    end tuples lexicographically (equal tuples share a rank), so an exact tie
+    goes to the smallest (rank[s], s), which is the smallest end tuple.  All
+    are retained across calls so a repeat or a smaller k costs nothing, and
+    the other engines read the matrix instead of evaluating again."""
 
     def __init__(self, fitted, min_size: int, jump: int, positions: list[int]):
         count = len(positions)
@@ -228,109 +239,98 @@ class _DynpState:
         cost = fitted.cost
         for i, start in enumerate(positions):
             lo = bisect.bisect_left(positions, start + min_size)
-            self.matrix[i, lo:] = [cost(start, end) for end in positions[lo:]]
-        first = self.matrix[0].copy()
-        self.layers = [first]
-        self.paths: list[list] = [
-            [() if np.isfinite(first[i]) else None for i in range(count)]
-        ]
-        self.results: dict[int, tuple[tuple[int, ...], float]] = {}
+            self.matrix[lo:, i] = [cost(start, end) for end in positions[lo:]]
+        # 0.0 + cost, as a left-to-right sum starts, so layer values are
+        # bitwise the contrast of their end tuples
+        self.layers = [0.0 + self.matrix[:, 0]]
+        self.back: list[np.ndarray] = []
+        self.rank = np.zeros(count, dtype=np.int64)
         self.max_changes = max_changes(fitted.n_samples, min_size, jump)
 
     def cost(self, start: int, end: int) -> float:
-        return float(self.matrix[self.pos_index[start], self.pos_index[end]])
+        return float(self.matrix[self.pos_index[end], self.pos_index[start]])
 
     def _extend_to(self, n_layers: int) -> None:
-        positions = self.positions
-        count = len(positions)
+        index = np.arange(len(self.positions))
         while len(self.layers) <= n_layers:
-            prev = self.layers[-1]
-            prev_paths = self.paths[-1]
-            candidate = prev[:, None] + self.matrix
-            layer = candidate.min(axis=0)
-            layer_paths: list = [None] * count
-            for i in range(count):
-                best_value = layer[i]
-                if not np.isfinite(best_value):
-                    continue
-                ties = np.flatnonzero(candidate[:, i] == best_value)
-                best_path = None
-                for s in ties:
-                    prefix = prev_paths[s]
-                    if prefix is None:
-                        continue
-                    path = prefix + (positions[s],)
-                    if best_path is None or path < best_path:
-                        best_path = path
-                layer_paths[i] = best_path
-            self.layers.append(layer)
-            self.paths.append(layer_paths)
+            # starts in tie-break order; argmin keeps the first minimum
+            order = np.lexsort((index, self.rank))
+            cand = self.matrix.take(order, axis=1)
+            cand += self.layers[-1][order]
+            pick = cand.argmin(axis=1)
+            self.layers.append(cand[index, pick])
+            del cand  # before the next layer allocates its own
+            self.back.append(order[pick])
+            # a cell's tuple is its start's tuple plus that start, and the
+            # starts are sorted by exactly that, so the start's place ranks it
+            self.rank = pick
 
     def solve(self, n_bkps: int) -> tuple[tuple[int, ...], float]:
-        if n_bkps in self.results:
-            return self.results[n_bkps]
         if n_bkps > self.max_changes:
             raise InfeasibleError(
                 f"{n_bkps} change points do not fit: the grid admits at most {self.max_changes}"
             )
         self._extend_to(n_bkps)
-        terminal = len(self.positions) - 1
-        value = self.layers[n_bkps][terminal]
-        if not np.isfinite(value):
+        idx = len(self.positions) - 1
+        contrast = float(self.layers[n_bkps][idx])
+        if not np.isfinite(contrast):
             raise InfeasibleError(f"no valid segmentation with {n_bkps} change points")
-        ends = self.paths[n_bkps][terminal] + (self.positions[terminal],)
-        contrast = _total(self.cost, ends)
-        self.results[n_bkps] = (ends, contrast)
-        return ends, contrast
+        ends = [self.positions[idx]]
+        for back in reversed(self.back[:n_bkps]):
+            idx = back[idx]
+            ends.append(self.positions[idx])
+        return tuple(ends[::-1]), contrast
 
 
 def _dynp_state(fitted, min_size, jump, positions) -> _DynpState:
-    with fitted._state_lock:
-        key = ("dynp", min_size, jump)
-        state = fitted._search_state.get(key)
-        if state is None:
-            state = _DynpState(fitted, min_size, jump, positions)
-            fitted._search_state[key] = state
-    return state
+    """The cached state for this grid, built on first use; the caller holds
+    fitted._state_lock."""
+    key = ("dynp", min_size, jump)
+    if key not in fitted._search_state:
+        fitted._search_state[key] = _DynpState(fitted, min_size, jump, positions)
+    return fitted._search_state[key]
 
 
 def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionResult:
     """Exact minimum-cost segmentation with a fixed number of change points.
 
     Solves the full dynamic program over the admissible grid from a dense
-    grid x grid cost matrix.  Matrix and value table are cached on the fitted
+    grid x grid cost matrix, one numpy pass per change count, then follows
+    integer backpointers.  Matrix and value table are cached on the fitted
     cost, so asking again (or for fewer change points) evaluates no new
     segment costs, and the other engines read the same matrix.  Ties go to
-    the lexicographically smallest end sequence.  Raises InfeasibleError
-    when n_bkps changes do not fit under the constraints, and
-    MemoryBudgetError, before allocating, when the grid has more than 20,000
-    positions.
+    the lexicographically smallest end sequence, kept as a per-layer rank.
+    The whole solve holds the fitted cost's state lock.  Raises
+    InfeasibleError when n_bkps changes do not fit under the constraints,
+    and MemoryBudgetError, before allocating, when the grid has more than
+    20,000 positions.
     """
     StoppingRule.checked_n_bkps(n_bkps)
     evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
-    state = _dynp_state(fitted, min_size, jump, positions)
-    ends, contrast = state.solve(n_bkps)
+    with fitted._state_lock:
+        ends, contrast = _dynp_state(fitted, min_size, jump, positions).solve(n_bkps)
     return _result(fitted, ends, contrast, evals_before)
 
 
 def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> DetectionResult:
     """Fewest change points whose exact optimal cost is at most `budget`.
 
-    Grows the dynp table one change count at a time, so the work is shared
-    with any earlier or later dynp call, and refuses large grids the same way.
-    Raises BudgetUnreachableError when even the largest feasible number of
-    change points stays above the budget.
+    Grows the dynp table one change count at a time under its lock, so the
+    work is shared with any earlier or later dynp call, and refuses large
+    grids the same way.  Raises BudgetUnreachableError when even the largest
+    feasible number of change points stays above the budget.
     """
     budget = StoppingRule.checked_level("budget", budget)
     evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
-    state = _dynp_state(fitted, min_size, jump, positions)
-    contrast = np.inf
-    for k in range(state.max_changes + 1):
-        ends, contrast = state.solve(k)
-        if contrast <= budget:
-            return _result(fitted, ends, contrast, evals_before)
+    with fitted._state_lock:
+        state = _dynp_state(fitted, min_size, jump, positions)
+        contrast = np.inf
+        for k in range(state.max_changes + 1):
+            ends, contrast = state.solve(k)
+            if contrast <= budget:
+                return _result(fitted, ends, contrast, evals_before)
     raise BudgetUnreachableError(
         f"optimal cost {contrast} with {state.max_changes} change points still exceeds budget {budget}"
     )
@@ -394,7 +394,7 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
             n_pruned += len(candidates) - int(np.count_nonzero(live))
             candidates = candidates[live]
         if dense is not None:
-            seg_costs = dense.matrix[candidates, end_idx]
+            seg_costs = dense.matrix[end_idx, candidates]
         else:
             seg_costs = np.array([cost(positions[s], end_pos) for s in candidates.tolist()])
         fits = values[candidates] + seg_costs
@@ -432,10 +432,8 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     n_bkps splits, when the best gain is at or below the penalty, or once the
     total cost fits the budget; ties go to the smallest split index.
     """
-    if not isinstance(stop, StoppingRule):
-        raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
+    _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
     evals_before = fitted.eval_counter
-    _, min_size, jump, positions = _prepare(fitted, config)
     cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
     terminal = len(positions) - 1
     ends_idx = [terminal]
@@ -519,10 +517,8 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     budget.  The merge deltas sit in a min-heap; a merge re-prices only the
     two neighbouring ends, so a step costs O(log grid) instead of a rescan.
     """
-    if not isinstance(stop, StoppingRule):
-        raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
+    _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
     evals_before = fitted.eval_counter
-    _, min_size, jump, positions = _prepare(fitted, config)
     cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
     terminal = len(positions) - 1
     internal = _finest_grid(positions, min_size, terminal)
@@ -602,10 +598,8 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     config.window_width; raises WindowTooLargeError when it exceeds the
     signal.
     """
-    if not isinstance(stop, StoppingRule):
-        raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
+    cfg, min_size, jump, _ = _prepare_greedy(fitted, stop, config)
     evals_before = fitted.eval_counter
-    cfg, min_size, jump, _ = _prepare(fitted, config)
     n_samples = fitted.n_samples
     width = cfg.window_width
     if width is None:

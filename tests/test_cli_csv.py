@@ -5,6 +5,7 @@ exception class, message (so the same "line N") and exit code.
 """
 
 import os
+import re
 import threading
 
 import numpy as np
@@ -137,3 +138,22 @@ def test_missing_file_is_the_same_os_error(tmp_path):
     old = _outcome(oracle.read_csv, path, False)
     assert new[:2] == old[:2] == ("error", FileNotFoundError)
     assert new[3] == old[3] == 3
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (b"1,2\n3,\xe9\n", "UnicodeDecodeError"),
+        # the underscore sends the file to the record scan, whose csv module
+        # refuses a cell over its 131,072-character field limit
+        (b"1_0,2\n3,4\n5," + b"1" * 200_000 + b"\n", "Error"),
+    ],
+    ids=["not-utf8", "oversized-cell"],
+)
+def test_unreadable_text_exits_3_with_one_line(content, error, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert cli.main(["detect", "--input", str(path), "--method", "pelt", "--pen", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"segscan detect: {error}: [^\n]+\n", captured.err), captured.err

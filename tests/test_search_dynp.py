@@ -1,6 +1,9 @@
 """Exact search: dynp against exhaustive enumeration, plus the caching and
 tie-breaking contracts."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from segscan import (
     sum_of_costs,
     validate_signal,
 )
+from segscan.generators import GenSpec, pw_constant
 from segscan.exceptions import BadParamError, BudgetUnreachableError, InfeasibleError
 
 
@@ -134,6 +138,44 @@ def test_dynp_caches_across_calls():
     # a different grid is a different cache entry
     other = dynp(fitted, 2, SearchConfig(jump=2))
     assert other.n_cost_evals > 0
+
+
+def test_dynp_shared_across_threads_keeps_one_table():
+    # threads extending one cached table must not each append layers; a
+    # short switch interval makes them interleave inside the layer loop
+    signal, _ = pw_constant(GenSpec(600, 2, 6, 1.0, 3))
+    reference = fit(CostSpec(family="l2"), signal)
+    expected = [dynp(reference, k) for k in range(9)]
+    budget = expected[8].contrast
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(3):
+            shared = fit(CostSpec(family="l2"), signal)
+            dynp(shared, 0)
+            calls = {
+                "dynp 4": (lambda: dynp(shared, 4), expected[4]),
+                "dynp 6": (lambda: dynp(shared, 6), expected[6]),
+                "budget": (lambda: solve_budget(shared, budget), solve_budget(reference, budget)),
+            }
+            found = {}
+            threads = [
+                threading.Thread(target=lambda key=key: found.update({key: calls[key][0]()}))
+                for key in calls
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert found.keys() == calls.keys(), f"trial {trial}"
+            answers = [(key, found[key], want) for key, (_, want) in calls.items()]
+            answers += [(f"dynp {k}", dynp(shared, k), want) for k, want in enumerate(expected)]
+            for label, got, want in answers:
+                assert got.bkps.ends == want.bkps.ends, f"trial {trial} {label}"
+                assert got.contrast == want.contrast, f"trial {trial} {label}"
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_dynp_contrast_equals_sum_of_costs():

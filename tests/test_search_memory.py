@@ -3,16 +3,20 @@
 Only dynp and solve_budget hold a dense grid x grid cost matrix, and they
 refuse grids above 20,000 positions before allocating it.  The other
 engines keep O(T) state, checked by the peak RSS of a fresh process.
-bottomup has its own, shorter signal.  Every check runs in a child process
-with a capped address space.
+bottomup has its own, shorter signal.  Those checks run in a child process
+with a capped address space; the dynp layer's working set is measured in
+process with tracemalloc.
 """
 
 import json
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
+
+from segscan import CostSpec, dynp, fit
 
 LARGE_T = 6000
 DENSE_MB = (LARGE_T + 1) ** 2 * 8 / 1e6
@@ -128,3 +132,17 @@ def test_cli_dynp_over_the_limit_is_exit_4(tmp_path):
                       "--n-bkps", "1")
     assert proc.returncode == 4, proc.stderr
     assert "MemoryBudgetError" in proc.stderr
+
+
+def test_dynp_layer_keeps_one_matrix_sized_temporary():
+    rng = np.random.default_rng(8)
+    fitted = fit(CostSpec("l2"), rng.normal(size=600))
+    dynp(fitted, 0)
+    matrix_bytes = 601**2 * 8
+    tracemalloc.start()
+    try:
+        dynp(fitted, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix_bytes, f"{peak} bytes at peak for a {matrix_bytes}-byte matrix"
