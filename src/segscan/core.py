@@ -8,12 +8,15 @@ K + 1 ends therefore encodes K change points.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import (
+    BadParamError,
     DuplicateError,
     EmptySignalError,
     MismatchedLengthError,
@@ -23,6 +26,35 @@ from .exceptions import (
     OutOfRangeError,
     RaggedInputError,
 )
+
+
+def _checked_int(name: str, value, minimum: int) -> int:
+    """value as an int if operator.index takes it (Python and numpy integers,
+    bool excepted) and it is >= minimum, else BadParamError."""
+    number = None
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            number = int(operator.index(value))
+        except TypeError:
+            pass
+    if number is None or number < minimum:
+        raise BadParamError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
+def _checked_real(name: str, value, *, positive: bool = False) -> float:
+    """value as a float if float() takes it (bool, str and bytes excepted) and
+    it is finite and >= 0 (> 0 with positive=True), else BadParamError."""
+    number = math.nan
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if not math.isfinite(number) or number < 0.0 or (positive and number == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise BadParamError(f"{name} must be a finite number {bound}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal, validate_signal
+from .core import Signal, _checked_int, _checked_real, validate_signal
 from .exceptions import (
     BadParamError,
     DegenerateSignalWarning,
@@ -57,8 +57,8 @@ AUTO_METRIC = "auto"
 
 _FAMILIES = ("l2", "normal", "linear", "ar", "kernel", "mahalanobis")
 _KERNELS = ("linear", "rbf")
-# caps every dense n x n float64 matrix: the kernel Gram and dynp's cost matrix
-_GRAM_SAMPLE_LIMIT = 20_000
+# the largest side of a dense float64 matrix (3.2 GB); see _check_dense
+_DENSE_SIDE_LIMIT = 20_000
 _COV_RIDGE = 1e-6
 _REGRESSION_RIDGE = 1e-8
 _MEDIAN_PAIR_CAP = 10_000
@@ -72,7 +72,7 @@ class CostSpec:
     """Chooses a cost family and its parameters.
 
     order applies to "ar" (number of lags, >= 1).  kernel ("linear" or "rbf")
-    and gamma (positive bandwidth or "median-heuristic") apply to "kernel".
+    and gamma (finite bandwidth > 0 or "median-heuristic") apply to "kernel".
     metric applies to "mahalanobis": a symmetric PSD matrix or "auto" to
     derive one from the whole signal.  superadditive declares that splitting a
     segment never increases total cost; all shipped families satisfy it, and
@@ -89,18 +89,14 @@ class CostSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise BadParamError(f"unknown cost family {self.family!r}")
-        if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
-            raise BadParamError(f"order must be an integer >= 1, got {self.order!r}")
+        object.__setattr__(self, "order", _checked_int("order", self.order, 1))
         if self.kernel not in _KERNELS:
             raise BadParamError(f"unknown kernel {self.kernel!r}")
         if isinstance(self.gamma, str):
             if self.gamma != MEDIAN_HEURISTIC:
                 raise BadParamError(f"gamma must be a positive number or {MEDIAN_HEURISTIC!r}")
         else:
-            gamma = float(self.gamma)
-            if not np.isfinite(gamma) or gamma <= 0.0:
-                raise BadParamError(f"gamma must be positive and finite, got {gamma}")
-            object.__setattr__(self, "gamma", gamma)
+            object.__setattr__(self, "gamma", _checked_real("gamma", self.gamma, positive=True))
         if isinstance(self.metric, str):
             if self.metric != AUTO_METRIC:
                 raise BadParamError(f"metric must be a PSD matrix or {AUTO_METRIC!r}")
@@ -117,6 +113,17 @@ class CostSpec:
             metric = metric.copy()
             metric.setflags(write=False)
             object.__setattr__(self, "metric", metric)
+
+
+def _check_dense(side: int, what: str) -> None:
+    """The one guard on dense side x side float64 matrices (the rbf integral
+    image and dynp's cost matrix): MemoryBudgetError, before anything is
+    allocated, for a side over 20,000, i.e. more than 3.2 GB."""
+    if side > _DENSE_SIDE_LIMIT:
+        raise MemoryBudgetError(
+            f"{what} needs {side} x {side} float64 entries, {8 * side * side:,} bytes; "
+            f"the limit is {_DENSE_SIDE_LIMIT} per side, {8 * _DENSE_SIDE_LIMIT**2:,} bytes"
+        )
 
 
 def median_heuristic(signal) -> float:
@@ -415,8 +422,8 @@ class KernelCost(FittedCost):
     the kernel and its row sums (the band's own row sums plus, by symmetry,
     the column sums of the bands above it); the second centres each band,
     takes its row prefix sums and adds each row onto the one above.  The
-    lower triangle is never written.  rbf signals longer than 20,000 samples
-    are refused: the matrix would not fit the budget.
+    lower triangle is never written.  The image is n x n, so rbf signals
+    over 20,000 samples fail the dense-matrix guard (_check_dense) up front.
     """
 
     family = "kernel"
@@ -429,10 +436,7 @@ class KernelCost(FittedCost):
             self._segment_cost = self._prefix.cost
             return
         n = signal.n_samples
-        if n > _GRAM_SAMPLE_LIMIT:
-            raise MemoryBudgetError(
-                f"kernel cost needs a {n} x {n} Gram matrix; the limit is {_GRAM_SAMPLE_LIMIT} samples"
-            )
+        _check_dense(n, "the rbf kernel's integral image")
         if spec.gamma == MEDIAN_HEURISTIC:
             self.gamma = median_heuristic(signal)
         else:
@@ -549,8 +553,8 @@ def fit(spec: CostSpec, signal) -> FittedCost:
 
     Raises BadParamError for malformed parameters (e.g. an AR order at least
     as large as the signal), SignalTooShortError when even one segment of the
-    family's minimum length does not fit, and MemoryBudgetError when the
-    kernel Gram matrix would be too large.
+    family's minimum length does not fit, and MemoryBudgetError from the
+    dense-matrix guard (_check_dense) for rbf signals over 20,000 samples.
     """
     if not isinstance(spec, CostSpec):
         raise BadParamError(f"expected a CostSpec, got {type(spec).__name__}")

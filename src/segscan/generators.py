@@ -13,15 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Breakpoints, Signal, validate_breakpoints, validate_signal
-from .exceptions import BadParamError, SpacingInfeasibleError
+from .core import (
+    Breakpoints,
+    Signal,
+    _checked_int,
+    _checked_real,
+    validate_breakpoints,
+    validate_signal,
+)
+from .exceptions import SpacingInfeasibleError
 
 _REDRAW_CAP = 10_000
 
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Shape of a synthetic instance: size, change count, noise and seed."""
+    """Shape of a synthetic instance: size, change count, noise and seed.
+
+    n_samples and n_dims are integers >= 1, n_bkps and seed integers >= 0
+    (Python or numpy, stored as int), noise_std a finite number >= 0 (stored
+    as float); anything else raises BadParamError.
+    """
 
     n_samples: int
     n_dims: int = 1
@@ -30,23 +42,9 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "n_dims", "n_bkps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BadParamError(f"{name} must be an int, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n_samples < 1:
-            raise BadParamError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.n_dims < 1:
-            raise BadParamError(f"n_dims must be >= 1, got {self.n_dims}")
-        if self.n_bkps < 0:
-            raise BadParamError(f"n_bkps must be >= 0, got {self.n_bkps}")
-        if self.seed < 0:
-            raise BadParamError(f"seed must be >= 0, got {self.seed}")
-        noise = float(self.noise_std)
-        if not math.isfinite(noise) or noise < 0.0:
-            raise BadParamError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        object.__setattr__(self, "noise_std", noise)
+        for name, minimum in (("n_samples", 1), ("n_dims", 1), ("n_bkps", 0), ("seed", 0)):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), minimum))
+        object.__setattr__(self, "noise_std", _checked_real("noise_std", self.noise_std))
 
     @property
     def spacing(self) -> int:
@@ -54,10 +52,11 @@ class GenSpec:
         return max(2, self.n_samples // (4 * (self.n_bkps + 1)))
 
 
-def _draw_ends(rng: np.random.Generator, n_samples: int, n_bkps: int) -> Breakpoints:
+def _draw_ends(rng: np.random.Generator, spec: GenSpec) -> Breakpoints:
+    n_samples, n_bkps = spec.n_samples, spec.n_bkps
     if n_bkps == 0:
         return validate_breakpoints((n_samples,), n_samples)
-    spacing = max(2, n_samples // (4 * (n_bkps + 1)))
+    spacing = spec.spacing
     if (n_bkps + 1) * spacing > n_samples:
         raise SpacingInfeasibleError(
             f"cannot place {n_bkps} change points in {n_samples} samples "
@@ -78,7 +77,7 @@ def draw_bkps(n_samples: int, n_bkps: int, seed: int = 0) -> Breakpoints:
     """Draw a random admissible segmentation without generating a signal."""
     spec = GenSpec(n_samples=n_samples, n_bkps=n_bkps, seed=seed)
     rng = np.random.default_rng(spec.seed)
-    return _draw_ends(rng, spec.n_samples, spec.n_bkps)
+    return _draw_ends(rng, spec)
 
 
 def _add_noise(rng: np.random.Generator, data: np.ndarray, noise_std: float) -> np.ndarray:
@@ -94,7 +93,7 @@ def pw_constant(spec: GenSpec) -> tuple[Signal, Breakpoints]:
     dimension by a jump of random sign and magnitude uniform in [1, 5].
     """
     rng = np.random.default_rng(spec.seed)
-    bkps = _draw_ends(rng, spec.n_samples, spec.n_bkps)
+    bkps = _draw_ends(rng, spec)
     levels = np.zeros((bkps.n_bkps + 1, spec.n_dims))
     for k in range(1, bkps.n_bkps + 1):
         signs = np.where(rng.random(spec.n_dims) < 0.5, -1.0, 1.0)
@@ -115,7 +114,7 @@ def pw_linear(spec: GenSpec) -> tuple[Signal, Breakpoints]:
     random sign and magnitude uniform in [1, 5].
     """
     rng = np.random.default_rng(spec.seed)
-    bkps = _draw_ends(rng, spec.n_samples, spec.n_bkps)
+    bkps = _draw_ends(rng, spec)
     n_segments = bkps.n_bkps + 1
     slope_signs = np.where(rng.random((n_segments, spec.n_dims)) < 0.5, -1.0, 1.0)
     slopes = slope_signs * rng.uniform(0.1, 1.0, size=(n_segments, spec.n_dims))
@@ -141,7 +140,7 @@ def pw_normal(n_samples: int, n_bkps: int, seed: int = 0) -> tuple[Signal, Break
     """
     spec = GenSpec(n_samples=n_samples, n_dims=2, n_bkps=n_bkps, seed=seed)
     rng = np.random.default_rng(spec.seed)
-    bkps = _draw_ends(rng, spec.n_samples, spec.n_bkps)
+    bkps = _draw_ends(rng, spec)
     raw = rng.standard_normal((spec.n_samples, 2))
     data = np.empty_like(raw)
     for k, (start, end) in enumerate(bkps.segments()):

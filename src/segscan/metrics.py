@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Breakpoints
-from .exceptions import BadParamError, MismatchedLengthError
+from .core import Breakpoints, _checked_real
+from .exceptions import MismatchedLengthError
 
 
 def _check_same_length(left: Breakpoints, right: Breakpoints) -> None:
@@ -75,12 +75,11 @@ def precision_recall(truth: Breakpoints, pred: Breakpoints, margin) -> Precision
     True ends are processed in increasing order; each takes the nearest still
     unmatched predicted end within the margin, ties going to the smaller
     index.  Terminal ends never take part.  Two empty segmentations score
-    (1, 1) by convention; empty against non-empty scores (0, 0).
+    (1, 1) by convention; empty against non-empty scores (0, 0).  margin is
+    a finite number >= 0, else BadParamError.
     """
     _check_same_length(truth, pred)
-    margin = float(margin)
-    if not np.isfinite(margin) or margin < 0.0:
-        raise BadParamError(f"margin must be finite and >= 0, got {margin}")
+    margin = _checked_real("margin", margin)
     true_ends = truth.internal
     pred_ends = pred.internal
     if not true_ends and not pred_ends:

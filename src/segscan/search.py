@@ -30,13 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectionResult, validate_breakpoints
-from .costs import _GRAM_SAMPLE_LIMIT
+from .core import DetectionResult, _checked_int, _checked_real, validate_breakpoints
+from .costs import _check_dense
 from .exceptions import (
     BadParamError,
     BudgetUnreachableError,
     InfeasibleError,
-    MemoryBudgetError,
     WindowTooLargeError,
 )
 
@@ -44,7 +43,9 @@ from .exceptions import (
 @dataclass(frozen=True)
 class StoppingRule:
     """Exactly one of n_bkps (fixed count), penalty (per-change cost), or
-    budget (total cost ceiling) must be set."""
+    budget (total cost ceiling) must be set: n_bkps an integer >= 0, stored
+    as int, or penalty or budget a finite number >= 0, stored as float.
+    Anything else raises BadParamError."""
 
     n_bkps: int | None = None
     penalty: float | None = None
@@ -52,39 +53,16 @@ class StoppingRule:
 
     def __post_init__(self):
         given = [
-            name
-            for name, value in (
-                ("n_bkps", self.n_bkps),
-                ("penalty", self.penalty),
-                ("budget", self.budget),
-            )
-            if value is not None
+            name for name in ("n_bkps", "penalty", "budget") if getattr(self, name) is not None
         ]
         if len(given) != 1:
             raise BadParamError(
                 f"exactly one stopping rule must be set, got {given or 'none'}"
             )
-        if self.n_bkps is not None:
-            self.checked_n_bkps(self.n_bkps)
-        for name in ("penalty", "budget"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, self.checked_level(name, value))
-
-    @staticmethod
-    def checked_n_bkps(value) -> int:
-        """value if it is a valid change point count, else BadParamError."""
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise BadParamError(f"n_bkps must be an integer >= 0, got {value!r}")
-        return value
-
-    @staticmethod
-    def checked_level(name: str, value) -> float:
-        """value as a float if it is a valid penalty or budget, else BadParamError."""
-        value = float(value)
-        if not np.isfinite(value) or value < 0.0:
-            raise BadParamError(f"{name} must be finite and >= 0, got {value}")
-        return value
+        name = given[0]
+        value = getattr(self, name)
+        value = _checked_int(name, value, 0) if name == "n_bkps" else _checked_real(name, value)
+        object.__setattr__(self, name, value)
 
     @property
     def kind(self) -> str:
@@ -104,8 +82,9 @@ class SearchConfig:
     """Grid constraints shared by all engines.
 
     min_size is the smallest admissible segment length, jump the subsampling
-    step for candidate ends, window_width the sliding-window width (only the
-    window engine reads it, and it must be set there).
+    step for candidate ends (integers >= 1), window_width the sliding-window
+    width (an integer >= 2; only the window engine reads it, and it must be
+    set there).  Each is stored as int; anything else raises BadParamError.
     """
 
     min_size: int = 1
@@ -114,34 +93,27 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("min_size", "jump"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise BadParamError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), 1))
         if self.window_width is not None:
-            if (
-                isinstance(self.window_width, bool)
-                or not isinstance(self.window_width, int)
-                or self.window_width < 2
-            ):
-                raise BadParamError(
-                    f"window_width must be an integer >= 2, got {self.window_width!r}"
-                )
+            width = _checked_int("window_width", self.window_width, 2)
+            object.__setattr__(self, "window_width", width)
+
+
+def _step(min_size: int, jump: int) -> int:
+    """The grid's first end, the smallest multiple of jump >= min_size; packing
+    ends from the left, each min_size past the last, picks its multiples."""
+    return -(-min_size // jump) * jump
 
 
 def _grid(n_samples: int, min_size: int, jump: int) -> list[int]:
     """Admissible internal ends: multiples of jump in [min_size, T - min_size]."""
-    start = ((min_size + jump - 1) // jump) * jump
-    return list(range(start, n_samples - min_size + 1, jump))
+    return list(range(_step(min_size, jump), n_samples - min_size + 1, jump))
 
 
 def max_changes(n_samples: int, min_size: int, jump: int) -> int:
-    """Largest number of change points placeable under the grid constraints."""
-    count, last = 0, 0
-    for pos in _grid(n_samples, min_size, jump):
-        if pos - last >= min_size:
-            count += 1
-            last = pos
-    return count
+    """Largest number of change points placeable under the grid constraints:
+    the multiples of _step that leave min_size samples after them."""
+    return max(0, (n_samples - min_size) // _step(min_size, jump))
 
 
 def _prepare(fitted, config):
@@ -226,13 +198,9 @@ class _DynpState:
     are retained across calls so a repeat or a smaller k costs nothing, and
     the other engines read the matrix instead of evaluating again."""
 
-    def __init__(self, fitted, min_size: int, jump: int, positions: list[int]):
+    def __init__(self, fitted, min_size: int, positions: list[int]):
         count = len(positions)
-        if count > _GRAM_SAMPLE_LIMIT:
-            raise MemoryBudgetError(
-                f"dynp needs a {count} x {count} cost matrix; the limit is "
-                f"{_GRAM_SAMPLE_LIMIT} grid positions (raise jump to thin the grid)"
-            )
+        _check_dense(count, "dynp's cost matrix (a larger jump thins the grid)")
         self.positions = positions
         self.pos_index = {pos: i for i, pos in enumerate(positions)}
         self.matrix = np.full((count, count), np.inf)
@@ -245,7 +213,6 @@ class _DynpState:
         self.layers = [0.0 + self.matrix[:, 0]]
         self.back: list[np.ndarray] = []
         self.rank = np.zeros(count, dtype=np.int64)
-        self.max_changes = max_changes(fitted.n_samples, min_size, jump)
 
     def cost(self, start: int, end: int) -> float:
         return float(self.matrix[self.pos_index[end], self.pos_index[start]])
@@ -266,10 +233,6 @@ class _DynpState:
             self.rank = pick
 
     def solve(self, n_bkps: int) -> tuple[tuple[int, ...], float]:
-        if n_bkps > self.max_changes:
-            raise InfeasibleError(
-                f"{n_bkps} change points do not fit: the grid admits at most {self.max_changes}"
-            )
         self._extend_to(n_bkps)
         idx = len(self.positions) - 1
         contrast = float(self.layers[n_bkps][idx])
@@ -287,7 +250,7 @@ def _dynp_state(fitted, min_size, jump, positions) -> _DynpState:
     fitted._state_lock."""
     key = ("dynp", min_size, jump)
     if key not in fitted._search_state:
-        fitted._search_state[key] = _DynpState(fitted, min_size, jump, positions)
+        fitted._search_state[key] = _DynpState(fitted, min_size, positions)
     return fitted._search_state[key]
 
 
@@ -300,14 +263,18 @@ def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionRe
     cost, so asking again (or for fewer change points) evaluates no new
     segment costs, and the other engines read the same matrix.  Ties go to
     the lexicographically smallest end sequence, kept as a per-layer rank.
-    The whole solve holds the fitted cost's state lock.  Raises
-    InfeasibleError when n_bkps changes do not fit under the constraints,
-    and MemoryBudgetError, before allocating, when the grid has more than
-    20,000 positions.
+    The whole solve holds the fitted cost's state lock.  n_bkps is an
+    integer >= 0, else BadParamError.  Raises InfeasibleError, before any
+    cost is evaluated, when n_bkps changes do not fit under the constraints,
+    and MemoryBudgetError, before allocating, from the one dense-matrix
+    guard (costs._check_dense) when the grid has more than 20,000 positions.
     """
-    StoppingRule.checked_n_bkps(n_bkps)
+    n_bkps = _checked_int("n_bkps", n_bkps, 0)
     evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
+    most = max_changes(fitted.n_samples, min_size, jump)
+    if n_bkps > most:
+        raise InfeasibleError(f"{n_bkps} change points do not fit: the grid admits at most {most}")
     with fitted._state_lock:
         ends, contrast = _dynp_state(fitted, min_size, jump, positions).solve(n_bkps)
     return _result(fitted, ends, contrast, evals_before)
@@ -321,18 +288,19 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     grids the same way.  Raises BudgetUnreachableError when even the largest
     feasible number of change points stays above the budget.
     """
-    budget = StoppingRule.checked_level("budget", budget)
+    budget = _checked_real("budget", budget)
     evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
+    most = max_changes(fitted.n_samples, min_size, jump)
     with fitted._state_lock:
         state = _dynp_state(fitted, min_size, jump, positions)
         contrast = np.inf
-        for k in range(state.max_changes + 1):
+        for k in range(most + 1):
             ends, contrast = state.solve(k)
             if contrast <= budget:
                 return _result(fitted, ends, contrast, evals_before)
     raise BudgetUnreachableError(
-        f"optimal cost {contrast} with {state.max_changes} change points still exceeds budget {budget}"
+        f"optimal cost {contrast} with {most} change points still exceeds budget {budget}"
     )
 
 
@@ -367,7 +335,7 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     run on this fitted cost with the same grid; otherwise each live
     (candidate, end) pair is evaluated once, so a repeated call pays again.
     """
-    penalty = StoppingRule.checked_level("penalty", penalty)
+    penalty = _checked_real("penalty", penalty)
     evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
     dense = _dense(fitted, min_size, jump)
@@ -496,17 +464,6 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     return _result(fitted, ends, contrast, evals_before)
 
 
-def _finest_grid(positions, min_size, terminal) -> list[int]:
-    """Greedy leftmost packing of internal ends with gaps >= min_size."""
-    picked = []
-    last_pos = 0
-    for idx in range(1, terminal):
-        if positions[idx] - last_pos >= min_size:
-            picked.append(idx)
-            last_pos = positions[idx]
-    return picked
-
-
 def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
     """Greedy bottom-up merging from the finest admissible grid.
 
@@ -521,7 +478,10 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     evals_before = fitted.eval_counter
     cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
     terminal = len(positions) - 1
-    internal = _finest_grid(positions, min_size, terminal)
+    # the finest valid ends, the multiples of _step: every stride-th grid index
+    stride = _step(min_size, jump) // jump
+    count = max_changes(fitted.n_samples, min_size, jump)
+    internal = list(range(1, 1 + count * stride, stride))
     if stop.kind == "n_bkps" and stop.n_bkps > len(internal):
         raise InfeasibleError(
             f"{stop.n_bkps} change points requested but the finest grid has {len(internal)}"
@@ -612,8 +572,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
         )
     half = width // 2
     seg_cost = _segment_cost(fitted)
-    first = ((half + jump - 1) // jump) * jump
-    grid = list(range(first, n_samples - half + 1, jump))
+    grid = _grid(n_samples, half, jump)
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)
         for t in grid

@@ -164,6 +164,18 @@ def admissible_grid(n_samples, min_size, jump):
     return list(range(first, n_samples - min_size + 1, jump))
 
 
+def greedy_packing(n_samples, min_size, jump):
+    """The most internal ends the grid holds, packed from the left: each is
+    the first grid point at least min_size past the previous one."""
+    picked = []
+    last = 0
+    for pos in admissible_grid(n_samples, min_size, jump):
+        if pos - last >= min_size:
+            picked.append(pos)
+            last = pos
+    return picked
+
+
 def _gaps_ok(combo, n_samples, min_size):
     prev = 0
     for p in combo:

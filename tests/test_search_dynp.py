@@ -124,6 +124,20 @@ def test_dynp_reports_table_fill_evals_once():
     assert fitted.eval_counter == admissible
 
 
+def test_dynp_refuses_an_impossible_count_before_the_fill():
+    signal, _ = pw_constant(GenSpec(300, 2, 3, 0.5, 7))
+    fitted = fit(CostSpec("l2"), signal)
+    config = SearchConfig(min_size=5)
+    with pytest.raises(InfeasibleError, match="the grid admits at most 59"):
+        dynp(fitted, 400, config)
+    assert fitted.eval_counter == 0
+    result = dynp(fitted, 3, config)
+    positions = [0] + list(range(5, 296)) + [300]
+    fill = sum(1 for a in positions for b in positions if b - a >= 5)
+    assert fill == 41_624
+    assert result.n_cost_evals == fill
+
+
 def test_dynp_caches_across_calls():
     rng = np.random.default_rng(104)
     fitted = fresh_fitted(rng.normal(size=50))
