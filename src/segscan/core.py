@@ -140,16 +140,20 @@ class Breakpoints:
 def validate_breakpoints(ends: Sequence[int], n_samples: int) -> Breakpoints:
     """Check a raw end sequence against a signal length and wrap it.
 
-    Raises OutOfRangeError for entries outside [1, n_samples], DuplicateError
-    and NotSortedError for order violations, and MissingTerminalError when the
-    sequence is empty or does not finish at n_samples.
+    Raises OutOfRangeError for entries outside [1, n_samples] or not integral
+    (bool, None, NaN and +-inf included; 5.0 and numpy integers pass),
+    DuplicateError and NotSortedError for order violations, and
+    MissingTerminalError when the sequence is empty or does not end at T.
     """
     if n_samples < 1:
         raise EmptySignalError(f"n_samples must be >= 1, got {n_samples}")
     cleaned = []
     for value in ends:
-        as_int = int(value)
-        if as_int != value:
+        try:
+            as_int = None if isinstance(value, (bool, np.bool_)) else int(value)
+        except (TypeError, ValueError, OverflowError):
+            as_int = None
+        if as_int is None or as_int != value:
             raise OutOfRangeError(f"breakpoint end {value!r} is not an integer")
         if not 1 <= as_int <= n_samples:
             raise OutOfRangeError(
@@ -182,10 +186,18 @@ def sum_of_costs(fitted, bkps: Breakpoints) -> float:
         raise MismatchedLengthError(
             f"cost fitted on {fitted.n_samples} samples, breakpoints on {bkps.n_samples}"
         )
-    total = 0.0
-    for start, end in bkps.segments():
-        total += fitted.cost(start, end)
-    return total
+    return _total(fitted.cost, bkps.ends)
+
+
+def _total(cost, ends) -> float:
+    """Sum of cost(start, end) over consecutive ends, accumulated left to right."""
+    value = 0.0
+    start = 0
+    for end in ends:
+        end = int(end)
+        value += cost(start, end)
+        start = end
+    return value
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ pelt() is exact for a linear penalty and prunes candidates that can never win
 again; binseg(), bottomup() and window() are greedy approximations that
 accept any of the three stopping rules; solve_budget() finds the fewest
 change points whose optimal cost fits a budget by growing the dynp table.
+binseg() and window() add change points as lazy moves that one loop,
+_add_greedily(), takes under the stopping rule; bottomup() removes them
+with its own loop, since its penalty and budget tests point the other way.
 
 Only dynp and solve_budget keep a dense grid x grid segment-cost matrix,
 cached on the fitted cost per (min_size, jump) together with the dynp value
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectionResult, _checked_int, _checked_real, validate_breakpoints
+from .core import DetectionResult, _checked_int, _checked_real, _total, validate_breakpoints
 from .costs import _check_dense
 from .exceptions import (
     BadParamError,
@@ -145,17 +148,6 @@ def _result(fitted, ends, contrast, evals_before, n_pruned=0) -> DetectionResult
         n_cost_evals=fitted.eval_counter - evals_before,
         n_pruned=n_pruned,
     )
-
-
-def _total(cost, ends) -> float:
-    """Sum of cost(start, end) over consecutive ends, accumulated left to right."""
-    value = 0.0
-    start = 0
-    for end in ends:
-        end = int(end)
-        value += cost(start, end)
-        start = end
-    return value
 
 
 def _segment_cost(fitted, dense=None):
@@ -314,11 +306,6 @@ def _path_indices(parent, idx) -> list[int]:
     return out
 
 
-def _prefix_path(parent, positions, idx) -> tuple[int, ...]:
-    """Internal ends of the partition encoded by the parent chain, idx included."""
-    return tuple(positions[i] for i in _path_indices(parent, idx))
-
-
 def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> DetectionResult:
     """Exact linearly penalized segmentation with candidate pruning.
 
@@ -371,13 +358,11 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
         best_value = totals[pick]
         ties = np.flatnonzero(totals == best_value)
         if len(ties) > 1:
-            # exact tie: keep the lexicographically smaller end sequence;
-            # the shared end must take part, else a path that is a prefix
-            # of another would win even when its next end comes later
-            pick = min(
-                ties.tolist(),
-                key=lambda j: _prefix_path(parent, positions, candidates[j]) + (end_pos,),
-            )
+            # exact tie: keep the lexicographically smaller end sequence, as
+            # grid indices, which are ordered like their positions; the shared
+            # end must take part, else a path that is a prefix of another
+            # would win even when its next end comes later
+            pick = min(ties.tolist(), key=lambda j: _path_indices(parent, candidates[j]) + [end_idx])
         values[end_idx] = best_value
         parent[end_idx] = candidates[pick]
         last_cost[end_idx] = seg_costs[pick]
@@ -392,19 +377,49 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     return _result(fitted, ends, contrast, evals_before, n_pruned=n_pruned)
 
 
+def _add_greedily(fitted, stop, moves, cost, evals_before) -> DetectionResult:
+    """Take a greedy engine's lazy (score, end) moves, best first, until the
+    stopping rule holds; the one reader of the rule for binseg and window.
+
+    n_bkps takes that many moves, penalty stops at the first move scoring at
+    or below it, budget takes moves while the total cost is above it; moves
+    running out first raise InfeasibleError or BudgetUnreachableError.  Only
+    the moves the rule pulls are evaluated.
+    """
+    ends = [fitted.n_samples]
+    if stop.kind == "n_bkps":
+        for taken in range(stop.n_bkps):
+            move = next(moves, None)
+            if move is None:
+                raise InfeasibleError(f"{stop.n_bkps} change points requested, {taken} placeable")
+            bisect.insort(ends, move[1])
+    elif stop.kind == "penalty":
+        for score, end in moves:
+            if score <= stop.penalty:
+                break
+            bisect.insort(ends, end)
+    else:
+        while (total := _total(cost, ends)) > stop.budget:
+            move = next(moves, None)
+            if move is None:
+                raise BudgetUnreachableError(f"total cost {total} above budget {stop.budget}")
+            bisect.insort(ends, move[1])
+    return _result(fitted, ends, _total(cost, ends), evals_before)
+
+
 def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
     """Greedy top-down splitting: always take the split with the largest gain.
 
     The gain of splitting [a, b) at s is c(a, b) - c(a, s) - c(s, b).  Each
-    unsplit segment's best split is computed once and cached.  Stops after
-    n_bkps splits, when the best gain is at or below the penalty, or once the
-    total cost fits the budget; ties go to the smallest split index.
+    unsplit segment's best split is computed once and cached.  The splits
+    are moves for _add_greedily: it stops after n_bkps splits, at the first
+    best gain at or below the penalty, or once the total cost fits the
+    budget.  Ties go to the smallest split index.
     """
     _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
     evals_before = fitted.eval_counter
     cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
-    terminal = len(positions) - 1
-    ends_idx = [terminal]
+    ends_idx = [len(positions) - 1]
     best_split: dict[tuple[int, int], tuple[float, int] | None] = {}
 
     def segment_best(a_idx: int, b_idx: int):
@@ -424,44 +439,21 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
         best_split[key] = found
         return found
 
-    def pick():
-        chosen = None
-        start_idx = 0
-        for end_idx in ends_idx:
-            info = segment_best(start_idx, end_idx)
-            if info is not None and (chosen is None or info[0] > chosen[0]):
-                chosen = info
-            start_idx = end_idx
-        return chosen
-
-    def apply(split_idx: int) -> None:
-        bisect.insort(ends_idx, split_idx)
-
-    if stop.kind == "n_bkps":
-        for _ in range(stop.n_bkps):
-            chosen = pick()
-            if chosen is None:
-                raise InfeasibleError(
-                    f"cannot place {stop.n_bkps} change points: no admissible split left"
-                )
-            apply(chosen[1])
-    elif stop.kind == "penalty":
+    def moves():
         while True:
-            chosen = pick()
-            if chosen is None or chosen[0] <= stop.penalty:
-                break
-            apply(chosen[1])
-    else:
-        while _total(cost, [positions[i] for i in ends_idx]) > stop.budget:
-            chosen = pick()
+            chosen = None
+            start_idx = 0
+            for end_idx in ends_idx:
+                info = segment_best(start_idx, end_idx)
+                if info is not None and (chosen is None or info[0] > chosen[0]):
+                    chosen = info
+                start_idx = end_idx
             if chosen is None:
-                raise BudgetUnreachableError(
-                    f"total cost still above budget {stop.budget} with no admissible split left"
-                )
-            apply(chosen[1])
-    ends = tuple(positions[i] for i in ends_idx)
-    contrast = _total(cost, ends)
-    return _result(fitted, ends, contrast, evals_before)
+                return
+            yield chosen[0], positions[chosen[1]]
+            bisect.insort(ends_idx, chosen[1])
+
+    return _add_greedily(fitted, stop, moves(), cost, evals_before)
 
 
 def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -553,10 +545,12 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
 
     Z(t) = c(t - w/2, t + w/2) - c(t - w/2, t) - c(t, t + w/2) over grid
     points with a half window on both sides.  Candidate change points are the
-    local maxima of Z (plateaus keep their leftmost point); they are selected
-    by decreasing score under a minimum separation of min_size.  Requires
-    config.window_width; raises WindowTooLargeError when it exceeds the
-    signal.
+    local maxima of Z (plateaus keep their leftmost point).  In decreasing
+    score order (smallest t on a tie), the peaks at least min_size away from
+    every earlier pick are moves for _add_greedily: it stops after n_bkps
+    peaks, at the first score at or below the penalty, or once the total
+    cost fits the budget.  Requires config.window_width; raises
+    WindowTooLargeError when it exceeds the signal.
     """
     cfg, min_size, jump, _ = _prepare_greedy(fitted, stop, config)
     evals_before = fitted.eval_counter
@@ -592,41 +586,11 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
         i = k + 1
     ranked = sorted(peaks, key=lambda item: (-item[1], item[0]))
 
-    def separated(t: int, chosen: list[int]) -> bool:
-        return all(abs(t - u) >= min_size for u in chosen)
-
-    chosen: list[int] = []
-    if stop.kind == "n_bkps":
-        for t, _score in ranked:
-            if len(chosen) == stop.n_bkps:
-                break
-            if separated(t, chosen):
-                chosen.append(t)
-        if len(chosen) < stop.n_bkps:
-            raise InfeasibleError(
-                f"only {len(chosen)} separated score peaks, {stop.n_bkps} requested"
-            )
-    elif stop.kind == "penalty":
+    def moves():
+        chosen: list[int] = []
         for t, score in ranked:
-            if score > stop.penalty and separated(t, chosen):
+            if all(abs(t - u) >= min_size for u in chosen):
                 chosen.append(t)
-    else:
+                yield score, t
 
-        def total_for(points: list[int]) -> float:
-            return _total(seg_cost, sorted(points) + [n_samples])
-
-        total = total_for(chosen)
-        for t, _score in ranked:
-            if total <= stop.budget:
-                break
-            if separated(t, chosen):
-                chosen.append(t)
-                total = total_for(chosen)
-        if total > stop.budget:
-            raise BudgetUnreachableError(
-                f"total cost above budget {stop.budget} even with every score peak used"
-            )
-
-    ends = tuple(sorted(chosen)) + (n_samples,)
-    contrast = _total(seg_cost, ends)
-    return _result(fitted, ends, contrast, evals_before)
+    return _add_greedily(fitted, stop, moves(), seg_cost, evals_before)

@@ -297,6 +297,81 @@ def greedy_bottomup(cost_fn, n_samples, min_size=1, jump=1, n_bkps=None, penalty
     return tuple(ends) + (n_samples,)
 
 
+def _add_best_moves(best_move, cost_fn, n_samples, n_bkps, penalty, budget):
+    """Add the end of best_move(ends), a (score, end) pair or None, until the
+    one given stopping value is met: n_bkps ends added, a best score at or
+    below the penalty, or a total cost at or below the budget.  Returns the
+    ends (terminal included), or None when the moves run out first under
+    n_bkps or budget."""
+    ends = [n_samples]
+    while n_bkps is None or len(ends) - 1 < n_bkps:
+        if budget is not None and total_cost(cost_fn, ends) <= budget:
+            break
+        best = best_move(ends)
+        if best is None:
+            return tuple(ends) if penalty is not None else None
+        if penalty is not None and best[0] <= penalty:
+            break
+        ends = sorted(ends + [best[1]])
+    return tuple(ends)
+
+
+def greedy_binseg(cost_fn, n_samples, min_size=1, jump=1, n_bkps=None, penalty=None, budget=None):
+    """Greedy top-down splitting, rescanning every segment at every step.
+
+    A step takes the split of largest gain c(a, b) - (c(a, s) + c(s, b)) over
+    every current segment [a, b) and every admissible s with min_size samples
+    on both sides, the smallest s on a tie.  Stopping values as in
+    _add_best_moves.
+    """
+    grid = admissible_grid(n_samples, min_size, jump)
+
+    def best_split(ends):
+        best = None
+        for start, end in zip([0] + ends, ends):
+            inside = [s for s in grid if start + min_size <= s <= end - min_size]
+            if not inside:
+                continue
+            whole = cost_fn(start, end)
+            for s in inside:
+                gain = whole - (cost_fn(start, s) + cost_fn(s, end))
+                if best is None or gain > best[0]:
+                    best = (gain, s)
+        return best
+
+    return _add_best_moves(best_split, cost_fn, n_samples, n_bkps, penalty, budget)
+
+
+def greedy_window(cost_fn, n_samples, width, min_size=1, jump=1, n_bkps=None, penalty=None,
+                  budget=None):
+    """Sliding-window peaks, rescanning the free peaks at every step.
+
+    Z(t) = c(t - h, t + h) - c(t - h, t) - c(t, t + h) with h = width // 2, on
+    the grid points with h samples on both sides.  A peak is a point above
+    its left neighbour and above the first different score to its right, so
+    a plateau counts once, at its leftmost point.  A step takes the highest
+    peak, the smallest t on a tie, among those at least min_size away from
+    every end taken.  Stopping values as in _add_best_moves.
+    """
+    half = width // 2
+    grid = admissible_grid(n_samples, half, jump)
+    scores = [
+        cost_fn(t - half, t + half) - cost_fn(t - half, t) - cost_fn(t, t + half) for t in grid
+    ]
+    peaks = []
+    for i, t in enumerate(grid):
+        right = next((z for z in scores[i + 1 :] if z != scores[i]), -math.inf)
+        left = scores[i - 1] if i > 0 else -math.inf
+        if scores[i] > left and scores[i] > right:
+            peaks.append((scores[i], t))
+
+    def best_peak(ends):
+        free = [(z, t) for z, t in peaks if all(abs(t - u) >= min_size for u in ends[:-1])]
+        return max(free, key=lambda peak: (peak[0], -peak[1]), default=None)
+
+    return _add_best_moves(best_peak, cost_fn, n_samples, n_bkps, penalty, budget)
+
+
 def pair_rand_index(left_ends, right_ends, n_samples):
     """O(T^2) pairwise agreement count straight from the definition."""
 

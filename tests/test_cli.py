@@ -248,6 +248,20 @@ def test_eval_validation_failures(clean_case, tmp_path):
     assert "BadParamError" in proc.stderr
 
 
+@pytest.mark.parametrize("bkps", ["[NaN, 10]", "[null, 10]", "[Infinity, 10]", "[true, 10]"])
+def test_eval_refuses_a_malformed_end_with_exit_5(bkps, tmp_path, capsys):
+    """An end that is not an integral number is a breakpoint validation
+    failure (exit 5), not a crash (exit 1) nor, for true, the end 1."""
+    from segscan.cli import main
+
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"T": 10, "bkps": [5, 10]}))
+    pred = tmp_path / "pred.json"
+    pred.write_text(f'{{"bkps": {bkps}}}')
+    assert main(["eval", "--truth", str(truth), "--pred", str(pred)]) == 5
+    assert "OutOfRangeError" in capsys.readouterr().err
+
+
 def test_detect_ignores_threads_env_var(clean_case):
     """SEGSCAN_THREADS is no longer read: any value, even a malformed one,
     gives the same answer as leaving it unset."""

@@ -79,6 +79,7 @@ def test_validate_breakpoints_good_cases():
     # numpy integers and integral floats coerce cleanly
     assert validate_breakpoints(np.array([3, 6]), 6).ends == (3, 6)
     assert validate_breakpoints([3.0, 6.0], 6).ends == (3, 6)
+    assert validate_breakpoints([np.uint8(3), np.float64(6.0)], 6).ends == (3, 6)
     assert validate_breakpoints((6,), 6).n_bkps == 0
 
 
@@ -99,6 +100,18 @@ def test_validate_breakpoints_rejections():
         validate_breakpoints([], 6)
     with pytest.raises(MissingTerminalError):
         validate_breakpoints([3, 5], 6)
+
+
+@pytest.mark.parametrize(
+    "end",
+    [True, np.True_, None, np.nan, np.inf, -np.inf, np.float64("nan"), "three", [3], {}],
+    ids=repr,
+)
+def test_validate_breakpoints_refuses_what_is_not_an_integral_number(end):
+    """bool is not read as 0 or 1, and None, NaN, +-inf and non-numbers raise
+    OutOfRangeError rather than escaping as TypeError or ValueError."""
+    with pytest.raises(OutOfRangeError):
+        validate_breakpoints([end, 6], 6)
 
 
 def test_breakpoints_helpers():

@@ -288,6 +288,55 @@ def test_bottomup_matches_greedy_reference(family):
             assert (again.bkps.ends, again.contrast, again.n_cost_evals) == (expected, contrast, 0)
 
 
+@pytest.mark.parametrize("family", ["l2", "normal", "kernel"])
+def test_split_engines_match_greedy_references(family):
+    """binseg (with and without dynp's matrix) and window give the ends,
+    contrast, evaluation count and error class of their rescanning
+    references under all three stopping rules."""
+    rng = np.random.default_rng(420)
+    for trial, (data, config) in enumerate(bottomup_instances(430 + len(family), 12)):
+        spec = CostSpec(family=family)
+        probe = fit(spec, validate_signal(data))
+        n = len(data)
+        min_size = max(config.min_size, probe.min_seg_len)
+        width = int(rng.integers(2 * min_size, min(n, 2 * min_size + 12) + 1))
+        window_config = SearchConfig(config.min_size, config.jump, window_width=width)
+        whole = probe.cost(0, n)
+        stops = [
+            dict(n_bkps=int(rng.integers(0, 5))),
+            dict(n_bkps=n // min_size),  # more than fit: the moves run out
+            dict(penalty=float(rng.uniform(0.0, 3.0))),
+            dict(penalty=0.0),
+            dict(budget=max(0.0, whole * float(rng.uniform(0.1, 1.0)))),
+        ]
+        warm = fit(spec, validate_signal(data))
+        dynp(warm, 0, config)
+        cases = [
+            (binseg, config, oracle.greedy_binseg, {}, None),
+            (binseg, config, oracle.greedy_binseg, {}, warm),
+            (window, window_config, oracle.greedy_window, {"width": width}, None),
+        ]
+        for stop in stops:
+            for engine, engine_config, reference, extra, fitted in cases:
+                label = f"{family} trial {trial} {engine.__name__} {stop} warm={fitted is warm}"
+                memo = oracle.MemoCost(probe.cost)
+                expected = reference(memo, n, min_size=min_size, jump=config.jump, **extra, **stop)
+                fitted = fit(spec, validate_signal(data)) if fitted is None else fitted
+                evals_before = fitted.eval_counter
+                if expected is None:
+                    error = InfeasibleError if "n_bkps" in stop else BudgetUnreachableError
+                    with pytest.raises(error):
+                        engine(fitted, StoppingRule(**stop), engine_config)
+                else:
+                    result = engine(fitted, StoppingRule(**stop), engine_config)
+                    assert result.bkps.ends == expected, label
+                    assert result.contrast == oracle.total_cost(memo, expected), label
+                    assert result.n_cost_evals == fitted.eval_counter - evals_before, label
+                # a fresh fit evaluates what the reference does, dynp's matrix nothing
+                evals = 0 if fitted is warm else len(memo.memo)
+                assert fitted.eval_counter - evals_before == evals, label
+
+
 def test_bottomup_budget_equal_to_a_trial_total_still_merges():
     """The budget test is `total > budget`: a merge landing exactly on the
     budget is taken, which only an exact left-to-right total gets right.
