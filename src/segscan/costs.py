@@ -27,7 +27,10 @@ cost(start, end) is one prefix difference plus at most one LAPACK call:
   one batched solve over the dimensions;
 - rbf kernel: the integral image of the upper triangle of the Gram matrix,
   built band by band, so a query reads two corners: O(1) instead of
-  O(end - start).
+  O(end - start).  Each row band is stored as one contiguous rectangle
+  from its first row's diagonal column rightwards, and a per-row base
+  offset locates an entry, so the image holds about half of n x n
+  entries and has no page for the lower triangle.
 
 Every completed cost() call bumps eval_counter by exactly one; increments are
 lock-protected so concurrent callers read exact totals.
@@ -115,15 +118,34 @@ class CostSpec:
             object.__setattr__(self, "metric", metric)
 
 
-def _check_dense(side: int, what: str) -> None:
-    """The one guard on dense side x side float64 matrices (the rbf integral
-    image and dynp's cost matrix): MemoryBudgetError, before anything is
-    allocated, for a side over 20,000, i.e. more than 3.2 GB."""
+def _check_dense(side: int, what: str, entries=lambda side: side * side) -> None:
+    """The one guard on the dense float64 structures a side indexes (the rbf
+    integral image and dynp's cost matrix): MemoryBudgetError, before anything
+    is allocated, for a side over 20,000.  entries(side) is the number of
+    float64 entries the structure allocates, side x side by default, so the
+    message names the bytes it would really take."""
     if side > _DENSE_SIDE_LIMIT:
         raise MemoryBudgetError(
-            f"{what} needs {side} x {side} float64 entries, {8 * side * side:,} bytes; "
-            f"the limit is {_DENSE_SIDE_LIMIT} per side, {8 * _DENSE_SIDE_LIMIT**2:,} bytes"
+            f"{what} needs {entries(side):,} float64 entries for a side of {side}, "
+            f"{8 * entries(side):,} bytes; the limit is {_DENSE_SIDE_LIMIT} per side, "
+            f"{8 * entries(_DENSE_SIDE_LIMIT):,} bytes"
         )
+
+
+def _band_rows(n: int) -> int:
+    """Rows per band of the rbf integral image of n samples: about
+    _BAND_ENTRIES entries each, and at most n, so the step x step mask of the
+    second sweep stays band-sized."""
+    return min(n, max(1, _BAND_ENTRIES // n))
+
+
+def _image_entries(n: int) -> int:
+    """float64 entries of the packed rbf integral image of n samples: band b
+    of the full ones holds step rows of n - b * step entries, and the last
+    n % step rows form one shorter band."""
+    step = _band_rows(n)
+    full, rest = divmod(n, step)
+    return step * (full * n - step * full * (full - 1) // 2) + rest * (n - full * step)
 
 
 def median_heuristic(signal) -> float:
@@ -418,12 +440,23 @@ class KernelCost(FittedCost):
     twice that, and a query reads two corners through a zero-copy float
     memoryview: O(1).  Adding f(a) + f(b) to every entry leaves the cost
     unchanged, so K is double-centred first, which keeps the corner values
-    small.  Row bands of a few hundred kB are swept twice: the first computes
-    the kernel and its row sums (the band's own row sums plus, by symmetry,
-    the column sums of the bands above it); the second centres each band,
-    takes its row prefix sums and adds each row onto the one above.  The
-    lower triangle is never written.  The image is n x n, so rbf signals
-    over 20,000 samples fail the dense-matrix guard (_check_dense) up front.
+    small.
+
+    The image is packed by row bands of a few hundred kB: band [lo, hi) is
+    a contiguous (hi - lo) x (n - lo) rectangle holding columns lo..n-1 of
+    its rows, and each band starts where the one above ends.  Entry (i, j),
+    j >= the first row of i's band, sits at flat[base[i] + j], base being one
+    offset per row.  The columns left of a band, most of the lower triangle,
+    get no storage, so the image takes about n^2 / 2 + n * step / 2 entries
+    (step rows per band) instead of n^2, and every page of it is written:
+    an n x n buffer with only its upper triangle written still becomes
+    resident almost whole once numpy advises huge pages.  The bands are swept
+    twice: the first computes the kernel and its row sums (the band's own
+    row sums plus, by symmetry, the column sums of the bands above it); the
+    second centres each band, takes its row prefix sums and adds each row
+    onto the one above, which for a band's first row is the last row of the
+    band above, read from column lo on.  rbf signals over 20,000 samples fail
+    the dense-matrix guard (_check_dense) up front.
     """
 
     family = "kernel"
@@ -436,19 +469,19 @@ class KernelCost(FittedCost):
             self._segment_cost = self._prefix.cost
             return
         n = signal.n_samples
-        _check_dense(n, "the rbf kernel's integral image")
+        _check_dense(n, "the rbf kernel's integral image", _image_entries)
         if spec.gamma == MEDIAN_HEURISTIC:
             self.gamma = median_heuristic(signal)
         else:
             self.gamma = float(spec.gamma)
-        image, self._diag_prefix = self._upper_image(_centred(signal.data))
-        self._n = n
+        image, self._base, self._diag_prefix = self._upper_image(_centred(signal.data))
         self._flat_image = memoryview(image).cast("B").cast("d")
         self._flat_diag = memoryview(self._diag_prefix).cast("B").cast("d")
 
     def _upper_image(self, data: np.ndarray):
-        """The integral image of the double-centred rbf Gram matrix's upper
-        triangle, and the prefix sums of its diagonal."""
+        """The packed integral image of the double-centred rbf Gram matrix's
+        upper triangle, its per-row base offsets, and the prefix sums of its
+        diagonal."""
         n, d = data.shape
         gamma = self.gamma
         sq = np.einsum("td,td->t", data, data)
@@ -461,16 +494,22 @@ class KernelCost(FittedCost):
         right[:d] = (2.0 * gamma) * data.T
         right[d] = -gamma
         right[d + 1] = -gamma * sq
-        image = np.empty((n, n))
+        image = np.empty(_image_entries(n))
+        base = [0] * n
+        bands = []
+        step = _band_rows(n)
+        offset = 0
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            size = (hi - lo) * (n - lo)
+            bands.append((lo, hi, image[offset : offset + size].reshape(hi - lo, n - lo)))
+            base[lo:hi] = range(offset - lo, offset - lo + size, n - lo)
+            offset += size
         ones = np.ones(n)
         sums = np.zeros(n)
         diag = np.empty(n)
-        # at most n rows: the step x step mask below must stay band-sized
-        step = min(n, max(1, _BAND_ENTRIES // n))
-        bands = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
         # first sweep: the kernel values and the full row sums
-        for lo, hi in bands:
-            band = image[lo:hi, lo:]
+        for lo, hi, band in bands:
             np.matmul(left[lo:hi], right[:, lo:], out=band)
             np.minimum(band, 0.0, out=band)
             np.exp(band, out=band)
@@ -485,23 +524,23 @@ class KernelCost(FittedCost):
         # second sweep: centre, clear the diagonal and below (only pairs a < b
         # are summed), prefix sums along each row, then down the rows
         lower = np.tri(step, dtype=bool)
-        for lo, hi in bands:
-            band = image[lo:hi, lo:]
+        for lo, hi, band in bands:
             band -= shift[lo:hi, None]
             band -= means[lo:]
             band[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
             np.cumsum(band, axis=1, out=band)
             for a in range(max(lo, 1), hi):
-                np.add(image[a, a:], image[a - 1, a:], out=image[a, a:])
-        return image, diag_prefix
+                row = image[base[a] + a : base[a] + n]
+                np.add(row, image[base[a - 1] + a : base[a - 1] + n], out=row)
+        return image, base, diag_prefix
 
     def _segment_cost(self, start, end):
         image = self._flat_image
-        n = self._n
+        base = self._base
         last = end - 1
-        pairs = image[last * n + last]
+        pairs = image[base[last] + last]
         if start:
-            pairs -= image[(start - 1) * n + last]
+            pairs -= image[base[start - 1] + last]
         diag = self._flat_diag[end] - self._flat_diag[start]
         value = diag - (diag + 2.0 * pairs) / (end - start)
         return value if value > 0.0 else 0.0

@@ -20,8 +20,9 @@ cached on the fitted cost per (min_size, jump) together with the dynp value
 table (values and integer backpointers per change count), which is extended
 under a lock instead of recomputed.  The other engines hold O(grid) state:
 they read dynp's matrix when dynp has already run on the same fitted cost
-and grid, and otherwise evaluate costs on demand, memoized only within one
-call, so repeating a pelt or greedy search pays its evaluations again.
+and grid (window for each segment whose ends are both grid positions), and
+otherwise evaluate costs on demand, memoized only within one call, so
+repeating a pelt or greedy search pays its evaluations again.
 Ties are always broken toward the smallest change point indices.
 """
 
@@ -150,24 +151,34 @@ def _result(fitted, ends, contrast, evals_before, n_pruned=0) -> DetectionResult
     )
 
 
-def _segment_cost(fitted, dense=None):
-    """cost(start, end) for one engine call.
+def _segment_cost(fitted, dense):
+    """cost(start, end) for one greedy engine call.
 
-    Reads dynp's matrix when `dense` holds one for the caller's grid;
-    otherwise evaluates through fitted.cost once per distinct segment of
-    this call.
+    Reads dynp's matrix when `dense` holds one for the caller's grid and both
+    ends are positions of that grid; otherwise evaluates through fitted.cost
+    once per distinct segment of this call.
     """
-    if dense is not None:
-        return dense.cost
     memo: dict[tuple[int, int], float] = {}
 
-    def cost(start: int, end: int) -> float:
+    def evaluated(start: int, end: int) -> float:
         key = (start, end)
         value = memo.get(key)
         if value is None:
             value = fitted.cost(start, end)
             memo[key] = value
         return value
+
+    if dense is None:
+        return evaluated
+    index = dense.pos_index
+    matrix = dense.matrix
+
+    def cost(start: int, end: int) -> float:
+        start_idx = index.get(start)
+        end_idx = index.get(end)
+        if start_idx is None or end_idx is None:
+            return evaluated(start, end)
+        return float(matrix[end_idx, start_idx])
 
     return cost
 
@@ -205,9 +216,6 @@ class _DynpState:
         self.layers = [0.0 + self.matrix[:, 0]]
         self.back: list[np.ndarray] = []
         self.rank = np.zeros(count, dtype=np.int64)
-
-    def cost(self, start: int, end: int) -> float:
-        return float(self.matrix[self.pos_index[end], self.pos_index[start]])
 
     def _extend_to(self, n_layers: int) -> None:
         index = np.arange(len(self.positions))
@@ -549,8 +557,10 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     score order (smallest t on a tie), the peaks at least min_size away from
     every earlier pick are moves for _add_greedily: it stops after n_bkps
     peaks, at the first score at or below the penalty, or once the total
-    cost fits the budget.  Requires config.window_width; raises
-    WindowTooLargeError when it exceeds the signal.
+    cost fits the budget.  After dynp on the same fitted cost and grid, a
+    segment whose ends are both grid positions is read from its matrix.
+    Requires config.window_width; raises WindowTooLargeError when it exceeds
+    the signal.
     """
     cfg, min_size, jump, _ = _prepare_greedy(fitted, stop, config)
     evals_before = fitted.eval_counter
@@ -565,7 +575,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             f"window_width {width} below twice the minimum segment length {min_size}"
         )
     half = width // 2
-    seg_cost = _segment_cost(fitted)
+    seg_cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
     grid = _grid(n_samples, half, jump)
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)

@@ -98,6 +98,62 @@ def centred_rbf_cost(data, gamma):
     return cost
 
 
+def square_rbf_image_cost(data, gamma):
+    """The rbf cost as the kernel family computed it from an n x n integral
+    image, before the image was packed into row bands.  data is the centred
+    signal the family fits.  The two sweeps are the family's own, in the same
+    order and on the same values, only over square-matrix views, so the
+    packed image must give the same costs bit for bit."""
+    n, d = data.shape
+    sq = np.einsum("td,td->t", data, data)
+    left = np.empty((n, d + 2))
+    left[:, :d] = data
+    left[:, d] = sq
+    left[:, d + 1] = 1.0
+    right = np.empty((d + 2, n))
+    right[:d] = (2.0 * gamma) * data.T
+    right[d] = -gamma
+    right[d + 1] = -gamma * sq
+    image = np.empty((n, n))
+    ones = np.ones(n)
+    sums = np.zeros(n)
+    diag = np.empty(n)
+    step = min(n, max(1, (1 << 16) // n))
+    bands = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    for lo, hi in bands:
+        band = image[lo:hi, lo:]
+        np.matmul(left[lo:hi], right[:, lo:], out=band)
+        np.minimum(band, 0.0, out=band)
+        np.exp(band, out=band)
+        diag[lo:hi] = band[:, : hi - lo].diagonal()
+        sums[lo:hi] += band @ ones[lo:]
+        sums[hi:] += ones[lo:hi] @ band[:, hi - lo :]
+    means = sums / n
+    grand = float(means.mean())
+    shift = means - grand
+    diag_prefix = np.zeros(n + 1)
+    np.cumsum(diag - 2.0 * means + grand, out=diag_prefix[1:])
+    lower = np.tri(step, dtype=bool)
+    for lo, hi in bands:
+        band = image[lo:hi, lo:]
+        band -= shift[lo:hi, None]
+        band -= means[lo:]
+        band[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
+        np.cumsum(band, axis=1, out=band)
+        for a in range(max(lo, 1), hi):
+            np.add(image[a, a:], image[a - 1, a:], out=image[a, a:])
+
+    def cost(a, b):
+        pairs = float(image[b - 1, b - 1])
+        if a:
+            pairs -= float(image[a - 1, b - 1])
+        diag_sum = float(diag_prefix[b]) - float(diag_prefix[a])
+        value = diag_sum - (diag_sum + 2.0 * pairs) / (b - a)
+        return value if value > 0.0 else 0.0
+
+    return cost
+
+
 def read_csv(path, header):
     """The CLI's CSV reader as it was before it parsed with np.loadtxt: the
     csv module, a float() call per cell, the record number in every error."""

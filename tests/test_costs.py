@@ -15,6 +15,7 @@ from segscan import (
     AUTO_METRIC,
     MEDIAN_HEURISTIC,
     CostSpec,
+    dynp,
     fit,
     median_heuristic,
     validate_signal,
@@ -471,8 +472,9 @@ def test_kernel_summaries_match_oracle(kernel, n_samples, conditioning):
 
 
 def test_kernel_rbf_keeps_one_gram_sized_buffer():
-    """The integral image is built in place: fitting allocates one n x n
-    float64 matrix, not a second one for the prefix sums."""
+    """The integral image is built in place and packed to the upper
+    triangle: fitting allocates about half an n x n float64 matrix, plus at
+    most one row band, and no second buffer for the prefix sums."""
     signal = validate_signal(np.random.default_rng(60).normal(size=(1500, 2)))
     tracemalloc.start()
     try:
@@ -481,8 +483,45 @@ def test_kernel_rbf_keeps_one_gram_sized_buffer():
     finally:
         tracemalloc.stop()
     gram_bytes = 1500 * 1500 * 8
-    assert fitted._flat_image.nbytes == gram_bytes
-    assert peak < 1.5 * gram_bytes
+    band_bytes = 8 * costs._BAND_ENTRIES
+    assert fitted._flat_image.nbytes <= gram_bytes / 2 + band_bytes
+    assert peak < 0.6 * gram_bytes
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 255, 256, 257, 1000, 2931])
+def test_packed_rbf_image_matches_square_image_bitwise(n_samples):
+    """The row-band packing changes where entries live, not how they are
+    computed: every cost equals the n x n image's bit for bit.  255 and 256
+    samples fit one band (the second exactly), 257 ends in a 2-row band, and
+    1000 and 2931 span many bands with a shorter last one."""
+    rng = np.random.default_rng(90 + n_samples)
+    data = step_signal(rng, n_samples, 2, "plain")
+    gamma = 0.5 if n_samples == 1 else MEDIAN_HEURISTIC
+    fitted = fit(CostSpec(family="kernel", kernel="rbf", gamma=gamma), validate_signal(data))
+    reference = oracle.square_rbf_image_cost(costs._centred(data), fitted.gamma)
+    if n_samples <= 257:
+        queries = [(a, b) for a in range(n_samples) for b in range(a + 1, n_samples + 1)]
+    else:
+        queries = random_queries(rng, n_samples, 1, count=2000)
+        queries += [(0, 1), (n_samples - 1, n_samples), (0, n_samples)]
+    for a, b in queries:
+        assert fitted.cost(a, b).hex() == reference(a, b).hex(), (a, b)
+
+
+def test_dense_guard_names_the_bytes_it_would_allocate():
+    """The refusal reports the structure's own size: the packed rbf image
+    takes about half of a side x side matrix, dynp's matrix all of it."""
+    side = 20_001
+    step = costs._BAND_ENTRIES // side
+    packed = sum((min(side, lo + step) - lo) * (side - lo) for lo in range(0, side, step))
+    with pytest.raises(MemoryBudgetError) as refused:
+        fit(CostSpec(family="kernel", kernel="rbf", gamma=1.0), validate_signal(np.zeros(side)))
+    assert f"{packed:,} float64 entries" in str(refused.value)
+    assert f"{8 * packed:,} bytes;" in str(refused.value)
+    assert 8 * packed < 0.51 * 8 * side**2
+    with pytest.raises(MemoryBudgetError) as refused:
+        dynp(fit(CostSpec("l2"), validate_signal(np.zeros(side - 1))), 1)
+    assert f"{8 * side**2:,} bytes;" in str(refused.value)
 
 
 @pytest.mark.parametrize(

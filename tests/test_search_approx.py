@@ -290,7 +290,7 @@ def test_bottomup_matches_greedy_reference(family):
 
 @pytest.mark.parametrize("family", ["l2", "normal", "kernel"])
 def test_split_engines_match_greedy_references(family):
-    """binseg (with and without dynp's matrix) and window give the ends,
+    """binseg and window, with and without dynp's matrix, give the ends,
     contrast, evaluation count and error class of their rescanning
     references under all three stopping rules."""
     rng = np.random.default_rng(420)
@@ -311,10 +311,12 @@ def test_split_engines_match_greedy_references(family):
         ]
         warm = fit(spec, validate_signal(data))
         dynp(warm, 0, config)
+        on_grid = {0, n, *oracle.admissible_grid(n, min_size, config.jump)}
         cases = [
             (binseg, config, oracle.greedy_binseg, {}, None),
             (binseg, config, oracle.greedy_binseg, {}, warm),
             (window, window_config, oracle.greedy_window, {"width": width}, None),
+            (window, window_config, oracle.greedy_window, {"width": width}, warm),
         ]
         for stop in stops:
             for engine, engine_config, reference, extra, fitted in cases:
@@ -332,9 +334,30 @@ def test_split_engines_match_greedy_references(family):
                     assert result.bkps.ends == expected, label
                     assert result.contrast == oracle.total_cost(memo, expected), label
                     assert result.n_cost_evals == fitted.eval_counter - evals_before, label
-                # a fresh fit evaluates what the reference does, dynp's matrix nothing
-                evals = 0 if fitted is warm else len(memo.memo)
+                # a fresh fit evaluates what the reference does; after dynp,
+                # only the segments with an end off dynp's grid
+                evals = len(memo.memo)
+                if fitted is warm:
+                    evals = sum(1 for segment in memo.memo if not on_grid.issuperset(segment))
                 assert fitted.eval_counter - evals_before == evals, label
+
+
+@pytest.mark.parametrize("kw", [{"family": "l2"}, {"family": "kernel", "kernel": "rbf"}])
+def test_window_after_dynp_on_a_unit_grid_evaluates_nothing(kw):
+    """With min_size 1 and jump 1 every window segment is a cell of dynp's
+    matrix, so window pays no evaluation and answers as on a cold fit."""
+    data = staircase(np.random.default_rng(440), noise=0.5)
+    config = SearchConfig(min_size=1, jump=1, window_width=20)
+    budget = 0.5 * fresh_fitted(data, **kw).cost(0, len(data))
+    warm = fresh_fitted(data, **kw)
+    dynp(warm, 0, config)
+    for stop in (StoppingRule(n_bkps=2), StoppingRule(penalty=1.0), StoppingRule(budget=budget)):
+        cold = window(fresh_fitted(data, **kw), stop, config)
+        again = window(warm, stop, config)
+        assert cold.n_cost_evals > 0
+        assert again.n_cost_evals == 0, stop
+        assert again.bkps.ends == cold.bkps.ends, stop
+        assert again.contrast.hex() == cold.contrast.hex(), stop
 
 
 def test_bottomup_budget_equal_to_a_trial_total_still_merges():

@@ -3,9 +3,11 @@
 Only dynp and solve_budget hold a dense grid x grid cost matrix, and they
 refuse grids above 20,000 positions before allocating it.  The other
 engines keep O(T) state, checked by the peak RSS of a fresh process.
-bottomup has its own, shorter signal.  Those checks run in a child process
-with a capped address space; the dynp layer's working set is measured in
-process with tracemalloc.
+bottomup has its own, shorter signal.  The rbf kernel's integral image is
+packed to the upper triangle, so fitting it raises the peak RSS by about
+half an n x n matrix.  Those checks run in a child process with a capped
+address space; the dynp layer's working set is measured in process with
+tracemalloc.
 """
 
 import json
@@ -22,6 +24,8 @@ LARGE_T = 6000
 DENSE_MB = (LARGE_T + 1) ** 2 * 8 / 1e6
 BOTTOMUP_T = 4000
 BOTTOMUP_DENSE_MB = (BOTTOMUP_T + 1) ** 2 * 8 / 1e6
+RBF_T = 3000
+RBF_GRAM_MB = RBF_T**2 * 8 / 1e6
 OVER_LIMIT_T = 20_000  # grid of 20,001 positions with jump 1
 ADDRESS_CAP = 2**30
 # the child's own high-water RSS.  Not ru_maxrss: Linux carries that across
@@ -79,6 +83,18 @@ peak_mb = peak_rss_mb()
 print(json.dumps({{"found": found.bkps.n_bkps, "peak_mb": peak_mb}}))
 """
 
+RBF_CHILD = PEAK_MB_SOURCE + f"""
+import json
+import numpy as np
+from segscan import CostSpec, fit
+
+signal = np.random.default_rng(9).normal(size=({RBF_T}, 2))
+before_mb = peak_rss_mb()
+fitted = fit(CostSpec(family="kernel", kernel="rbf"), signal)
+rise_mb = peak_rss_mb() - before_mb
+print(json.dumps({{"cost": fitted.cost(0, {RBF_T}), "rise_mb": rise_mb}}))
+"""
+
 OVER_LIMIT_CHILD = f"""
 import numpy as np
 from segscan import CostSpec, dynp, fit, solve_budget
@@ -113,6 +129,17 @@ def test_bottomup_stays_far_below_a_dense_matrix():
     assert report["peak_mb"] < BOTTOMUP_DENSE_MB / 2, (
         f"peak RSS {report['peak_mb']:.0f} MB; a dense cost matrix alone is "
         f"{BOTTOMUP_DENSE_MB:.0f} MB"
+    )
+
+
+def test_rbf_fit_stays_well_below_a_gram_matrix():
+    proc = run_capped("-c", RBF_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["cost"] > 0.0
+    assert report["rise_mb"] < 0.6 * RBF_GRAM_MB, (
+        f"an rbf fit raised the peak RSS by {report['rise_mb']:.1f} MB; "
+        f"the Gram matrix alone is {RBF_GRAM_MB:.0f} MB"
     )
 
 
