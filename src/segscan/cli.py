@@ -6,8 +6,8 @@ Exit codes
 2   bad flags or parameter values (also argparse's own errors)
 3   unreadable or malformed input files
 4   detection cannot proceed (infeasible request, budget out of reach,
-    window or memory limits, signal too short); the error class name is
-    printed to stderr
+    window or memory limits, signal too short, a singular segment system);
+    the error class name is printed to stderr
 5   a breakpoint list failed validation against the signal length
 
 ``detect`` and ``eval`` print a single JSON document on stdout and nothing
@@ -86,6 +86,7 @@ _EXIT_RULES = (
             SignalTooShortError,
             SegmentTooShortError,
             IndexOutOfRangeError,
+            np.linalg.LinAlgError,
         ),
         4,
     ),

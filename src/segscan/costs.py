@@ -6,9 +6,11 @@ Six families are available, selected by CostSpec.family:
 - "normal": (b - a) * log det of the biased segment covariance plus a 1e-6
   ridge (mean and scale shifts)
 - "linear": residual sum of squares of the first column regressed on the
-  remaining columns plus an intercept (shifts in a linear relation)
+  remaining columns plus an intercept, with a ridge of 1e-8 per sample on the
+  slopes (shifts in a linear relation)
 - "ar": per-dimension autoregression on `order` lags plus an intercept, using
-  only lags inside the segment (shifts in autoregressive coefficients)
+  only lags inside the segment, with the same ridge on the lag coefficients
+  (shifts in autoregressive coefficients)
 - "kernel": squared distance to the segment mean in the feature space of a
   linear or Gaussian kernel
 - "mahalanobis": squared Mahalanobis deviation from the segment mean, either
@@ -22,9 +24,11 @@ cost(start, end) is one prefix difference plus at most one LAPACK call:
   evaluation is O(d) plain float arithmetic with no numpy call;
 - normal: prefix sums of the outer products of [x, 1], with the ridge folded
   in, and one slogdet;
-- linear: prefix sums of the outer products of [x, 1, y] and one solve;
-- ar: per-dimension prefix sums of the outer products of [lags, 1, y] and
-  one batched solve over the dimensions;
+- linear: prefix sums of the outer products of the centred [x, 1, y], with
+  the ridge folded into the slope diagonal, then one solve and one product;
+- ar: per-dimension prefix sums of the outer products of the centred
+  [lags, 1, y], with the ridge folded into the lag diagonal, then one
+  batched solve over the dimensions and one batched product;
 - rbf kernel: the integral image of the upper triangle of the Gram matrix,
   built band by band, so a query reads two corners: O(1) instead of
   O(end - start).  Each row band is stored as one contiguous rectangle
@@ -63,6 +67,8 @@ _KERNELS = ("linear", "rbf")
 # the largest side of a dense float64 matrix (3.2 GB); see _check_dense
 _DENSE_SIDE_LIMIT = 20_000
 _COV_RIDGE = 1e-6
+# linear and ar: added once per residual row to the slope (lag) diagonal,
+# never to the intercept, so the costs stay shift-invariant and superadditive
 _REGRESSION_RIDGE = 1e-8
 _MEDIAN_PAIR_CAP = 10_000
 _MEDIAN_SEED = 12345
@@ -78,8 +84,10 @@ class CostSpec:
     and gamma (finite bandwidth > 0 or "median-heuristic") apply to "kernel".
     metric applies to "mahalanobis": a symmetric PSD matrix or "auto" to
     derive one from the whole signal.  superadditive declares that splitting a
-    segment never increases total cost; all shipped families satisfy it, and
-    setting it False disables pruning in the penalized search.
+    segment never increases total cost; all shipped families satisfy it (up to
+    rounding, checked on plain, near-constant, badly scaled and offset signals
+    by test_costs_are_superadditive in tests/test_costs.py), and setting it
+    False disables pruning in the penalized search.
     """
 
     family: str = "l2"
@@ -176,13 +184,17 @@ def median_heuristic(signal) -> float:
         sq = np.einsum("pd,pd->p", delta, delta)
     med = _median(sq)
     if med <= 0.0:
-        warnings.warn(
-            "all sampled pairwise distances are zero; falling back to gamma=1.0",
-            DegenerateSignalWarning,
-            stacklevel=2,
-        )
-        return 1.0
+        return _fallback_gamma("all sampled pairwise distances are zero")
     return 1.0 / med
+
+
+def _fallback_gamma(reason: str) -> float:
+    """The median heuristic's bandwidth when there is no distance to take the
+    median of: 1.0, with a DegenerateSignalWarning naming the reason."""
+    warnings.warn(
+        f"{reason}; falling back to gamma=1.0", DegenerateSignalWarning, stacklevel=3
+    )
+    return 1.0
 
 
 def _median(values: np.ndarray) -> float:
@@ -240,15 +252,22 @@ class _PrefixL2:
         return value if value > 0.0 else 0.0
 
 
-def _prefix_outer(rows: np.ndarray) -> np.ndarray:
-    """Prefix sums of the outer products of the last axis of `rows`.
+def _prefix_outer(rows: np.ndarray, ridge: float, diag) -> np.ndarray:
+    """Prefix sums of the outer products of the last axis of `rows`, with a
+    per-row ridge folded in.
 
-    out[t] sums rows[:t] outer rows[:t] over the first axis; the products are
-    written into the output and accumulated in place, with no second buffer.
+    out[t] sums rows[:t] outer rows[:t] over the first axis, plus t * ridge on
+    the diagonal entries listed in `diag`, so a prefix difference over m rows
+    carries m * ridge there: a ridge per sample, which keeps the families'
+    costs sums of per-row terms and so exactly superadditive.  The products
+    are written into the output and accumulated in place, with no second
+    buffer.
     """
     out = np.zeros((rows.shape[0] + 1,) + rows.shape[1:] + rows.shape[-1:])
     np.einsum("...i,...j->...ij", rows, rows, out=out[1:])
     np.cumsum(out[1:], axis=0, out=out[1:])
+    counts = np.arange(len(out), dtype=np.float64).reshape((-1,) + (1,) * (out.ndim - 2))
+    out[..., diag, diag] += ridge * counts
     return out
 
 
@@ -333,9 +352,7 @@ class NormalCost(FittedCost):
         aug = np.empty((n, d + 1))
         aug[:, :d] = _centred(data)
         aug[:, d] = 1.0
-        self._prod = _prefix_outer(aug)
-        diag = np.arange(d)
-        self._prod[:, diag, diag] += _COV_RIDGE * np.arange(n + 1.0)[:, None]
+        self._prod = _prefix_outer(aug, _COV_RIDGE, np.arange(d))
         self._n_aug = d + 1
 
     def _segment_cost(self, start, end):
@@ -345,11 +362,22 @@ class NormalCost(FittedCost):
 
 
 class LinearCost(FittedCost):
-    """RSS of column 0 regressed on the remaining columns plus an intercept.
+    """Penalised RSS of column 0 regressed on the remaining columns plus an
+    intercept.
 
-    The fit keeps prefix sums of the outer products of [x, 1, y]; a query
-    takes one prefix difference, adds the 1e-8 ridge (which keeps collinear
-    segments solvable) to its regressor block and solves once.
+    The cost of a segment of m rows is the minimum over coefficients b of
+    |y - X b|^2 + 1e-8 * m * |b_slopes|^2: a ridge of 1e-8 per sample on the
+    slopes, never on the intercept, which keeps collinear segments solvable
+    unless rounding swamps it (LinAlgError: two identical regressors at 1e9
+    scale, say, whose squared sums have no digit left for 1e-8).  The intercept absorbs any shift of the columns, so the cost is
+    shift-invariant and the fit summarises the centred signal.  Each row adds
+    its own squared residual plus the same ridge term, so the cost is exactly
+    superadditive.
+
+    The fit keeps prefix sums of the outer products of [x, 1, y] with the
+    ridge folded into the slope diagonal, so a prefix difference is the
+    penalised normal equations of the segment: a query is one solve and one
+    product, yy - xy . coef.
     """
 
     family = "linear"
@@ -358,34 +386,37 @@ class LinearCost(FittedCost):
         d = signal.n_dims
         super().__init__(spec, signal, min_seg_len=d + 1)
         n = signal.n_samples
+        centred = _centred(signal.data)
         aug = np.empty((n, d + 1))
-        aug[:, : d - 1] = signal.data[:, 1:]
+        aug[:, : d - 1] = centred[:, 1:]
         aug[:, d - 1] = 1.0
-        aug[:, d] = signal.data[:, 0]
-        self._prod = _prefix_outer(aug)
+        aug[:, d] = centred[:, 0]
+        self._prod = _prefix_outer(aug, _REGRESSION_RIDGE, np.arange(d - 1))
         self._n_reg = d
-        self._ridge = _REGRESSION_RIDGE * np.eye(d)
 
     def _segment_cost(self, start, end):
         k = self._n_reg
         block = self._prod[end] - self._prod[start]
-        gram = block[:k, :k]
         xy = block[:k, k]
-        coef = np.linalg.solve(gram + self._ridge, xy)
-        rss = block[k, k] - 2.0 * xy.dot(coef) + coef.dot(gram.dot(coef))
+        rss = block[k, k] - xy.dot(np.linalg.solve(block[:k, :k], xy))
         return rss if rss > 0.0 else 0.0
 
 
 class ARCost(FittedCost):
-    """Per-dimension autoregression cost, total RSS over dimensions.
+    """Per-dimension autoregression cost, total penalised RSS over dimensions.
 
     Each dimension is regressed on its own `order` lags plus an intercept.
     Only rows whose lags lie inside the segment contribute, so a segment
-    [start, end) yields end - start - order residuals per dimension.
+    [start, end) yields m = end - start - order residuals per dimension.  As
+    for "linear", each dimension's cost is the minimum of its RSS plus
+    1e-8 * m times the squared lag coefficients (the intercept is not
+    penalised): shift-invariant, computed from the centred signal, and exactly
+    superadditive.
 
     The fit keeps, per dimension, prefix sums of the outer products of
-    [lag_1, ..., lag_order, 1, y]; a query takes one prefix difference and
-    solves every dimension's normal equations in one batched call.
+    [lag_1, ..., lag_order, 1, y] with the ridge folded into the lag
+    diagonal; a query takes one prefix difference, one batched solve over
+    the dimensions and one batched product.
     """
 
     family = "ar"
@@ -397,27 +428,24 @@ class ARCost(FittedCost):
                 f"ar order {order} must be smaller than the signal length {signal.n_samples}"
             )
         super().__init__(spec, signal, min_seg_len=order + 2)
-        data = signal.data
+        data = _centred(signal.data)
         n, d = data.shape
         aug = np.empty((n - order, d, order + 2))
         for lag in range(1, order + 1):
             aug[:, :, lag - 1] = data[order - lag : n - lag, :]
         aug[:, :, order] = 1.0
         aug[:, :, order + 1] = data[order:, :]
-        self._prod = _prefix_outer(aug)
+        self._prod = _prefix_outer(aug, _REGRESSION_RIDGE, np.arange(order))
         self._order = order
-        self._ridge = _REGRESSION_RIDGE * np.eye(order + 1)
 
     def _segment_cost(self, start, end):
         k = self._order + 1
         block = self._prod[end - self._order] - self._prod[start]
-        gram = block[:, :k, :k]
         # an explicit (d, k, 1) right-hand side: a stack of column vectors
-        # under every numpy version
-        xy = block[:, :k, k:]
-        coef = np.linalg.solve(gram + self._ridge, xy)
-        coef_t = coef.transpose(0, 2, 1)
-        rss = block[:, k, k] - 2.0 * (coef_t @ xy).ravel() + (coef_t @ (gram @ coef)).ravel()
+        # under every numpy version; the block is symmetric, so its (d, 1, k)
+        # row slice is the same vectors transposed
+        coef = np.linalg.solve(block[:, :k, :k], block[:, :k, k:])
+        rss = block[:, k, k] - (block[:, k:, :k] @ coef).ravel()
         total = 0.0
         for value in rss.tolist():
             if value > 0.0:
@@ -471,7 +499,10 @@ class KernelCost(FittedCost):
         n = signal.n_samples
         _check_dense(n, "the rbf kernel's integral image", _image_entries)
         if spec.gamma == MEDIAN_HEURISTIC:
-            self.gamma = median_heuristic(signal)
+            # a single sample has no pair, and every cost is 0 whatever gamma is
+            self.gamma = (
+                median_heuristic(signal) if n > 1 else _fallback_gamma("one sample has no pairs")
+            )
         else:
             self.gamma = float(spec.gamma)
         image, self._base, self._diag_prefix = self._upper_image(_centred(signal.data))

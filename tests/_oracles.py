@@ -32,28 +32,43 @@ def normal_cost(data, a, b):
     return float(n * logdet)
 
 
-def linear_cost(data, a, b):
-    seg = data[a:b]
-    y = seg[:, 0]
-    x = np.column_stack([seg[:, 1:], np.ones(len(seg))])
-    gram = x.T @ x
-    coef = np.linalg.solve(gram + REG_RIDGE * np.eye(x.shape[1]), x.T @ y)
+def ridge_rss(x, y, n_slopes):
+    """min over b of |y - x b|^2 + REG_RIDGE * len(y) * |b[:n_slopes]|^2.
+
+    The minimiser comes from least squares on the rows of x stacked over one
+    penalty row per slope; the value is then the explicit residuals plus the
+    explicit penalty.  The remaining columns (the intercept) are not
+    penalised.
+    """
+    m, k = x.shape
+    weight = math.sqrt(REG_RIDGE * m)
+    rows = np.vstack([x, np.eye(n_slopes, k) * weight])
+    target = np.concatenate([y, np.zeros(n_slopes)])
+    coef = np.linalg.lstsq(rows, target, rcond=None)[0]
     resid = y - x @ coef
-    return float(resid @ resid)
+    slopes = coef[:n_slopes]
+    return float(resid @ resid + REG_RIDGE * m * (slopes @ slopes))
+
+
+def linear_cost(data, a, b):
+    """Column 0 regressed on the other columns plus an intercept.  The
+    intercept absorbs any offset, so the segment's own column means are taken
+    out first, which keeps offset signals from cancelling digits away."""
+    seg = data[a:b] - data[a:b].mean(axis=0)
+    x = np.column_stack([seg[:, 1:], np.ones(len(seg))])
+    return ridge_rss(x, seg[:, 0], seg.shape[1] - 1)
 
 
 def ar_cost(data, a, b, order):
+    """Each dimension regressed on its own `order` lags inside [a, b) plus an
+    intercept, after taking out the segment's mean, as in linear_cost."""
     total = 0.0
     for dim in range(data.shape[1]):
-        col = data[a:b, dim]
+        col = data[a:b, dim] - data[a:b, dim].mean()
         n = len(col)
-        y = col[order:]
         lags = [col[order - lag : n - lag] for lag in range(1, order + 1)]
         x = np.column_stack(lags + [np.ones(n - order)])
-        gram = x.T @ x
-        coef = np.linalg.solve(gram + REG_RIDGE * np.eye(order + 1), x.T @ y)
-        resid = y - x @ coef
-        total += float(resid @ resid)
+        total += ridge_rss(x, col[order:], order)
     return total
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 
@@ -208,6 +209,47 @@ def test_detect_infeasible_is_exit_4(clean_case):
                    "--method", "window", "--n-bkps", "1", "--window-width", "500")
     assert proc.returncode == 4
     assert "WindowTooLargeError" in proc.stderr
+
+
+def write_csv(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows.tolist())
+    return str(path)
+
+
+def test_detect_singular_segment_system_is_exit_4(tmp_path):
+    """Two identical regressors at 1e9 scale leave the 1e-8 ridge below the
+    rounding of their sums, so every segment's system is singular."""
+    rng = np.random.default_rng(91)
+    x = 1e9 * rng.normal(size=160)
+    path = write_csv(tmp_path / "collinear.csv", np.column_stack([rng.normal(size=160), x, x]))
+    proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", "linear",
+                   "--n-bkps", "2")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("segscan detect: LinAlgError:")
+    assert proc.stdout == ""
+
+
+def test_detect_linear_on_a_badly_scaled_signal(tmp_path):
+    data = 1e6 + 1e-6 * np.random.default_rng(92).normal(size=(160, 3))
+    path = write_csv(tmp_path / "scaled.csv", data)
+    proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", "linear",
+                   "--n-bkps", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["bkps"]) == 4
+
+
+def test_detect_rbf_on_one_sample(tmp_path):
+    """No pair, no bandwidth needed: the median heuristic's fallback, with its
+    warning on stderr, and the one segment costs 0."""
+    path = write_csv(tmp_path / "one.csv", np.array([[1.0]]))
+    proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", "rbf",
+                   "--n-bkps", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert "DegenerateSignalWarning" in proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["bkps"] == [1]
+    assert out["contrast"] == 0.0
 
 
 def test_eval_validation_failures(clean_case, tmp_path):

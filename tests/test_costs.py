@@ -436,20 +436,22 @@ def test_linear_summaries_match_oracle(dims, conditioning):
 @pytest.mark.parametrize("order", [1, 3, 4])
 def test_ar_summaries_match_oracle(order, dims, conditioning):
     """Segments with more residual rows than coefficients match at `close`.
-    With at most order + 1 rows the fit is exact up to the ridge and the RSS
-    is rounding residue of the prefix sums (the same at the parent commit),
-    so it is held to 1e-9 of the sum of squares those prefix sums hold."""
+    With at most order + 1 rows the fit is exact up to the ridge and the cost
+    is rounding residue of the prefix sums, so it is held to 1e-9 of the sum
+    of squares those prefix sums hold: that of the signal less its column
+    (lower) medians, which the family summarises."""
     rng = np.random.default_rng(40 + 10 * order + dims)
     data = ar_signal(rng, 200, dims, conditioning)
     fitted = fit(CostSpec(family="ar", order=order), validate_signal(data))
     assert fitted.min_seg_len == order + 2
+    centred = data - np.sort(data, axis=0)[(len(data) - 1) // 2]
     for a, b in summary_queries(rng, 200, fitted.min_seg_len, 150):
         value = fitted.cost(a, b)
         expected = oracle.ar_cost(data, a, b, order)
         if b - a - order > order + 1:
             assert close(value, expected), (a, b, value, expected)
         else:
-            energy = float((data[:b] ** 2).sum())
+            energy = float((centred[:b] ** 2).sum())
             assert abs(value - expected) <= 1e-9 * (1.0 + energy), (a, b, value, expected)
 
 
@@ -542,6 +544,18 @@ def test_kernel_rbf_tiny_signal_stays_small(n_samples, gamma):
     assert fitted.cost(0, n_samples) >= 0.0
 
 
+def test_kernel_rbf_fits_one_sample_with_the_fallback_bandwidth():
+    """One sample has no pair, so the median heuristic has nothing to take the
+    median of; the fit takes its degenerate fallback instead of refusing, and
+    median_heuristic itself still refuses."""
+    with pytest.warns(DegenerateSignalWarning, match="one sample has no pairs"):
+        fitted = fit(CostSpec(family="kernel"), validate_signal(np.array([[1.0]])))
+    assert fitted.gamma == 1.0
+    assert fitted.cost(0, 1) == 0.0
+    with pytest.raises(SignalTooShortError):
+        median_heuristic([[1.0]])
+
+
 @pytest.mark.parametrize("conditioning", list(CONDITIONING))
 @pytest.mark.parametrize("n_samples", [1000, 2931])
 def test_rbf_upper_image_matches_centred_gram(n_samples, conditioning):
@@ -561,3 +575,57 @@ def test_rbf_upper_image_matches_centred_gram(n_samples, conditioning):
         value = fitted.cost(a, b)
         expected = reference(a, b)
         assert abs(value - expected) <= 1e-10 * (1.0 + abs(expected)), (a, b, value, expected)
+
+
+# the signals of the superadditivity checks: a step signal x as it is, and
+# near-constant, badly scaled and offset versions of it
+SUPERADDITIVITY_SIGNALS = {
+    "plain": (0.0, 1.0),
+    "near-constant": (5.0, 1e-7),
+    "badly-scaled": (1e6, 1e-6),
+    "offset": (1e6, 1.0),
+}
+
+
+def superadditivity_signal(conditioning):
+    offset, scale = SUPERADDITIVITY_SIGNALS[conditioning]
+    data = step_signal(np.random.default_rng(95), 120, 3, "plain", relation=True)
+    return offset + scale * data
+
+
+def split_triples(rng, n_samples, min_len, count):
+    """Random a < t < b with at least min_len samples on each side of t."""
+    out = []
+    while len(out) < count:
+        a = int(rng.integers(0, n_samples - 2 * min_len + 1))
+        b = int(rng.integers(a + 2 * min_len, n_samples + 1))
+        t = int(rng.integers(a + min_len, b - min_len + 1))
+        out.append((a, t, b))
+    return out
+
+
+@pytest.mark.parametrize("conditioning", list(SUPERADDITIVITY_SIGNALS))
+@pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
+def test_costs_are_superadditive(family, kw, conditioning):
+    """What CostSpec.superadditive declares and pelt's pruning rests on:
+    splitting a segment never raises its cost, up to rounding."""
+    fitted = fit(CostSpec(family=family, **kw), validate_signal(superadditivity_signal(conditioning)))
+    rng = np.random.default_rng(96)
+    for a, t, b in split_triples(rng, fitted.n_samples, fitted.min_seg_len, 300):
+        whole, left, right = fitted.cost(a, b), fitted.cost(a, t), fitted.cost(t, b)
+        slack = 1e-9 * (1.0 + abs(whole) + abs(left) + abs(right))
+        assert whole >= left + right - slack, (a, t, b, whole, left, right)
+
+
+@pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
+def test_costs_are_shift_invariant(family, kw):
+    """The offset signal is the plain one plus 1e6: every family costs them
+    alike, which is what lets its summaries be taken of the centred signal."""
+    spec = CostSpec(family=family, **kw)
+    plain = fit(spec, validate_signal(superadditivity_signal("plain")))
+    offset = fit(spec, validate_signal(superadditivity_signal("offset")))
+    rng = np.random.default_rng(97)
+    for a, b in summary_queries(rng, plain.n_samples, plain.min_seg_len, 300):
+        value = plain.cost(a, b)
+        moved = offset.cost(a, b)
+        assert abs(moved - value) <= 1e-8 * (1.0 + abs(value)), (a, b, value, moved)

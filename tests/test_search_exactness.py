@@ -210,24 +210,8 @@ def pruned_pelt_mismatches(families):
     return mismatches
 
 
-# the ridge on the intercept makes these two families not exactly
-# shift-invariant, so their summaries are taken of the raw signal
-UNCENTRED = ("linear", "ar")
-
-
 def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals():
-    """The shift-invariant families summarise the centred signal, so their
-    costs keep superadditivity on offset signals and pruning stays exact."""
-    mismatches = pruned_pelt_mismatches([f for f in FAMILIES if f not in UNCENTRED])
-    assert not mismatches, mismatches
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="on ill-conditioned signals rounding leaves the computed costs short of "
-    "superadditivity, so pruning can drop the optimal candidate",
-)
-def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals_uncentred():
-    mismatches = pruned_pelt_mismatches(UNCENTRED)
+    """Every family summarises the centred signal, so its costs keep
+    superadditivity on offset signals and pruning stays exact."""
+    mismatches = pruned_pelt_mismatches(FAMILIES)
     assert not mismatches, mismatches
