@@ -212,8 +212,7 @@ def test_detect_infeasible_is_exit_4(clean_case):
 
 
 def write_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows.tolist())
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",")  # 17 digits round-trip exactly
     return str(path)
 
 

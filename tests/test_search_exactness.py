@@ -190,10 +190,11 @@ def test_exact_engines_match_enumeration_on_ill_conditioned_signals(family, cond
             assert result.contrast == expect_value, f"{label} k={k}"
 
 
-def pruned_pelt_mismatches(families):
-    """Ill-conditioned instances where pruned pelt differs from enumeration."""
+def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals():
+    """Every family summarises the centred signal, so its costs keep
+    superadditivity on offset signals and pruning stays exact."""
     mismatches = []
-    for family in families:
+    for family in FAMILIES:
         for conditioning in ILL_CONDITIONED:
             for trial, (data, config) in enumerate(ill_conditioned_instances(family, conditioning)):
                 n = len(data)
@@ -207,11 +208,4 @@ def pruned_pelt_mismatches(families):
                     result = pelt(fresh, pen, config)
                     if (result.bkps.ends, result.contrast) != expected:
                         mismatches.append(f"{family} {conditioning} trial {trial} pen={pen}")
-    return mismatches
-
-
-def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals():
-    """Every family summarises the centred signal, so its costs keep
-    superadditivity on offset signals and pruning stays exact."""
-    mismatches = pruned_pelt_mismatches(FAMILIES)
     assert not mismatches, mismatches
