@@ -6,8 +6,9 @@ Six families are available, selected by CostSpec.family:
 - "normal": (b - a) * log det of the biased segment covariance plus a 1e-6
   ridge (mean and scale shifts)
 - "linear": residual sum of squares of the first column regressed on the
-  remaining columns plus an intercept, with a ridge of 1e-8 per sample on the
-  slopes (shifts in a linear relation)
+  remaining columns plus an intercept, with a ridge per sample on the slopes:
+  1e-8, raised to the prefix sums' rounding for regressors at a large scale
+  (shifts in a linear relation)
 - "ar": per-dimension autoregression on `order` lags plus an intercept, using
   only lags inside the segment, with the same ridge on the lag coefficients
   (shifts in autoregressive coefficients)
@@ -68,8 +69,12 @@ _KERNELS = ("linear", "rbf")
 _DENSE_SIDE_LIMIT = 20_000
 _COV_RIDGE = 1e-6
 # linear and ar: added once per residual row to the slope (lag) diagonal,
-# never to the intercept, so the costs stay shift-invariant and superadditive
+# never to the intercept, so the costs stay shift-invariant and superadditive;
+# see _slope_ridge
 _REGRESSION_RIDGE = 1e-8
+# ... plus this share of the slope column's total square: 16 units of
+# float64 rounding of the prefix sums that hold it
+_RIDGE_FLOOR = 2.0**-48
 _MEDIAN_PAIR_CAP = 10_000
 _MEDIAN_SEED = 12345
 # float64 entries in one row band of the rbf integral image (512 kB)
@@ -259,9 +264,9 @@ def _prefix_outer(rows: np.ndarray, ridge: float, diag) -> np.ndarray:
     out[t] sums rows[:t] outer rows[:t] over the first axis, plus t * ridge on
     the diagonal entries listed in `diag`, so a prefix difference over m rows
     carries m * ridge there: a ridge per sample, which keeps the families'
-    costs sums of per-row terms and so exactly superadditive.  The products
-    are written into the output and accumulated in place, with no second
-    buffer.
+    costs sums of per-row terms and so exactly superadditive.  ridge is one
+    value, or one per entry of rows[0, ..., diag].  The products are written
+    into the output and accumulated in place, with no second buffer.
     """
     out = np.zeros((rows.shape[0] + 1,) + rows.shape[1:] + rows.shape[-1:])
     np.einsum("...i,...j->...ij", rows, rows, out=out[1:])
@@ -269,6 +274,24 @@ def _prefix_outer(rows: np.ndarray, ridge: float, diag) -> np.ndarray:
     counts = np.arange(len(out), dtype=np.float64).reshape((-1,) + (1,) * (out.ndim - 2))
     out[..., diag, diag] += ridge * counts
     return out
+
+
+def _slope_ridge(slopes: np.ndarray) -> np.ndarray:
+    """The ridge per residual row of linear and ar on each slope (lag)
+    column of `slopes`, whose first axis runs over the rows: 1e-8 plus 2^-48
+    times the column's sum of squares.
+
+    The prefix sums of a column's squares reach that sum, and a prefix
+    difference over m rows is off by at most m units of its rounding, 2^-53
+    of it each.  A ridge of m * 2^-48 of it outweighs that 32 times, so no
+    segment's ridge is rounded away: a segment where the regressor is
+    constant stays solvable at any level, also at the median after larger
+    values (a noiseless integer step down to 0).  A fixed 1e-8 alone is lost
+    once the sum passes about 1e8.  For a unit-variance regressor over n
+    samples the second term is 3.6e-15 * n: under 4% of the first up to
+    100,000 samples.
+    """
+    return _REGRESSION_RIDGE + _RIDGE_FLOOR * np.einsum("t...,t...->...", slopes, slopes)
 
 
 class FittedCost:
@@ -366,13 +389,15 @@ class LinearCost(FittedCost):
     intercept.
 
     The cost of a segment of m rows is the minimum over coefficients b of
-    |y - X b|^2 + 1e-8 * m * |b_slopes|^2: a ridge of 1e-8 per sample on the
-    slopes, never on the intercept, which keeps collinear segments solvable
-    unless rounding swamps it (LinAlgError: two identical regressors at 1e9
-    scale, say, whose squared sums have no digit left for 1e-8).  The intercept absorbs any shift of the columns, so the cost is
-    shift-invariant and the fit summarises the centred signal.  Each row adds
-    its own squared residual plus the same ridge term, so the cost is exactly
-    superadditive.
+    |y - X b|^2 + m * sum_j r_j b_j^2 over the slopes j, never the
+    intercept.  The ridge per sample r_j is 1e-8 plus 2^-48 times the sum of
+    squares of regressor j, less its median, over the whole signal
+    (_slope_ridge): the second term keeps the ridge above the rounding of
+    the prefix sums, so segments with a constant or collinear regressor stay
+    solvable at any scale.  The intercept absorbs any shift of the columns,
+    so the cost is shift-invariant and the fit summarises the centred
+    signal.  Each row adds its own squared residual plus the same ridge
+    term, so the cost is exactly superadditive.
 
     The fit keeps prefix sums of the outer products of [x, 1, y] with the
     ridge folded into the slope diagonal, so a prefix difference is the
@@ -391,7 +416,7 @@ class LinearCost(FittedCost):
         aug[:, : d - 1] = centred[:, 1:]
         aug[:, d - 1] = 1.0
         aug[:, d] = centred[:, 0]
-        self._prod = _prefix_outer(aug, _REGRESSION_RIDGE, np.arange(d - 1))
+        self._prod = _prefix_outer(aug, _slope_ridge(aug[:, : d - 1]), np.arange(d - 1))
         self._n_reg = d
 
     def _segment_cost(self, start, end):
@@ -408,9 +433,10 @@ class ARCost(FittedCost):
     Each dimension is regressed on its own `order` lags plus an intercept.
     Only rows whose lags lie inside the segment contribute, so a segment
     [start, end) yields m = end - start - order residuals per dimension.  As
-    for "linear", each dimension's cost is the minimum of its RSS plus
-    1e-8 * m times the squared lag coefficients (the intercept is not
-    penalised): shift-invariant, computed from the centred signal, and exactly
+    for "linear", each dimension's cost is the minimum of its RSS plus m
+    times a ridge per sample on each squared lag coefficient, from
+    _slope_ridge of that lag column (the intercept is not penalised):
+    shift-invariant, computed from the centred signal, and exactly
     superadditive.
 
     The fit keeps, per dimension, prefix sums of the outer products of
@@ -435,7 +461,7 @@ class ARCost(FittedCost):
             aug[:, :, lag - 1] = data[order - lag : n - lag, :]
         aug[:, :, order] = 1.0
         aug[:, :, order + 1] = data[order:, :]
-        self._prod = _prefix_outer(aug, _REGRESSION_RIDGE, np.arange(order))
+        self._prod = _prefix_outer(aug, _slope_ridge(aug[:, :, :order]), np.arange(order))
         self._order = order
 
     def _segment_cost(self, start, end):

@@ -15,6 +15,7 @@ import numpy as np
 
 COV_RIDGE = 1e-6
 REG_RIDGE = 1e-8
+RIDGE_FLOOR = 2.0**-48
 
 
 def l2_cost(data, a, b):
@@ -32,43 +33,64 @@ def normal_cost(data, a, b):
     return float(n * logdet)
 
 
-def ridge_rss(x, y, n_slopes):
-    """min over b of |y - x b|^2 + REG_RIDGE * len(y) * |b[:n_slopes]|^2.
+def lower_median(data):
+    """Each column's lower median: the middle sample, the smaller of the two
+    for an even count."""
+    return np.sort(data, axis=0)[(len(data) - 1) // 2]
+
+
+def slope_ridge(columns, n_rows):
+    """The ridge weight of each slope column over n_rows residual rows:
+    n_rows times REG_RIDGE plus RIDGE_FLOOR times the column's sum of
+    squares.  columns holds the slope columns over the whole signal, taken
+    less its lower medians."""
+    return n_rows * (REG_RIDGE + RIDGE_FLOOR * (columns * columns).sum(axis=0))
+
+
+def ridge_rss(x, y, weights):
+    """min over b of |y - x b|^2 + sum_j weights[j] * b_j^2, for the first
+    len(weights) columns of x (the slopes).
 
     The minimiser comes from least squares on the rows of x stacked over one
     penalty row per slope; the value is then the explicit residuals plus the
     explicit penalty.  The remaining columns (the intercept) are not
     penalised.
     """
-    m, k = x.shape
-    weight = math.sqrt(REG_RIDGE * m)
-    rows = np.vstack([x, np.eye(n_slopes, k) * weight])
+    n_slopes = len(weights)
+    rows = np.vstack([x, np.eye(n_slopes, x.shape[1]) * np.sqrt(weights)[:, None]])
     target = np.concatenate([y, np.zeros(n_slopes)])
     coef = np.linalg.lstsq(rows, target, rcond=None)[0]
     resid = y - x @ coef
     slopes = coef[:n_slopes]
-    return float(resid @ resid + REG_RIDGE * m * (slopes @ slopes))
+    return float(resid @ resid + weights @ (slopes * slopes))
 
 
 def linear_cost(data, a, b):
     """Column 0 regressed on the other columns plus an intercept.  The
     intercept absorbs any offset, so the segment's own column means are taken
-    out first, which keeps offset signals from cancelling digits away."""
+    out first, which keeps offset signals from cancelling digits away; the
+    ridge weights read the regressors less the whole signal's medians."""
     seg = data[a:b] - data[a:b].mean(axis=0)
     x = np.column_stack([seg[:, 1:], np.ones(len(seg))])
-    return ridge_rss(x, seg[:, 0], seg.shape[1] - 1)
+    weights = slope_ridge(data[:, 1:] - lower_median(data[:, 1:]), b - a)
+    return ridge_rss(x, seg[:, 0], weights)
 
 
 def ar_cost(data, a, b, order):
     """Each dimension regressed on its own `order` lags inside [a, b) plus an
     intercept, after taking out the segment's mean, as in linear_cost."""
+    centred = data - lower_median(data)
+    n_samples = len(data)
     total = 0.0
     for dim in range(data.shape[1]):
         col = data[a:b, dim] - data[a:b, dim].mean()
         n = len(col)
         lags = [col[order - lag : n - lag] for lag in range(1, order + 1)]
         x = np.column_stack(lags + [np.ones(n - order)])
-        total += ridge_rss(x, col[order:], order)
+        columns = np.column_stack(
+            [centred[order - lag : n_samples - lag, dim] for lag in range(1, order + 1)]
+        )
+        total += ridge_rss(x, col[order:], slope_ridge(columns, n - order))
     return total
 
 

@@ -216,17 +216,45 @@ def write_csv(path, rows):
     return str(path)
 
 
-def test_detect_singular_segment_system_is_exit_4(tmp_path):
-    """Two identical regressors at 1e9 scale leave the 1e-8 ridge below the
-    rounding of their sums, so every segment's system is singular."""
+def collinear_csv(tmp_path):
+    """160 rows y, x, x with x = 1e9 * N(0, 1)."""
     rng = np.random.default_rng(91)
     x = 1e9 * rng.normal(size=160)
-    path = write_csv(tmp_path / "collinear.csv", np.column_stack([rng.normal(size=160), x, x]))
-    proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", "linear",
-                   "--n-bkps", "2")
+    return write_csv(tmp_path / "collinear.csv", np.column_stack([rng.normal(size=160), x, x]))
+
+
+def test_detect_singular_segment_system_is_exit_4(tmp_path):
+    """Two identical columns at 1e9 scale: the whole-signal covariance that
+    mahalanobis inverts is singular once rounding swamps its 1e-6 ridge."""
+    proc = run_cli("detect", "--input", collinear_csv(tmp_path), "--method", "binseg",
+                   "--cost", "mahalanobis", "--n-bkps", "2")
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("segscan detect: LinAlgError:")
     assert proc.stdout == ""
+
+
+def test_detect_linear_on_identical_regressors(tmp_path):
+    """The same two identical regressors: linear's slope ridge stays above
+    the rounding of their squared sums, so every segment's system stays
+    solvable."""
+    proc = run_cli("detect", "--input", collinear_csv(tmp_path), "--method", "binseg",
+                   "--cost", "linear", "--n-bkps", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["bkps"]) == 3
+
+
+@pytest.mark.parametrize("levels", [(0.0, 65536.0), (65536.0, 0.0)])
+@pytest.mark.parametrize("cost", ["linear", "ar"])
+def test_detect_regression_costs_on_an_integer_step(tmp_path, cost, levels):
+    """A noiseless integer step: inside each level the regressor is exactly
+    constant, at 65536 or at the median after rows at 65536."""
+    step = np.repeat(levels, 80)
+    path = write_csv(tmp_path / "step.csv", np.column_stack([step, step]))
+    order = ["--order", "1"] if cost == "ar" else []
+    proc = run_cli("detect", "--input", path, "--method", "pelt", "--cost", cost, *order,
+                   "--pen", "10")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["bkps"][-1] == 160
 
 
 def test_detect_linear_on_a_badly_scaled_signal(tmp_path):

@@ -444,7 +444,7 @@ def test_ar_summaries_match_oracle(order, dims, conditioning):
     data = ar_signal(rng, 200, dims, conditioning)
     fitted = fit(CostSpec(family="ar", order=order), validate_signal(data))
     assert fitted.min_seg_len == order + 2
-    centred = data - np.sort(data, axis=0)[(len(data) - 1) // 2]
+    centred = data - oracle.lower_median(data)
     for a, b in summary_queries(rng, 200, fitted.min_seg_len, 150):
         value = fitted.cost(a, b)
         expected = oracle.ar_cost(data, a, b, order)
@@ -453,6 +453,33 @@ def test_ar_summaries_match_oracle(order, dims, conditioning):
         else:
             energy = float((centred[:b] ** 2).sum())
             assert abs(value - expected) <= 1e-9 * (1.0 + energy), (a, b, value, expected)
+
+
+@pytest.mark.parametrize("levels", [(0.0, 65536.0), (65536.0, 0.0), (5000.0, 1.0, 0.0)])
+@pytest.mark.parametrize("family", ["linear", "ar"])
+def test_regression_summaries_match_oracle_on_integer_steps(family, levels):
+    """Integer levels with no noise, 60 rows each: inside a level the
+    regressor is exactly constant, at any height or at the median after
+    larger values.  Every segment is solvable and matches the definition.
+    Where the rows fit exactly the cost is rounding residue of the prefix
+    sums, so the bound is 1e-9 of the energy of the centred signal, as for
+    the short ar segments above."""
+    step = np.repeat(levels, 60)
+    if family == "ar":
+        data = step[:, None]
+    else:
+        noise = np.random.default_rng(98).integers(-3, 4, size=len(step))
+        data = np.column_stack([step + noise, step])
+    fitted = fit(CostSpec(family=family, order=1), validate_signal(data))
+    energy = float(((data - oracle.lower_median(data)) ** 2).sum())
+    rng = np.random.default_rng(99)
+    for a, b in summary_queries(rng, len(data), fitted.min_seg_len, 150):
+        value = fitted.cost(a, b)
+        if family == "ar":
+            expected = oracle.ar_cost(data, a, b, 1)
+        else:
+            expected = oracle.linear_cost(data, a, b)
+        assert abs(value - expected) <= 1e-9 * (1.0 + energy), (a, b, value, expected)
 
 
 @pytest.mark.parametrize("conditioning", list(CONDITIONING))
@@ -609,7 +636,8 @@ def split_triples(rng, n_samples, min_len, count):
 def test_costs_are_superadditive(family, kw, conditioning):
     """What CostSpec.superadditive declares and pelt's pruning rests on:
     splitting a segment never raises its cost, up to rounding."""
-    fitted = fit(CostSpec(family=family, **kw), validate_signal(superadditivity_signal(conditioning)))
+    signal = validate_signal(superadditivity_signal(conditioning))
+    fitted = fit(CostSpec(family=family, **kw), signal)
     rng = np.random.default_rng(96)
     for a, t, b in split_triples(rng, fitted.n_samples, fitted.min_seg_len, 300):
         whole, left, right = fitted.cost(a, b), fitted.cost(a, t), fitted.cost(t, b)

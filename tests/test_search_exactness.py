@@ -209,3 +209,42 @@ def test_pruned_pelt_matches_enumeration_on_ill_conditioned_signals():
                     if (result.bkps.ends, result.contrast) != expected:
                         mismatches.append(f"{family} {conditioning} trial {trial} pen={pen}")
     assert not mismatches, mismatches
+
+
+# integer levels 0 and 65536 with no noise: inside a level the regressor is
+# exactly constant, and its squares, 2^32 a row, leave no digit in the prefix
+# sums for a ridge of a fixed 1e-8 a row
+INTEGER_STEPS = {"up": (0.0, 65536.0), "down": (65536.0, 0.0)}
+
+
+def integer_step_signal(family, levels):
+    """8 rows a level.  ar: the step itself; linear: the step as the
+    regressor, the step plus small integer noise as the response."""
+    step = np.repeat(levels, 8)
+    if family == "ar":
+        return step[:, None]
+    noise = np.random.default_rng(310).integers(-3, 4, size=len(step))
+    return np.column_stack([step + noise, step])
+
+
+@pytest.mark.parametrize("levels", list(INTEGER_STEPS))
+@pytest.mark.parametrize("family", ["linear", "ar"])
+def test_exact_engines_match_enumeration_on_integer_steps(family, levels):
+    """The slope ridge never falls below the rounding of the prefix sums, so
+    every segment stays solvable: pruned pelt and dynp run and match
+    enumeration."""
+    data = integer_step_signal(family, INTEGER_STEPS[levels])
+    n = len(data)
+    config = SearchConfig()
+    fresh = fitted_for(family, data)
+    min_size = max(config.min_size, fresh.min_seg_len)
+    memo = oracle.MemoCost(fitted_for(family, data).cost)
+    for pen in penalties(memo, n):
+        expected = oracle.best_penalized(memo, n, pen, min_size=min_size)
+        result = pelt(fresh, pen, config)
+        assert (result.bkps.ends, result.contrast) == expected, pen
+    warm = fitted_for(family, data)
+    for k in range(3):
+        result = dynp(warm, k, config)
+        expected = oracle.best_fixed_k(memo, n, k, min_size=min_size)
+        assert (result.bkps.ends, result.contrast) == expected, k
