@@ -436,11 +436,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(command, message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning in the one-line form of the CLI's errors, with no
+    source line: a warning is about the input, not about segscan's code."""
+    print(f"segscan {command}: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _HANDLED as exc:
-        print(f"segscan {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+    # catch_warnings puts the caller's warnings.showwarning back on return
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning, args.command)
+        try:
+            return args.func(args)
+        except _HANDLED as exc:
+            print(f"segscan {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return _exit_code(exc)

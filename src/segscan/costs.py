@@ -37,6 +37,17 @@ cost(start, end) is one prefix difference plus at most one LAPACK call:
   offset locates an entry, so the image holds about half of n x n
   entries and has no page for the lower triangle.
 
+The LAPACK calls of normal, linear and ar go straight to the gufuncs behind
+np.linalg.slogdet and np.linalg.solve (numpy.linalg._umath_linalg), with the
+same inner loops.  Those wrappers convert, check and promote their operands
+and set an errstate on every call, which costs more than LAPACK does on
+these small systems; the summaries are float64 and shaped once, at fit, so
+none of that work is needed per query.  The wrapper's one contract kept by
+hand is that a singular system raises np.linalg.LinAlgError: the gufunc
+solves it to NaN instead (with numpy's invalid-value RuntimeWarning), and
+linear and ar raise on a NaN cost.  fit refuses summaries that overflow
+float64 with NonFiniteValueError, so a NaN cannot come from anywhere else.
+
 Every completed cost() call bumps eval_counter by exactly one; increments are
 lock-protected so concurrent callers read exact totals.
 """
@@ -49,6 +60,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import slogdet as _slogdet
+from numpy.linalg._umath_linalg import solve as _solve
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import Signal, _checked_int, _checked_real, validate_signal
 from .exceptions import (
@@ -56,6 +70,7 @@ from .exceptions import (
     DegenerateSignalWarning,
     IndexOutOfRangeError,
     MemoryBudgetError,
+    NonFiniteValueError,
     SegmentTooShortError,
     SignalTooShortError,
 )
@@ -240,6 +255,7 @@ class _PrefixL2:
         np.cumsum(centred, axis=0, out=self.sums[1:])
         self.sq = np.zeros(n + 1)
         np.cumsum(np.einsum("td,td->t", centred, centred), out=self.sq[1:])
+        _check_totals(self.sums[-1], self.sq[-1])
         self._d = d
         self._flat_sums = memoryview(self.sums).cast("B").cast("d")
         self._flat_sq = memoryview(self.sq).cast("B").cast("d")
@@ -273,7 +289,16 @@ def _prefix_outer(rows: np.ndarray, ridge: float, diag) -> np.ndarray:
     np.cumsum(out[1:], axis=0, out=out[1:])
     counts = np.arange(len(out), dtype=np.float64).reshape((-1,) + (1,) * (out.ndim - 2))
     out[..., diag, diag] += ridge * counts
+    _check_totals(out[-1])
     return out
+
+
+def _check_totals(*totals) -> None:
+    """NonFiniteValueError unless the last rows of a fit's prefix summaries
+    are finite.  A running sum that overflows stays inf or NaN, so the whole
+    summary is finite when its last row is.  fit names the family."""
+    if not all(np.isfinite(total).all() for total in totals):
+        raise NonFiniteValueError("its summaries overflow float64; rescale the signal")
 
 
 def _slope_ridge(slopes: np.ndarray) -> np.ndarray:
@@ -363,7 +388,9 @@ class NormalCost(FittedCost):
     diagonal at row t.  For a segment of length m the prefix difference is
     then B + m * diag(ridge, ..., ridge, 0), where B holds the scatter, the
     sums and m, and its determinant is m^(d+1) det(cov + ridge * I): one
-    slogdet per query gives the cost.
+    slogdet per query gives the cost, from the gufunc itself (see the module
+    docstring).  A singular block gives a log-determinant of -inf, as
+    np.linalg.slogdet does.
     """
 
     family = "normal"
@@ -380,7 +407,7 @@ class NormalCost(FittedCost):
 
     def _segment_cost(self, start, end):
         length = end - start
-        _, logdet = np.linalg.slogdet(self._prod[end] - self._prod[start])
+        logdet = _slogdet(self._prod[end] - self._prod[start])[1]
         return length * (logdet - self._n_aug * math.log(length))
 
 
@@ -402,7 +429,9 @@ class LinearCost(FittedCost):
     The fit keeps prefix sums of the outer products of [x, 1, y] with the
     ridge folded into the slope diagonal, so a prefix difference is the
     penalised normal equations of the segment: a query is one solve and one
-    product, yy - xy . coef.
+    product, yy - xy . coef.  The solve is the gufunc itself (see the module
+    docstring); a singular system solves to NaN, and the query raises
+    np.linalg.LinAlgError for it, as np.linalg.solve does.
     """
 
     family = "linear"
@@ -423,7 +452,9 @@ class LinearCost(FittedCost):
         k = self._n_reg
         block = self._prod[end] - self._prod[start]
         xy = block[:k, k]
-        rss = block[k, k] - xy.dot(np.linalg.solve(block[:k, :k], xy))
+        rss = block[k, k] - xy.dot(_solve1(block[:k, :k], xy))
+        if rss != rss:
+            raise np.linalg.LinAlgError("Singular matrix")
         return rss if rss > 0.0 else 0.0
 
 
@@ -442,7 +473,9 @@ class ARCost(FittedCost):
     The fit keeps, per dimension, prefix sums of the outer products of
     [lag_1, ..., lag_order, 1, y] with the ridge folded into the lag
     diagonal; a query takes one prefix difference, one batched solve over
-    the dimensions and one batched product.
+    the dimensions and one batched product.  As for "linear", the solve is
+    the gufunc itself, and a singular system in any dimension raises
+    np.linalg.LinAlgError.
     """
 
     family = "ar"
@@ -467,15 +500,17 @@ class ARCost(FittedCost):
     def _segment_cost(self, start, end):
         k = self._order + 1
         block = self._prod[end - self._order] - self._prod[start]
-        # an explicit (d, k, 1) right-hand side: a stack of column vectors
-        # under every numpy version; the block is symmetric, so its (d, 1, k)
-        # row slice is the same vectors transposed
-        coef = np.linalg.solve(block[:, :k, :k], block[:, :k, k:])
+        # the (d, k, 1) right-hand side is a stack of column vectors, as the
+        # (m,m),(m,n)->(m,n) gufunc takes them; the block is symmetric, so
+        # its (d, 1, k) row slice is the same vectors transposed
+        coef = _solve(block[:, :k, :k], block[:, :k, k:])
         rss = block[:, k, k] - (block[:, k:, :k] @ coef).ravel()
         total = 0.0
         for value in rss.tolist():
             if value > 0.0:
                 total += value
+            elif value != value:
+                raise np.linalg.LinAlgError("Singular matrix")
         return total
 
 
@@ -589,6 +624,9 @@ class KernelCost(FittedCost):
             for a in range(max(lo, 1), hi):
                 row = image[base[a] + a : base[a] + n]
                 np.add(row, image[base[a - 1] + a : base[a - 1] + n], out=row)
+        # a NaN kernel value reaches the grand mean, which the centring takes
+        # from every entry, so the last corner shows it
+        _check_totals(image[base[-1] + n - 1], diag_prefix[-1])
         return image, base, diag_prefix
 
     def _segment_cost(self, start, end):
@@ -651,11 +689,19 @@ def fit(spec: CostSpec, signal) -> FittedCost:
     as large as the signal), SignalTooShortError when even one segment of the
     family's minimum length does not fit, and MemoryBudgetError from the
     dense-matrix guard (_check_dense) for rbf signals over 20,000 samples.
+    Raises NonFiniteValueError, naming the family, when the summaries
+    overflow float64 (squares of values beyond about 1e154, say): the
+    queries would otherwise answer 0.0 or NaN.  The summaries are built under
+    one np.errstate, so such an overflow emits no numpy RuntimeWarning.
     """
     if not isinstance(spec, CostSpec):
         raise BadParamError(f"expected a CostSpec, got {type(spec).__name__}")
     sig = validate_signal(signal)
-    fitted = _FAMILY_CLASSES[spec.family](spec, sig)
+    try:
+        with np.errstate(all="ignore"):
+            fitted = _FAMILY_CLASSES[spec.family](spec, sig)
+    except NonFiniteValueError as exc:
+        raise NonFiniteValueError(f"{spec.family} cost: {exc}") from None
     if sig.n_samples < fitted.min_seg_len:
         raise SignalTooShortError(
             f"signal length {sig.n_samples} below the family minimum {fitted.min_seg_len}"

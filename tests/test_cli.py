@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -25,6 +26,16 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that fails on NaN, Infinity and -Infinity, which Python's
+    json accepts but strict JSON readers refuse."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +58,7 @@ def test_generate_writes_csv_and_truth(clean_case):
         rows = list(csv.reader(fh))
     assert len(rows) == 180
     assert all(len(row) == 2 for row in rows)
-    truth = json.loads(truth_path.read_text())
+    truth = strict_json(truth_path.read_text())
     assert truth["T"] == 180
     assert truth["bkps"][-1] == 180
     assert len(truth["bkps"]) == 4
@@ -85,13 +96,13 @@ def test_generate_infeasible_spacing(tmp_path):
 
 
 def test_detect_roundtrip_and_eval(clean_case, tmp_path):
-    truth = json.loads((clean_case / "truth.json").read_text())
+    truth = strict_json((clean_case / "truth.json").read_text())
     detect = run_cli(
         "detect", "--input", str(clean_case / "signal.csv"),
         "--method", "dynp", "--cost", "l2", "--n-bkps", "3",
     )
     assert detect.returncode == 0, detect.stderr
-    payload = json.loads(detect.stdout)
+    payload = strict_json(detect.stdout)
     assert payload["bkps"] == truth["bkps"]
     assert set(payload) == {
         "bkps", "contrast", "method", "cost", "stopping",
@@ -106,7 +117,7 @@ def test_detect_roundtrip_and_eval(clean_case, tmp_path):
     evaled = run_cli("eval", "--truth", str(clean_case / "truth.json"),
                      "--pred", str(pred_path), "--margin", "0")
     assert evaled.returncode == 0, evaled.stderr
-    scores = json.loads(evaled.stdout)
+    scores = strict_json(evaled.stdout)
     assert set(scores) == {"hausdorff", "rand_index", "precision", "recall"}
     assert scores["hausdorff"] == 0
     assert scores["rand_index"] == 1.0
@@ -116,8 +127,8 @@ def test_detect_roundtrip_and_eval(clean_case, tmp_path):
 def test_detect_is_deterministic_apart_from_timing(clean_case):
     args = ("detect", "--input", str(clean_case / "signal.csv"),
             "--method", "pelt", "--pen", "0.5")
-    first = json.loads(run_cli(*args).stdout)
-    second = json.loads(run_cli(*args).stdout)
+    first = strict_json(run_cli(*args).stdout)
+    second = strict_json(run_cli(*args).stdout)
     first.pop("elapsed_ms")
     second.pop("elapsed_ms")
     assert first == second
@@ -136,7 +147,7 @@ def test_detect_every_method_runs(clean_case):
         proc = run_cli("detect", "--input", str(clean_case / "signal.csv"),
                        "--method", method, *extra)
         assert proc.returncode == 0, (method, proc.stderr)
-        assert json.loads(proc.stdout)["method"] == method
+        assert strict_json(proc.stdout)["method"] == method
 
 
 def test_detect_cost_variants(clean_case):
@@ -152,6 +163,7 @@ def test_detect_cost_variants(clean_case):
                        "--method", "binseg", "--cost", cost, "--n-bkps", "2",
                        "--min-size", "6", *extra)
         assert proc.returncode == 0, (cost, proc.stderr)
+        assert strict_json(proc.stdout)["cost"] == cost
 
 
 def test_detect_flag_combinations_rejected(clean_case):
@@ -240,7 +252,7 @@ def test_detect_linear_on_identical_regressors(tmp_path):
     proc = run_cli("detect", "--input", collinear_csv(tmp_path), "--method", "binseg",
                    "--cost", "linear", "--n-bkps", "2")
     assert proc.returncode == 0, proc.stderr
-    assert len(json.loads(proc.stdout)["bkps"]) == 3
+    assert len(strict_json(proc.stdout)["bkps"]) == 3
 
 
 @pytest.mark.parametrize("levels", [(0.0, 65536.0), (65536.0, 0.0)])
@@ -254,7 +266,7 @@ def test_detect_regression_costs_on_an_integer_step(tmp_path, cost, levels):
     proc = run_cli("detect", "--input", path, "--method", "pelt", "--cost", cost, *order,
                    "--pen", "10")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["bkps"][-1] == 160
+    assert strict_json(proc.stdout)["bkps"][-1] == 160
 
 
 def test_detect_linear_on_a_badly_scaled_signal(tmp_path):
@@ -263,20 +275,66 @@ def test_detect_linear_on_a_badly_scaled_signal(tmp_path):
     proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", "linear",
                    "--n-bkps", "3")
     assert proc.returncode == 0, proc.stderr
-    assert len(json.loads(proc.stdout)["bkps"]) == 4
+    assert len(strict_json(proc.stdout)["bkps"]) == 4
 
 
 def test_detect_rbf_on_one_sample(tmp_path):
     """No pair, no bandwidth needed: the median heuristic's fallback, with its
-    warning on stderr, and the one segment costs 0."""
+    warning on stderr in the CLI's one-line form, and the one segment costs 0."""
     path = write_csv(tmp_path / "one.csv", np.array([[1.0]]))
     proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", "rbf",
                    "--n-bkps", "0")
     assert proc.returncode == 0, proc.stderr
-    assert "DegenerateSignalWarning" in proc.stderr
-    out = json.loads(proc.stdout)
+    assert proc.stderr == (
+        "segscan detect: DegenerateSignalWarning: "
+        "one sample has no pairs; falling back to gamma=1.0\n"
+    )
+    out = strict_json(proc.stdout)
     assert out["bkps"] == [1]
     assert out["contrast"] == 0.0
+
+
+def test_detect_rbf_on_a_constant_signal_warns_in_one_line(tmp_path):
+    """Every pairwise distance is zero: the median heuristic falls back to
+    gamma=1.0, and stderr holds that one line, with no source line."""
+    path = write_csv(tmp_path / "constant.csv", np.full((20, 2), 3.0))
+    proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", "rbf",
+                   "--n-bkps", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "segscan detect: DegenerateSignalWarning: "
+        "all sampled pairwise distances are zero; falling back to gamma=1.0\n"
+    )
+    assert strict_json(proc.stdout)["bkps"][-1] == 20
+
+
+def test_main_puts_the_callers_showwarning_back(tmp_path, capsys):
+    """main shows warnings in its own form only while it runs."""
+    from segscan.cli import main
+
+    before = warnings.showwarning
+    path = write_csv(tmp_path / "one.csv", np.array([[1.0]]))
+    assert main(["detect", "--input", path, "--method", "binseg", "--cost", "rbf",
+                 "--n-bkps", "0"]) == 0
+    assert "segscan detect: DegenerateSignalWarning:" in capsys.readouterr().err
+    assert warnings.showwarning is before
+
+
+@pytest.mark.parametrize("cost", ["l2", "normal", "linear", "ar", "rbf", "mahalanobis"])
+def test_detect_refuses_a_signal_whose_summaries_overflow(tmp_path, cost):
+    """A column at 1e155: its squares overflow float64.  Each family's fit
+    refuses it as malformed input (exit 3) in one stderr line, rather than
+    answer 0.0 or NaN."""
+    rng = np.random.default_rng(99)
+    data = np.column_stack([rng.normal(size=40), 1e155 * rng.normal(size=40)])
+    path = write_csv(tmp_path / "huge.csv", data)
+    proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", cost,
+                   "--n-bkps", "1", env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("segscan detect: NonFiniteValueError: ")
+    assert "overflow float64" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_eval_validation_failures(clean_case, tmp_path):
@@ -339,12 +397,12 @@ def test_detect_ignores_threads_env_var(clean_case):
     unset = subprocess.run([sys.executable, "-m", "segscan", *args],
                            capture_output=True, text=True, env=env)
     assert unset.returncode == 0, unset.stderr
-    expected = json.loads(unset.stdout)
+    expected = strict_json(unset.stdout)
     expected.pop("elapsed_ms")
     for value in ("4", "0", "many", "-2"):
         proc = run_cli(*args, env_extra={"SEGSCAN_THREADS": value})
         assert proc.returncode == 0, (value, proc.stderr)
-        payload = json.loads(proc.stdout)
+        payload = strict_json(proc.stdout)
         payload.pop("elapsed_ms")
         assert payload == expected, value
 
@@ -369,10 +427,10 @@ def test_main_reuses_its_parser_without_leaking_flags(clean_case, capsys):
         assert main(["detect", "--input", signal, *first]) == 0
         capsys.readouterr()
         assert main(["detect", "--input", signal, *second]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         fresh = run_cli("detect", "--input", signal, *second)
         assert fresh.returncode == 0, fresh.stderr
-        expected = json.loads(fresh.stdout)
+        expected = strict_json(fresh.stdout)
         payload.pop("elapsed_ms")
         expected.pop("elapsed_ms")
         assert payload == expected, second
@@ -381,6 +439,7 @@ def test_main_reuses_its_parser_without_leaking_flags(clean_case, capsys):
 def test_plot_writes_svg(clean_case, tmp_path):
     detect = run_cli("detect", "--input", str(clean_case / "signal.csv"),
                      "--method", "binseg", "--n-bkps", "3")
+    assert len(strict_json(detect.stdout)["bkps"]) == 4
     pred_path = tmp_path / "pred.json"
     pred_path.write_text(detect.stdout)
     svg_path = tmp_path / "plot.svg"

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import _oracles as oracle
 from segscan import costs
@@ -25,6 +26,7 @@ from segscan.exceptions import (
     DegenerateSignalWarning,
     IndexOutOfRangeError,
     MemoryBudgetError,
+    NonFiniteValueError,
     SegmentTooShortError,
     SignalTooShortError,
 )
@@ -657,3 +659,61 @@ def test_costs_are_shift_invariant(family, kw):
         value = plain.cost(a, b)
         moved = offset.cost(a, b)
         assert abs(moved - value) <= 1e-8 * (1.0 + abs(value)), (a, b, value, moved)
+
+
+def spd_blocks(rng, size, stack=()):
+    """Random symmetric positive definite blocks, conditioned like the
+    segment systems: a scatter matrix plus a small ridge."""
+    rows = rng.normal(size=stack + (size + 3, size))
+    return np.einsum("...ti,...tj->...ij", rows, rows) + 1e-8 * np.eye(size)
+
+
+@pytest.mark.parametrize("stack", [(), (3,), (2, 4)])
+@pytest.mark.parametrize("size", range(1, 9))
+def test_direct_gufuncs_match_the_linalg_wrappers_bitwise(size, stack):
+    """The normal, linear and ar queries call the gufuncs behind
+    np.linalg.slogdet and np.linalg.solve directly: on float64 operands
+    they must give the wrappers' results bit for bit."""
+    rng = np.random.default_rng(100 + size)
+    blocks = spd_blocks(rng, size, stack)
+    rhs = rng.normal(size=stack + (size, 2))
+    vector = rng.normal(size=size)
+    for direct, wrapped in zip(_umath_linalg.slogdet(blocks), np.linalg.slogdet(blocks)):
+        assert np.array_equal(direct, wrapped)
+    assert np.array_equal(_umath_linalg.solve(blocks, rhs), np.linalg.solve(blocks, rhs))
+    assert np.array_equal(_umath_linalg.solve(blocks, rhs[..., :1]),
+                          np.linalg.solve(blocks, rhs[..., :1]))
+    single = blocks.reshape((-1, size, size))[0]
+    assert np.array_equal(_umath_linalg.solve1(single, vector), np.linalg.solve(single, vector))
+
+
+@pytest.mark.parametrize("family,kw", [("linear", {}), ("ar", {"order": 2})])
+def test_singular_segment_system_raises_linalg_error(noisy_signal, family, kw):
+    """The direct solve returns NaN (with numpy's invalid-value warning) for
+    a singular system; the query turns that into the LinAlgError the
+    np.linalg.solve wrapper raised, which the CLI maps to exit 4."""
+    fitted = fit(CostSpec(family=family, **kw), noisy_signal)
+    fitted._prod[...] = 0.0
+    with pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError, match="Singular"):
+        fitted.cost(10, 60)
+
+
+def overflowing_signal():
+    """40 rows whose second column is at 1e155: its squares overflow float64."""
+    rng = np.random.default_rng(98)
+    return np.column_stack([rng.normal(size=40), 1e155 * rng.normal(size=40)])
+
+
+OVERFLOW_FAMILIES = GUARD_FAMILIES + [
+    ("kernel", {"kernel": "rbf"}),
+    ("kernel", {"kernel": "linear"}),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family,kw", OVERFLOW_FAMILIES)
+def test_fit_refuses_summaries_that_overflow(family, kw):
+    """Unchecked, these summaries answer 0.0 or NaN for every segment: fit
+    refuses them, naming the family, and numpy warns of nothing."""
+    with pytest.raises(NonFiniteValueError, match=f"^{family} cost: .*overflow float64"):
+        fit(CostSpec(family=family, **kw), overflowing_signal())
