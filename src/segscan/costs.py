@@ -3,11 +3,10 @@
 Six families are available, selected by CostSpec.family:
 
 - "l2": squared deviation from the segment mean (mean shifts)
-- "normal": (b - a) * log det of the biased segment covariance plus a 1e-6
-  ridge (mean and scale shifts)
+- "normal": (b - a) * log det of the biased segment covariance plus a ridge
+  on each variance (mean and scale shifts)
 - "linear": residual sum of squares of the first column regressed on the
-  remaining columns plus an intercept, with a ridge per sample on the slopes:
-  1e-8, raised to the prefix sums' rounding for regressors at a large scale
+  remaining columns plus an intercept, with a ridge per sample on the slopes
   (shifts in a linear relation)
 - "ar": per-dimension autoregression on `order` lags plus an intercept, using
   only lags inside the segment, with the same ridge on the lag coefficients
@@ -17,6 +16,10 @@ Six families are available, selected by CostSpec.family:
 - "mahalanobis": squared Mahalanobis deviation from the segment mean, either
   with an explicit PSD metric or one derived from the whole signal
 
+Every ridge follows one rule, _ridge: a base per family (1e-6 for normal and
+mahalanobis, 1e-8 for linear and ar) plus 2^-48 times the magnitude its
+rounding is relative to, so constant or collinear columns stay finite.
+
 fit() binds a spec to one signal and lays out its summaries, so that every
 cost(start, end) is one prefix difference plus at most one LAPACK call:
 
@@ -24,7 +27,7 @@ cost(start, end) is one prefix difference plus at most one LAPACK call:
   and of its squared norms, read through zero-copy float memoryviews, so one
   evaluation is O(d) plain float arithmetic with no numpy call;
 - normal: prefix sums of the outer products of [x, 1], with the ridge folded
-  in, and one slogdet;
+  into the x diagonal, and one slogdet;
 - linear: prefix sums of the outer products of the centred [x, 1, y], with
   the ridge folded into the slope diagonal, then one solve and one product;
 - ar: per-dimension prefix sums of the outer products of the centred
@@ -82,14 +85,6 @@ _FAMILIES = ("l2", "normal", "linear", "ar", "kernel", "mahalanobis")
 _KERNELS = ("linear", "rbf")
 # the largest side of a dense float64 matrix (3.2 GB); see _check_dense
 _DENSE_SIDE_LIMIT = 20_000
-_COV_RIDGE = 1e-6
-# linear and ar: added once per residual row to the slope (lag) diagonal,
-# never to the intercept, so the costs stay shift-invariant and superadditive;
-# see _slope_ridge
-_REGRESSION_RIDGE = 1e-8
-# ... plus this share of the slope column's total square: 16 units of
-# float64 rounding of the prefix sums that hold it
-_RIDGE_FLOOR = 2.0**-48
 _MEDIAN_PAIR_CAP = 10_000
 _MEDIAN_SEED = 12345
 # float64 entries in one row band of the rbf integral image (512 kB)
@@ -273,22 +268,37 @@ class _PrefixL2:
         return value if value > 0.0 else 0.0
 
 
-def _prefix_outer(rows: np.ndarray, ridge: float, diag) -> np.ndarray:
-    """Prefix sums of the outer products of the last axis of `rows`, with a
-    per-row ridge folded in.
+def _ridge(base: float, magnitude):
+    """The one ridge rule of normal, linear, ar and mahalanobis: the family's
+    base plus 2^-48 times the magnitude that the rounding of what the ridge
+    is added to is relative to.  That is a ridged column's sum of squares
+    over the whole signal (_prefix_outer), or the largest eigenvalue of the
+    covariance mahalanobis inverts.  Rounding is 2^-53 of the magnitude, so
+    the ridge outweighs it 32 times at any scale, where the base alone is
+    lost past about 1e16 times itself.  On unit-scale signals the second term
+    is 3.6e-15 per sample: under 4% of linear's base up to 100,000 samples.
+    """
+    return base + 2.0**-48 * magnitude
 
-    out[t] sums rows[:t] outer rows[:t] over the first axis, plus t * ridge on
-    the diagonal entries listed in `diag`, so a prefix difference over m rows
-    carries m * ridge there: a ridge per sample, which keeps the families'
-    costs sums of per-row terms and so exactly superadditive.  ridge is one
-    value, or one per entry of rows[0, ..., diag].  The products are written
-    into the output and accumulated in place, with no second buffer.
+
+def _prefix_outer(rows: np.ndarray, base: float, ridged: int) -> np.ndarray:
+    """Prefix sums of the outer products of the last axis of `rows`, with a
+    per-row ridge folded into the first `ridged` diagonal entries.
+
+    out[t] sums rows[:t] outer rows[:t] over the first axis, plus t * r_j on
+    diagonal entry j < ridged, r_j = _ridge(base, the sum of rows[..., j]^2)
+    being one value per entry of rows[0, ..., :ridged].  A prefix difference
+    over m rows then carries m * r_j there: a ridge per sample, which keeps
+    the families' costs sums of per-row terms and so exactly superadditive.
+    The products are written into the output and accumulated in place.
     """
     out = np.zeros((rows.shape[0] + 1,) + rows.shape[1:] + rows.shape[-1:])
     np.einsum("...i,...j->...ij", rows, rows, out=out[1:])
     np.cumsum(out[1:], axis=0, out=out[1:])
+    columns = rows[..., :ridged]
     counts = np.arange(len(out), dtype=np.float64).reshape((-1,) + (1,) * (out.ndim - 2))
-    out[..., diag, diag] += ridge * counts
+    diag = np.arange(ridged)
+    out[..., diag, diag] += _ridge(base, np.einsum("t...,t...->...", columns, columns)) * counts
     _check_totals(out[-1])
     return out
 
@@ -299,24 +309,6 @@ def _check_totals(*totals) -> None:
     summary is finite when its last row is.  fit names the family."""
     if not all(np.isfinite(total).all() for total in totals):
         raise NonFiniteValueError("its summaries overflow float64; rescale the signal")
-
-
-def _slope_ridge(slopes: np.ndarray) -> np.ndarray:
-    """The ridge per residual row of linear and ar on each slope (lag)
-    column of `slopes`, whose first axis runs over the rows: 1e-8 plus 2^-48
-    times the column's sum of squares.
-
-    The prefix sums of a column's squares reach that sum, and a prefix
-    difference over m rows is off by at most m units of its rounding, 2^-53
-    of it each.  A ridge of m * 2^-48 of it outweighs that 32 times, so no
-    segment's ridge is rounded away: a segment where the regressor is
-    constant stays solvable at any level, also at the median after larger
-    values (a noiseless integer step down to 0).  A fixed 1e-8 alone is lost
-    once the sum passes about 1e8.  For a unit-variance regressor over n
-    samples the second term is 3.6e-15 * n: under 4% of the first up to
-    100,000 samples.
-    """
-    return _REGRESSION_RIDGE + _RIDGE_FLOOR * np.einsum("t...,t...->...", slopes, slopes)
 
 
 class FittedCost:
@@ -379,18 +371,18 @@ class L2Cost(FittedCost):
 class NormalCost(FittedCost):
     """Gaussian likelihood cost: length times log det of the segment covariance.
 
-    The covariance is the biased estimate; a 1e-6 ridge keeps the determinant
-    positive, so short or constant segments stay finite.  Note the value can
-    be negative when the covariance determinant is below one.
+    The covariance is the biased estimate plus a ridge r_j on each variance,
+    _ridge(1e-6, the sum of squares of column j, less its median, over the
+    whole signal), which keeps the determinant positive, so short, constant
+    or collinear segments stay finite at any scale.  Note the value can be
+    negative when the covariance determinant is below one.
 
     The fit keeps prefix sums of the outer products of [x, 1], x centred
-    (the covariance is shift-invariant), plus t times the ridge on the x
-    diagonal at row t.  For a segment of length m the prefix difference is
-    then B + m * diag(ridge, ..., ridge, 0), where B holds the scatter, the
-    sums and m, and its determinant is m^(d+1) det(cov + ridge * I): one
-    slogdet per query gives the cost, from the gufunc itself (see the module
-    docstring).  A singular block gives a log-determinant of -inf, as
-    np.linalg.slogdet does.
+    (the covariance is shift-invariant), plus t * r_j on the x diagonal at
+    row t.  For a segment of length m the prefix difference is then
+    B + m * diag(r_1, ..., r_d, 0), where B holds the scatter, the sums and
+    m, and its determinant is m^(d+1) det(cov + diag(r)): one slogdet per
+    query gives the cost, from the gufunc itself (see the module docstring).
     """
 
     family = "normal"
@@ -402,7 +394,7 @@ class NormalCost(FittedCost):
         aug = np.empty((n, d + 1))
         aug[:, :d] = _centred(data)
         aug[:, d] = 1.0
-        self._prod = _prefix_outer(aug, _COV_RIDGE, np.arange(d))
+        self._prod = _prefix_outer(aug, 1e-6, d)
         self._n_aug = d + 1
 
     def _segment_cost(self, start, end):
@@ -417,14 +409,13 @@ class LinearCost(FittedCost):
 
     The cost of a segment of m rows is the minimum over coefficients b of
     |y - X b|^2 + m * sum_j r_j b_j^2 over the slopes j, never the
-    intercept.  The ridge per sample r_j is 1e-8 plus 2^-48 times the sum of
-    squares of regressor j, less its median, over the whole signal
-    (_slope_ridge): the second term keeps the ridge above the rounding of
-    the prefix sums, so segments with a constant or collinear regressor stay
-    solvable at any scale.  The intercept absorbs any shift of the columns,
-    so the cost is shift-invariant and the fit summarises the centred
-    signal.  Each row adds its own squared residual plus the same ridge
-    term, so the cost is exactly superadditive.
+    intercept.  The ridge per sample r_j is _ridge(1e-8, the sum of squares
+    of regressor j, less its median, over the whole signal), so segments
+    with a constant or collinear regressor stay solvable at any scale.  The
+    intercept absorbs any shift of the columns, so the cost is
+    shift-invariant and the fit summarises the centred signal.  Each row
+    adds its own squared residual plus the same ridge term, so the cost is
+    exactly superadditive.
 
     The fit keeps prefix sums of the outer products of [x, 1, y] with the
     ridge folded into the slope diagonal, so a prefix difference is the
@@ -445,7 +436,7 @@ class LinearCost(FittedCost):
         aug[:, : d - 1] = centred[:, 1:]
         aug[:, d - 1] = 1.0
         aug[:, d] = centred[:, 0]
-        self._prod = _prefix_outer(aug, _slope_ridge(aug[:, : d - 1]), np.arange(d - 1))
+        self._prod = _prefix_outer(aug, 1e-8, d - 1)
         self._n_reg = d
 
     def _segment_cost(self, start, end):
@@ -465,8 +456,8 @@ class ARCost(FittedCost):
     Only rows whose lags lie inside the segment contribute, so a segment
     [start, end) yields m = end - start - order residuals per dimension.  As
     for "linear", each dimension's cost is the minimum of its RSS plus m
-    times a ridge per sample on each squared lag coefficient, from
-    _slope_ridge of that lag column (the intercept is not penalised):
+    times a ridge per sample on each squared lag coefficient, by the same
+    rule over that lag column (the intercept is not penalised):
     shift-invariant, computed from the centred signal, and exactly
     superadditive.
 
@@ -494,7 +485,7 @@ class ARCost(FittedCost):
             aug[:, :, lag - 1] = data[order - lag : n - lag, :]
         aug[:, :, order] = 1.0
         aug[:, :, order + 1] = data[order:, :]
-        self._prod = _prefix_outer(aug, _slope_ridge(aug[:, :, :order]), np.arange(order))
+        self._prod = _prefix_outer(aug, 1e-8, order)
         self._order = order
 
     def _segment_cost(self, start, end):
@@ -644,9 +635,12 @@ class KernelCost(FittedCost):
 class MahalanobisCost(FittedCost):
     """L2 cost after a metric transform: (y - mean)' M (y - mean).
 
-    With metric="auto", M is the inverse of the whole-signal biased covariance
-    plus a 1e-6 ridge.  The factor L with M = L'L is taken from the eigen
-    decomposition, and the transformed signal reuses the plain L2 summaries.
+    One eigen decomposition gives the factor L with M = L L', and the
+    transformed signal y L reuses the plain L2 summaries.  An explicit metric
+    V diag(w) V' gives L = V diag(w)^1/2.  With metric="auto", M inverts the
+    whole-signal biased covariance V diag(w) V' plus a ridge r = _ridge(1e-6,
+    max w), so L = V diag(w + r)^-1/2 (w clipped at 0): the ridge stays above
+    the decomposition's rounding, which is relative to max w, at any scale.
     """
 
     family = "mahalanobis"
@@ -656,19 +650,18 @@ class MahalanobisCost(FittedCost):
         d = signal.n_dims
         if isinstance(spec.metric, str):
             centered = signal.data - signal.data.mean(axis=0)
-            cov = centered.T @ centered / signal.n_samples
-            metric = np.linalg.inv(cov + _COV_RIDGE * np.eye(d))
+            eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / signal.n_samples)
+            eigvals = np.clip(eigvals, 0.0, None)
+            scales = (eigvals + _ridge(1e-6, eigvals[-1])) ** -0.5
         else:
             metric = np.asarray(spec.metric, dtype=np.float64)
             if metric.shape != (d, d):
                 raise BadParamError(
                     f"metric shape {metric.shape} does not match signal dimension {d}"
                 )
-        eigvals, eigvecs = np.linalg.eigh((metric + metric.T) / 2.0)
-        eigvals = np.clip(eigvals, 0.0, None)
-        transformed = signal.data @ eigvecs * np.sqrt(eigvals)
-        self.metric = metric
-        self._prefix = _PrefixL2(transformed)
+            eigvals, eigvecs = np.linalg.eigh((metric + metric.T) / 2.0)
+            scales = np.sqrt(np.clip(eigvals, 0.0, None))
+        self._prefix = _PrefixL2(signal.data @ eigvecs * scales)
         self._segment_cost = self._prefix.cost
 
 
@@ -689,10 +682,11 @@ def fit(spec: CostSpec, signal) -> FittedCost:
     as large as the signal), SignalTooShortError when even one segment of the
     family's minimum length does not fit, and MemoryBudgetError from the
     dense-matrix guard (_check_dense) for rbf signals over 20,000 samples.
-    Raises NonFiniteValueError, naming the family, when the summaries
-    overflow float64 (squares of values beyond about 1e154, say): the
-    queries would otherwise answer 0.0 or NaN.  The summaries are built under
-    one np.errstate, so such an overflow emits no numpy RuntimeWarning.
+    Raises NonFiniteValueError, naming the family (a kernel fit by its
+    kernel: "rbf kernel cost: ..."), when the summaries overflow float64
+    (squares of values beyond about 1e154, say): the queries would otherwise
+    answer 0.0 or NaN.  The summaries are built under one np.errstate, so
+    such an overflow emits no numpy RuntimeWarning.
     """
     if not isinstance(spec, CostSpec):
         raise BadParamError(f"expected a CostSpec, got {type(spec).__name__}")
@@ -701,7 +695,8 @@ def fit(spec: CostSpec, signal) -> FittedCost:
         with np.errstate(all="ignore"):
             fitted = _FAMILY_CLASSES[spec.family](spec, sig)
     except NonFiniteValueError as exc:
-        raise NonFiniteValueError(f"{spec.family} cost: {exc}") from None
+        name = f"{spec.kernel} kernel" if spec.family == "kernel" else spec.family
+        raise NonFiniteValueError(f"{name} cost: {exc}") from None
     if sig.n_samples < fitted.min_seg_len:
         raise SignalTooShortError(
             f"signal length {sig.n_samples} below the family minimum {fitted.min_seg_len}"

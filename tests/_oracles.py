@@ -10,6 +10,7 @@ length.
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,12 +25,22 @@ def l2_cost(data, a, b):
     return float((centered * centered).sum())
 
 
+def normal_ridge(data):
+    """The ridge on each column's variance: COV_RIDGE plus RIDGE_FLOOR times
+    the column's sum of squares over the whole signal, taken less its lower
+    median."""
+    columns = data - lower_median(data)
+    return COV_RIDGE + RIDGE_FLOOR * (columns * columns).sum(axis=0)
+
+
 def normal_cost(data, a, b):
+    """Segment length times the log-determinant of the biased segment
+    covariance plus normal_ridge on the diagonal."""
     seg = data[a:b]
-    n, d = seg.shape
+    n = len(seg)
     centered = seg - seg.mean(axis=0)
     cov = centered.T @ centered / n
-    _, logdet = np.linalg.slogdet(cov + COV_RIDGE * np.eye(d))
+    _, logdet = np.linalg.slogdet(cov + np.diag(normal_ridge(data)))
     return float(n * logdet)
 
 
@@ -237,11 +248,82 @@ def mahalanobis_cost(data, a, b, metric):
     return float(np.einsum("ti,ij,tj->", centered, metric, centered))
 
 
+def auto_ridge(data):
+    """The ridge of the mahalanobis auto metric: COV_RIDGE plus RIDGE_FLOOR
+    times the largest eigenvalue of the whole-signal biased covariance."""
+    centered = data - data.mean(axis=0)
+    return COV_RIDGE + RIDGE_FLOOR * np.linalg.eigvalsh(centered.T @ centered / len(data)).max()
+
+
 def auto_metric(data):
-    """The metric the mahalanobis family derives when none is given."""
+    """The metric the mahalanobis family derives when none is given: the
+    inverse of the whole-signal biased covariance plus auto_ridge on the
+    diagonal."""
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered / len(data)
-    return np.linalg.inv(cov + COV_RIDGE * np.eye(data.shape[1]))
+    return np.linalg.inv(cov + auto_ridge(data) * np.eye(data.shape[1]))
+
+
+def exact_scatter(data, a, b):
+    """The scatter matrix of data[a:b] about its own mean, in exact rational
+    arithmetic on the float values."""
+    rows = [[Fraction(value) for value in row] for row in data[a:b].tolist()]
+    dims = len(rows[0])
+    mean = [sum(row[i] for row in rows) / len(rows) for i in range(dims)]
+    dev = [[row[i] - mean[i] for i in range(dims)] for row in rows]
+    return [[sum(row[i] * row[j] for row in dev) for j in range(dims)] for i in range(dims)]
+
+
+def exact_det_inverse(matrix):
+    """The determinant and inverse of a nonsingular rational matrix, by
+    Gauss-Jordan elimination with no rounding."""
+    dims = len(matrix)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(dims)] for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for col in range(dims):
+        pivot = next(r for r in range(col, dims) if rows[r][col] != 0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        rows[col] = [value / rows[col][col] for value in rows[col]]
+        for r in range(dims):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [value - factor * top for value, top in zip(rows[r], rows[col])]
+    return det, [row[dims:] for row in rows]
+
+
+def exact_normal_cost(data, a, b):
+    """normal_cost with the covariance, its ridge and its determinant in
+    exact rational arithmetic: only the ridge and the final log round."""
+    m = b - a
+    cov = [[value / m for value in row] for row in exact_scatter(data, a, b)]
+    for i, value in enumerate(normal_ridge(data).tolist()):
+        cov[i][i] += Fraction(value)
+    det, _ = exact_det_inverse(cov)
+    return m * math.log(det)
+
+
+def exact_auto_mahalanobis(data):
+    """The mahalanobis cost with auto_metric's metric, as cost(a, b), in
+    exact rational arithmetic: only the ridge and the final value round.
+    A float64 metric cannot stand in when two columns are identical at a
+    large scale: the cost along them is a near-cancellation of its entries,
+    finer than their rounding."""
+    n = len(data)
+    cov = [[value / n for value in row] for row in exact_scatter(data, 0, n)]
+    ridge = Fraction(float(auto_ridge(data)))
+    for i in range(len(cov)):
+        cov[i][i] += ridge
+    _, metric = exact_det_inverse(cov)
+
+    def cost(a, b):
+        scatter = exact_scatter(data, a, b)
+        dims = len(scatter)
+        return float(sum(metric[i][j] * scatter[j][i] for i in range(dims) for j in range(dims)))
+
+    return cost
 
 
 def median_gamma(data):

@@ -6,6 +6,7 @@ Exit code contract: 2 bad flags/params, 3 unreadable or malformed files,
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -235,14 +236,42 @@ def collinear_csv(tmp_path):
     return write_csv(tmp_path / "collinear.csv", np.column_stack([rng.normal(size=160), x, x]))
 
 
-def test_detect_singular_segment_system_is_exit_4(tmp_path):
-    """Two identical columns at 1e9 scale: the whole-signal covariance that
-    mahalanobis inverts is singular once rounding swamps its 1e-6 ridge."""
-    proc = run_cli("detect", "--input", collinear_csv(tmp_path), "--method", "binseg",
-                   "--cost", "mahalanobis", "--n-bkps", "2")
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stderr.startswith("segscan detect: LinAlgError:")
-    assert proc.stdout == ""
+@pytest.mark.parametrize("method", ["binseg", "dynp"])
+@pytest.mark.parametrize("cost", ["normal", "mahalanobis"])
+def test_detect_covariance_costs_on_identical_columns(tmp_path, cost, method):
+    """Two identical columns at 1e9 scale: normal's ridge on each variance and
+    the ridge on the eigenvalues of the covariance mahalanobis inverts stay
+    above rounding, so every cost is finite, with no numpy warning."""
+    proc = run_cli("detect", "--input", collinear_csv(tmp_path), "--method", method,
+                   "--cost", cost, "--n-bkps", "2",
+                   env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = strict_json(proc.stdout)
+    assert math.isfinite(out["contrast"])
+    assert len(out["bkps"]) == 3
+
+
+def test_detect_singular_segment_system_is_exit_4(tmp_path, capsys, monkeypatch):
+    """A singular segment system raises np.linalg.LinAlgError, which the CLI
+    maps to exit 4.  The ridge keeps every shipped family's systems
+    nonsingular, so the linear fit's prefix sums are zeroed by hand."""
+    import segscan.cli
+    from segscan import CostSpec, fit
+
+    def singular_fit(spec, signal):
+        fitted = fit(CostSpec(family="linear"), signal)
+        fitted._prod[...] = 0.0
+        return fitted
+
+    monkeypatch.setattr(segscan.cli, "fit", singular_fit)
+    path = write_csv(tmp_path / "pair.csv", np.random.default_rng(90).normal(size=(40, 2)))
+    code = segscan.cli.main(["detect", "--input", path, "--method", "binseg", "--cost", "linear",
+                             "--n-bkps", "1"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err.endswith("segscan detect: LinAlgError: Singular matrix\n")
+    assert captured.out == ""
 
 
 def test_detect_linear_on_identical_regressors(tmp_path):
@@ -323,15 +352,15 @@ def test_main_puts_the_callers_showwarning_back(tmp_path, capsys):
 @pytest.mark.parametrize("cost", ["l2", "normal", "linear", "ar", "rbf", "mahalanobis"])
 def test_detect_refuses_a_signal_whose_summaries_overflow(tmp_path, cost):
     """A column at 1e155: its squares overflow float64.  Each family's fit
-    refuses it as malformed input (exit 3) in one stderr line, rather than
-    answer 0.0 or NaN."""
+    refuses it as malformed input (exit 3) in one stderr line that names the
+    --cost given, rather than answer 0.0 or NaN."""
     rng = np.random.default_rng(99)
     data = np.column_stack([rng.normal(size=40), 1e155 * rng.normal(size=40)])
     path = write_csv(tmp_path / "huge.csv", data)
     proc = run_cli("detect", "--input", path, "--method", "binseg", "--cost", cost,
                    "--n-bkps", "1", env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("segscan detect: NonFiniteValueError: ")
+    assert proc.stderr.startswith(f"segscan detect: NonFiniteValueError: {cost} ")
     assert "overflow float64" in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""

@@ -616,7 +616,18 @@ SUPERADDITIVITY_SIGNALS = {
 }
 
 
+def collinear_signal():
+    """160 rows y, x, x with x = 1e9 * N(0, 1): two identical columns at a
+    scale where a fixed ridge of 1e-6 on their variance, or on the
+    covariance mahalanobis inverts, is lost in rounding."""
+    rng = np.random.default_rng(91)
+    x = 1e9 * rng.normal(size=160)
+    return np.column_stack([rng.normal(size=160), x, x])
+
+
 def superadditivity_signal(conditioning):
+    if conditioning == "collinear":
+        return collinear_signal()
     offset, scale = SUPERADDITIVITY_SIGNALS[conditioning]
     data = step_signal(np.random.default_rng(95), 120, 3, "plain", relation=True)
     return offset + scale * data
@@ -633,32 +644,67 @@ def split_triples(rng, n_samples, min_len, count):
     return out
 
 
-@pytest.mark.parametrize("conditioning", list(SUPERADDITIVITY_SIGNALS))
+@pytest.mark.parametrize("conditioning", list(SUPERADDITIVITY_SIGNALS) + ["collinear"])
 @pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
 def test_costs_are_superadditive(family, kw, conditioning):
     """What CostSpec.superadditive declares and pelt's pruning rests on:
-    splitting a segment never raises its cost, up to rounding."""
+    splitting a segment never raises its cost, up to rounding.  The costs
+    must be finite too: -inf would pass the comparison."""
     signal = validate_signal(superadditivity_signal(conditioning))
     fitted = fit(CostSpec(family=family, **kw), signal)
     rng = np.random.default_rng(96)
     for a, t, b in split_triples(rng, fitted.n_samples, fitted.min_seg_len, 300):
         whole, left, right = fitted.cost(a, b), fitted.cost(a, t), fitted.cost(t, b)
+        assert np.isfinite([whole, left, right]).all(), (a, t, b, whole, left, right)
         slack = 1e-9 * (1.0 + abs(whole) + abs(left) + abs(right))
         assert whole >= left + right - slack, (a, t, b, whole, left, right)
 
 
 @pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
 def test_costs_are_shift_invariant(family, kw):
-    """The offset signal is the plain one plus 1e6: every family costs them
-    alike, which is what lets its summaries be taken of the centred signal."""
+    """The plain and the collinear signal against themselves plus 1e6: every
+    family costs them alike, which is what lets its summaries be taken of
+    the centred signal."""
     spec = CostSpec(family=family, **kw)
-    plain = fit(spec, validate_signal(superadditivity_signal("plain")))
-    offset = fit(spec, validate_signal(superadditivity_signal("offset")))
-    rng = np.random.default_rng(97)
-    for a, b in summary_queries(rng, plain.n_samples, plain.min_seg_len, 300):
-        value = plain.cost(a, b)
-        moved = offset.cost(a, b)
-        assert abs(moved - value) <= 1e-8 * (1.0 + abs(value)), (a, b, value, moved)
+    for name in ("plain", "collinear"):
+        data = superadditivity_signal(name)
+        plain = fit(spec, validate_signal(data))
+        offset = fit(spec, validate_signal(1e6 + data))
+        rng = np.random.default_rng(97)
+        for a, b in summary_queries(rng, plain.n_samples, plain.min_seg_len, 300):
+            value = plain.cost(a, b)
+            moved = offset.cost(a, b)
+            assert abs(moved - value) <= 1e-8 * (1.0 + abs(value)), (name, a, b, value, moved)
+
+
+def test_auto_mahalanobis_matches_exact_definition_on_collinear_columns():
+    """The metric comes from one eigen decomposition of the covariance, with
+    every eigenvalue raised by the ridge: on two identical columns at 1e9
+    scale the costs match exact rational arithmetic at `close`."""
+    data = collinear_signal()
+    fitted = fit(CostSpec(family="mahalanobis"), validate_signal(data))
+    rng = np.random.default_rng(93)
+    assert_matches_oracle(fitted, oracle.exact_auto_mahalanobis(data),
+                          summary_queries(rng, 160, 1, 60))
+
+
+def test_normal_matches_exact_definition_on_collinear_columns():
+    """Two identical columns at 1e9 scale: the ridge keeps every segment's
+    determinant positive, and the cost is held to the rounding of the one
+    pivot the ridge carries.  The LU of a segment's block takes that pivot
+    as a difference of entries of about the segment's sum of squares s_j of
+    the column, so it is off by about 2^-53 s_j against m * r_j, with
+    r_j = 2^-48 S_j (S_j over the whole signal): m times its log is off by
+    about 2^-5 s_j / S_j.  Held to 8 times that, summed over the columns."""
+    data = collinear_signal()
+    fitted = fit(CostSpec(family="normal"), validate_signal(data))
+    squares = (data - oracle.lower_median(data)) ** 2
+    rng = np.random.default_rng(94)
+    for a, b in summary_queries(rng, 160, fitted.min_seg_len, 60):
+        value = fitted.cost(a, b)
+        expected = oracle.exact_normal_cost(data, a, b)
+        bound = 2.0**-2 * float((squares[a:b].sum(axis=0) / squares.sum(axis=0)).sum())
+        assert abs(value - expected) <= bound + 1e-9 * (1.0 + abs(expected)), (a, b, value, expected)
 
 
 def spd_blocks(rng, size, stack=()):
@@ -714,6 +760,8 @@ OVERFLOW_FAMILIES = GUARD_FAMILIES + [
 @pytest.mark.parametrize("family,kw", OVERFLOW_FAMILIES)
 def test_fit_refuses_summaries_that_overflow(family, kw):
     """Unchecked, these summaries answer 0.0 or NaN for every segment: fit
-    refuses them, naming the family, and numpy warns of nothing."""
-    with pytest.raises(NonFiniteValueError, match=f"^{family} cost: .*overflow float64"):
+    refuses them, naming the family (a kernel fit by its kernel, as the CLI's
+    --cost does), and numpy warns of nothing."""
+    name = f"{kw['kernel']} kernel" if family == "kernel" else family
+    with pytest.raises(NonFiniteValueError, match=f"^{name} cost: .*overflow float64"):
         fit(CostSpec(family=family, **kw), overflowing_signal())
