@@ -205,9 +205,10 @@ class DetectionResult:
     """Breakpoints found by a search engine plus its work counters.
 
     contrast is the achieved sum of segment costs (no penalty term);
-    n_cost_evals counts the cost evaluations this particular call triggered,
-    so a fully cached repeat reports 0; n_pruned counts candidate discards
-    (nonzero only for the pruned penalized search).
+    n_cost_evals counts the cost evaluations this particular call made (never
+    another thread's on a shared fitted cost), so a fully cached repeat
+    reports 0; n_pruned counts candidate discards (nonzero only for the
+    pruned penalized search).
     """
 
     bkps: Breakpoints

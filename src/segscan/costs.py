@@ -102,7 +102,8 @@ class CostSpec:
     segment never increases total cost; all shipped families satisfy it (up to
     rounding, checked on plain, near-constant, badly scaled and offset signals
     by test_costs_are_superadditive in tests/test_costs.py), and setting it
-    False disables pruning in the penalized search.
+    False disables pruning in the penalized search.  It must be a Python or
+    numpy bool, stored as bool; anything else raises BadParamError.
     """
 
     family: str = "l2"
@@ -116,6 +117,9 @@ class CostSpec:
         if self.family not in _FAMILIES:
             raise BadParamError(f"unknown cost family {self.family!r}")
         object.__setattr__(self, "order", _checked_int("order", self.order, 1))
+        if not isinstance(self.superadditive, (bool, np.bool_)):
+            raise BadParamError(f"superadditive must be a bool, got {self.superadditive!r}")
+        object.__setattr__(self, "superadditive", bool(self.superadditive))
         if self.kernel not in _KERNELS:
             raise BadParamError(f"unknown kernel {self.kernel!r}")
         if isinstance(self.gamma, str):

@@ -22,7 +22,8 @@ under a lock instead of recomputed.  The other engines hold O(grid) state:
 they read dynp's matrix when dynp has already run on the same fitted cost
 and grid (window for each segment whose ends are both grid positions), and
 otherwise evaluate costs on demand, memoized only within one call, so
-repeating a pelt or greedy search pays its evaluations again.
+repeating a pelt or greedy search pays its evaluations again.  Each engine
+counts the costs it evaluates, so n_cost_evals omits other threads' work.
 Ties are always broken toward the smallest change point indices.
 """
 
@@ -141,22 +142,18 @@ def _prepare_greedy(fitted, stop, config):
     return _prepare(fitted, config)
 
 
-def _result(fitted, ends, contrast, evals_before, n_pruned=0) -> DetectionResult:
+def _result(fitted, ends, contrast, n_cost_evals, n_pruned=0) -> DetectionResult:
     bkps = validate_breakpoints(ends, fitted.n_samples)
-    return DetectionResult(
-        bkps=bkps,
-        contrast=contrast,
-        n_cost_evals=fitted.eval_counter - evals_before,
-        n_pruned=n_pruned,
-    )
+    return DetectionResult(bkps, contrast, n_cost_evals, n_pruned)
 
 
 def _segment_cost(fitted, dense):
-    """cost(start, end) for one greedy engine call.
+    """cost(start, end) for one greedy engine call, and the memo it fills.
 
     Reads dynp's matrix when `dense` holds one for the caller's grid and both
     ends are positions of that grid; otherwise evaluates through fitted.cost
-    once per distinct segment of this call.
+    once per distinct segment of this call and keeps the value in the memo,
+    so len(memo) is the number of costs the call has evaluated.
     """
     memo: dict[tuple[int, int], float] = {}
 
@@ -169,7 +166,7 @@ def _segment_cost(fitted, dense):
         return value
 
     if dense is None:
-        return evaluated
+        return evaluated, memo
     index = dense.pos_index
     matrix = dense.matrix
 
@@ -180,7 +177,7 @@ def _segment_cost(fitted, dense):
             return evaluated(start, end)
         return float(matrix[end_idx, start_idx])
 
-    return cost
+    return cost, memo
 
 
 def _dense(fitted, min_size, jump):
@@ -199,7 +196,8 @@ class _DynpState:
     end tuples lexicographically (equal tuples share a rank), so an exact tie
     goes to the smallest (rank[s], s), which is the smallest end tuple.  All
     are retained across calls so a repeat or a smaller k costs nothing, and
-    the other engines read the matrix instead of evaluating again."""
+    the other engines read the matrix instead of evaluating again.  n_evals
+    is the number of costs the fill evaluated."""
 
     def __init__(self, fitted, min_size: int, positions: list[int]):
         count = len(positions)
@@ -208,9 +206,11 @@ class _DynpState:
         self.pos_index = {pos: i for i, pos in enumerate(positions)}
         self.matrix = np.full((count, count), np.inf)
         cost = fitted.cost
+        self.n_evals = 0
         for i, start in enumerate(positions):
             lo = bisect.bisect_left(positions, start + min_size)
             self.matrix[lo:, i] = [cost(start, end) for end in positions[lo:]]
+            self.n_evals += count - lo
         # 0.0 + cost, as a left-to-right sum starts, so layer values are
         # bitwise the contrast of their end tuples
         self.layers = [0.0 + self.matrix[:, 0]]
@@ -245,13 +245,16 @@ class _DynpState:
         return tuple(ends[::-1]), contrast
 
 
-def _dynp_state(fitted, min_size, jump, positions) -> _DynpState:
-    """The cached state for this grid, built on first use; the caller holds
-    fitted._state_lock."""
+def _dynp_state(fitted, min_size, jump, positions) -> tuple[_DynpState, int]:
+    """The cached state for this grid, built on first use, and the number of
+    costs this call evaluated: the fill's if it built the state, else 0.  The
+    caller holds fitted._state_lock, so exactly one call reports the fill."""
     key = ("dynp", min_size, jump)
-    if key not in fitted._search_state:
-        fitted._search_state[key] = _DynpState(fitted, min_size, positions)
-    return fitted._search_state[key]
+    state = fitted._search_state.get(key)
+    if state is not None:
+        return state, 0
+    state = fitted._search_state[key] = _DynpState(fitted, min_size, positions)
+    return state, state.n_evals
 
 
 def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionResult:
@@ -270,14 +273,14 @@ def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionRe
     guard (costs._check_dense) when the grid has more than 20,000 positions.
     """
     n_bkps = _checked_int("n_bkps", n_bkps, 0)
-    evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
     most = max_changes(fitted.n_samples, min_size, jump)
     if n_bkps > most:
         raise InfeasibleError(f"{n_bkps} change points do not fit: the grid admits at most {most}")
     with fitted._state_lock:
-        ends, contrast = _dynp_state(fitted, min_size, jump, positions).solve(n_bkps)
-    return _result(fitted, ends, contrast, evals_before)
+        state, n_evals = _dynp_state(fitted, min_size, jump, positions)
+        ends, contrast = state.solve(n_bkps)
+    return _result(fitted, ends, contrast, n_evals)
 
 
 def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> DetectionResult:
@@ -289,16 +292,15 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     feasible number of change points stays above the budget.
     """
     budget = _checked_real("budget", budget)
-    evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
     most = max_changes(fitted.n_samples, min_size, jump)
     with fitted._state_lock:
-        state = _dynp_state(fitted, min_size, jump, positions)
+        state, n_evals = _dynp_state(fitted, min_size, jump, positions)
         contrast = np.inf
         for k in range(most + 1):
             ends, contrast = state.solve(k)
             if contrast <= budget:
-                return _result(fitted, ends, contrast, evals_before)
+                return _result(fitted, ends, contrast, n_evals)
     raise BudgetUnreachableError(
         f"optimal cost {contrast} with {most} change points still exceeds budget {budget}"
     )
@@ -331,7 +333,6 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     (candidate, end) pair is evaluated once, so a repeated call pays again.
     """
     penalty = _checked_real("penalty", penalty)
-    evals_before = fitted.eval_counter
     _, min_size, jump, positions = _prepare(fitted, config)
     dense = _dense(fitted, min_size, jump)
     cost = fitted.cost
@@ -343,6 +344,7 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     doomed_from = np.full(count, np.inf)
     candidates = np.empty(0, dtype=np.int64)
     next_admission = 0
+    n_evals = 0
     n_pruned = 0
     prune = fitted.spec.superadditive
     for end_idx in range(1, count):
@@ -360,6 +362,7 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
             seg_costs = dense.matrix[end_idx, candidates]
         else:
             seg_costs = np.array([cost(positions[s], end_pos) for s in candidates.tolist()])
+            n_evals += len(candidates)
         fits = values[candidates] + seg_costs
         totals = fits + penalty
         pick = int(np.argmin(totals))
@@ -382,10 +385,10 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     contrast = 0.0
     for idx in path:
         contrast += float(last_cost[idx])
-    return _result(fitted, ends, contrast, evals_before, n_pruned=n_pruned)
+    return _result(fitted, ends, contrast, n_evals, n_pruned=n_pruned)
 
 
-def _add_greedily(fitted, stop, moves, cost, evals_before) -> DetectionResult:
+def _add_greedily(fitted, stop, moves, cost, memo) -> DetectionResult:
     """Take a greedy engine's lazy (score, end) moves, best first, until the
     stopping rule holds; the one reader of the rule for binseg and window.
 
@@ -412,7 +415,7 @@ def _add_greedily(fitted, stop, moves, cost, evals_before) -> DetectionResult:
             if move is None:
                 raise BudgetUnreachableError(f"total cost {total} above budget {stop.budget}")
             bisect.insort(ends, move[1])
-    return _result(fitted, ends, _total(cost, ends), evals_before)
+    return _result(fitted, ends, _total(cost, ends), len(memo))
 
 
 def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -425,8 +428,7 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     budget.  Ties go to the smallest split index.
     """
     _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
-    evals_before = fitted.eval_counter
-    cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    cost, memo = _segment_cost(fitted, _dense(fitted, min_size, jump))
     ends_idx = [len(positions) - 1]
     best_split: dict[tuple[int, int], tuple[float, int] | None] = {}
 
@@ -434,8 +436,8 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
         key = (a_idx, b_idx)
         if key in best_split:
             return best_split[key]
-        lo = int(np.searchsorted(positions, positions[a_idx] + min_size, side="left"))
-        hi = int(np.searchsorted(positions, positions[b_idx] - min_size, side="right"))
+        lo = bisect.bisect_left(positions, positions[a_idx] + min_size)
+        hi = bisect.bisect_right(positions, positions[b_idx] - min_size)
         found = None
         if lo < hi:
             a, b = positions[a_idx], positions[b_idx]
@@ -461,7 +463,7 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             yield chosen[0], positions[chosen[1]]
             bisect.insort(ends_idx, chosen[1])
 
-    return _add_greedily(fitted, stop, moves(), cost, evals_before)
+    return _add_greedily(fitted, stop, moves(), cost, memo)
 
 
 def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -475,8 +477,7 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     two neighbouring ends, so a step costs O(log grid) instead of a rescan.
     """
     _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
-    evals_before = fitted.eval_counter
-    cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    cost, memo = _segment_cost(fitted, _dense(fitted, min_size, jump))
     terminal = len(positions) - 1
     # the finest valid ends, the multiples of _step: every stride-th grid index
     stride = _step(min_size, jump) // jump
@@ -544,7 +545,7 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
             merge(where)
     ends = tuple(positions[i] for i in internal) + (positions[terminal],)
     contrast = _total(cost, ends)
-    return _result(fitted, ends, contrast, evals_before)
+    return _result(fitted, ends, contrast, len(memo))
 
 
 def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -563,7 +564,6 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     the signal.
     """
     cfg, min_size, jump, _ = _prepare_greedy(fitted, stop, config)
-    evals_before = fitted.eval_counter
     n_samples = fitted.n_samples
     width = cfg.window_width
     if width is None:
@@ -575,7 +575,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             f"window_width {width} below twice the minimum segment length {min_size}"
         )
     half = width // 2
-    seg_cost = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    seg_cost, memo = _segment_cost(fitted, _dense(fitted, min_size, jump))
     grid = _grid(n_samples, half, jump)
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)
@@ -603,4 +603,4 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
                 chosen.append(t)
                 yield score, t
 
-    return _add_greedily(fitted, stop, moves(), seg_cost, evals_before)
+    return _add_greedily(fitted, stop, moves(), seg_cost, memo)

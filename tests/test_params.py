@@ -2,8 +2,8 @@
 
 Integers: Python or numpy integers, not bool, at least the site's minimum,
 stored as int.  Reals: anything float() takes except bool, str and bytes,
-finite and >= 0 (> 0 for gamma), stored as float.  Every violation raises
-BadParamError.
+finite and >= 0 (> 0 for gamma), stored as float.  Flags: Python or numpy
+bools only, stored as bool.  Every violation raises BadParamError.
 """
 
 from operator import attrgetter
@@ -119,3 +119,18 @@ def test_numpy_reals_are_stored_as_float(make, good, read):
             assert made == make(float(value))
         else:
             assert type(read(made)) is float and read(made) == float(value)
+
+
+# a truthy string or a falsy None would otherwise switch pelt's pruning silently
+@pytest.mark.parametrize(
+    "value", ["False", "True", None, 0, 1, np.int64(1), 1.0, [True]], ids=repr
+)
+def test_superadditive_must_be_a_bool(value):
+    with pytest.raises(BadParamError, match="superadditive"):
+        CostSpec("l2", superadditive=value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+def test_superadditive_is_stored_as_bool(value):
+    stored = CostSpec("l2", superadditive=value).superadditive
+    assert type(stored) is bool and stored == bool(value)
