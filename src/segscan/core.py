@@ -137,6 +137,16 @@ class Breakpoints:
         return all(end % jump == 0 for end in self.internal)
 
 
+def _integral(value) -> int | None:
+    """value as an int if it is an integral number (5.0 and numpy integers
+    pass), else None (bool, str, None, NaN, +-inf and 1.9 among others)."""
+    try:
+        as_int = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
+
+
 def validate_breakpoints(ends: Sequence[int], n_samples: int) -> Breakpoints:
     """Check a raw end sequence against a signal length and wrap it.
 
@@ -149,11 +159,8 @@ def validate_breakpoints(ends: Sequence[int], n_samples: int) -> Breakpoints:
         raise EmptySignalError(f"n_samples must be >= 1, got {n_samples}")
     cleaned = []
     for value in ends:
-        try:
-            as_int = None if isinstance(value, (bool, np.bool_)) else int(value)
-        except (TypeError, ValueError, OverflowError):
-            as_int = None
-        if as_int is None or as_int != value:
+        as_int = _integral(value)
+        if as_int is None:
             raise OutOfRangeError(f"breakpoint end {value!r} is not an integer")
         if not 1 <= as_int <= n_samples:
             raise OutOfRangeError(

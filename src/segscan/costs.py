@@ -21,18 +21,20 @@ mahalanobis, 1e-8 for linear and ar) plus 2^-48 times the magnitude its
 rounding is relative to, so constant or collinear columns stay finite.
 
 fit() binds a spec to one signal and lays out its summaries, so that every
-cost(start, end) is one prefix difference plus at most one LAPACK call:
+cost(start, end) is one prefix difference plus at most one LAPACK call.  The
+six families use four layouts:
 
-- l2, mahalanobis and the linear kernel: prefix sums of the centred signal
-  and of its squared norms, read through zero-copy float memoryviews, so one
-  evaluation is O(d) plain float arithmetic with no numpy call;
+- l2, mahalanobis and the linear kernel: one class, PrefixCost, keeps prefix
+  sums of the centred rows and of their squared norms, read through
+  zero-copy float memoryviews, so one evaluation is O(d) plain float
+  arithmetic with no numpy call.  The rows are the signal, or for
+  mahalanobis the signal mapped by the metric's factor;
 - normal: prefix sums of the outer products of [x, 1], with the ridge folded
   into the x diagonal, and one slogdet;
-- linear: prefix sums of the outer products of the centred [x, 1, y], with
-  the ridge folded into the slope diagonal, then one solve and one product;
-- ar: per-dimension prefix sums of the outer products of the centred
-  [lags, 1, y], with the ridge folded into the lag diagonal, then one
-  batched solve over the dimensions and one batched product;
+- linear and ar: prefix sums of the outer products of the centred
+  [x, 1, y], with the ridge folded into the slope diagonal, then one solve
+  and one product; for ar, x holds a dimension's lags and the sums are kept
+  per dimension, so the solve and the product are batched over them;
 - rbf kernel: the integral image of the upper triangle of the Gram matrix,
   built band by band, so a query reads two corners: O(1) instead of
   O(end - start).  Each row band is stored as one contiguous rectangle
@@ -51,7 +53,8 @@ solves it to NaN instead (with numpy's invalid-value RuntimeWarning), and
 linear and ar raise on a NaN cost.  fit refuses summaries that overflow
 float64 with NonFiniteValueError, so a NaN cannot come from anywhere else.
 
-Every completed cost() call bumps eval_counter by exactly one; increments are
+Every cost() call that returns bumps eval_counter by exactly one, after the
+evaluation, so a call that raises is not counted; increments are
 lock-protected so concurrent callers read exact totals.
 """
 
@@ -67,7 +70,7 @@ from numpy.linalg._umath_linalg import slogdet as _slogdet
 from numpy.linalg._umath_linalg import solve as _solve
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .core import Signal, _checked_int, _checked_real, validate_signal
+from .core import Signal, _checked_int, _checked_real, _integral, validate_signal
 from .exceptions import (
     BadParamError,
     DegenerateSignalWarning,
@@ -239,39 +242,6 @@ def _centred(data: np.ndarray) -> np.ndarray:
     return data - np.partition(data, middle, axis=0)[middle]
 
 
-class _PrefixL2:
-    """Cumulative sums giving the within-segment sum of squared deviations.
-
-    The sums are taken of the centred signal (the cost is shift-invariant).
-    cost() reads sums (flat, at row * d + k) and sq through zero-copy float
-    memoryviews: d subtractions and products in plain Python, no numpy call.
-    """
-
-    def __init__(self, data: np.ndarray):
-        n, d = data.shape
-        centred = _centred(data)
-        self.sums = np.zeros((n + 1, d))
-        np.cumsum(centred, axis=0, out=self.sums[1:])
-        self.sq = np.zeros(n + 1)
-        np.cumsum(np.einsum("td,td->t", centred, centred), out=self.sq[1:])
-        _check_totals(self.sums[-1], self.sq[-1])
-        self._d = d
-        self._flat_sums = memoryview(self.sums).cast("B").cast("d")
-        self._flat_sq = memoryview(self.sq).cast("B").cast("d")
-
-    def cost(self, start: int, end: int) -> float:
-        d = self._d
-        sums = self._flat_sums
-        lo = start * d
-        hi = end * d
-        sq_dev = 0.0
-        for k in range(d):
-            diff = sums[hi + k] - sums[lo + k]
-            sq_dev += diff * diff
-        value = (self._flat_sq[end] - self._flat_sq[start]) - sq_dev / (end - start)
-        return value if value > 0.0 else 0.0
-
-
 def _ridge(base: float, magnitude):
     """The one ridge rule of normal, linear, ar and mahalanobis: the family's
     base plus 2^-48 times the magnitude that the rounding of what the ridge
@@ -318,10 +288,10 @@ def _check_totals(*totals) -> None:
 class FittedCost:
     """A cost family bound to one signal, answering segment queries.
 
-    Subclasses precompute their summaries in __init__ and supply
-    _segment_cost, as a method or a bound callable.  cost() checks bounds and
-    the family's minimum segment length, counts the evaluation, then delegates
-    to _segment_cost; subclasses do not override it.
+    Subclasses precompute their summaries in __init__ and supply the method
+    _segment_cost.  cost() checks bounds and the family's minimum segment
+    length, delegates to _segment_cost, then counts the evaluation;
+    subclasses do not override it.
     The instance also carries a private cache slot where dynp stashes its
     cost matrix and value table keyed by their grid parameters.
     """
@@ -342,9 +312,13 @@ class FittedCost:
         return self.signal.n_samples
 
     def cost(self, start: int, end: int) -> float:
-        """Cost of the half-open segment [start, end)."""
-        start = int(start)
-        end = int(end)
+        """Cost of the half-open segment [start, end).  Bounds that are not
+        integral by validate_breakpoints's rule raise IndexOutOfRangeError."""
+        if type(start) is not int or type(end) is not int:
+            bounds = (_integral(start), _integral(end))
+            if None in bounds:
+                raise IndexOutOfRangeError(f"segment bounds {start!r}, {end!r} must be integers")
+            start, end = bounds
         n = self.signal.n_samples
         # min_seg_len >= 1, so passing this one test implies start < end
         if start < 0 or end > n or end - start < self.min_seg_len:
@@ -355,21 +329,52 @@ class FittedCost:
             raise SegmentTooShortError(
                 f"segment [{start}, {end}) shorter than min_seg_len={self.min_seg_len}"
             )
+        value = float(self._segment_cost(start, end))
         with self._counter_lock:
             self.eval_counter += 1
-        return float(self._segment_cost(start, end))
+        return value
 
     def _segment_cost(self, start: int, end: int) -> float:
         raise NotImplementedError
 
 
-class L2Cost(FittedCost):
-    family = "l2"
+class PrefixCost(FittedCost):
+    """Within-segment sum of squared deviations of the rows fit hands it:
+    the signal for l2 and the linear kernel (whose Gram matrix is x x'), the
+    signal mapped by the metric's factor for mahalanobis (_mahalanobis_rows).
+    family is the spec's.  The sums are taken of the centred rows (the cost
+    is shift-invariant); _segment_cost reads sums (flat, at row * d + k) and
+    sq through zero-copy float memoryviews: d subtractions and products in
+    plain Python, no numpy call.
+    """
 
-    def __init__(self, spec, signal):
+    gamma = None  # the linear kernel has no bandwidth
+
+    def __init__(self, spec, signal, rows: np.ndarray):
         super().__init__(spec, signal, min_seg_len=1)
-        self._prefix = _PrefixL2(signal.data)
-        self._segment_cost = self._prefix.cost
+        self.family = spec.family
+        n, d = rows.shape
+        centred = _centred(rows)
+        self.sums = np.zeros((n + 1, d))
+        np.cumsum(centred, axis=0, out=self.sums[1:])
+        self.sq = np.zeros(n + 1)
+        np.cumsum(np.einsum("td,td->t", centred, centred), out=self.sq[1:])
+        _check_totals(self.sums[-1], self.sq[-1])
+        self._d = d
+        self._flat_sums = memoryview(self.sums).cast("B").cast("d")
+        self._flat_sq = memoryview(self.sq).cast("B").cast("d")
+
+    def _segment_cost(self, start, end):
+        d = self._d
+        sums = self._flat_sums
+        lo = start * d
+        hi = end * d
+        sq_dev = 0.0
+        for k in range(d):
+            diff = sums[hi + k] - sums[lo + k]
+            sq_dev += diff * diff
+        value = (self._flat_sq[end] - self._flat_sq[start]) - sq_dev / (end - start)
+        return value if value > 0.0 else 0.0
 
 
 class NormalCost(FittedCost):
@@ -510,16 +515,13 @@ class ARCost(FittedCost):
 
 
 class KernelCost(FittedCost):
-    """Feature-space spread around the segment mean.
+    """Feature-space spread around the segment mean, for the rbf kernel (the
+    linear kernel's is the l2 cost, which PrefixCost answers).
 
     c(a, b) = sum of diagonal entries over [a, b) minus the mean of the
-    (b - a)^2 Gram block.  For the linear kernel the Gram matrix is x x', so
-    the cost is the l2 cost and the l2 prefix sums answer it without any
-    n x n matrix.
-
-    For the rbf kernel the fit builds an integral image of the upper triangle
-    of the Gram matrix K: entry (i, j), i <= j, holds the sum of K(a, b) over
-    a <= i and a < b <= j.  The pairs a < b inside [s, e) then sum to
+    (b - a)^2 Gram block.  The fit builds an integral image of the upper
+    triangle of the Gram matrix K: entry (i, j), i <= j, holds the sum of
+    K(a, b) over a <= i and a < b <= j.  The pairs a < b inside [s, e) then sum to
     image[e-1, e-1] - image[s-1, e-1], the block sum is the diagonal sum plus
     twice that, and a query reads two corners through a zero-copy float
     memoryview: O(1).  Adding f(a) + f(b) to every entry leaves the cost
@@ -547,11 +549,6 @@ class KernelCost(FittedCost):
 
     def __init__(self, spec, signal):
         super().__init__(spec, signal, min_seg_len=1)
-        self.gamma = None
-        if spec.kernel == "linear":
-            self._prefix = _PrefixL2(signal.data)
-            self._segment_cost = self._prefix.cost
-            return
         n = signal.n_samples
         _check_dense(n, "the rbf kernel's integral image", _image_entries)
         if spec.gamma == MEDIAN_HEURISTIC:
@@ -636,46 +633,38 @@ class KernelCost(FittedCost):
         return value if value > 0.0 else 0.0
 
 
-class MahalanobisCost(FittedCost):
-    """L2 cost after a metric transform: (y - mean)' M (y - mean).
+def _mahalanobis_rows(spec: CostSpec, signal: Signal) -> np.ndarray:
+    """The signal mapped by the factor L of the metric M = L L', whose l2
+    cost is the Mahalanobis cost (y - mean)' M (y - mean).
 
-    One eigen decomposition gives the factor L with M = L L', and the
-    transformed signal y L reuses the plain L2 summaries.  An explicit metric
-    V diag(w) V' gives L = V diag(w)^1/2.  With metric="auto", M inverts the
-    whole-signal biased covariance V diag(w) V' plus a ridge r = _ridge(1e-6,
-    max w), so L = V diag(w + r)^-1/2 (w clipped at 0): the ridge stays above
-    the decomposition's rounding, which is relative to max w, at any scale.
+    One eigen decomposition gives L.  An explicit metric V diag(w) V' gives
+    L = V diag(w)^1/2.  With metric="auto", M inverts the whole-signal biased
+    covariance V diag(w) V' plus a ridge r = _ridge(1e-6, max w), so
+    L = V diag(w + r)^-1/2 (w clipped at 0): the ridge stays above the
+    decomposition's rounding, which is relative to max w, at any scale.
     """
-
-    family = "mahalanobis"
-
-    def __init__(self, spec, signal):
-        super().__init__(spec, signal, min_seg_len=1)
-        d = signal.n_dims
-        if isinstance(spec.metric, str):
-            centered = signal.data - signal.data.mean(axis=0)
-            eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / signal.n_samples)
-            eigvals = np.clip(eigvals, 0.0, None)
-            scales = (eigvals + _ridge(1e-6, eigvals[-1])) ** -0.5
-        else:
-            metric = np.asarray(spec.metric, dtype=np.float64)
-            if metric.shape != (d, d):
-                raise BadParamError(
-                    f"metric shape {metric.shape} does not match signal dimension {d}"
-                )
-            eigvals, eigvecs = np.linalg.eigh((metric + metric.T) / 2.0)
-            scales = np.sqrt(np.clip(eigvals, 0.0, None))
-        self._prefix = _PrefixL2(signal.data @ eigvecs * scales)
-        self._segment_cost = self._prefix.cost
+    d = signal.n_dims
+    if isinstance(spec.metric, str):
+        centered = signal.data - signal.data.mean(axis=0)
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / signal.n_samples)
+        eigvals = np.clip(eigvals, 0.0, None)
+        scales = (eigvals + _ridge(1e-6, eigvals[-1])) ** -0.5
+    else:
+        metric = np.asarray(spec.metric, dtype=np.float64)
+        if metric.shape != (d, d):
+            raise BadParamError(
+                f"metric shape {metric.shape} does not match signal dimension {d}"
+            )
+        eigvals, eigvecs = np.linalg.eigh((metric + metric.T) / 2.0)
+        scales = np.sqrt(np.clip(eigvals, 0.0, None))
+    return signal.data @ eigvecs * scales
 
 
 _FAMILY_CLASSES = {
-    "l2": L2Cost,
     "normal": NormalCost,
     "linear": LinearCost,
     "ar": ARCost,
     "kernel": KernelCost,
-    "mahalanobis": MahalanobisCost,
 }
 
 
@@ -697,7 +686,12 @@ def fit(spec: CostSpec, signal) -> FittedCost:
     sig = validate_signal(signal)
     try:
         with np.errstate(all="ignore"):
-            fitted = _FAMILY_CLASSES[spec.family](spec, sig)
+            if spec.family == "mahalanobis":
+                fitted = PrefixCost(spec, sig, _mahalanobis_rows(spec, sig))
+            elif spec.family == "l2" or (spec.family, spec.kernel) == ("kernel", "linear"):
+                fitted = PrefixCost(spec, sig, sig.data)
+            else:
+                fitted = _FAMILY_CLASSES[spec.family](spec, sig)
     except NonFiniteValueError as exc:
         name = f"{spec.kernel} kernel" if spec.family == "kernel" else spec.family
         raise NonFiniteValueError(f"{name} cost: {exc}") from None

@@ -127,7 +127,7 @@ def test_kernel_linear_equals_l2(noisy_signal):
     l2 = fit(CostSpec(family="l2"), noisy_signal)
     rng = np.random.default_rng(9)
     for a, b in random_queries(rng, 120, 1, count=100):
-        assert close(lin.cost(a, b), l2.cost(a, b))
+        assert lin.cost(a, b) == l2.cost(a, b)
 
 
 def test_mahalanobis_identity_equals_l2(noisy_signal):
@@ -199,6 +199,14 @@ def test_eval_counter_counts_every_call(noisy_signal):
     fitted.cost(0, 10)
     fitted.cost(3, 9)
     assert fitted.eval_counter == 3
+
+
+def test_eval_counter_skips_a_call_that_raises(noisy_signal):
+    fitted = fit(CostSpec(family="linear"), noisy_signal)
+    fitted._prod[...] = 0.0
+    with pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError, match="Singular"):
+        fitted.cost(0, 20)
+    assert fitted.eval_counter == 0
 
 
 def test_eval_counter_is_thread_safe(noisy_signal):
@@ -340,37 +348,43 @@ def test_cost_guard_every_family(noisy_signal, family, kw):
         for start, end in ((0, m - 1), (n - 1, n), (30, 30 + m - 1)):
             with pytest.raises(SegmentTooShortError, match=f"shorter than min_seg_len={m}"):
                 fitted.cost(start, end)
+    for bad in (True, False, np.True_, "3", 1.9, 0.5, np.nan, np.inf, -np.inf, None, b"3"):
+        for start, end in ((bad, n), (0, bad)):
+            with pytest.raises(IndexOutOfRangeError, match="must be integers"):
+                fitted.cost(start, end)
     assert fitted.eval_counter == 0
     for start, end in ((0, m), (n - m, n), (0, n), (7, 40)):
         expected = fitted.cost(start, end)
-        for cast in (np.int64, np.int32):
+        for cast in (np.int64, np.int32, float, np.float64):
             before = fitted.eval_counter
             assert fitted.cost(cast(start), cast(end)) == expected
             assert fitted.eval_counter == before + 1
 
 
-def numpy_prefix_cost(prefix, start, end):
+def numpy_prefix_cost(fitted, start, end):
     """The whole-row numpy form of the prefix-sum l2 cost, clipped at 0."""
-    seg = prefix.sums[end] - prefix.sums[start]
-    value = (prefix.sq[end] - prefix.sq[start]) - (seg @ seg) / (end - start)
+    seg = fitted.sums[end] - fitted.sums[start]
+    value = (fitted.sq[end] - fitted.sq[start]) - (seg @ seg) / (end - start)
     return max(value, 0.0)
 
 
 @pytest.mark.parametrize("dims", [1, 2, 5])
 @pytest.mark.parametrize("offset,scale", [(0.0, 1.0), (5.0, 1e-7), (1e6, 1e-6)])
-@pytest.mark.parametrize("family", ["l2", "mahalanobis"])
+@pytest.mark.parametrize("family", ["l2", "mahalanobis", "kernel"])
 def test_prefix_cost_matches_numpy_form(family, dims, offset, scale):
+    """l2, mahalanobis and the linear kernel (kernel= applies to it alone)
+    share the prefix-sum fit, whose sums the fitted cost exposes."""
     rng = np.random.default_rng(14 + dims)
     steps = np.repeat(rng.normal(scale=3.0, size=(4, dims)), 50, axis=0)
     signal = validate_signal(offset + scale * (steps + rng.normal(size=(200, dims))))
-    fitted = fit(CostSpec(family=family), signal)
-    prefix = fitted._prefix
+    fitted = fit(CostSpec(family=family, kernel="linear"), signal)
+    assert fitted.family == family
     queries = random_queries(rng, 200, 1, count=300) + [(0, 1), (199, 200), (0, 200)]
     for a, b in queries:
         value = fitted.cost(a, b)
         assert value >= 0.0
-        spread = prefix.sq[b] - prefix.sq[a]
-        assert abs(value - numpy_prefix_cost(prefix, a, b)) <= 1e-12 * spread, (a, b)
+        spread = fitted.sq[b] - fitted.sq[a]
+        assert abs(value - numpy_prefix_cost(fitted, a, b)) <= 1e-12 * spread, (a, b)
 
 
 # offset and scale applied to the signals of the summary checks below: plain,
