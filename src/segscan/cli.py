@@ -3,12 +3,12 @@
 Exit codes
 ----------
 0   success
-2   bad flags or parameter values (also argparse's own errors)
-3   unreadable or malformed input files
-4   detection cannot proceed (infeasible request, budget out of reach,
-    window or memory limits, signal too short, a singular segment system);
+2   bad flags or parameter values (also argparse's own errors); detect
+    checks them before it reads its input
+3   unreadable or malformed input files (InputError, decode and I/O errors)
+4   detection cannot proceed (DetectionError, or a singular segment system);
     the error class name is printed to stderr
-5   a breakpoint list failed validation against the signal length
+5   a breakpoint list failed validation (BreakpointError)
 
 ``detect`` and ``eval`` print a single JSON document on stdout and nothing
 else; all diagnostics go to stderr.
@@ -31,22 +31,13 @@ from .core import Signal, validate_breakpoints, validate_signal
 from .costs import MEDIAN_HEURISTIC, CostSpec, fit
 from .exceptions import (
     BadParamError,
-    BudgetUnreachableError,
-    DuplicateError,
+    BreakpointError,
+    DetectionError,
     EmptySignalError,
-    IndexOutOfRangeError,
-    InfeasibleError,
-    MemoryBudgetError,
+    InputError,
     MismatchedLengthError,
-    MissingTerminalError,
-    NonFiniteValueError,
-    NotSortedError,
-    OutOfRangeError,
     RaggedInputError,
-    SegmentTooShortError,
-    SignalTooShortError,
     SpacingInfeasibleError,
-    WindowTooLargeError,
 )
 from .generators import GenSpec, pw_constant, pw_linear, pw_normal
 from .metrics import hausdorff, precision_recall, rand_index
@@ -58,51 +49,22 @@ class UsageError(Exception):
     """Flag combination the parser cannot express, caught after parsing."""
 
 
-class FormatError(Exception):
+class FormatError(InputError):
     """Input file opened fine but its content is not in the expected shape."""
 
 
+# one row per exit code: a library error exits by its family
 _EXIT_RULES = (
     ((UsageError, BadParamError, SpacingInfeasibleError), 2),
-    (
-        (
-            FormatError,
-            RaggedInputError,
-            NonFiniteValueError,
-            EmptySignalError,
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-            csv.Error,
-            OSError,
-        ),
-        3,
-    ),
-    (
-        (
-            InfeasibleError,
-            BudgetUnreachableError,
-            WindowTooLargeError,
-            MemoryBudgetError,
-            SignalTooShortError,
-            SegmentTooShortError,
-            IndexOutOfRangeError,
-            np.linalg.LinAlgError,
-        ),
-        4,
-    ),
-    (
-        (
-            MismatchedLengthError,
-            MissingTerminalError,
-            OutOfRangeError,
-            NotSortedError,
-            DuplicateError,
-        ),
-        5,
-    ),
+    ((InputError, json.JSONDecodeError, UnicodeDecodeError, csv.Error, OSError), 3),
+    ((DetectionError, np.linalg.LinAlgError), 4),
+    ((BreakpointError,), 5),
 )
 
 _HANDLED = tuple(cls for classes, _ in _EXIT_RULES for cls in classes)
+
+# the detect flag of each StoppingRule kind, as "stopping" reports it
+_STOP_FLAGS = {"n_bkps": "n-bkps", "penalty": "pen", "budget": "epsilon"}
 
 
 def _exit_code(exc: BaseException) -> int:
@@ -264,18 +226,12 @@ def _cost_spec(args: argparse.Namespace) -> CostSpec:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    stopping_flags = [
-        ("n-bkps", args.n_bkps),
-        ("pen", args.pen),
-        ("epsilon", args.epsilon),
-    ]
-    given = [(name, value) for name, value in stopping_flags if value is not None]
-    if len(given) != 1:
-        raise UsageError("exactly one of --n-bkps, --pen, --epsilon is required")
-    rule_name, rule_value = given[0]
-    if args.method == "dynp" and rule_name == "pen":
+    # argparse admits exactly one stopping flag; every flag value is checked
+    # here, before the input is read
+    stop = StoppingRule(n_bkps=args.n_bkps, penalty=args.penalty, budget=args.budget)
+    if args.method == "dynp" and stop.kind == "penalty":
         raise UsageError("dynp does not take --pen; use --n-bkps or --epsilon")
-    if args.method == "pelt" and rule_name != "pen":
+    if args.method == "pelt" and stop.kind != "penalty":
         raise UsageError("pelt takes only --pen")
     if args.gamma is not None and args.cost != "rbf":
         raise UsageError("--gamma applies only to --cost rbf")
@@ -285,26 +241,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         raise UsageError("--window-width applies only to --method window")
     if args.method == "window" and args.window_width is None:
         raise UsageError("--method window requires --window-width")
-
-    signal = _read_csv(args.input, args.header)
-    fitted = fit(_cost_spec(args), signal)
+    spec = _cost_spec(args)
     config = SearchConfig(min_size=args.min_size, jump=args.jump, window_width=args.window_width)
 
+    fitted = fit(spec, _read_csv(args.input, args.header))
     start = time.perf_counter()
-    if args.method == "dynp":
-        if rule_name == "n-bkps":
-            result = dynp(fitted, args.n_bkps, config)
-        else:
-            result = solve_budget(fitted, args.epsilon, config)
+    if args.method == "dynp" and stop.n_bkps is not None:
+        result = dynp(fitted, stop.n_bkps, config)
+    elif args.method == "dynp":
+        result = solve_budget(fitted, stop.budget, config)
     elif args.method == "pelt":
-        result = pelt(fitted, args.pen, config)
+        result = pelt(fitted, stop.penalty, config)
     else:
-        if rule_name == "n-bkps":
-            stop = StoppingRule(n_bkps=args.n_bkps)
-        elif rule_name == "pen":
-            stop = StoppingRule(penalty=args.pen)
-        else:
-            stop = StoppingRule(budget=args.epsilon)
+        # built per call, so a rebinding of this module's engine names takes effect
         engine = {"binseg": binseg, "bottomup": bottomup, "window": window}[args.method]
         result = engine(fitted, stop, config)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -315,7 +264,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             "contrast": result.contrast,
             "method": args.method,
             "cost": args.cost,
-            "stopping": {"rule": rule_name, "value": rule_value},
+            "stopping": {"rule": _STOP_FLAGS[stop.kind], "value": stop.value},
             "n_cost_evals": result.n_cost_evals,
             "n_pruned": result.n_pruned,
             "elapsed_ms": elapsed_ms,
@@ -407,9 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="l2",
         choices=("l2", "normal", "linear", "ar", "rbf", "mahalanobis"),
     )
-    det.add_argument("--n-bkps", type=int, default=None, help="stop at this many changes")
-    det.add_argument("--pen", type=float, default=None, help="per-change penalty")
-    det.add_argument("--epsilon", type=float, default=None, help="contrast budget")
+    stop = det.add_mutually_exclusive_group(required=True)
+    stop.add_argument("--n-bkps", type=int, help="stop at this many changes")
+    stop.add_argument("--pen", dest="penalty", type=float, help="per-change penalty")
+    stop.add_argument("--epsilon", dest="budget", type=float, help="contrast budget")
     det.add_argument("--min-size", type=int, default=1, help="minimum segment length")
     det.add_argument("--jump", type=int, default=1, help="candidate grid step")
     det.add_argument("--window-width", type=int, default=None, help="window method width")

@@ -90,7 +90,8 @@ _KERNELS = ("linear", "rbf")
 _DENSE_SIDE_LIMIT = 20_000
 _MEDIAN_PAIR_CAP = 10_000
 _MEDIAN_SEED = 12345
-# float64 entries in one row band of the rbf integral image (512 kB)
+# float64 entries in one row band of the rbf integral image or of the copy
+# a dynp layer permutes (512 kB)
 _BAND_ENTRIES = 1 << 16
 
 
@@ -134,9 +135,14 @@ class CostSpec:
             if self.metric != AUTO_METRIC:
                 raise BadParamError(f"metric must be a PSD matrix or {AUTO_METRIC!r}")
         else:
-            metric = np.asarray(self.metric, dtype=np.float64)
+            try:
+                metric = np.asarray(self.metric, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                raise BadParamError(f"metric must be a PSD matrix or {AUTO_METRIC!r}") from None
             if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
                 raise BadParamError(f"metric must be square, got shape {metric.shape}")
+            if not np.isfinite(metric).all():
+                raise BadParamError("metric must be finite")
             scale = max(1.0, float(np.abs(metric).max()))
             if not np.allclose(metric, metric.T, atol=1e-8 * scale):
                 raise BadParamError("metric must be symmetric")
@@ -163,9 +169,10 @@ def _check_dense(side: int, what: str, entries=lambda side: side * side) -> None
 
 
 def _band_rows(n: int) -> int:
-    """Rows per band of the rbf integral image of n samples: about
-    _BAND_ENTRIES entries each, and at most n, so the step x step mask of the
-    second sweep stays band-sized."""
+    """Rows per band of an n-column pass (the rbf integral image of n
+    samples, a dynp layer over n positions): about _BAND_ENTRIES entries
+    each, and at most n, so the step x step mask of the image's second sweep
+    stays band-sized."""
     return min(n, max(1, _BAND_ENTRIES // n))
 
 

@@ -1,7 +1,8 @@
 """Errors raised across the package, one class per failure condition.
 
 All inherit from SegscanError so callers can catch the package as a whole.
-The CLI maps these onto its exit codes; see segscan.cli.
+InputError, DetectionError and BreakpointError group them into the families
+the CLI maps onto exit codes 3, 4 and 5; see segscan.cli.
 """
 
 
@@ -9,43 +10,55 @@ class SegscanError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class NonFiniteValueError(SegscanError):
+class InputError(SegscanError):
+    """The input signal is not usable data."""
+
+
+class DetectionError(SegscanError):
+    """The requested detection or segment cost cannot be computed."""
+
+
+class BreakpointError(SegscanError):
+    """A breakpoint list fails validation against the signal length."""
+
+
+class NonFiniteValueError(InputError):
     """Signal contains NaN or infinite entries."""
 
 
-class EmptySignalError(SegscanError):
+class EmptySignalError(InputError):
     """Signal has zero samples or zero dimensions."""
 
 
-class RaggedInputError(SegscanError):
+class RaggedInputError(InputError):
     """Input is not a rectangular 1D or 2D numeric array."""
 
 
-class NotSortedError(SegscanError):
+class NotSortedError(BreakpointError):
     """Breakpoint ends are not in increasing order."""
 
 
-class DuplicateError(SegscanError):
+class DuplicateError(BreakpointError):
     """Breakpoint ends contain a repeated value."""
 
 
-class OutOfRangeError(SegscanError):
+class OutOfRangeError(BreakpointError):
     """Breakpoint end lies outside [1, n_samples]."""
 
 
-class MissingTerminalError(SegscanError):
+class MissingTerminalError(BreakpointError):
     """The last breakpoint end does not equal the number of samples."""
 
 
-class IndexOutOfRangeError(SegscanError):
+class IndexOutOfRangeError(DetectionError):
     """Segment bounds are not 0 <= start < end <= n_samples."""
 
 
-class SegmentTooShortError(SegscanError):
+class SegmentTooShortError(DetectionError):
     """Segment is shorter than the cost family's minimum length."""
 
 
-class SignalTooShortError(SegscanError):
+class SignalTooShortError(DetectionError):
     """Signal is shorter than the cost family's minimum segment length."""
 
 
@@ -53,23 +66,23 @@ class BadParamError(SegscanError):
     """Malformed parameter value (cost spec, search config, stopping rule)."""
 
 
-class MemoryBudgetError(SegscanError):
+class MemoryBudgetError(DetectionError):
     """Precomputation would exceed the built-in memory budget."""
 
 
-class InfeasibleError(SegscanError):
+class InfeasibleError(DetectionError):
     """No valid segmentation exists under the given constraints."""
 
 
-class BudgetUnreachableError(SegscanError):
+class BudgetUnreachableError(DetectionError):
     """No reachable segmentation attains the requested cost budget."""
 
 
-class WindowTooLargeError(SegscanError):
+class WindowTooLargeError(DetectionError):
     """Window width exceeds the signal length."""
 
 
-class MismatchedLengthError(SegscanError):
+class MismatchedLengthError(BreakpointError):
     """Operands refer to signals of different lengths."""
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DetectionResult, _checked_int, _checked_real, _total, validate_breakpoints
-from .costs import _check_dense
+from .costs import _band_rows, _check_dense
 from .exceptions import (
     BadParamError,
     BudgetUnreachableError,
@@ -218,15 +218,24 @@ class _DynpState:
         self.rank = np.zeros(count, dtype=np.int64)
 
     def _extend_to(self, n_layers: int) -> None:
-        index = np.arange(len(self.positions))
+        count = len(self.positions)
+        index = np.arange(count)
+        step = _band_rows(count)
         while len(self.layers) <= n_layers:
             # starts in tie-break order; argmin keeps the first minimum
             order = np.lexsort((index, self.rank))
-            cand = self.matrix.take(order, axis=1)
-            cand += self.layers[-1][order]
-            pick = cand.argmin(axis=1)
-            self.layers.append(cand[index, pick])
-            del cand  # before the next layer allocates its own
+            before = self.layers[-1][order]
+            pick = np.empty(count, dtype=np.intp)
+            layer = np.empty(count)
+            # the permuted copy is taken one row band at a time, so it stays
+            # band-sized instead of a second matrix
+            for lo in range(0, count, step):
+                hi = min(count, lo + step)
+                cand = self.matrix[lo:hi].take(order, axis=1)
+                cand += before
+                pick[lo:hi] = cand.argmin(axis=1)
+                layer[lo:hi] = cand[index[: hi - lo], pick[lo:hi]]
+            self.layers.append(layer)
             self.back.append(order[pick])
             # a cell's tuple is its start's tuple plus that start, and the
             # starts are sorted by exactly that, so the start's place ranks it

@@ -8,7 +8,8 @@ to two decimals so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-from .core import Breakpoints, Signal
+from .core import Breakpoints, Signal, _checked_int
+from .exceptions import MismatchedLengthError
 
 _MARGIN_LEFT = 46.0
 _MARGIN_RIGHT = 12.0
@@ -31,6 +32,20 @@ def render_svg(
     width: int = 900,
     panel_height: int = 130,
 ) -> str:
+    """SVG markup of every dimension of signal, one panel each, shaded by the
+    segments of segmentation and marked at truth's change points.
+
+    width must leave a plot area inside the margins (an integer > 58) and
+    panel_height must be an integer >= 1, else BadParamError; segmentation
+    and truth must be Breakpoints of the signal's length, else
+    MismatchedLengthError."""
+    width = _checked_int("width", width, int(_MARGIN_LEFT + _MARGIN_RIGHT) + 1)
+    panel_height = _checked_int("panel_height", panel_height, 1)
+    for bkps in (segmentation, truth):
+        if bkps is not None and bkps.n_samples != signal.n_samples:
+            raise MismatchedLengthError(
+                f"signal has {signal.n_samples} samples, breakpoints refer to {bkps.n_samples}"
+            )
     n = signal.n_samples
     d = signal.n_dims
     plot_width = width - _MARGIN_LEFT - _MARGIN_RIGHT

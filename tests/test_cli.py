@@ -500,3 +500,108 @@ def test_plot_rejects_bad_segmentation(clean_case, tmp_path):
 def test_no_subcommand_exits_2():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+# every library error's exit code, as _EXIT_RULES listed them one class at a
+# time before the errors were grouped into families
+LIBRARY_EXIT_CODES = {
+    "BadParamError": 2,
+    "SpacingInfeasibleError": 2,
+    "NonFiniteValueError": 3,
+    "EmptySignalError": 3,
+    "RaggedInputError": 3,
+    "InfeasibleError": 4,
+    "BudgetUnreachableError": 4,
+    "WindowTooLargeError": 4,
+    "MemoryBudgetError": 4,
+    "SignalTooShortError": 4,
+    "SegmentTooShortError": 4,
+    "IndexOutOfRangeError": 4,
+    "MismatchedLengthError": 5,
+    "MissingTerminalError": 5,
+    "OutOfRangeError": 5,
+    "NotSortedError": 5,
+    "DuplicateError": 5,
+}
+
+
+def test_every_library_error_keeps_its_exit_code():
+    """Each error class exits as it did before the families, each family
+    exits as its members do, and no library error falls through to exit 1."""
+    from segscan import exceptions
+    from segscan.cli import FormatError, _exit_code
+
+    families = {
+        exceptions.InputError: 3,
+        exceptions.DetectionError: 4,
+        exceptions.BreakpointError: 5,
+    }
+    errors = {
+        name: cls
+        for name, cls in vars(exceptions).items()
+        if isinstance(cls, type)
+        and issubclass(cls, exceptions.SegscanError)
+        and cls is not exceptions.SegscanError
+    }
+    leaves = {name: cls for name, cls in errors.items() if cls not in families}
+    assert {name: _exit_code(cls("x")) for name, cls in leaves.items()} == LIBRARY_EXIT_CODES
+    for family, code in families.items():
+        assert _exit_code(family("x")) == code
+    for cls in leaves.values():
+        family = next((f for f in families if issubclass(cls, f)), None)
+        assert family is None or families[family] == _exit_code(cls("x")), cls
+    assert _exit_code(FormatError("x")) == 3
+
+
+def test_detect_takes_exactly_one_stopping_flag(clean_case, capsys):
+    """argparse admits one of --n-bkps, --pen and --epsilon, and "stopping"
+    reports the one given with its value."""
+    from segscan.cli import main
+
+    signal = str(clean_case / "signal.csv")
+    for flags in (["--pen", "1", "--epsilon", "2"], ["--n-bkps", "1", "--epsilon", "2"],
+                  ["--n-bkps", "1", "--pen", "1", "--epsilon", "2"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--input", signal, "--method", "binseg", *flags])
+        assert exc.value.code == 2, flags
+        assert "--" in capsys.readouterr().err
+    for flag, value, rule in (("--n-bkps", 3, "n-bkps"), ("--pen", 2.5, "pen"),
+                              ("--epsilon", 1e9, "epsilon")):
+        assert main(["detect", "--input", signal, "--method", "binseg", flag, str(value)]) == 0
+        assert strict_json(capsys.readouterr().out)["stopping"] == {"rule": rule, "value": value}
+
+
+def test_detect_checks_flag_values_before_reading_the_input(tmp_path, capsys):
+    """A bad flag value exits 2 even when the input cannot be read (3)."""
+    from segscan.cli import main
+
+    missing = str(tmp_path / "nope.csv")
+    cases = [
+        ["--method", "pelt", "--pen", "nan"],
+        ["--method", "dynp", "--n-bkps", "-1"],
+        ["--method", "binseg", "--epsilon", "-1"],
+        ["--method", "pelt", "--pen", "1", "--min-size", "0"],
+        ["--method", "binseg", "--n-bkps", "1", "--jump", "0"],
+        ["--method", "binseg", "--n-bkps", "1", "--cost", "rbf", "--gamma", "-1"],
+        ["--method", "binseg", "--n-bkps", "1", "--cost", "ar", "--order", "0"],
+    ]
+    for extra in cases:
+        assert main(["detect", "--input", missing, *extra]) == 2, extra
+        assert "BadParamError" in capsys.readouterr().err
+    assert main(["detect", "--input", missing, "--method", "pelt", "--pen", "1"]) == 3
+
+
+@pytest.mark.parametrize(
+    "size", [["--width", "0"], ["--width", "58"], ["--width", "30", "--panel-height", "-5"],
+             ["--panel-height", "0"]],
+    ids=" ".join,
+)
+def test_plot_refuses_a_size_with_no_plot_area(clean_case, tmp_path, size):
+    segmentation = tmp_path / "seg.json"
+    segmentation.write_text(json.dumps({"bkps": [180]}))
+    out = tmp_path / "x.svg"
+    proc = run_cli("plot", "--input", str(clean_case / "signal.csv"),
+                   "--segmentation", str(segmentation), "--out", str(out), *size)
+    assert proc.returncode == 2, proc.stderr
+    assert "BadParamError" in proc.stderr
+    assert not out.exists()

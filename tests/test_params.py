@@ -6,6 +6,7 @@ finite and >= 0 (> 0 for gamma), stored as float.  Flags: Python or numpy
 bools only, stored as bool.  Every violation raises BadParamError.
 """
 
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -134,3 +135,24 @@ def test_superadditive_must_be_a_bool(value):
 def test_superadditive_is_stored_as_bool(value):
     stored = CostSpec("l2", superadditive=value).superadditive
     assert type(stored) is bool and stored == bool(value)
+
+
+# a metric numpy cannot read as float64, or one with non-finite entries
+@pytest.mark.parametrize(
+    ("metric", "match"),
+    [
+        pytest.param([["a", "b"], ["c", "d"]], "PSD matrix", id="strings"),
+        pytest.param([[1.0, 2.0], [3.0]], "PSD matrix", id="ragged"),
+        pytest.param({"a": 1}, "PSD matrix", id="dict"),
+        pytest.param([[10**400, 0], [0, 1]], "PSD matrix", id="huge-int"),
+        pytest.param([[np.inf, 0.0], [0.0, 1.0]], "finite", id="inf"),
+        pytest.param([[1.0, 0.0], [0.0, -np.inf]], "finite", id="-inf"),
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], "finite", id="nan"),
+        pytest.param(np.full((3, 3), np.nan), "finite", id="all-nan"),
+    ],
+)
+def test_malformed_metric_raises_bad_param(metric, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParamError, match=match):
+            CostSpec("mahalanobis", metric=metric)

@@ -162,6 +162,8 @@ def test_cli_dynp_over_the_limit_is_exit_4(tmp_path):
 
 
 def test_dynp_layer_keeps_one_matrix_sized_temporary():
+    """A layer permutes the matrix one row band at a time, so six layers
+    over a cached 601-position matrix allocate well under a second matrix."""
     rng = np.random.default_rng(8)
     fitted = fit(CostSpec("l2"), rng.normal(size=600))
     dynp(fitted, 0)
@@ -172,4 +174,4 @@ def test_dynp_layer_keeps_one_matrix_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * matrix_bytes, f"{peak} bytes at peak for a {matrix_bytes}-byte matrix"
+    assert peak < 0.6 * matrix_bytes, f"{peak} bytes at peak for a {matrix_bytes}-byte matrix"
