@@ -3,8 +3,8 @@
 Exit codes
 ----------
 0   success
-2   bad flags or parameter values (also argparse's own errors); detect
-    checks them before it reads its input
+2   bad flags or parameter values (also argparse's own errors); every
+    subcommand checks them before it reads its input
 3   unreadable or malformed input files (InputError, decode and I/O errors)
 4   detection cannot proceed (DetectionError, or a singular segment system);
     the error class name is printed to stderr
@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .core import Signal, validate_breakpoints, validate_signal
+from .core import Signal, _checked_real, validate_breakpoints, validate_signal
 from .costs import MEDIAN_HEURISTIC, CostSpec, fit
 from .exceptions import (
     BadParamError,
@@ -42,7 +42,7 @@ from .exceptions import (
 from .generators import GenSpec, pw_constant, pw_linear, pw_normal
 from .metrics import hausdorff, precision_recall, rand_index
 from .search import SearchConfig, StoppingRule, binseg, bottomup, dynp, pelt, solve_budget, window
-from .svgplot import render_svg
+from .svgplot import _checked_size, render_svg
 
 
 class UsageError(Exception):
@@ -274,6 +274,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    margin = _checked_real("margin", args.margin)
     truth_doc = _read_json(args.truth)
     n_samples = _require_int(truth_doc, "T", args.truth)
     truth = validate_breakpoints(_require_list(truth_doc, "bkps", args.truth), n_samples)
@@ -285,7 +286,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 f"truth has T={n_samples} but prediction has T={pred_samples}"
             )
     pred = validate_breakpoints(_require_list(pred_doc, "bkps", args.pred), n_samples)
-    scores = precision_recall(truth, pred, margin=args.margin)
+    scores = precision_recall(truth, pred, margin=margin)
     _print_json(
         {
             "hausdorff": hausdorff(truth, pred),
@@ -298,6 +299,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    width, panel_height = _checked_size(args.width, args.panel_height)
     signal = _read_csv(args.input, args.header)
     seg_doc = _read_json(args.segmentation)
     segmentation = validate_breakpoints(
@@ -309,13 +311,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         truth = validate_breakpoints(
             _require_list(truth_doc, "bkps", args.truth), signal.n_samples
         )
-    markup = render_svg(
-        signal,
-        segmentation,
-        truth=truth,
-        width=args.width,
-        panel_height=args.panel_height,
-    )
+    markup = render_svg(signal, segmentation, truth=truth, width=width, panel_height=panel_height)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(markup)
     print(f"wrote {args.out}", file=sys.stderr)

@@ -119,12 +119,7 @@ class Breakpoints:
 
     def segments(self) -> list[tuple[int, int]]:
         """Half-open (start, end) pairs covering [0, n_samples)."""
-        out = []
-        start = 0
-        for end in self.ends:
-            out.append((start, end))
-            start = end
-        return out
+        return list(zip((0, *self.ends), self.ends))
 
     def min_segment_length(self) -> int:
         return min(end - start for start, end in self.segments())

@@ -25,9 +25,9 @@ cost(start, end) is one prefix difference plus at most one LAPACK call.  The
 six families use four layouts:
 
 - l2, mahalanobis and the linear kernel: one class, PrefixCost, keeps prefix
-  sums of the centred rows and of their squared norms, read through
-  zero-copy float memoryviews, so one evaluation is O(d) plain float
-  arithmetic with no numpy call.  The rows are the signal, or for
+  sums of the centred rows, column by column, and of their squared norms,
+  read through zero-copy float memoryviews: one evaluation is O(d) plain
+  float arithmetic with no numpy call.  The rows are the signal, or for
   mahalanobis the signal mapped by the metric's factor;
 - normal: prefix sums of the outer products of [x, 1], with the ridge folded
   into the x diagonal, and one slogdet;
@@ -53,13 +53,14 @@ solves it to NaN instead (with numpy's invalid-value RuntimeWarning), and
 linear and ar raise on a NaN cost.  fit refuses summaries that overflow
 float64 with NonFiniteValueError, so a NaN cannot come from anywhere else.
 
-Every cost() call that returns bumps eval_counter by exactly one, after the
-evaluation, so a call that raises is not counted; increments are
-lock-protected so concurrent callers read exact totals.
+Every cost() call that returns advances eval_counter by one, after the
+evaluation, so a call that raises is not counted; the count is an
+itertools.count, exact under concurrent callers without a lock.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import warnings
@@ -136,7 +137,12 @@ class CostSpec:
                 raise BadParamError(f"metric must be a PSD matrix or {AUTO_METRIC!r}")
         else:
             try:
-                metric = np.asarray(self.metric, dtype=np.float64)
+                # a given dtype refuses ragged input without numpy 1.23's warning
+                np.asarray(self.metric, dtype=np.complex128)
+                metric = np.asarray(self.metric)
+                if metric.dtype.kind == "c":
+                    raise TypeError
+                metric = metric.astype(np.float64)
             except (TypeError, ValueError, OverflowError):
                 raise BadParamError(f"metric must be a PSD matrix or {AUTO_METRIC!r}") from None
             if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
@@ -149,7 +155,6 @@ class CostSpec:
             eigvals = np.linalg.eigvalsh((metric + metric.T) / 2.0)
             if eigvals.min() < -1e-8 * scale:
                 raise BadParamError("metric must be positive semidefinite")
-            metric = metric.copy()
             metric.setflags(write=False)
             object.__setattr__(self, "metric", metric)
 
@@ -297,8 +302,8 @@ class FittedCost:
 
     Subclasses precompute their summaries in __init__ and supply the method
     _segment_cost.  cost() checks bounds and the family's minimum segment
-    length, delegates to _segment_cost, then counts the evaluation;
-    subclasses do not override it.
+    length, delegates to _segment_cost, then counts the evaluation; no
+    subclass overrides it, so the count and a wrapper see every evaluation.
     The instance also carries a private cache slot where dynp stashes its
     cost matrix and value table keyed by their grid parameters.
     """
@@ -308,15 +313,16 @@ class FittedCost:
     def __init__(self, spec: CostSpec, signal: Signal, min_seg_len: int):
         self.spec = spec
         self.signal = signal
+        self.n_samples = signal.n_samples
         self.min_seg_len = int(min_seg_len)
-        self.eval_counter = 0
-        self._counter_lock = threading.Lock()
+        self._evals = itertools.count()
         self._state_lock = threading.Lock()
         self._search_state: dict = {}
 
     @property
-    def n_samples(self) -> int:
-        return self.signal.n_samples
+    def eval_counter(self) -> int:
+        """The evaluations counted so far, read from repr "count(N)"."""
+        return int(repr(self._evals)[6:-1])
 
     def cost(self, start: int, end: int) -> float:
         """Cost of the half-open segment [start, end).  Bounds that are not
@@ -326,7 +332,7 @@ class FittedCost:
             if None in bounds:
                 raise IndexOutOfRangeError(f"segment bounds {start!r}, {end!r} must be integers")
             start, end = bounds
-        n = self.signal.n_samples
+        n = self.n_samples
         # min_seg_len >= 1, so passing this one test implies start < end
         if start < 0 or end > n or end - start < self.min_seg_len:
             if not 0 <= start < end <= n:
@@ -337,8 +343,7 @@ class FittedCost:
                 f"segment [{start}, {end}) shorter than min_seg_len={self.min_seg_len}"
             )
         value = float(self._segment_cost(start, end))
-        with self._counter_lock:
-            self.eval_counter += 1
+        next(self._evals)
         return value
 
     def _segment_cost(self, start: int, end: int) -> float:
@@ -350,9 +355,9 @@ class PrefixCost(FittedCost):
     the signal for l2 and the linear kernel (whose Gram matrix is x x'), the
     signal mapped by the metric's factor for mahalanobis (_mahalanobis_rows).
     family is the spec's.  The sums are taken of the centred rows (the cost
-    is shift-invariant); _segment_cost reads sums (flat, at row * d + k) and
-    sq through zero-copy float memoryviews: d subtractions and products in
-    plain Python, no numpy call.
+    is shift-invariant) and kept as one (d, n + 1) array, whose transpose is
+    sums; _segment_cost reads each column and sq through zero-copy float
+    memoryviews: d subtractions and products in plain Python, no numpy call.
     """
 
     gamma = None  # the linear kernel has no bandwidth
@@ -362,23 +367,19 @@ class PrefixCost(FittedCost):
         self.family = spec.family
         n, d = rows.shape
         centred = _centred(rows)
-        self.sums = np.zeros((n + 1, d))
-        np.cumsum(centred, axis=0, out=self.sums[1:])
+        columns = np.zeros((d, n + 1))
+        np.cumsum(centred.T, axis=1, out=columns[:, 1:])
+        self.sums = columns.T
         self.sq = np.zeros(n + 1)
         np.cumsum(np.einsum("td,td->t", centred, centred), out=self.sq[1:])
         _check_totals(self.sums[-1], self.sq[-1])
-        self._d = d
-        self._flat_sums = memoryview(self.sums).cast("B").cast("d")
+        self._columns = [memoryview(column).cast("B").cast("d") for column in columns]
         self._flat_sq = memoryview(self.sq).cast("B").cast("d")
 
     def _segment_cost(self, start, end):
-        d = self._d
-        sums = self._flat_sums
-        lo = start * d
-        hi = end * d
         sq_dev = 0.0
-        for k in range(d):
-            diff = sums[hi + k] - sums[lo + k]
+        for column in self._columns:
+            diff = column[end] - column[start]
             sq_dev += diff * diff
         value = (self._flat_sq[end] - self._flat_sq[start]) - sq_dev / (end - start)
         return value if value > 0.0 else 0.0

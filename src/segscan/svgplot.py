@@ -25,6 +25,12 @@ def _fmt(value: float) -> str:
     return "%.2f" % value
 
 
+def _checked_size(width, panel_height) -> tuple[int, int]:
+    """width and panel_height as render_svg takes them, else BadParamError."""
+    least_width = int(_MARGIN_LEFT + _MARGIN_RIGHT) + 1
+    return _checked_int("width", width, least_width), _checked_int("panel_height", panel_height, 1)
+
+
 def render_svg(
     signal: Signal,
     segmentation: Breakpoints,
@@ -39,8 +45,7 @@ def render_svg(
     panel_height must be an integer >= 1, else BadParamError; segmentation
     and truth must be Breakpoints of the signal's length, else
     MismatchedLengthError."""
-    width = _checked_int("width", width, int(_MARGIN_LEFT + _MARGIN_RIGHT) + 1)
-    panel_height = _checked_int("panel_height", panel_height, 1)
+    width, panel_height = _checked_size(width, panel_height)
     for bkps in (segmentation, truth):
         if bkps is not None and bkps.n_samples != signal.n_samples:
             raise MismatchedLengthError(

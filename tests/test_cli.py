@@ -591,6 +591,25 @@ def test_detect_checks_flag_values_before_reading_the_input(tmp_path, capsys):
     assert main(["detect", "--input", missing, "--method", "pelt", "--pen", "1"]) == 3
 
 
+def test_plot_and_eval_check_flag_values_before_reading_their_files(tmp_path, capsys):
+    """plot and eval follow detect's rule: a bad --width, --panel-height or
+    --margin exits 2 even when the files cannot be read (3)."""
+    from segscan.cli import main
+
+    signal, truth, pred = (str(tmp_path / name) for name in ("nope.csv", "t.json", "p.json"))
+    plot = ["plot", "--input", signal, "--segmentation", pred, "--out", str(tmp_path / "x.svg")]
+    for extra in (["--width", "0"], ["--width", "58"], ["--panel-height", "0"]):
+        assert main([*plot, *extra]) == 2, extra
+        assert "BadParamError" in capsys.readouterr().err
+    assert main(plot) == 3
+    evaluate = ["eval", "--truth", truth, "--pred", pred]
+    for margin in ("-1", "nan", "inf"):
+        assert main([*evaluate, "--margin", margin]) == 2, margin
+        assert "BadParamError" in capsys.readouterr().err
+    assert main([*evaluate, "--margin", "0"]) == 3
+    assert not (tmp_path / "x.svg").exists()
+
+
 @pytest.mark.parametrize(
     "size", [["--width", "0"], ["--width", "58"], ["--width", "30", "--panel-height", "-5"],
              ["--panel-height", "0"]],

@@ -4,6 +4,7 @@ details: eval counter, minimum segment lengths, parameter validation."""
 import subprocess
 import sys
 import threading
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -222,6 +223,106 @@ def test_eval_counter_is_thread_safe(noisy_signal):
     for t in threads:
         t.join()
     assert fitted.eval_counter == 2000
+
+
+def _fitted_cost_classes(cls=costs.FittedCost):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _fitted_cost_classes(sub)
+
+
+def test_no_fitted_cost_subclass_defines_cost():
+    """eval_counter and any wrapper around FittedCost.cost (a tracer, say)
+    count evaluations only if every family runs the base class's cost()."""
+    classes = set(_fitted_cost_classes())
+    assert {costs.PrefixCost, costs.NormalCost, costs.LinearCost, costs.ARCost,
+            costs.KernelCost} <= classes
+    for cls in classes:
+        assert "cost" not in vars(cls), cls.__name__
+
+
+def test_eval_counter_stays_exact_under_constant_thread_switching(noisy_signal):
+    """Four threads call cost() on an l2 and a normal fit with a thread switch
+    due every microsecond; a zeroed linear fit's raising calls add nothing."""
+    l2 = fit(CostSpec(family="l2"), noisy_signal)
+    normal = fit(CostSpec(family="normal"), noisy_signal)
+    singular = fit(CostSpec(family="linear"), noisy_signal)
+    singular._prod[...] = 0.0
+    expected = (l2.cost(5, 70), normal.cost(5, 70))
+    rounds, n_threads = 5000, 4
+    start = threading.Barrier(n_threads)
+    wrong = []
+
+    def hammer():
+        start.wait(timeout=60)
+        for _ in range(rounds):
+            if (l2.cost(5, 70), normal.cost(5, 70)) != expected:
+                wrong.append(1)
+            try:
+                singular.cost(0, 20)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                wrong.append(2)
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert l2.eval_counter == normal.eval_counter == n_threads * rounds + 1
+    assert singular.eval_counter == 0
+
+
+def _row_major_costs(rows):
+    """cost(start, end) of l2 on rows as PrefixCost computed it with its sums
+    row-major: one (n + 1, d) cumsum down the rows, read flat at row * d + k."""
+    centred = costs._centred(rows)
+    n, d = rows.shape
+    sums = np.zeros((n + 1, d))
+    np.cumsum(centred, axis=0, out=sums[1:])
+    sq = np.zeros(n + 1)
+    np.cumsum(np.einsum("td,td->t", centred, centred), out=sq[1:])
+    flat_sums = memoryview(sums).cast("B").cast("d")
+    flat_sq = memoryview(sq).cast("B").cast("d")
+
+    def cost(start, end):
+        lo = start * d
+        hi = end * d
+        sq_dev = 0.0
+        for k in range(d):
+            diff = flat_sums[hi + k] - flat_sums[lo + k]
+            sq_dev += diff * diff
+        value = (flat_sq[end] - flat_sq[start]) - sq_dev / (end - start)
+        return value if value > 0.0 else 0.0
+
+    return cost
+
+
+@pytest.mark.parametrize("dims", [1, 2, 5])
+@pytest.mark.parametrize("offset,scale", [(0.0, 1.0), (1e6, 1e-6)])
+@pytest.mark.parametrize("family", ["l2", "mahalanobis", "kernel"])
+def test_prefix_cost_equals_the_row_major_loop_bitwise(family, dims, offset, scale):
+    """The column-major sums add in the same order as the row-major ones did,
+    so every segment's cost is the same float."""
+    rng = np.random.default_rng(41 + dims)
+    steps = np.repeat(rng.normal(scale=3.0, size=(4, dims)), 30, axis=0)
+    signal = validate_signal(offset + scale * (steps + rng.normal(size=(120, dims))))
+    fitted = fit(CostSpec(family=family, kernel="linear"), signal)
+    rows = costs._mahalanobis_rows(fitted.spec, signal) if family == "mahalanobis" else signal.data
+    old = _row_major_costs(rows)
+    for start in range(120):
+        for end in range(start + 1, 121):
+            assert fitted.cost(start, end) == old(start, end), (start, end)
 
 
 def test_median_heuristic_frozen_values():

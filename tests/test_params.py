@@ -137,12 +137,19 @@ def test_superadditive_is_stored_as_bool(value):
     assert type(stored) is bool and stored == bool(value)
 
 
-# a metric numpy cannot read as float64, or one with non-finite entries
+# a metric numpy cannot read as a real float64 matrix, or one with non-finite
+# entries; a complex one is refused rather than cut to its real part
 @pytest.mark.parametrize(
     ("metric", "match"),
     [
         pytest.param([["a", "b"], ["c", "d"]], "PSD matrix", id="strings"),
         pytest.param([[1.0, 2.0], [3.0]], "PSD matrix", id="ragged"),
+        pytest.param([[1.0, [2.0]], [3.0, 4.0]], "PSD matrix", id="ragged-nested"),
+        pytest.param([[1.0 + 2.0j, 0.0], [0.0]], "PSD matrix", id="ragged-complex"),
+        pytest.param(np.array([[2 + 5j, 0], [0, 1]]), "PSD matrix", id="complex-array"),
+        pytest.param([[1 + 0j, 0], [0, 1]], "PSD matrix", id="complex-list-real-values"),
+        pytest.param(np.array([[1 + 2j, 0], [0, 1]], dtype=object), "PSD matrix",
+                     id="complex-objects"),
         pytest.param({"a": 1}, "PSD matrix", id="dict"),
         pytest.param([[10**400, 0], [0, 1]], "PSD matrix", id="huge-int"),
         pytest.param([[np.inf, 0.0], [0.0, 1.0]], "finite", id="inf"),
@@ -156,3 +163,22 @@ def test_malformed_metric_raises_bad_param(metric, match):
         warnings.simplefilter("error")
         with pytest.raises(BadParamError, match=match):
             CostSpec("mahalanobis", metric=metric)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        [[2, 1], [1, 2]],
+        np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.float32),
+        np.array([[2, 1], [1, 2]], dtype=object),
+        [["2", "1"], ["1", "2"]],
+    ],
+    ids=["int-list", "float32", "objects", "numeric-strings"],
+)
+def test_real_metric_is_stored_as_a_read_only_float64_copy(metric):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stored = CostSpec("mahalanobis", metric=metric).metric
+    assert stored.dtype == np.float64 and not stored.flags.writeable
+    assert stored is not metric and not np.shares_memory(stored, np.asarray(metric))
+    assert stored.tolist() == [[2.0, 1.0], [1.0, 2.0]]
