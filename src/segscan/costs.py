@@ -38,9 +38,13 @@ six families use four layouts:
 - rbf kernel: the integral image of the upper triangle of the Gram matrix,
   built band by band, so a query reads two corners: O(1) instead of
   O(end - start).  Each row band is stored as one contiguous rectangle
-  from its first row's diagonal column rightwards, and a per-row base
-  offset locates an entry, so the image holds about half of n x n
-  entries and has no page for the lower triangle.
+  from its first row's diagonal column rightwards, so the image holds about
+  half of n x n entries and has no page for the lower triangle.  Whole
+  bands are split into pieces of about equal size, at most 16 MiB each, and
+  a per-row piece and base offset locate an entry: glibc serves blocks that
+  small from its heap once its mmap threshold has risen, so a later fit
+  reuses an earlier fit's freed pieces instead of mapping a new image
+  beside them.
 
 The LAPACK calls of normal, linear and ar go straight to the gufuncs behind
 np.linalg.slogdet and np.linalg.solve (numpy.linalg._umath_linalg), with the
@@ -94,6 +98,9 @@ _MEDIAN_SEED = 12345
 # float64 entries in one row band of the rbf integral image or of the copy
 # a dynp layer permutes (512 kB)
 _BAND_ENTRIES = 1 << 16
+# float64 entries in one piece of the rbf integral image (16 MiB), half of
+# glibc's 32 MiB ceiling on its mmap threshold; see KernelCost
+_PIECE_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,26 +538,44 @@ class KernelCost(FittedCost):
     triangle of the Gram matrix K: entry (i, j), i <= j, holds the sum of
     K(a, b) over a <= i and a < b <= j.  The pairs a < b inside [s, e) then sum to
     image[e-1, e-1] - image[s-1, e-1], the block sum is the diagonal sum plus
-    twice that, and a query reads two corners through a zero-copy float
-    memoryview: O(1).  Adding f(a) + f(b) to every entry leaves the cost
+    twice that, and a query reads two corners through zero-copy float
+    memoryviews: O(1).  Adding f(a) + f(b) to every entry leaves the cost
     unchanged, so K is double-centred first, which keeps the corner values
     small.
 
     The image is packed by row bands of a few hundred kB: band [lo, hi) is
     a contiguous (hi - lo) x (n - lo) rectangle holding columns lo..n-1 of
-    its rows, and each band starts where the one above ends.  Entry (i, j),
-    j >= the first row of i's band, sits at flat[base[i] + j], base being one
-    offset per row.  The columns left of a band, most of the lower triangle,
-    get no storage, so the image takes about n^2 / 2 + n * step / 2 entries
+    its rows.  The columns left of a band, most of the lower triangle, get
+    no storage, so the image takes about n^2 / 2 + n * step / 2 entries
     (step rows per band) instead of n^2, and every page of it is written:
     an n x n buffer with only its upper triangle written still becomes
-    resident almost whole once numpy advises huge pages.  The bands are swept
-    twice: the first computes the kernel and its row sums (the band's own
-    row sums plus, by symmetry, the column sums of the bands above it); the
-    second centres each band, takes its row prefix sums and adds each row
-    onto the one above, which for a band's first row is the last row of the
-    band above, read from column lo on.  rbf signals over 20,000 samples fail
-    the dense-matrix guard (_check_dense) up front.
+    resident almost whole once numpy advises huge pages.
+
+    The bands are split, whole and in order, into pieces of at most
+    _PIECE_ENTRIES entries (16 MiB): as few pieces as keep one equal share
+    of the entries plus one band under that cap, piece k taking the bands
+    that start in the k-th share, each band where the one before it in its
+    piece ends.  Entry (i, j), j >= the first row of i's band, sits at
+    pieces[i][base[i] + j]: pieces holds, per row, a memoryview of the piece
+    the row lies in, and base the row's offset inside it.  The reason is
+    glibc's malloc: a block above its dynamic mmap threshold gets a fresh
+    mapping, and freeing one raises that threshold up to a 32 MiB ceiling,
+    after which smaller blocks come from the heap and stay resident once
+    freed, until the free top of the heap passes twice the threshold.  An
+    image of one block left the smaller images of earlier fits on the heap
+    and, above 32 MiB, was mapped on top of them.  Pieces of at most half
+    that ceiling are served from the heap and reuse the freed ones, and
+    equal shares keep them near the image's size divided by their count
+    (about 11 MiB at 2,931 samples), so the threshold stays low enough that
+    freeing a long image returns the heap's top to the system.
+
+    The bands are swept twice: the first computes the kernel and its row
+    sums (the band's own row sums plus, by symmetry, the column sums of the
+    bands above it); the second centres each band, takes its row prefix sums
+    and adds each row onto the one above, which for a band's first row is
+    the last row of the band above, read from column lo on, in its own piece
+    or the one before.  rbf signals over 20,000 samples fail the
+    dense-matrix guard (_check_dense) up front.
     """
 
     family = "kernel"
@@ -566,14 +591,15 @@ class KernelCost(FittedCost):
             )
         else:
             self.gamma = float(spec.gamma)
-        image, self._base, self._diag_prefix = self._upper_image(_centred(signal.data))
-        self._flat_image = memoryview(image).cast("B").cast("d")
+        self._row_pieces, self._base, self._diag_prefix = self._upper_image(
+            _centred(signal.data)
+        )
         self._flat_diag = memoryview(self._diag_prefix).cast("B").cast("d")
 
     def _upper_image(self, data: np.ndarray):
         """The packed integral image of the double-centred rbf Gram matrix's
-        upper triangle, its per-row base offsets, and the prefix sums of its
-        diagonal."""
+        upper triangle, as a memoryview of each row's piece and each row's
+        base offset in it, and the prefix sums of its diagonal."""
         n, d = data.shape
         gamma = self.gamma
         sq = np.einsum("td,td->t", data, data)
@@ -586,17 +612,30 @@ class KernelCost(FittedCost):
         right[:d] = (2.0 * gamma) * data.T
         right[d] = -gamma
         right[d + 1] = -gamma * sq
-        image = np.empty(_image_entries(n))
-        base = [0] * n
-        bands = []
         step = _band_rows(n)
-        offset = 0
+        # piece k takes the bands that start in its k-th share of the entries,
+        # so it holds at most that share plus one band: _PIECE_ENTRIES
+        entries = _image_entries(n)
+        count = -(-entries // (_PIECE_ENTRIES - _BAND_ENTRIES))
+        groups = [[] for _ in range(count)]
+        total = 0
         for lo in range(0, n, step):
             hi = min(n, lo + step)
             size = (hi - lo) * (n - lo)
-            bands.append((lo, hi, image[offset : offset + size].reshape(hi - lo, n - lo)))
-            base[lo:hi] = range(offset - lo, offset - lo + size, n - lo)
-            offset += size
+            groups[total * count // entries].append((lo, hi, size))
+            total += size
+        pieces = [None] * n
+        base = [0] * n
+        bands = []
+        for group in groups:
+            piece = np.empty(sum(size for _, _, size in group))
+            view = memoryview(piece)
+            offset = 0
+            for lo, hi, size in group:
+                bands.append((lo, hi, piece[offset : offset + size].reshape(hi - lo, n - lo)))
+                pieces[lo:hi] = [view] * (hi - lo)
+                base[lo:hi] = range(offset - lo, offset - lo + size, n - lo)
+                offset += size
         ones = np.ones(n)
         sums = np.zeros(n)
         diag = np.empty(n)
@@ -616,26 +655,29 @@ class KernelCost(FittedCost):
         # second sweep: centre, clear the diagonal and below (only pairs a < b
         # are summed), prefix sums along each row, then down the rows
         lower = np.tri(step, dtype=bool)
+        above = None
         for lo, hi, band in bands:
             band -= shift[lo:hi, None]
             band -= means[lo:]
             band[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
             np.cumsum(band, axis=1, out=band)
-            for a in range(max(lo, 1), hi):
-                row = image[base[a] + a : base[a] + n]
-                np.add(row, image[base[a - 1] + a : base[a - 1] + n], out=row)
+            if above is not None:
+                np.add(band[0], above[-1, lo - n :], out=band[0])
+            for r in range(1, hi - lo):
+                np.add(band[r, r:], band[r - 1, r:], out=band[r, r:])
+            above = band
         # a NaN kernel value reaches the grand mean, which the centring takes
         # from every entry, so the last corner shows it
-        _check_totals(image[base[-1] + n - 1], diag_prefix[-1])
-        return image, base, diag_prefix
+        _check_totals(pieces[-1][base[-1] + n - 1], diag_prefix[-1])
+        return pieces, base, diag_prefix
 
     def _segment_cost(self, start, end):
-        image = self._flat_image
+        pieces = self._row_pieces
         base = self._base
         last = end - 1
-        pairs = image[base[last] + last]
+        pairs = pieces[last][base[last] + last]
         if start:
-            pairs -= image[base[start - 1] + last]
+            pairs -= pieces[start - 1][base[start - 1] + last]
         diag = self._flat_diag[end] - self._flat_diag[start]
         value = diag - (diag + 2.0 * pairs) / (end - start)
         return value if value > 0.0 else 0.0

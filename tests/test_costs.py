@@ -620,7 +620,8 @@ def test_kernel_summaries_match_oracle(kernel, n_samples, conditioning):
 def test_kernel_rbf_keeps_one_gram_sized_buffer():
     """The integral image is built in place and packed to the upper
     triangle: fitting allocates about half an n x n float64 matrix, plus at
-    most one row band, and no second buffer for the prefix sums."""
+    most one row band, and no second buffer for the prefix sums.  The image's
+    pieces are counted once each, however many rows share one."""
     signal = validate_signal(np.random.default_rng(60).normal(size=(1500, 2)))
     tracemalloc.start()
     try:
@@ -630,16 +631,21 @@ def test_kernel_rbf_keeps_one_gram_sized_buffer():
         tracemalloc.stop()
     gram_bytes = 1500 * 1500 * 8
     band_bytes = 8 * costs._BAND_ENTRIES
-    assert fitted._flat_image.nbytes <= gram_bytes / 2 + band_bytes
+    pieces = {id(view): view.nbytes for view in fitted._row_pieces}
+    assert sum(pieces.values()) <= gram_bytes / 2 + band_bytes
     assert peak < 0.6 * gram_bytes
 
 
-@pytest.mark.parametrize("n_samples", [1, 2, 3, 255, 256, 257, 1000, 2931])
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 255, 256, 257, 1000, 1999, 2000, 2840, 2931])
 def test_packed_rbf_image_matches_square_image_bitwise(n_samples):
     """The row-band packing changes where entries live, not how they are
     computed: every cost equals the n x n image's bit for bit.  255 and 256
     samples fit one band (the second exactly), 257 ends in a 2-row band, and
-    1000 and 2931 span many bands with a shorter last one."""
+    1000 and 2931 span many bands with a shorter last one.  1999 samples are
+    the most whose image takes one piece, 2000 take two and 2840 are the
+    fewest that take three, so rows are added onto the row above across a
+    piece boundary; every segment that reads a row on either side of a
+    boundary is checked."""
     rng = np.random.default_rng(90 + n_samples)
     data = step_signal(rng, n_samples, 2, "plain")
     gamma = 0.5 if n_samples == 1 else MEDIAN_HEURISTIC
@@ -650,6 +656,11 @@ def test_packed_rbf_image_matches_square_image_bitwise(n_samples):
     else:
         queries = random_queries(rng, n_samples, 1, count=2000)
         queries += [(0, 1), (n_samples - 1, n_samples), (0, n_samples)]
+    rows = fitted._row_pieces
+    for first in [r for r in range(1, n_samples) if rows[r] is not rows[r - 1]]:
+        # segments that read row first - 1 or row first at any column
+        queries += [(a, b) for a in (first, first + 1) for b in range(a + 1, n_samples + 1)]
+        queries += [(a, b) for b in (first, first + 1) for a in range(b)]
     for a, b in queries:
         assert fitted.cost(a, b).hex() == reference(a, b).hex(), (a, b)
 

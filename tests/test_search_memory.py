@@ -5,20 +5,27 @@ refuse grids above 20,000 positions before allocating it.  The other
 engines keep O(T) state, checked by the peak RSS of a fresh process.
 bottomup has its own, shorter signal.  The rbf kernel's integral image is
 packed to the upper triangle, so fitting it raises the peak RSS by about
-half an n x n matrix.  Those checks run in a child process with a capped
+half an n x n matrix.  It is split into pieces of about equal size, at
+most 16 MiB each, half of the 32 MiB ceiling of glibc's mmap threshold, so
+that glibc serves them from its heap and reuses freed ones: fits of growing
+length, as a CLI batch makes them, raise the peak RSS by not much more than
+the largest image.  Those checks run in a child process with a capped
 address space; the dynp layer's working set is measured in process with
 tracemalloc.
 """
 
 import json
+import platform
 import resource
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from segscan import CostSpec, dynp, fit
+from segscan.costs import _image_entries
 
 LARGE_T = 6000
 DENSE_MB = (LARGE_T + 1) ** 2 * 8 / 1e6
@@ -26,6 +33,9 @@ BOTTOMUP_T = 4000
 BOTTOMUP_DENSE_MB = (BOTTOMUP_T + 1) ** 2 * 8 / 1e6
 RBF_T = 3000
 RBF_GRAM_MB = RBF_T**2 * 8 / 1e6
+# the rbf signal lengths of one benchmark CLI batch, shortest first
+BATCH_RBF_TS = (1275, 1689, 2103, 2517, 2931)
+BATCH_IMAGE_MB = 8 * _image_entries(max(BATCH_RBF_TS)) / 1e6
 OVER_LIMIT_T = 20_000  # grid of 20,001 positions with jump 1
 ADDRESS_CAP = 2**30
 # the child's own high-water RSS.  Not ru_maxrss: Linux carries that across
@@ -95,6 +105,23 @@ rise_mb = peak_rss_mb() - before_mb
 print(json.dumps({{"cost": fitted.cost(0, {RBF_T}), "rise_mb": rise_mb}}))
 """
 
+RBF_BATCH_CHILD = PEAK_MB_SOURCE + f"""
+import json
+import numpy as np
+from segscan import CostSpec, fit
+
+rng = np.random.default_rng(10)
+signals = [rng.normal(size=(n, 2)) for n in {BATCH_RBF_TS} for _ in range(3)]
+before_mb = peak_rss_mb()
+costs = []
+for signal in signals:
+    fitted = fit(CostSpec(family="kernel", kernel="rbf"), signal)
+    costs.append(fitted.cost(0, len(signal)))
+    del fitted
+rise_mb = peak_rss_mb() - before_mb
+print(json.dumps({{"costs": costs, "rise_mb": rise_mb}}))
+"""
+
 OVER_LIMIT_CHILD = f"""
 import numpy as np
 from segscan import CostSpec, dynp, fit, solve_budget
@@ -140,6 +167,26 @@ def test_rbf_fit_stays_well_below_a_gram_matrix():
     assert report["rise_mb"] < 0.6 * RBF_GRAM_MB, (
         f"an rbf fit raised the peak RSS by {report['rise_mb']:.1f} MB; "
         f"the Gram matrix alone is {RBF_GRAM_MB:.0f} MB"
+    )
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the bound rests on glibc's malloc, which serves blocks up to its 32 MiB "
+    "mmap threshold ceiling from the heap and keeps them there once freed",
+)
+def test_rbf_fits_of_a_cli_batch_reuse_freed_images():
+    """Fits of growing length, each dropped before the next, as one CLI
+    batch makes them: freed pieces are reused, so the peak RSS rises by not
+    much more than the largest image, not by that image on top of the
+    smaller ones glibc still holds."""
+    proc = run_capped("-c", RBF_BATCH_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert all(cost > 0.0 for cost in report["costs"])
+    assert report["rise_mb"] < 1.5 * BATCH_IMAGE_MB, (
+        f"15 rbf fits raised the peak RSS by {report['rise_mb']:.1f} MB; "
+        f"the largest image alone is {BATCH_IMAGE_MB:.1f} MB"
     )
 
 
