@@ -642,6 +642,8 @@ class KernelCost(FittedCost):
         # first sweep: the kernel values and the full row sums
         for lo, hi, band in bands:
             np.matmul(left[lo:hi], right[:, lo:], out=band)
+            # the product rounds to about gamma |x_a|^2 2^-52 at a = b, not 0
+            np.fill_diagonal(band[:, : hi - lo], 0.0)
             np.minimum(band, 0.0, out=band)
             np.exp(band, out=band)
             diag[lo:hi] = band[:, : hi - lo].diagonal()

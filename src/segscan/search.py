@@ -13,7 +13,8 @@ accept any of the three stopping rules; solve_budget() finds the fewest
 change points whose optimal cost fits a budget by growing the dynp table.
 binseg() and window() add change points as lazy moves that one loop,
 _add_greedily(), takes under the stopping rule; bottomup() removes them
-with its own loop, since its penalty and budget tests point the other way.
+in one loop of its own, since its penalty and budget tests point the other
+way.
 
 Only dynp and solve_budget keep a dense grid x grid segment-cost matrix,
 cached on the fitted cost per (min_size, jump) together with the dynp value
@@ -21,15 +22,17 @@ table (values and integer backpointers per change count), which is extended
 under a lock instead of recomputed.  The other engines hold O(grid) state:
 they read dynp's matrix when dynp has already run on the same fitted cost
 and grid (window for each segment whose ends are both grid positions), and
-otherwise evaluate costs on demand, memoized only within one call, so
-repeating a pelt or greedy search pays its evaluations again.  Each engine
-counts the costs it evaluates, so n_cost_evals omits other threads' work.
+otherwise evaluate costs on demand; a greedy call memoizes them in its own
+functools.cache, so repeating a pelt or greedy search pays its evaluations
+again.  Each engine counts the costs it evaluates (a greedy call its
+cache's currsize), so n_cost_evals omits other threads' work.
 Ties are always broken toward the smallest change point indices.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -148,25 +151,17 @@ def _result(fitted, ends, contrast, n_cost_evals, n_pruned=0) -> DetectionResult
 
 
 def _segment_cost(fitted, dense):
-    """cost(start, end) for one greedy engine call, and the memo it fills.
+    """cost(start, end) for one greedy engine call, and the functools.cache
+    behind it.
 
     Reads dynp's matrix when `dense` holds one for the caller's grid and both
     ends are positions of that grid; otherwise evaluates through fitted.cost
-    once per distinct segment of this call and keeps the value in the memo,
-    so len(memo) is the number of costs the call has evaluated.
+    once per distinct segment of this call, so the cache's currsize is the
+    number of costs the call has evaluated.
     """
-    memo: dict[tuple[int, int], float] = {}
-
-    def evaluated(start: int, end: int) -> float:
-        key = (start, end)
-        value = memo.get(key)
-        if value is None:
-            value = fitted.cost(start, end)
-            memo[key] = value
-        return value
-
+    evaluated = functools.cache(fitted.cost)
     if dense is None:
-        return evaluated, memo
+        return evaluated, evaluated
     index = dense.pos_index
     matrix = dense.matrix
 
@@ -177,7 +172,7 @@ def _segment_cost(fitted, dense):
             return evaluated(start, end)
         return float(matrix[end_idx, start_idx])
 
-    return cost, memo
+    return cost, evaluated
 
 
 def _dense(fitted, min_size, jump):
@@ -359,8 +354,7 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
         admitted = next_admission
-        while next_admission < count and positions[next_admission] + min_size <= end_pos:
-            next_admission += 1
+        next_admission = bisect.bisect_right(positions, end_pos - min_size)
         if next_admission > admitted:
             candidates = np.concatenate((candidates, np.arange(admitted, next_admission)))
         if prune:
@@ -397,7 +391,7 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     return _result(fitted, ends, contrast, n_evals, n_pruned=n_pruned)
 
 
-def _add_greedily(fitted, stop, moves, cost, memo) -> DetectionResult:
+def _add_greedily(fitted, stop, moves, cost, evaluated) -> DetectionResult:
     """Take a greedy engine's lazy (score, end) moves, best first, until the
     stopping rule holds; the one reader of the rule for binseg and window.
 
@@ -424,7 +418,7 @@ def _add_greedily(fitted, stop, moves, cost, memo) -> DetectionResult:
             if move is None:
                 raise BudgetUnreachableError(f"total cost {total} above budget {stop.budget}")
             bisect.insort(ends, move[1])
-    return _result(fitted, ends, _total(cost, ends), len(memo))
+    return _result(fitted, ends, _total(cost, ends), evaluated.cache_info().currsize)
 
 
 def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -437,14 +431,11 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     budget.  Ties go to the smallest split index.
     """
     _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
-    cost, memo = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    cost, evaluated = _segment_cost(fitted, _dense(fitted, min_size, jump))
     ends_idx = [len(positions) - 1]
-    best_split: dict[tuple[int, int], tuple[float, int] | None] = {}
 
+    @functools.cache
     def segment_best(a_idx: int, b_idx: int):
-        key = (a_idx, b_idx)
-        if key in best_split:
-            return best_split[key]
         lo = bisect.bisect_left(positions, positions[a_idx] + min_size)
         hi = bisect.bisect_right(positions, positions[b_idx] - min_size)
         found = None
@@ -455,7 +446,6 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
                 gain = base - (cost(a, positions[s]) + cost(positions[s], b))
                 if found is None or gain > found[0]:
                     found = (gain, s)
-        best_split[key] = found
         return found
 
     def moves():
@@ -472,7 +462,7 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             yield chosen[0], positions[chosen[1]]
             bisect.insort(ends_idx, chosen[1])
 
-    return _add_greedily(fitted, stop, moves(), cost, memo)
+    return _add_greedily(fitted, stop, moves(), cost, evaluated)
 
 
 def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -486,13 +476,14 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     two neighbouring ends, so a step costs O(log grid) instead of a rescan.
     """
     _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
-    cost, memo = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    cost, evaluated = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    kind = stop.kind
     terminal = len(positions) - 1
     # the finest valid ends, the multiples of _step: every stride-th grid index
     stride = _step(min_size, jump) // jump
     count = max_changes(fitted.n_samples, min_size, jump)
     internal = list(range(1, 1 + count * stride, stride))
-    if stop.kind == "n_bkps" and stop.n_bkps > len(internal):
+    if kind == "n_bkps" and stop.n_bkps > len(internal):
         raise InfeasibleError(
             f"{stop.n_bkps} change points requested but the finest grid has {len(internal)}"
         )
@@ -528,22 +519,15 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
         unpriced.update(internal[max(where - 1, 0) : where + 2])
         unpriced.discard(internal.pop(where))
 
-    if stop.kind == "n_bkps":
-        while len(internal) > stop.n_bkps:
-            _, where = cheapest()
-            merge(where)
-    elif stop.kind == "penalty":
-        while internal:
-            delta, where = cheapest()
-            if delta > stop.penalty:
-                break
-            merge(where)
-    else:
+    if kind == "budget":
         # every segment here is one a merge delta or the contrast evaluates
         ends = [positions[i] for i in [0, *internal, terminal]]
         seg_costs = np.array([cost(a, b) for a, b in zip(ends, ends[1:])])
-        while internal:
-            _, where = cheapest()
+    while internal and (kind != "n_bkps" or len(internal) > stop.n_bkps):
+        delta, where = cheapest()
+        if kind == "penalty" and delta > stop.penalty:
+            break
+        if kind == "budget":
             left, right = neighbours(where)
             merged = cost(positions[left], positions[right])
             trial = np.concatenate((seg_costs[:where], [merged], seg_costs[where + 2 :]))
@@ -551,10 +535,10 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
             if np.cumsum(trial)[-1] > stop.budget:
                 break
             seg_costs = trial
-            merge(where)
+        merge(where)
     ends = tuple(positions[i] for i in internal) + (positions[terminal],)
     contrast = _total(cost, ends)
-    return _result(fitted, ends, contrast, len(memo))
+    return _result(fitted, ends, contrast, evaluated.cache_info().currsize)
 
 
 def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -584,7 +568,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             f"window_width {width} below twice the minimum segment length {min_size}"
         )
     half = width // 2
-    seg_cost, memo = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    seg_cost, evaluated = _segment_cost(fitted, _dense(fitted, min_size, jump))
     grid = _grid(n_samples, half, jump)
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)
@@ -612,4 +596,4 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
                 chosen.append(t)
                 yield score, t
 
-    return _add_greedily(fitted, stop, moves(), seg_cost, memo)
+    return _add_greedily(fitted, stop, moves(), seg_cost, evaluated)

@@ -171,6 +171,7 @@ def square_rbf_image_cost(data, gamma):
     for lo, hi in bands:
         band = image[lo:hi, lo:]
         np.matmul(left[lo:hi], right[:, lo:], out=band)
+        np.fill_diagonal(band[:, : hi - lo], 0.0)
         np.minimum(band, 0.0, out=band)
         np.exp(band, out=band)
         diag[lo:hi] = band[:, : hi - lo].diagonal()

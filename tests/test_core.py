@@ -98,6 +98,9 @@ def test_validate_breakpoints_rejections():
         validate_breakpoints([4, 2, 6], 6)
     with pytest.raises(MissingTerminalError):
         validate_breakpoints([], 6)
+    for n_samples in (0, -3):
+        with pytest.raises(EmptySignalError, match=f"n_samples must be >= 1, got {n_samples}"):
+            validate_breakpoints([1], n_samples)
     with pytest.raises(MissingTerminalError):
         validate_breakpoints([3, 5], 6)
 

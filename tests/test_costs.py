@@ -102,6 +102,21 @@ def test_kernel_rbf_matches_definition(noisy_signal):
         assert close(fitted.cost(a, b), direct)
 
 
+@pytest.mark.parametrize("scale, gamma", [(1.0, 1e10), (1.0, 1e14), (100.0, 1e8), (1e4, 1.0)])
+def test_kernel_rbf_diagonal_is_exactly_one(scale, gamma):
+    """K(a, a) = exp(0) = 1 however large gamma |x_a|^2 is.  The fit expands
+    -gamma |x_a - x_b|^2 into products that round to about gamma |x_a|^2
+    2^-52 at a = b, so that exponent must be set to 0, not computed; at
+    gamma |x|^2 >= 1e10 the off-diagonal values underflow and every
+    segment of two or more samples costs its length less one."""
+    data = scale * np.random.default_rng(8).normal(size=(120, 2))
+    fitted = fit(CostSpec(family="kernel", kernel="rbf", gamma=gamma), validate_signal(data))
+    queries = random_queries(np.random.default_rng(9), 120, 2, count=100) + [(0, 120), (5, 7)]
+    for a, b in queries:
+        expected = oracle.kernel_cost(data, a, b, "rbf", gamma=gamma)
+        assert abs(fitted.cost(a, b) - expected) <= 1e-12 * expected, (a, b)
+
+
 def test_kernel_rbf_median_bandwidth(noisy_signal):
     fitted = fit(CostSpec(family="kernel", kernel="rbf", gamma=MEDIAN_HEURISTIC), noisy_signal)
     assert close(fitted.gamma, oracle.median_gamma(noisy_signal.data))

@@ -17,12 +17,15 @@ from segscan import (
     GenSpec,
     SearchConfig,
     StoppingRule,
+    binseg,
+    bottomup,
     dynp,
     fit,
     pelt,
     precision_recall,
     solve_budget,
     validate_breakpoints,
+    window,
 )
 from segscan.exceptions import BadParamError
 
@@ -151,6 +154,7 @@ def test_superadditive_is_stored_as_bool(value):
         pytest.param(np.array([[1 + 2j, 0], [0, 1]], dtype=object), "PSD matrix",
                      id="complex-objects"),
         pytest.param({"a": 1}, "PSD matrix", id="dict"),
+        pytest.param("foo", "PSD matrix or 'auto'", id="unknown-name"),
         pytest.param([[10**400, 0], [0, 1]], "PSD matrix", id="huge-int"),
         pytest.param([[np.inf, 0.0], [0.0, 1.0]], "finite", id="inf"),
         pytest.param([[1.0, 0.0], [0.0, -np.inf]], "finite", id="-inf"),
@@ -182,3 +186,23 @@ def test_real_metric_is_stored_as_a_read_only_float64_copy(metric):
     assert stored.dtype == np.float64 and not stored.flags.writeable
     assert stored is not metric and not np.shares_memory(stored, np.asarray(metric))
     assert stored.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+
+
+# every engine with its other arguments valid, so only the config can fail
+ENGINES = {
+    "dynp": lambda fitted, config: dynp(fitted, 1, config),
+    "solve_budget": lambda fitted, config: solve_budget(fitted, 1.0, config),
+    "pelt": lambda fitted, config: pelt(fitted, 1.0, config),
+    "binseg": lambda fitted, config: binseg(fitted, StoppingRule(n_bkps=1), config),
+    "bottomup": lambda fitted, config: bottomup(fitted, StoppingRule(n_bkps=1), config),
+    "window": lambda fitted, config: window(fitted, StoppingRule(n_bkps=1), config),
+}
+
+
+@pytest.mark.parametrize("config", [{"min_size": 2}, "SearchConfig"], ids=repr)
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_engines_refuse_a_config_that_is_not_a_search_config(engine, config):
+    fitted = _fitted()
+    with pytest.raises(BadParamError, match="expected a SearchConfig"):
+        ENGINES[engine](fitted, config)
+    assert fitted.eval_counter == 0
