@@ -31,10 +31,11 @@ six families use four layouts:
   mahalanobis the signal mapped by the metric's factor;
 - normal: prefix sums of the outer products of [x, 1], with the ridge folded
   into the x diagonal, and one slogdet;
-- linear and ar: prefix sums of the outer products of the centred
-  [x, 1, y], with the ridge folded into the slope diagonal, then one solve
-  and one product; for ar, x holds a dimension's lags and the sums are kept
-  per dimension, so the solve and the product are batched over them;
+- linear and ar: one class, RegressionCost, keeps prefix sums of the outer
+  products of the centred [x, 1, y] per group of rows, with the ridge
+  folded into the x diagonal, then one solve and one np.vecdot stacked over
+  the groups: linear has one group, x being columns 1..d-1 and y column 0;
+  ar has one per dimension, x being its lags;
 - rbf kernel: the integral image of the upper triangle of the Gram matrix,
   built band by band, so a query reads two corners: O(1) instead of
   O(end - start).  Each row band is stored as one contiguous rectangle
@@ -72,7 +73,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import slogdet as _slogdet
-from numpy.linalg._umath_linalg import solve as _solve
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import Signal, _checked_int, _checked_real, _integral, validate_signal
@@ -144,8 +144,6 @@ class CostSpec:
                 raise BadParamError(f"metric must be a PSD matrix or {AUTO_METRIC!r}")
         else:
             try:
-                # a given dtype refuses ragged input without numpy 1.23's warning
-                np.asarray(self.metric, dtype=np.complex128)
                 metric = np.asarray(self.metric)
                 if metric.dtype.kind == "c":
                     raise TypeError
@@ -427,99 +425,49 @@ class NormalCost(FittedCost):
         return length * (logdet - self._n_aug * math.log(length))
 
 
-class LinearCost(FittedCost):
-    """Penalised RSS of column 0 regressed on the remaining columns plus an
-    intercept.
+class RegressionCost(FittedCost):
+    """Penalised RSS of a response regressed on k - 1 regressors plus an
+    intercept, summed over g groups of rows: "linear" regresses column 0 on
+    the remaining columns (g = 1, k = d), "ar" each dimension on its own
+    `order` lags (g = d, k = order + 1).
 
-    The cost of a segment of m rows is the minimum over coefficients b of
-    |y - X b|^2 + m * sum_j r_j b_j^2 over the slopes j, never the
-    intercept.  The ridge per sample r_j is _ridge(1e-8, the sum of squares
-    of regressor j, less its median, over the whole signal), so segments
-    with a constant or collinear regressor stay solvable at any scale.  The
-    intercept absorbs any shift of the columns, so the cost is
-    shift-invariant and the fit summarises the centred signal.  Each row
-    adds its own squared residual plus the same ridge term, so the cost is
-    exactly superadditive.
+    The cost of a segment is, per group, the minimum over coefficients b of
+    |y - X b|^2 + m * sum_j r_j b_j^2 over the regressors j, never the
+    intercept, for the m rows of the segment whose regressors lie inside
+    it: all end - start rows for linear, end - start - order for ar.  The
+    ridge per sample r_j is _ridge(1e-8, the sum of squares of regressor j,
+    less the median of the signal column it comes from, over the whole
+    signal), so segments with a constant or collinear regressor stay
+    solvable at any scale.  The intercept absorbs any shift of the columns,
+    so the cost is shift-invariant and the fit summarises the centred
+    signal.  Each row adds its own squared residual plus the same ridge
+    term, so the cost is exactly superadditive.  min_seg_len is k + 1:
+    d + 1 for linear, and order + 2 (two residual rows) for ar.
 
-    The fit keeps prefix sums of the outer products of [x, 1, y] with the
-    ridge folded into the slope diagonal, so a prefix difference is the
-    penalised normal equations of the segment: a query is one solve and one
-    product, yy - xy . coef.  The solve is the gufunc itself (see the module
-    docstring); a singular system solves to NaN, and the query raises
+    rows, from _linear_rows or _ar_rows, holds one (g, k + 1) array
+    [regressors, 1, y] per row, and the row of response t is at t - lag
+    (lag is 0 for linear, order for ar).  The fit keeps prefix sums of their
+    outer products with the ridge folded into the regressor diagonal, so a
+    prefix difference is each group's penalised normal equations: a query
+    is one solve stacked over the groups and one np.vecdot, yy - xy . coef
+    per group.  The solve is the gufunc itself (see the module docstring);
+    a singular system solves to NaN, and the query raises
     np.linalg.LinAlgError for it, as np.linalg.solve does.
     """
 
-    family = "linear"
-
-    def __init__(self, spec, signal):
-        d = signal.n_dims
-        super().__init__(spec, signal, min_seg_len=d + 1)
-        n = signal.n_samples
-        centred = _centred(signal.data)
-        aug = np.empty((n, d + 1))
-        aug[:, : d - 1] = centred[:, 1:]
-        aug[:, d - 1] = 1.0
-        aug[:, d] = centred[:, 0]
-        self._prod = _prefix_outer(aug, 1e-8, d - 1)
-        self._n_reg = d
+    def __init__(self, spec, signal, rows: np.ndarray, lag: int):
+        k = rows.shape[-1] - 1
+        super().__init__(spec, signal, min_seg_len=k + 1)
+        self.family = spec.family
+        self._prod = _prefix_outer(rows, 1e-8, k - 1)
+        self._k = k
+        self._lag = lag
 
     def _segment_cost(self, start, end):
-        k = self._n_reg
-        block = self._prod[end] - self._prod[start]
-        xy = block[:k, k]
-        rss = block[k, k] - xy.dot(_solve1(block[:k, :k], xy))
-        if rss != rss:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return rss if rss > 0.0 else 0.0
-
-
-class ARCost(FittedCost):
-    """Per-dimension autoregression cost, total penalised RSS over dimensions.
-
-    Each dimension is regressed on its own `order` lags plus an intercept.
-    Only rows whose lags lie inside the segment contribute, so a segment
-    [start, end) yields m = end - start - order residuals per dimension.  As
-    for "linear", each dimension's cost is the minimum of its RSS plus m
-    times a ridge per sample on each squared lag coefficient, by the same
-    rule over that lag column (the intercept is not penalised):
-    shift-invariant, computed from the centred signal, and exactly
-    superadditive.
-
-    The fit keeps, per dimension, prefix sums of the outer products of
-    [lag_1, ..., lag_order, 1, y] with the ridge folded into the lag
-    diagonal; a query takes one prefix difference, one batched solve over
-    the dimensions and one batched product.  As for "linear", the solve is
-    the gufunc itself, and a singular system in any dimension raises
-    np.linalg.LinAlgError.
-    """
-
-    family = "ar"
-
-    def __init__(self, spec, signal):
-        order = spec.order
-        if order >= signal.n_samples:
-            raise BadParamError(
-                f"ar order {order} must be smaller than the signal length {signal.n_samples}"
-            )
-        super().__init__(spec, signal, min_seg_len=order + 2)
-        data = _centred(signal.data)
-        n, d = data.shape
-        aug = np.empty((n - order, d, order + 2))
-        for lag in range(1, order + 1):
-            aug[:, :, lag - 1] = data[order - lag : n - lag, :]
-        aug[:, :, order] = 1.0
-        aug[:, :, order + 1] = data[order:, :]
-        self._prod = _prefix_outer(aug, 1e-8, order)
-        self._order = order
-
-    def _segment_cost(self, start, end):
-        k = self._order + 1
-        block = self._prod[end - self._order] - self._prod[start]
-        # the (d, k, 1) right-hand side is a stack of column vectors, as the
-        # (m,m),(m,n)->(m,n) gufunc takes them; the block is symmetric, so
-        # its (d, 1, k) row slice is the same vectors transposed
-        coef = _solve(block[:, :k, :k], block[:, :k, k:])
-        rss = block[:, k, k] - (block[:, k:, :k] @ coef).ravel()
+        k = self._k
+        block = self._prod[end - self._lag] - self._prod[start]
+        xy = block[:, :k, k]
+        rss = block[:, k, k] - np.vecdot(xy, _solve1(block[:, :k, :k], xy))
         total = 0.0
         for value in rss.tolist():
             if value > 0.0:
@@ -712,12 +660,35 @@ def _mahalanobis_rows(spec: CostSpec, signal: Signal) -> np.ndarray:
     return signal.data @ eigvecs * scales
 
 
-_FAMILY_CLASSES = {
-    "normal": NormalCost,
-    "linear": LinearCost,
-    "ar": ARCost,
-    "kernel": KernelCost,
-}
+def _linear_rows(signal: Signal) -> np.ndarray:
+    """linear's one group of rows [x, 1, y]: the centred columns 1..d-1, an
+    intercept and the centred column 0, shaped (n, 1, d + 1)."""
+    n, d = signal.data.shape
+    centred = _centred(signal.data)
+    rows = np.empty((n, 1, d + 1))
+    rows[:, 0, : d - 1] = centred[:, 1:]
+    rows[:, 0, d - 1] = 1.0
+    rows[:, 0, d] = centred[:, 0]
+    return rows
+
+
+def _ar_rows(spec: CostSpec, signal: Signal) -> np.ndarray:
+    """ar's rows [lag_1, ..., lag_order, 1, y] of each centred dimension, for
+    the responses order..n-1, shaped (n - order, d, order + 2).  An order at
+    least the signal's length leaves no response: BadParamError."""
+    order = spec.order
+    if order >= signal.n_samples:
+        raise BadParamError(
+            f"ar order {order} must be smaller than the signal length {signal.n_samples}"
+        )
+    data = _centred(signal.data)
+    n, d = data.shape
+    rows = np.empty((n - order, d, order + 2))
+    for lag in range(1, order + 1):
+        rows[:, :, lag - 1] = data[order - lag : n - lag, :]
+    rows[:, :, order] = 1.0
+    rows[:, :, order + 1] = data[order:, :]
+    return rows
 
 
 def fit(spec: CostSpec, signal) -> FittedCost:
@@ -742,8 +713,14 @@ def fit(spec: CostSpec, signal) -> FittedCost:
                 fitted = PrefixCost(spec, sig, _mahalanobis_rows(spec, sig))
             elif spec.family == "l2" or (spec.family, spec.kernel) == ("kernel", "linear"):
                 fitted = PrefixCost(spec, sig, sig.data)
+            elif spec.family == "linear":
+                fitted = RegressionCost(spec, sig, _linear_rows(sig), lag=0)
+            elif spec.family == "ar":
+                fitted = RegressionCost(spec, sig, _ar_rows(spec, sig), lag=spec.order)
+            elif spec.family == "normal":
+                fitted = NormalCost(spec, sig)
             else:
-                fitted = _FAMILY_CLASSES[spec.family](spec, sig)
+                fitted = KernelCost(spec, sig)
     except NonFiniteValueError as exc:
         name = f"{spec.kernel} kernel" if spec.family == "kernel" else spec.family
         raise NonFiniteValueError(f"{name} cost: {exc}") from None

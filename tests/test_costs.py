@@ -250,8 +250,7 @@ def test_no_fitted_cost_subclass_defines_cost():
     """eval_counter and any wrapper around FittedCost.cost (a tracer, say)
     count evaluations only if every family runs the base class's cost()."""
     classes = set(_fitted_cost_classes())
-    assert {costs.PrefixCost, costs.NormalCost, costs.LinearCost, costs.ARCost,
-            costs.KernelCost} <= classes
+    assert {costs.PrefixCost, costs.NormalCost, costs.RegressionCost, costs.KernelCost} <= classes
     for cls in classes:
         assert "cost" not in vars(cls), cls.__name__
 
@@ -554,7 +553,7 @@ def test_normal_summaries_match_oracle(dims, conditioning):
 
 
 @pytest.mark.parametrize("conditioning", list(CONDITIONING))
-@pytest.mark.parametrize("dims", [2, 3, 5])
+@pytest.mark.parametrize("dims", [1, 2, 3, 5])
 def test_linear_summaries_match_oracle(dims, conditioning):
     rng = np.random.default_rng(30 + dims)
     data = step_signal(rng, 200, dims, conditioning, relation=True)
@@ -585,6 +584,27 @@ def test_ar_summaries_match_oracle(order, dims, conditioning):
         else:
             energy = float((centred[:b] ** 2).sum())
             assert abs(value - expected) <= 1e-9 * (1.0 + energy), (a, b, value, expected)
+
+
+@pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1e6, 3e6)])
+@pytest.mark.parametrize("order", [1, 3])
+def test_ar_is_linear_on_the_lag_embedding(order, scale, offset):
+    """ar(p) on one column x is linear on the rows [x_t, x_t-1, ..., x_t-p],
+    t >= p: segment [s, e) of x holds the responses s + p..e - 1, which are
+    rows s..e - p - 1 of the embedding.  Every segment with at least two
+    more rows than the p + 1 coefficients must agree to 1e-9 relative, not
+    bit for bit: ar centres each lag column by x's median, linear by that
+    column's own.  With one spare row the cost is mostly cancellation
+    residue, and the two differ by up to 1.5e-8 relative there."""
+    rng = np.random.default_rng(50 + order)
+    x = offset + scale * rng.normal(size=120)
+    embedding = np.column_stack([x[order - lag : 120 - lag] for lag in range(order + 1)])
+    ar = fit(CostSpec(family="ar", order=order), validate_signal(x[:, None]))
+    linear = fit(CostSpec(family="linear"), validate_signal(embedding))
+    for a in range(120):
+        for b in range(a + 2 * order + 3, 121):
+            expected = linear.cost(a, b - order)
+            assert abs(ar.cost(a, b) - expected) <= 1e-9 * abs(expected), (a, b)
 
 
 @pytest.mark.parametrize("levels", [(0.0, 65536.0), (65536.0, 0.0), (5000.0, 1.0, 0.0)])
@@ -872,6 +892,10 @@ def test_direct_gufuncs_match_the_linalg_wrappers_bitwise(size, stack):
                           np.linalg.solve(blocks, rhs[..., :1]))
     single = blocks.reshape((-1, size, size))[0]
     assert np.array_equal(_umath_linalg.solve1(single, vector), np.linalg.solve(single, vector))
+    # linear and ar stack one vector per group; the wrapper takes them as columns
+    vectors = rhs[..., 0]
+    assert np.array_equal(_umath_linalg.solve1(blocks, vectors),
+                          np.linalg.solve(blocks, vectors[..., None])[..., 0])
 
 
 @pytest.mark.parametrize("family,kw", [("linear", {}), ("ar", {"order": 2})])
