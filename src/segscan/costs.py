@@ -47,6 +47,12 @@ six families use four layouts:
   reuses an earlier fit's freed pieces instead of mapping a new image
   beside them.
 
+Every layout but normal's is monotone (FittedCost.monotone), so pelt may
+take a candidate's last cost as a lower bound: its cost is the minimum,
+over a mean or regression coefficients, of a sum of non-negative terms per
+row, so a segment grown at its end never costs less.  normal's cost is a
+log-determinant, which falls freely.
+
 The LAPACK calls of normal, linear and ar go straight to the gufuncs behind
 np.linalg.slogdet and np.linalg.solve (numpy.linalg._umath_linalg), with the
 same inner loops.  Those wrappers convert, check and promote their operands
@@ -114,8 +120,9 @@ class CostSpec:
     segment never increases total cost; all shipped families satisfy it (up to
     rounding, checked on plain, near-constant, badly scaled and offset signals
     by test_costs_are_superadditive in tests/test_costs.py), and setting it
-    False disables pruning in the penalized search.  It must be a Python or
-    numpy bool, stored as bool; anything else raises BadParamError.
+    False disables pruning in the penalized search, and with it the bounds it
+    takes from monotone costs.  It must be a Python or numpy bool, stored as
+    bool; anything else raises BadParamError.
     """
 
     family: str = "l2"
@@ -314,6 +321,8 @@ class FittedCost:
     """
 
     family: str = ""
+    # c(s, t) >= c(s, u) for every u <= t: see the module docstring
+    monotone: bool = True
 
     def __init__(self, spec: CostSpec, signal: Signal, min_seg_len: int):
         self.spec = spec
@@ -408,6 +417,8 @@ class NormalCost(FittedCost):
     """
 
     family = "normal"
+    # a log-determinant falls freely as the segment grows
+    monotone = False
 
     def __init__(self, spec, signal):
         super().__init__(spec, signal, min_seg_len=signal.n_dims + 1)

@@ -24,8 +24,10 @@ they read dynp's matrix when dynp has already run on the same fitted cost
 and grid (window for each segment whose ends are both grid positions), and
 otherwise evaluate costs on demand; a greedy call memoizes them in its own
 functools.cache, so repeating a pelt or greedy search pays its evaluations
-again.  Each engine counts the costs it evaluates (a greedy call its
-cache's currsize), so n_cost_evals omits other threads' work.
+again.  On monotone costs, every family but normal, pelt evaluates only the
+candidates whose last cost, a lower bound, leaves them a chance to win.
+Each engine counts the costs it evaluates (a greedy call its cache's
+currsize), so n_cost_evals omits other threads' work.
 Ties are always broken toward the smallest change point indices.
 """
 
@@ -331,10 +333,19 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     shipped costs is what makes the rule safe; fitting a CostSpec with
     superadditive=False disables pruning (n_pruned stays 0).
 
-    State is O(grid): live candidates, values, parents and the cost of each
-    end's last segment.  Segment costs come from dynp's matrix when dynp has
-    run on this fitted cost with the same grid; otherwise each live
-    (candidate, end) pair is evaluated once, so a repeated call pays again.
+    State is O(grid): live candidates, values, parents, the cost of each
+    end's last segment and each candidate's last evaluated cost, known(s).
+    Costs come from dynp's matrix when dynp has run on this fitted cost with
+    the same grid, else from fitted.cost.  On a monotone cost class (every
+    family but normal) known(s) bounds the cost at any later end from below,
+    so at each end pelt evaluates the fresh candidates, the one with the
+    least bound F(s) + known(s), and every other one whose bound plus the
+    penalty is at most that one's exact total.  Any candidate left out
+    totals strictly more than the best: values, argmin and ties are bitwise
+    those of evaluating every candidate, and pruning on the bounds drops a
+    subset of what exact costs would.  normal, and fits with
+    superadditive=False, evaluate every live candidate.  A repeated call
+    pays its evaluations again.
     """
     penalty = _checked_real("penalty", penalty)
     _, min_size, jump, positions = _prepare(fitted, config)
@@ -345,12 +356,15 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     values[0] = 0.0
     parent = np.full(count, -1, dtype=np.int64)
     last_cost = np.zeros(count)
+    # each candidate's cost at the last end it was evaluated at
+    known = np.zeros(count)
     doomed_from = np.full(count, np.inf)
     candidates = np.empty(0, dtype=np.int64)
     next_admission = 0
     n_evals = 0
     n_pruned = 0
     prune = fitted.spec.superadditive
+    bounded = prune and fitted.monotone
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
         admitted = next_admission
@@ -361,16 +375,35 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
             live = doomed_from[candidates] > end_pos
             n_pruned += len(candidates) - int(np.count_nonzero(live))
             candidates = candidates[live]
+        prior = values[candidates]
         if dense is not None:
             seg_costs = dense.matrix[end_idx, candidates]
         else:
-            seg_costs = np.array([cost(positions[s], end_pos) for s in candidates.tolist()])
-            n_evals += len(candidates)
-        fits = values[candidates] + seg_costs
+            todo = candidates
+            if bounded:
+                # the fresh candidates, admitted last, have no bound yet; the
+                # lead's bound becomes its exact cost and leaves the comparison
+                fresh = range(admitted, next_admission)
+                known[admitted:next_admission] = [cost(positions[s], end_pos) for s in fresh]
+                n_evals += len(fresh)
+                bounds = prior + known[candidates]
+                first = int(bounds.argmin())
+                lead = int(candidates[first])
+                if lead < admitted:
+                    known[lead] = cost(positions[lead], end_pos)
+                    n_evals += 1
+                    bounds[first] = np.inf
+                reach = values[lead] + known[lead] + penalty
+                stale = len(candidates) - len(fresh)
+                todo = candidates[:stale][bounds[:stale] + penalty <= reach]
+            known[todo] = [cost(positions[s], end_pos) for s in todo.tolist()]
+            n_evals += len(todo)
+            seg_costs = known[candidates]
+        fits = prior + seg_costs
         totals = fits + penalty
-        pick = int(np.argmin(totals))
+        pick = int(totals.argmin())
         best_value = totals[pick]
-        ties = np.flatnonzero(totals == best_value)
+        ties = (totals == best_value).nonzero()[0]
         if len(ties) > 1:
             # exact tie: keep the lexicographically smaller end sequence, as
             # grid indices, which are ordered like their positions; the shared

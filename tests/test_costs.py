@@ -821,6 +821,29 @@ def test_costs_are_superadditive(family, kw, conditioning):
         assert whole >= left + right - slack, (a, t, b, whole, left, right)
 
 
+@pytest.mark.parametrize("conditioning", list(SUPERADDITIVITY_SIGNALS) + ["collinear"])
+@pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
+def test_monotone_costs_never_fall_as_the_segment_grows(family, kw, conditioning):
+    """What a monotone cost class declares and pelt's bounds rest on:
+    c(s, t) >= c(s, t - 1) for every segment, with no slack.  normal's
+    log-determinant falls freely, so its class must not declare it, and the
+    plain signal shows it falling."""
+    signal = validate_signal(superadditivity_signal(conditioning))
+    fitted = fit(CostSpec(family=family, **kw), signal)
+    assert fitted.monotone == (family != "normal")
+    if family == "normal" and conditioning != "plain":
+        return
+    n, low = fitted.n_samples, fitted.min_seg_len
+    falls = []
+    for s in range(n - low):
+        row = [fitted.cost(s, t) for t in range(s + low, n + 1)]
+        falls += [(s, s + low + i + 1) for i in range(len(row) - 1) if row[i + 1] < row[i]]
+    if fitted.monotone:
+        assert not falls, falls[:5]
+    else:
+        assert falls
+
+
 @pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
 def test_costs_are_shift_invariant(family, kw):
     """The plain and the collinear signal against themselves plus 1e6: every

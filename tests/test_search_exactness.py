@@ -137,19 +137,6 @@ def test_greedy_engines_same_with_and_without_dynp_matrix(family):
                 assert warm_result.contrast == cold_result.contrast, label
 
 
-@pytest.mark.parametrize("family", list(FAMILIES))
-def test_pruned_pelt_equals_unpruned(family):
-    """Pruning relies on superadditivity; check it is lossless per family."""
-    for trial, (data, config) in enumerate(instances(family, 5, seed=302, sizes=(40, 90))):
-        for pen in (0.0, 0.5, 5.0, 50.0):
-            pruned = pelt(fitted_for(family, data), pen, config)
-            unpruned = pelt(fitted_for(family, data, superadditive=False), pen, config)
-            label = f"{family} trial {trial} pen={pen}"
-            assert unpruned.n_pruned == 0
-            assert pruned.bkps.ends == unpruned.bkps.ends, label
-            assert pruned.contrast == unpruned.contrast, label
-
-
 # offset and scale applied to the random instances: near-constant signals and
 # badly scaled ones, where the prefix-sum costs lose most of their digits
 ILL_CONDITIONED = {"near-constant": (5.0, 1e-7), "badly-scaled": (1e6, 1e-6)}
@@ -158,6 +145,45 @@ ILL_CONDITIONED = {"near-constant": (5.0, 1e-7), "badly-scaled": (1e6, 1e-6)}
 def ill_conditioned_instances(family, conditioning):
     offset, scale = ILL_CONDITIONED[conditioning]
     return [(offset + scale * data, config) for data, config in instances(family, 8, seed=303)]
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_pruned_pelt_equals_unpruned(family):
+    """Pruning relies on superadditivity, and skipping the candidates whose
+    bound cannot win on monotone costs; check both are lossless per family,
+    on random and on ill-conditioned instances, bit for bit, at fixed
+    penalties and at penalties on the scale of the instance's costs."""
+    cases = {"random": instances(family, 5, seed=302, sizes=(40, 90))}
+    cases.update((name, ill_conditioned_instances(family, name)) for name in ILL_CONDITIONED)
+    for name, cases_of_name in cases.items():
+        for trial, (data, config) in enumerate(cases_of_name):
+            scaled = penalties(fitted_for(family, data).cost, len(data))
+            for pen in (0.5, 5.0, 50.0) + scaled:
+                pruned = pelt(fitted_for(family, data), pen, config)
+                unpruned = pelt(fitted_for(family, data, superadditive=False), pen, config)
+                label = f"{family} {name} trial {trial} pen={pen}"
+                assert unpruned.n_pruned == 0
+                assert pruned.bkps.ends == unpruned.bkps.ends, label
+                assert pruned.contrast == unpruned.contrast, label
+
+
+def test_pruned_pelt_equals_unpruned_at_exact_ties():
+    """Short signals of small integers at penalties of whole and half units:
+    l2 costs there are often exact binary fractions, so segmentations with
+    different change counts tie exactly on the penalised objective, and a
+    candidate whose bound lands exactly on the best total must still be
+    evaluated and take part in the tie-break."""
+    rng = np.random.default_rng(304)
+    for trial in range(60):
+        n = int(rng.integers(6, 16))
+        data = rng.integers(0, int(rng.integers(2, 4)), size=n).astype(float)
+        config = SearchConfig(min_size=int(rng.integers(1, 3)))
+        for pen in (0.5, 1.0, 1.5, 2.0):
+            pruned = pelt(fitted_for("l2", data), pen, config)
+            unpruned = pelt(fitted_for("l2", data, superadditive=False), pen, config)
+            label = f"trial {trial} pen={pen}"
+            assert pruned.bkps.ends == unpruned.bkps.ends, label
+            assert pruned.contrast == unpruned.contrast, label
 
 
 @pytest.mark.parametrize("conditioning", list(ILL_CONDITIONED))
