@@ -61,51 +61,98 @@ def _checked_real(name: str, value, *, positive: bool = False) -> float:
 class Signal:
     """A read-only T x d matrix of finite samples, one row per time step.
 
-    Build instances through validate_signal(), which coerces dtype and shape
-    and rejects non-finite input.
+    Building one coerces data to a private float64 copy, 1D input becoming a
+    single column, and raises RaggedInputError when it is not a rectangular
+    1D/2D numeric array, EmptySignalError when it has zero samples or
+    dimensions, and NonFiniteValueError on NaN/inf.  T and d are read from
+    the data's shape.
     """
 
     data: np.ndarray
-    n_samples: int
-    n_dims: int
+
+    def __post_init__(self):
+        try:
+            arr = np.asarray(self.data, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise RaggedInputError(f"not a rectangular numeric array: {exc}") from None
+        if arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        if arr.ndim != 2:
+            raise RaggedInputError(f"expected 1D or 2D input, got {arr.ndim}D")
+        if arr.size == 0:
+            raise EmptySignalError(f"signal has shape {arr.shape[0]} x {arr.shape[1]}")
+        if not np.isfinite(arr).all():
+            raise NonFiniteValueError("signal contains NaN or infinite entries")
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+
+    @property
+    def n_samples(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def n_dims(self) -> int:
+        return self.data.shape[1]
 
     def __len__(self) -> int:
         return self.n_samples
 
 
 def validate_signal(raw) -> Signal:
-    """Coerce raw input to a Signal.
+    """raw as a Signal: a Signal passes through, anything else is checked
+    and coerced by Signal's constructor."""
+    return raw if isinstance(raw, Signal) else Signal(raw)
 
-    1D input becomes a single-column matrix.  Raises RaggedInputError when the
-    input is not a rectangular 1D/2D numeric array, EmptySignalError when it
-    has zero samples or dimensions, and NonFiniteValueError on NaN/inf.
-    """
-    if isinstance(raw, Signal):
-        return raw
+
+def _integral(value) -> int | None:
+    """value as an int if it is an integral number (5.0 and numpy integers
+    pass), else None (bool, str, None, NaN, +-inf and 1.9 among others)."""
     try:
-        arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise RaggedInputError(f"not a rectangular numeric array: {exc}") from None
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise RaggedInputError(f"expected 1D or 2D input, got {arr.ndim}D")
-    n_samples, n_dims = arr.shape
-    if n_samples == 0 or n_dims == 0:
-        raise EmptySignalError(f"signal has shape {n_samples} x {n_dims}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValueError("signal contains NaN or infinite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return Signal(data=arr, n_samples=n_samples, n_dims=n_dims)
+        as_int = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
 
 
 @dataclass(frozen=True)
 class Breakpoints:
-    """Strictly increasing segment ends; the last one equals n_samples."""
+    """Strictly increasing segment ends; the last one equals n_samples.
+
+    Building one checks the ends against n_samples and stores them as a
+    tuple of ints.  Raises OutOfRangeError for entries outside [1, n_samples]
+    or not integral (bool, None, NaN and +-inf included; 5.0 and numpy
+    integers pass), DuplicateError and NotSortedError for order violations,
+    and MissingTerminalError when the sequence is empty or does not end at T.
+    """
 
     ends: tuple[int, ...]
     n_samples: int
+
+    def __post_init__(self):
+        n_samples = self.n_samples
+        if n_samples < 1:
+            raise EmptySignalError(f"n_samples must be >= 1, got {n_samples}")
+        cleaned = []
+        for value in self.ends:
+            as_int = _integral(value)
+            if as_int is None:
+                raise OutOfRangeError(f"breakpoint end {value!r} is not an integer")
+            if not 1 <= as_int <= n_samples:
+                raise OutOfRangeError(f"breakpoint end {as_int} outside [1, {n_samples}]")
+            cleaned.append(as_int)
+        if not cleaned:
+            raise MissingTerminalError("empty breakpoint sequence")
+        for prev, cur in zip(cleaned, cleaned[1:]):
+            if cur == prev:
+                raise DuplicateError(f"breakpoint end {cur} repeated")
+            if cur < prev:
+                raise NotSortedError(f"breakpoint ends not increasing at {prev} -> {cur}")
+        if cleaned[-1] != n_samples:
+            raise MissingTerminalError(
+                f"last end is {cleaned[-1]}, expected n_samples={n_samples}"
+            )
+        object.__setattr__(self, "ends", tuple(cleaned))
 
     @property
     def n_bkps(self) -> int:
@@ -132,48 +179,10 @@ class Breakpoints:
         return all(end % jump == 0 for end in self.internal)
 
 
-def _integral(value) -> int | None:
-    """value as an int if it is an integral number (5.0 and numpy integers
-    pass), else None (bool, str, None, NaN, +-inf and 1.9 among others)."""
-    try:
-        as_int = None if isinstance(value, (bool, np.bool_)) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return as_int if as_int == value else None
-
-
 def validate_breakpoints(ends: Sequence[int], n_samples: int) -> Breakpoints:
-    """Check a raw end sequence against a signal length and wrap it.
-
-    Raises OutOfRangeError for entries outside [1, n_samples] or not integral
-    (bool, None, NaN and +-inf included; 5.0 and numpy integers pass),
-    DuplicateError and NotSortedError for order violations, and
-    MissingTerminalError when the sequence is empty or does not end at T.
-    """
-    if n_samples < 1:
-        raise EmptySignalError(f"n_samples must be >= 1, got {n_samples}")
-    cleaned = []
-    for value in ends:
-        as_int = _integral(value)
-        if as_int is None:
-            raise OutOfRangeError(f"breakpoint end {value!r} is not an integer")
-        if not 1 <= as_int <= n_samples:
-            raise OutOfRangeError(
-                f"breakpoint end {as_int} outside [1, {n_samples}]"
-            )
-        cleaned.append(as_int)
-    if not cleaned:
-        raise MissingTerminalError("empty breakpoint sequence")
-    for prev, cur in zip(cleaned, cleaned[1:]):
-        if cur == prev:
-            raise DuplicateError(f"breakpoint end {cur} repeated")
-        if cur < prev:
-            raise NotSortedError(f"breakpoint ends not increasing at {prev} -> {cur}")
-    if cleaned[-1] != n_samples:
-        raise MissingTerminalError(
-            f"last end is {cleaned[-1]}, expected n_samples={n_samples}"
-        )
-    return Breakpoints(ends=tuple(cleaned), n_samples=n_samples)
+    """A raw end sequence checked against a signal length by Breakpoints's
+    constructor, which raises on any violation."""
+    return Breakpoints(ends=ends, n_samples=n_samples)
 
 
 def sum_of_costs(fitted, bkps: Breakpoints) -> float:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -505,8 +504,9 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     the end whose removal raises the total cost least (smallest index on a
     tie).  Stops when n_bkps ends remain, when the smallest merge penalty
     exceeds the penalty value, or just before the total cost would exceed the
-    budget.  The merge deltas sit in a min-heap; a merge re-prices only the
-    two neighbouring ends, so a step costs O(log grid) instead of a rescan.
+    budget.  The merge deltas sit in one array aligned with the ends; a merge
+    re-prices only the two neighbouring ends, so a step is one argmin plus
+    an O(grid) shift that closes the gap.
     """
     _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
     cost, evaluated = _segment_cost(fitted, _dense(fitted, min_size, jump))
@@ -520,45 +520,28 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
         raise InfeasibleError(
             f"{stop.n_bkps} change points requested but the finest grid has {len(internal)}"
         )
-    # merge deltas keyed (delta, grid index, left, right): the heap's top is
-    # the cheapest merge with the smallest index on a tie; an entry whose end
-    # is gone or has other neighbours by now is dropped when it surfaces
-    heap: list[tuple[float, int, int, int]] = []
-    # ends whose current merge delta is not on the heap yet; they are
-    # evaluated at the next pick, as a rescan of every end would
-    unpriced = set(internal)
+    # deltas[i] is the merge delta of internal[i]; argmin keeps the first
+    # minimum, the smallest end on a tie.  The ends in unpriced are evaluated
+    # at the next pick, as a rescan of every end would
+    deltas = np.empty(len(internal))
+    unpriced = range(len(internal))
 
     def neighbours(where: int) -> tuple[int, int]:
         left = internal[where - 1] if where > 0 else 0
         right = internal[where + 1] if where + 1 < len(internal) else terminal
         return left, right
 
-    def cheapest() -> tuple[float, int]:
-        for mid in unpriced:
-            left, right = neighbours(bisect.bisect_left(internal, mid))
-            a, m, b = positions[left], positions[mid], positions[right]
-            heapq.heappush(heap, (cost(a, b) - (cost(a, m) + cost(m, b)), mid, left, right))
-        unpriced.clear()
-        while True:
-            delta, mid, left, right = heap[0]
-            where = bisect.bisect_left(internal, mid)
-            if where < len(internal) and internal[where] == mid and neighbours(where) == (left, right):
-                return delta, where
-            heapq.heappop(heap)
-
-    def merge(where: int) -> None:
-        heapq.heappop(heap)
-        # the two neighbours now merge across a longer segment
-        unpriced.update(internal[max(where - 1, 0) : where + 2])
-        unpriced.discard(internal.pop(where))
-
     if kind == "budget":
         # every segment here is one a merge delta or the contrast evaluates
         ends = [positions[i] for i in [0, *internal, terminal]]
         seg_costs = np.array([cost(a, b) for a, b in zip(ends, ends[1:])])
     while internal and (kind != "n_bkps" or len(internal) > stop.n_bkps):
-        delta, where = cheapest()
-        if kind == "penalty" and delta > stop.penalty:
+        for i in unpriced:
+            left, right = neighbours(i)
+            a, m, b = positions[left], positions[internal[i]], positions[right]
+            deltas[i] = cost(a, b) - (cost(a, m) + cost(m, b))
+        where = int(deltas.argmin())
+        if kind == "penalty" and deltas[where] > stop.penalty:
             break
         if kind == "budget":
             left, right = neighbours(where)
@@ -568,7 +551,11 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
             if np.cumsum(trial)[-1] > stop.budget:
                 break
             seg_costs = trial
-        merge(where)
+        del internal[where]
+        deltas[where:-1] = deltas[where + 1 :]
+        deltas = deltas[:-1]
+        # the two neighbours now merge across a longer segment
+        unpriced = range(max(where - 1, 0), min(where + 1, len(internal)))
     ends = tuple(positions[i] for i in internal) + (positions[terminal],)
     contrast = _total(cost, ends)
     return _result(fitted, ends, contrast, evaluated.cache_info().currsize)

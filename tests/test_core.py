@@ -7,6 +7,7 @@ from segscan import (
     DetectionResult,
     Signal,
     fit,
+    pelt,
     sum_of_costs,
     validate_breakpoints,
     validate_signal,
@@ -66,6 +67,44 @@ def test_validate_signal_rejects_bad_inputs():
         validate_signal([1.0, np.nan])
     with pytest.raises(NonFiniteValueError):
         validate_signal([1.0, np.inf])
+
+
+def test_signal_reads_its_shape_from_its_data():
+    """T and d are not fields that could disagree with the data: the old
+    Signal(data=np.zeros((5, 1)), n_samples=10, n_dims=1) fitted, then made
+    pelt raise a bare IndexError."""
+    with pytest.raises(TypeError):
+        Signal(data=np.zeros((5, 1)), n_samples=10, n_dims=1)
+    sig = Signal(data=np.zeros((5, 1)))
+    assert (sig.n_samples, sig.n_dims, len(sig)) == (5, 1, 5)
+    with pytest.raises(AttributeError):
+        sig.n_samples = 10
+    assert pelt(fit(CostSpec(family="l2"), sig), 1.0).bkps.ends == (5,)
+
+
+def test_hand_built_signal_is_checked_and_frozen():
+    """A Signal built directly gets validate_signal's checks: NaN is refused
+    as input, not later in fit as an overflow of its summaries."""
+    with pytest.raises(NonFiniteValueError, match="NaN or infinite"):
+        Signal(data=np.array([[1.0], [np.nan]]))
+    with pytest.raises(EmptySignalError):
+        Signal(data=np.empty((0, 2)))
+    raw = np.arange(4)
+    sig = Signal(data=raw)
+    raw[0] = 99
+    assert sig.data.shape == (4, 1) and sig.data.dtype == np.float64
+    assert sig.data[0, 0] == 0.0
+    assert not sig.data.flags.writeable
+
+
+def test_hand_built_breakpoints_are_checked():
+    """Unsorted ends built directly used to pass, and hausdorff scored
+    (60, 30, 100) 0 against (30, 60, 100)."""
+    with pytest.raises(NotSortedError):
+        Breakpoints(ends=(60, 30, 100), n_samples=100)
+    with pytest.raises(MissingTerminalError):
+        Breakpoints(ends=(30, 60), n_samples=100)
+    assert Breakpoints(ends=[30.0, np.int64(60), 100], n_samples=100).ends == (30, 60, 100)
 
 
 def test_validate_breakpoints_good_cases():

@@ -232,6 +232,10 @@ def test_approx_contrast_matches_sum_of_costs():
     assert result.contrast == pytest.approx(sum_of_costs(fitted, result.bkps), rel=1e-12)
 
 
+# every cost family the CLI offers the greedy engines, with its defaults
+GREEDY_FAMILIES = ["l2", "normal", "linear", "ar", "kernel", "mahalanobis"]
+
+
 def bottomup_instances(seed, count):
     """Random signals and grids, plus integer constant runs whose merges tie
     exactly at 0.0 so that only the smallest-index rule decides."""
@@ -250,7 +254,7 @@ def bottomup_instances(seed, count):
     return out
 
 
-@pytest.mark.parametrize("family", ["l2", "normal", "kernel"])
+@pytest.mark.parametrize("family", GREEDY_FAMILIES)
 def test_bottomup_matches_greedy_reference(family):
     """Same ends, contrast and evaluation count as the rescanning reference,
     under all three stopping rules, with and without dynp's matrix."""
@@ -288,7 +292,7 @@ def test_bottomup_matches_greedy_reference(family):
             assert (again.bkps.ends, again.contrast, again.n_cost_evals) == (expected, contrast, 0)
 
 
-@pytest.mark.parametrize("family", ["l2", "normal", "kernel"])
+@pytest.mark.parametrize("family", GREEDY_FAMILIES)
 def test_split_engines_match_greedy_references(family):
     """binseg and window, with and without dynp's matrix, give the ends,
     contrast, evaluation count and error class of their rescanning
