@@ -57,7 +57,7 @@ def _checked_real(name: str, value, *, positive: bool = False) -> float:
     return number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """A read-only T x d matrix of finite samples, one row per time step.
 
@@ -65,7 +65,7 @@ class Signal:
     single column, and raises RaggedInputError when it is not a rectangular
     1D/2D numeric array, EmptySignalError when it has zero samples or
     dimensions, and NonFiniteValueError on NaN/inf.  T and d are read from
-    the data's shape.
+    the data's shape.  Signals compare and hash by identity.
     """
 
     data: np.ndarray
@@ -120,19 +120,24 @@ class Breakpoints:
     """Strictly increasing segment ends; the last one equals n_samples.
 
     Building one checks the ends against n_samples and stores them as a
-    tuple of ints.  Raises OutOfRangeError for entries outside [1, n_samples]
-    or not integral (bool, None, NaN and +-inf included; 5.0 and numpy
-    integers pass), DuplicateError and NotSortedError for order violations,
-    and MissingTerminalError when the sequence is empty or does not end at T.
+    tuple of ints, and n_samples as an int.  Integral means what _integral
+    takes: 5.0 and numpy integers pass; bool, None, str, NaN, +-inf and 5.5
+    do not.  Raises BadParamError for a non-integral n_samples,
+    EmptySignalError for one below 1, OutOfRangeError for entries outside
+    [1, n_samples] or not integral, DuplicateError and NotSortedError for
+    order violations, and MissingTerminalError when the sequence is empty
+    or does not end at T.
     """
 
     ends: tuple[int, ...]
     n_samples: int
 
     def __post_init__(self):
-        n_samples = self.n_samples
+        n_samples = _integral(self.n_samples)
+        if n_samples is None:
+            raise BadParamError(f"n_samples must be an integer, got {self.n_samples!r}")
         if n_samples < 1:
-            raise EmptySignalError(f"n_samples must be >= 1, got {n_samples}")
+            raise EmptySignalError(f"n_samples must be >= 1, got {self.n_samples}")
         cleaned = []
         for value in self.ends:
             as_int = _integral(value)
@@ -153,6 +158,7 @@ class Breakpoints:
                 f"last end is {cleaned[-1]}, expected n_samples={n_samples}"
             )
         object.__setattr__(self, "ends", tuple(cleaned))
+        object.__setattr__(self, "n_samples", n_samples)
 
     @property
     def n_bkps(self) -> int:
@@ -218,8 +224,8 @@ class DetectionResult:
     contrast is the achieved sum of segment costs (no penalty term);
     n_cost_evals counts the cost evaluations this particular call made (never
     another thread's on a shared fitted cost), so a fully cached repeat
-    reports 0; n_pruned counts candidate discards (nonzero only for the
-    pruned penalized search).
+    reports 0; n_pruned counts the candidates pelt discarded (pelt only,
+    which always prunes: every cost family is superadditive).
     """
 
     bkps: Breakpoints

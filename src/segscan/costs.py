@@ -47,11 +47,14 @@ six families use four layouts:
   reuses an earlier fit's freed pieces instead of mapping a new image
   beside them.
 
-Every layout but normal's is monotone (FittedCost.monotone), so pelt may
-take a candidate's last cost as a lower bound: its cost is the minimum,
-over a mean or regression coefficients, of a sum of non-negative terms per
-row, so a segment grown at its end never costs less.  normal's cost is a
-log-determinant, which falls freely.
+Every family is superadditive: splitting a segment never raises its cost
+(up to rounding; test_costs_are_superadditive in tests/test_costs.py checks
+it on plain, near-constant, badly scaled, offset and collinear signals), so
+pelt always prunes.  Every layout but normal's is also monotone
+(FittedCost.monotone), so pelt may take a candidate's last cost as a lower
+bound: its cost is the minimum, over a mean or regression coefficients, of
+a sum of non-negative terms per row, so a segment grown at its end never
+costs less.  normal's cost is a log-determinant, which falls freely.
 
 The LAPACK calls of normal, linear and ar go straight to the gufuncs behind
 np.linalg.slogdet and np.linalg.solve (numpy.linalg._umath_linalg), with the
@@ -116,13 +119,8 @@ class CostSpec:
     order applies to "ar" (number of lags, >= 1).  kernel ("linear" or "rbf")
     and gamma (finite bandwidth > 0 or "median-heuristic") apply to "kernel".
     metric applies to "mahalanobis": a symmetric PSD matrix or "auto" to
-    derive one from the whole signal.  superadditive declares that splitting a
-    segment never increases total cost; all shipped families satisfy it (up to
-    rounding, checked on plain, near-constant, badly scaled and offset signals
-    by test_costs_are_superadditive in tests/test_costs.py), and setting it
-    False disables pruning in the penalized search, and with it the bounds it
-    takes from monotone costs.  It must be a Python or numpy bool, stored as
-    bool; anything else raises BadParamError.
+    derive one from the whole signal.  Every family is superadditive, which
+    pelt's pruning rests on (see the module docstring).
     """
 
     family: str = "l2"
@@ -130,15 +128,11 @@ class CostSpec:
     kernel: str = "rbf"
     gamma: float | str = MEDIAN_HEURISTIC
     metric: object = AUTO_METRIC
-    superadditive: bool = True
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise BadParamError(f"unknown cost family {self.family!r}")
         object.__setattr__(self, "order", _checked_int("order", self.order, 1))
-        if not isinstance(self.superadditive, (bool, np.bool_)):
-            raise BadParamError(f"superadditive must be a bool, got {self.superadditive!r}")
-        object.__setattr__(self, "superadditive", bool(self.superadditive))
         if self.kernel not in _KERNELS:
             raise BadParamError(f"unknown kernel {self.kernel!r}")
         if isinstance(self.gamma, str):

@@ -125,7 +125,17 @@ def max_changes(n_samples: int, min_size: int, jump: int) -> int:
     return max(0, (n_samples - min_size) // _step(min_size, jump))
 
 
-def _prepare(fitted, config):
+# _prepare's stop for the engines that no StoppingRule drives
+_NO_RULE = object()
+
+
+def _prepare(fitted, config, stop=_NO_RULE):
+    """The prologue every engine shares: stop checked first when the engine
+    takes a StoppingRule, then the config, the effective min_size and jump,
+    the grid positions with 0 and T, and dynp's state for that grid if dynp
+    has run on this fitted cost, else None."""
+    if stop is not _NO_RULE and not isinstance(stop, StoppingRule):
+        raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     cfg = config if config is not None else SearchConfig()
     if not isinstance(cfg, SearchConfig):
         raise BadParamError(f"expected a SearchConfig, got {type(cfg).__name__}")
@@ -136,14 +146,8 @@ def _prepare(fitted, config):
             f"signal length {fitted.n_samples} below the minimum segment length {min_size}"
         )
     positions = [0] + _grid(fitted.n_samples, min_size, jump) + [fitted.n_samples]
-    return cfg, min_size, jump, positions
-
-
-def _prepare_greedy(fitted, stop, config):
-    """_prepare for the engines driven by a StoppingRule, which it checks first."""
-    if not isinstance(stop, StoppingRule):
-        raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
-    return _prepare(fitted, config)
+    dense = fitted._search_state.get(("dynp", min_size, jump))
+    return cfg, min_size, jump, positions, dense
 
 
 def _result(fitted, ends, contrast, n_cost_evals, n_pruned=0) -> DetectionResult:
@@ -174,11 +178,6 @@ def _segment_cost(fitted, dense):
         return float(matrix[end_idx, start_idx])
 
     return cost, evaluated
-
-
-def _dense(fitted, min_size, jump):
-    """dynp's state for this grid if dynp has run on this fitted cost, else None."""
-    return fitted._search_state.get(("dynp", min_size, jump))
 
 
 class _DynpState:
@@ -278,7 +277,7 @@ def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionRe
     guard (costs._check_dense) when the grid has more than 20,000 positions.
     """
     n_bkps = _checked_int("n_bkps", n_bkps, 0)
-    _, min_size, jump, positions = _prepare(fitted, config)
+    _, min_size, jump, positions, _ = _prepare(fitted, config)
     most = max_changes(fitted.n_samples, min_size, jump)
     if n_bkps > most:
         raise InfeasibleError(f"{n_bkps} change points do not fit: the grid admits at most {most}")
@@ -297,7 +296,7 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     feasible number of change points stays above the budget.
     """
     budget = _checked_real("budget", budget)
-    _, min_size, jump, positions = _prepare(fitted, config)
+    _, min_size, jump, positions, _ = _prepare(fitted, config)
     most = max_changes(fitted.n_samples, min_size, jump)
     with fitted._state_lock:
         state, n_evals = _dynp_state(fitted, min_size, jump, positions)
@@ -328,9 +327,9 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     F(s) + c(s, t) + penalty.  A candidate with F(s) + c(s, t) > F(t) can
     never win again once t itself is old enough to act as a split, so it is
     dropped when the endpoint reaches t + min_size; dropping it at t
-    directly would lose exactness for min_size > 1.  Superadditivity of the
-    shipped costs is what makes the rule safe; fitting a CostSpec with
-    superadditive=False disables pruning (n_pruned stays 0).
+    directly would lose exactness for min_size > 1.  The rule is safe
+    because every cost family is superadditive (test_costs_are_superadditive
+    checks it), so pelt always prunes.
 
     State is O(grid): live candidates, values, parents, the cost of each
     end's last segment and each candidate's last evaluated cost, known(s).
@@ -342,13 +341,11 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     penalty is at most that one's exact total.  Any candidate left out
     totals strictly more than the best: values, argmin and ties are bitwise
     those of evaluating every candidate, and pruning on the bounds drops a
-    subset of what exact costs would.  normal, and fits with
-    superadditive=False, evaluate every live candidate.  A repeated call
-    pays its evaluations again.
+    subset of what exact costs would.  normal evaluates every live
+    candidate.  A repeated call pays its evaluations again.
     """
     penalty = _checked_real("penalty", penalty)
-    _, min_size, jump, positions = _prepare(fitted, config)
-    dense = _dense(fitted, min_size, jump)
+    _, min_size, jump, positions, dense = _prepare(fitted, config)
     cost = fitted.cost
     count = len(positions)
     values = np.full(count, np.inf)
@@ -362,24 +359,21 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     next_admission = 0
     n_evals = 0
     n_pruned = 0
-    prune = fitted.spec.superadditive
-    bounded = prune and fitted.monotone
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
         admitted = next_admission
         next_admission = bisect.bisect_right(positions, end_pos - min_size)
         if next_admission > admitted:
             candidates = np.concatenate((candidates, np.arange(admitted, next_admission)))
-        if prune:
-            live = doomed_from[candidates] > end_pos
-            n_pruned += len(candidates) - int(np.count_nonzero(live))
-            candidates = candidates[live]
+        live = doomed_from[candidates] > end_pos
+        n_pruned += len(candidates) - int(np.count_nonzero(live))
+        candidates = candidates[live]
         prior = values[candidates]
         if dense is not None:
             seg_costs = dense.matrix[end_idx, candidates]
         else:
             todo = candidates
-            if bounded:
+            if fitted.monotone:
                 # the fresh candidates, admitted last, have no bound yet; the
                 # lead's bound becomes its exact cost and leaves the comparison
                 fresh = range(admitted, next_admission)
@@ -412,9 +406,8 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
         values[end_idx] = best_value
         parent[end_idx] = candidates[pick]
         last_cost[end_idx] = seg_costs[pick]
-        if prune:
-            doomed = (fits > best_value) & np.isinf(doomed_from[candidates])
-            doomed_from[candidates[doomed]] = end_pos + min_size
+        doomed = (fits > best_value) & np.isinf(doomed_from[candidates])
+        doomed_from[candidates[doomed]] = end_pos + min_size
     path = _path_indices(parent, count - 1)
     ends = tuple(positions[i] for i in path)
     contrast = 0.0
@@ -462,8 +455,8 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     best gain at or below the penalty, or once the total cost fits the
     budget.  Ties go to the smallest split index.
     """
-    _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
-    cost, evaluated = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    _, min_size, jump, positions, dense = _prepare(fitted, config, stop)
+    cost, evaluated = _segment_cost(fitted, dense)
     ends_idx = [len(positions) - 1]
 
     @functools.cache
@@ -508,8 +501,8 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     re-prices only the two neighbouring ends, so a step is one argmin plus
     an O(grid) shift that closes the gap.
     """
-    _, min_size, jump, positions = _prepare_greedy(fitted, stop, config)
-    cost, evaluated = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    _, min_size, jump, positions, dense = _prepare(fitted, config, stop)
+    cost, evaluated = _segment_cost(fitted, dense)
     kind = stop.kind
     terminal = len(positions) - 1
     # the finest valid ends, the multiples of _step: every stride-th grid index
@@ -576,7 +569,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     Requires config.window_width; raises WindowTooLargeError when it exceeds
     the signal.
     """
-    cfg, min_size, jump, _ = _prepare_greedy(fitted, stop, config)
+    cfg, min_size, jump, _, dense = _prepare(fitted, config, stop)
     n_samples = fitted.n_samples
     width = cfg.window_width
     if width is None:
@@ -588,7 +581,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             f"window_width {width} below twice the minimum segment length {min_size}"
         )
     half = width // 2
-    seg_cost, evaluated = _segment_cost(fitted, _dense(fitted, min_size, jump))
+    seg_cost, evaluated = _segment_cost(fitted, dense)
     grid = _grid(n_samples, half, jump)
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)

@@ -438,6 +438,23 @@ def best_penalized(cost_fn, n_samples, penalty, min_size=1, jump=1):
     return best_ends, best_contrast
 
 
+def optimal_partitioning(cost_fn, n_samples, penalty, min_size=1, jump=1):
+    """The unpruned penalized recursion F(t) = min over s of (F(s) + c(s, t))
+    + penalty, F(0) = 0, in that float order over the admissible grid; an
+    exact tie goes to the smallest end tuple.  Returns (ends, contrast) like
+    best_penalized."""
+    starts = [0] + admissible_grid(n_samples, min_size, jump)
+    best = {0: (0.0, ())}
+    for t in starts[1:] + [n_samples]:
+        best[t] = min(
+            ((best[s][0] + cost_fn(s, t)) + penalty, best[s][1] + (t,))
+            for s in starts
+            if s <= t - min_size
+        )
+    ends = best[n_samples][1]
+    return ends, total_cost(cost_fn, ends)
+
+
 def greedy_bottomup(cost_fn, n_samples, min_size=1, jump=1, n_bkps=None, penalty=None, budget=None):
     """Greedy bottom-up merging, rescanning every end at every step.
 

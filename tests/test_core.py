@@ -13,6 +13,7 @@ from segscan import (
     validate_signal,
 )
 from segscan.exceptions import (
+    BadParamError,
     DuplicateError,
     EmptySignalError,
     MismatchedLengthError,
@@ -69,6 +70,17 @@ def test_validate_signal_rejects_bad_inputs():
         validate_signal([1.0, np.inf])
 
 
+def test_signals_compare_and_hash_by_identity():
+    """Two signals built from one array are distinct objects: comparing them
+    answers False instead of raising numpy's ambiguous-truth ValueError, and
+    a signal can key a dict."""
+    raw = np.arange(6.0).reshape(3, 2)
+    first, second = validate_signal(raw), validate_signal(raw)
+    assert first != second
+    assert first == first
+    assert {first: 1, second: 2}[first] == 1
+
+
 def test_signal_reads_its_shape_from_its_data():
     """T and d are not fields that could disagree with the data: the old
     Signal(data=np.zeros((5, 1)), n_samples=10, n_dims=1) fitted, then made
@@ -120,6 +132,10 @@ def test_validate_breakpoints_good_cases():
     assert validate_breakpoints([3.0, 6.0], 6).ends == (3, 6)
     assert validate_breakpoints([np.uint8(3), np.float64(6.0)], 6).ends == (3, 6)
     assert validate_breakpoints((6,), 6).n_bkps == 0
+    # n_samples follows the ends' rule and is stored as an int
+    for n_samples in (6.0, np.float64(6.0), np.int64(6)):
+        stored = validate_breakpoints([3, 6], n_samples).n_samples
+        assert type(stored) is int and stored == 6
 
 
 def test_validate_breakpoints_rejections():
@@ -140,6 +156,9 @@ def test_validate_breakpoints_rejections():
     for n_samples in (0, -3):
         with pytest.raises(EmptySignalError, match=f"n_samples must be >= 1, got {n_samples}"):
             validate_breakpoints([1], n_samples)
+    for n_samples in (None, "5", True, np.True_, 5.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(BadParamError, match="n_samples"):
+            validate_breakpoints([5], n_samples)
     with pytest.raises(MissingTerminalError):
         validate_breakpoints([3, 5], 6)
 

@@ -808,9 +808,9 @@ def split_triples(rng, n_samples, min_len, count):
 @pytest.mark.parametrize("conditioning", list(SUPERADDITIVITY_SIGNALS) + ["collinear"])
 @pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
 def test_costs_are_superadditive(family, kw, conditioning):
-    """What CostSpec.superadditive declares and pelt's pruning rests on:
-    splitting a segment never raises its cost, up to rounding.  The costs
-    must be finite too: -inf would pass the comparison."""
+    """What pelt's pruning rests on, for every family: splitting a segment
+    never raises its cost, up to rounding.  The costs must be finite too:
+    -inf would pass the comparison."""
     signal = validate_signal(superadditivity_signal(conditioning))
     fitted = fit(CostSpec(family=family, **kw), signal)
     rng = np.random.default_rng(96)

@@ -125,19 +125,11 @@ def test_numpy_reals_are_stored_as_float(make, good, read):
             assert type(read(made)) is float and read(made) == float(value)
 
 
-# a truthy string or a falsy None would otherwise switch pelt's pruning silently
-@pytest.mark.parametrize(
-    "value", ["False", "True", None, 0, 1, np.int64(1), 1.0, [True]], ids=repr
-)
-def test_superadditive_must_be_a_bool(value):
-    with pytest.raises(BadParamError, match="superadditive"):
-        CostSpec("l2", superadditive=value)
-
-
-@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
-def test_superadditive_is_stored_as_bool(value):
-    stored = CostSpec("l2", superadditive=value).superadditive
-    assert type(stored) is bool and stored == bool(value)
+def test_cost_spec_has_no_superadditive_field():
+    """Every family is superadditive and pelt always prunes, so there is no
+    declaration to make: the keyword is refused like any unknown one."""
+    with pytest.raises(TypeError, match="superadditive"):
+        CostSpec("l2", superadditive=True)
 
 
 # a metric numpy cannot read as a real float64 matrix, or one with non-finite
@@ -205,4 +197,13 @@ def test_engines_refuse_a_config_that_is_not_a_search_config(engine, config):
     fitted = _fitted()
     with pytest.raises(BadParamError, match="expected a SearchConfig"):
         ENGINES[engine](fitted, config)
+    assert fitted.eval_counter == 0
+
+
+@pytest.mark.parametrize("stop", [None, 1, {"n_bkps": 1}], ids=repr)
+@pytest.mark.parametrize("engine", [binseg, bottomup, window], ids=lambda e: e.__name__)
+def test_greedy_engines_check_the_stopping_rule_before_the_config(engine, stop):
+    fitted = _fitted()
+    with pytest.raises(BadParamError, match="expected a StoppingRule"):
+        engine(fitted, stop, "SearchConfig")
     assert fitted.eval_counter == 0

@@ -1,5 +1,6 @@
-"""Exact engines against exhaustive enumeration for every cost family, and
-the engines' answers independent of whether dynp's cost matrix exists.
+"""Exact engines against exhaustive enumeration and pelt against the
+unpruned recursion for every cost family, and the engines' answers
+independent of whether dynp's cost matrix exists.
 
 Segment costs go through one memo of fitted.cost, as in AC-1, so the
 comparison isolates the search; AC-2 certifies the cost values themselves.
@@ -147,24 +148,30 @@ def ill_conditioned_instances(family, conditioning):
     return [(offset + scale * data, config) for data, config in instances(family, 8, seed=303)]
 
 
+def unpruned(fitted, memo, pen, config):
+    """oracle.optimal_partitioning on pelt's grid for this fit and config."""
+    min_size = max(config.min_size, fitted.min_seg_len)
+    return oracle.optimal_partitioning(memo, fitted.n_samples, pen, min_size, config.jump)
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_pruned_pelt_equals_unpruned(family):
     """Pruning relies on superadditivity, and skipping the candidates whose
-    bound cannot win on monotone costs; check both are lossless per family,
-    on random and on ill-conditioned instances, bit for bit, at fixed
-    penalties and at penalties on the scale of the instance's costs."""
+    bound cannot win on monotone costs; check both are lossless per family
+    against the unpruned recursion, on random and on ill-conditioned
+    instances, bit for bit, at fixed penalties and at penalties on the scale
+    of the instance's costs."""
     cases = {"random": instances(family, 5, seed=302, sizes=(40, 90))}
     cases.update((name, ill_conditioned_instances(family, name)) for name in ILL_CONDITIONED)
     for name, cases_of_name in cases.items():
         for trial, (data, config) in enumerate(cases_of_name):
-            scaled = penalties(fitted_for(family, data).cost, len(data))
-            for pen in (0.5, 5.0, 50.0) + scaled:
-                pruned = pelt(fitted_for(family, data), pen, config)
-                unpruned = pelt(fitted_for(family, data, superadditive=False), pen, config)
+            fitted = fitted_for(family, data)
+            memo = oracle.MemoCost(fitted.cost)
+            for pen in (0.5, 5.0, 50.0) + penalties(memo, len(data)):
+                result = pelt(fitted, pen, config)
                 label = f"{family} {name} trial {trial} pen={pen}"
-                assert unpruned.n_pruned == 0
-                assert pruned.bkps.ends == unpruned.bkps.ends, label
-                assert pruned.contrast == unpruned.contrast, label
+                expected = unpruned(fitted, memo, pen, config)
+                assert (result.bkps.ends, result.contrast) == expected, label
 
 
 def test_pruned_pelt_equals_unpruned_at_exact_ties():
@@ -178,32 +185,33 @@ def test_pruned_pelt_equals_unpruned_at_exact_ties():
         n = int(rng.integers(6, 16))
         data = rng.integers(0, int(rng.integers(2, 4)), size=n).astype(float)
         config = SearchConfig(min_size=int(rng.integers(1, 3)))
+        fitted = fitted_for("l2", data)
+        memo = oracle.MemoCost(fitted.cost)
         for pen in (0.5, 1.0, 1.5, 2.0):
-            pruned = pelt(fitted_for("l2", data), pen, config)
-            unpruned = pelt(fitted_for("l2", data, superadditive=False), pen, config)
-            label = f"trial {trial} pen={pen}"
-            assert pruned.bkps.ends == unpruned.bkps.ends, label
-            assert pruned.contrast == unpruned.contrast, label
+            result = pelt(fitted, pen, config)
+            expected = unpruned(fitted, memo, pen, config)
+            assert (result.bkps.ends, result.contrast) == expected, f"trial {trial} pen={pen}"
 
 
 @pytest.mark.parametrize("conditioning", list(ILL_CONDITIONED))
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_exact_engines_match_enumeration_on_ill_conditioned_signals(family, conditioning):
-    """dynp and unpruned pelt assume nothing of the costs, so they stay exact
-    whatever rounding does to the cost values."""
+    """dynp and the unpruned recursion assume nothing of the costs, so they
+    stay exact whatever rounding does to the cost values, and pelt matches
+    the recursion bit for bit."""
     for trial, (data, config) in enumerate(ill_conditioned_instances(family, conditioning)):
         n = len(data)
-        fresh = fitted_for(family, data, superadditive=False)
+        fresh = fitted_for(family, data)
         min_size = max(config.min_size, fresh.min_seg_len)
         memo = oracle.MemoCost(fitted_for(family, data).cost)
         label = f"{family} {conditioning} trial {trial}"
         for pen in penalties(memo, n):
-            expect_ends, expect_contrast = oracle.best_penalized(
+            expected = unpruned(fresh, memo, pen, config)
+            assert expected == oracle.best_penalized(
                 memo, n, pen, min_size=min_size, jump=config.jump
-            )
+            ), f"{label} pen={pen}"
             result = pelt(fresh, pen, config)
-            assert result.bkps.ends == expect_ends, f"{label} pen={pen}"
-            assert result.contrast == expect_contrast, f"{label} pen={pen}"
+            assert (result.bkps.ends, result.contrast) == expected, f"{label} pen={pen}"
         warm = fitted_for(family, data)
         for k in range(3):
             expect_ends, expect_value = oracle.best_fixed_k(

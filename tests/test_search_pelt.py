@@ -9,18 +9,34 @@ from segscan import CostSpec, SearchConfig, dynp, fit, pelt, sum_of_costs, valid
 from segscan.exceptions import BadParamError
 
 
+FAMILIES = {
+    "l2": dict(family="l2"),
+    "normal": dict(family="normal"),
+    "linear": dict(family="linear"),
+    "ar": dict(family="ar", order=1),
+    "kernel": dict(family="kernel", kernel="rbf"),
+    "mahalanobis": dict(family="mahalanobis"),
+}
+
+
 def fresh_fitted(data, **kw):
     return fit(CostSpec(**kw), validate_signal(data))
 
 
-def test_pelt_matches_enumeration_on_random_instances():
+def random_instances():
+    """30 short signals with one mean shift, and a min_size of 1 or 2 each."""
     rng = np.random.default_rng(200)
     for trial in range(30):
         n = int(rng.integers(6, 14))
         data = rng.normal(size=n) + np.repeat(
             rng.normal(scale=2.0, size=2), [n // 2, n - n // 2]
         )
-        min_size = int(rng.integers(1, 3))
+        yield trial, data, int(rng.integers(1, 3))
+
+
+def test_pelt_matches_enumeration_on_random_instances():
+    for trial, data, min_size in random_instances():
+        n = len(data)
         fitted = fresh_fitted(data)
         memo = oracle.MemoCost(fitted.cost)
         table = [
@@ -36,6 +52,17 @@ def test_pelt_matches_enumeration_on_random_instances():
             assert abs(result.contrast - expect_contrast) <= 1e-9 * (
                 1.0 + abs(expect_contrast)
             )
+
+
+def test_optimal_partitioning_matches_enumeration():
+    """The unpruned recursion that the pelt tests take as reference finds
+    enumeration's optimum, ties included."""
+    for trial, data, min_size in random_instances():
+        memo = oracle.MemoCost(fresh_fitted(data).cost)
+        for penalty in (0.05, 0.5, 2.0, 10.0):
+            expected = oracle.best_penalized(memo, len(data), penalty, min_size=min_size)
+            found = oracle.optimal_partitioning(memo, len(data), penalty, min_size)
+            assert found == expected, f"trial {trial} pen={penalty}"
 
 
 def test_pelt_hand_example():
@@ -59,15 +86,16 @@ def test_pelt_huge_penalty_keeps_one_segment():
     assert result.bkps.ends == (50,)
 
 
-def test_pelt_prunes_and_pruning_is_lossless():
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_pelt_prunes_and_pruning_is_lossless(family):
     rng = np.random.default_rng(202)
     data = rng.normal(size=200) + np.repeat(rng.normal(scale=3.0, size=4), 50)
-    pruned = pelt(fresh_fitted(data), penalty=2.0)
+    fitted = fresh_fitted(data, **FAMILIES[family])
+    pruned = pelt(fitted, penalty=2.0)
     assert pruned.n_pruned > 0
-    unpruned = pelt(fresh_fitted(data, superadditive=False), penalty=2.0)
-    assert unpruned.n_pruned == 0
-    assert unpruned.bkps.ends == pruned.bkps.ends
-    assert unpruned.contrast == pruned.contrast
+    memo = oracle.MemoCost(fitted.cost)
+    expected = oracle.optimal_partitioning(memo, len(data), 2.0, fitted.min_seg_len)
+    assert (pruned.bkps.ends, pruned.contrast) == expected
 
 
 def test_pelt_is_optimal_at_its_own_change_count():
