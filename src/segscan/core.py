@@ -225,7 +225,8 @@ class DetectionResult:
     n_cost_evals counts the cost evaluations this particular call made (never
     another thread's on a shared fitted cost), so a fully cached repeat
     reports 0; n_pruned counts the candidates pelt discarded (pelt only,
-    which always prunes: every cost family is superadditive).
+    which always prunes, every cost family being superadditive; its heap
+    step discards a doomed candidate when it next pops it).
     """
 
     bkps: Breakpoints

@@ -25,7 +25,7 @@ and grid (window for each segment whose ends are both grid positions), and
 otherwise evaluate costs on demand; a greedy call memoizes them in its own
 functools.cache, so repeating a pelt or greedy search pays its evaluations
 again.  On monotone costs, every family but normal, pelt evaluates only the
-candidates whose last cost, a lower bound, leaves them a chance to win.
+candidates its heap of lower bounds, their last costs, leaves a chance to win.
 Each engine counts the costs it evaluates (a greedy call its cache's
 currsize), so n_cost_evals omits other threads' work.
 Ties are always broken toward the smallest change point indices.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,6 +321,109 @@ def _path_indices(parent, idx) -> list[int]:
     return out
 
 
+def _first_tuple(parent, depth, tied) -> tuple:
+    """The entry of `tied`, (candidate, ...) tuples in index order, whose end
+    tuple (parent chain, then the shared end) is smallest: the smaller child
+    below the chains' lowest common ancestor, or the descendant if one is
+    the other's ancestor.  It walks the chains there and builds no path."""
+    win = tied[0]
+    for entry in tied[1:]:
+        a, b = win[0], entry[0]
+        b_first = depth[b] > depth[a]
+        while depth[a] > depth[b]:
+            a = parent[a]
+        while depth[b] > depth[a]:
+            b = parent[b]
+        while a != b and parent[a] != parent[b]:
+            a, b = parent[a], parent[b]
+        if b_first if a == b else b < a:
+            win = entry
+    return win
+
+
+def _pelt_scan(fitted, dense, penalty, min_size, positions):
+    """pelt's step over every live candidate at once, for the two cases that
+    read them all: dynp's matrix, and normal, whose costs bound nothing.
+    Returns each end's parent and last segment cost, n_evals and n_pruned."""
+    count = len(positions)
+    values = np.full(count, np.inf)
+    values[0] = 0.0
+    parent, depth, last_cost = [0] * count, [0] * count, [0.0] * count
+    doomed_from = np.full(count, np.inf)
+    candidates = np.empty(0, dtype=np.int64)
+    next_admission = n_evals = n_pruned = 0
+    for end_idx in range(1, count):
+        end_pos = positions[end_idx]
+        admitted = next_admission
+        next_admission = bisect.bisect_right(positions, end_pos - min_size)
+        if next_admission > admitted:
+            candidates = np.concatenate((candidates, np.arange(admitted, next_admission)))
+        live = doomed_from[candidates] > end_pos
+        n_pruned += len(candidates) - int(np.count_nonzero(live))
+        candidates = candidates[live]
+        if dense is not None:
+            seg_costs = dense.matrix[end_idx, candidates]
+        else:
+            seg_costs = np.array([fitted.cost(positions[s], end_pos) for s in candidates.tolist()])
+            n_evals += len(candidates)
+        fits = values[candidates] + seg_costs
+        totals = fits + penalty
+        pick = int(totals.argmin())
+        best = totals[pick]
+        tied = (totals == best).nonzero()[0]
+        if len(tied) > 1:
+            pick = _first_tuple(parent, depth, [*zip(candidates[tied].tolist(), tied)])[1]
+        winner = int(candidates[pick])
+        values[end_idx], last_cost[end_idx] = best, float(seg_costs[pick])
+        parent[end_idx], depth[end_idx] = winner, depth[winner] + 1
+        doomed = (fits > best) & np.isinf(doomed_from[candidates])
+        doomed_from[candidates[doomed]] = end_pos + min_size
+    return parent, last_cost, n_evals, n_pruned
+
+
+def _pelt_heap(fitted, dense, penalty, min_size, positions):
+    """pelt's step on monotone costs without dynp's matrix (dense is None),
+    in work proportional to the candidates it evaluates; it returns what
+    _pelt_scan does.  The heap holds one (key, grid index) entry per live
+    candidate: -inf while it is fresh, then its exact total at the last end
+    it was evaluated at, F(s) + c(s, t') + penalty, which bounds its total
+    at any later end from below."""
+    cost, push, pop, inf = fitted.cost, heapq.heappush, heapq.heappop, np.inf
+    count = len(positions)
+    values, doomed_from, heap = [0.0] * count, [inf] * count, []
+    parent, depth, last_cost = [0] * count, [0] * count, [0.0] * count
+    admitted = n_evals = n_pruned = 0
+    for end_idx in range(1, count):
+        end_pos = positions[end_idx]
+        while positions[admitted] <= end_pos - min_size:
+            push(heap, (-inf, admitted))
+            admitted += 1
+        best, ties, done = inf, [], []
+        # at most: a bound landing exactly on the best total joins the tie-break
+        while heap and heap[0][0] <= best:
+            s = pop(heap)[1]
+            if doomed_from[s] <= end_pos:
+                n_pruned += 1
+                continue
+            seg_cost = cost(positions[s], end_pos)
+            fit = values[s] + seg_cost
+            total = fit + penalty
+            done.append((fit, total, s))
+            if total <= best:
+                if total < best:
+                    best, ties = total, []
+                ties.append((s, seg_cost))
+        n_evals += len(done)
+        winner, last_cost[end_idx] = _first_tuple(parent, depth, sorted(ties))
+        values[end_idx] = best
+        parent[end_idx], depth[end_idx] = winner, depth[winner] + 1
+        for fit, total, s in done:
+            if fit > best and doomed_from[s] == inf:
+                doomed_from[s] = end_pos + min_size
+            push(heap, (total, s))
+    return parent, last_cost, n_evals, n_pruned
+
+
 def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> DetectionResult:
     """Exact linearly penalized segmentation with candidate pruning.
 
@@ -331,88 +435,25 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     because every cost family is superadditive (test_costs_are_superadditive
     checks it), so pelt always prunes.
 
-    State is O(grid): live candidates, values, parents, the cost of each
-    end's last segment and each candidate's last evaluated cost, known(s).
-    Costs come from dynp's matrix when dynp has run on this fitted cost with
-    the same grid, else from fitted.cost.  On a monotone cost class (every
-    family but normal) known(s) bounds the cost at any later end from below,
-    so at each end pelt evaluates the fresh candidates, the one with the
-    least bound F(s) + known(s), and every other one whose bound plus the
-    penalty is at most that one's exact total.  Any candidate left out
-    totals strictly more than the best: values, argmin and ties are bitwise
-    those of evaluating every candidate, and pruning on the bounds drops a
-    subset of what exact costs would.  normal evaluates every live
-    candidate.  A repeated call pays its evaluations again.
+    State is O(grid).  Without dynp's matrix, on the monotone families (all
+    but normal), a candidate's last evaluated cost bounds its later costs
+    from below, and pelt evaluates only the candidates a heap of those
+    bounds leaves a chance to win (_pelt_heap); it prunes lazily there,
+    n_pruned counting the doomed candidates popped from t + min_size on.
+    dynp's matrix and normal read every live candidate at each end in one
+    numpy step (_pelt_scan).  Values, argmin and ties are bitwise those of
+    evaluating every live candidate; an exact tie goes to the smallest end
+    tuple.  A repeated call pays its evaluations again.
     """
     penalty = _checked_real("penalty", penalty)
     _, min_size, jump, positions, dense = _prepare(fitted, config)
-    cost = fitted.cost
-    count = len(positions)
-    values = np.full(count, np.inf)
-    values[0] = 0.0
-    parent = np.full(count, -1, dtype=np.int64)
-    last_cost = np.zeros(count)
-    # each candidate's cost at the last end it was evaluated at
-    known = np.zeros(count)
-    doomed_from = np.full(count, np.inf)
-    candidates = np.empty(0, dtype=np.int64)
-    next_admission = 0
-    n_evals = 0
-    n_pruned = 0
-    for end_idx in range(1, count):
-        end_pos = positions[end_idx]
-        admitted = next_admission
-        next_admission = bisect.bisect_right(positions, end_pos - min_size)
-        if next_admission > admitted:
-            candidates = np.concatenate((candidates, np.arange(admitted, next_admission)))
-        live = doomed_from[candidates] > end_pos
-        n_pruned += len(candidates) - int(np.count_nonzero(live))
-        candidates = candidates[live]
-        prior = values[candidates]
-        if dense is not None:
-            seg_costs = dense.matrix[end_idx, candidates]
-        else:
-            todo = candidates
-            if fitted.monotone:
-                # the fresh candidates, admitted last, have no bound yet; the
-                # lead's bound becomes its exact cost and leaves the comparison
-                fresh = range(admitted, next_admission)
-                known[admitted:next_admission] = [cost(positions[s], end_pos) for s in fresh]
-                n_evals += len(fresh)
-                bounds = prior + known[candidates]
-                first = int(bounds.argmin())
-                lead = int(candidates[first])
-                if lead < admitted:
-                    known[lead] = cost(positions[lead], end_pos)
-                    n_evals += 1
-                    bounds[first] = np.inf
-                reach = values[lead] + known[lead] + penalty
-                stale = len(candidates) - len(fresh)
-                todo = candidates[:stale][bounds[:stale] + penalty <= reach]
-            known[todo] = [cost(positions[s], end_pos) for s in todo.tolist()]
-            n_evals += len(todo)
-            seg_costs = known[candidates]
-        fits = prior + seg_costs
-        totals = fits + penalty
-        pick = int(totals.argmin())
-        best_value = totals[pick]
-        ties = (totals == best_value).nonzero()[0]
-        if len(ties) > 1:
-            # exact tie: keep the lexicographically smaller end sequence, as
-            # grid indices, which are ordered like their positions; the shared
-            # end must take part, else a path that is a prefix of another
-            # would win even when its next end comes later
-            pick = min(ties.tolist(), key=lambda j: _path_indices(parent, candidates[j]) + [end_idx])
-        values[end_idx] = best_value
-        parent[end_idx] = candidates[pick]
-        last_cost[end_idx] = seg_costs[pick]
-        doomed = (fits > best_value) & np.isinf(doomed_from[candidates])
-        doomed_from[candidates[doomed]] = end_pos + min_size
-    path = _path_indices(parent, count - 1)
+    step = _pelt_heap if dense is None and fitted.monotone else _pelt_scan
+    parent, last_cost, n_evals, n_pruned = step(fitted, dense, penalty, min_size, positions)
+    path = _path_indices(parent, len(positions) - 1)
     ends = tuple(positions[i] for i in path)
     contrast = 0.0
     for idx in path:
-        contrast += float(last_cost[idx])
+        contrast += last_cost[idx]
     return _result(fitted, ends, contrast, n_evals, n_pruned=n_pruned)
 
 

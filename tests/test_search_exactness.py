@@ -193,6 +193,39 @@ def test_pruned_pelt_equals_unpruned_at_exact_ties():
             assert (result.bkps.ends, result.contrast) == expected, f"trial {trial} pen={pen}"
 
 
+# the families whose costs come from prefix sums of the rows; on integers
+# they are often exact binary fractions
+PREFIX_FAMILIES = {
+    "l2": dict(family="l2"),
+    "mahalanobis": dict(family="mahalanobis"),
+    "linear-kernel": dict(family="kernel", kernel="linear"),
+}
+
+
+@pytest.mark.parametrize("family", list(PREFIX_FAMILIES))
+def test_pruned_pelt_equals_unpruned_at_exact_ties_on_coarse_grids(family):
+    """Small-integer and all-zero signals on grids with min_size up to 4 and
+    jump up to 3: totals, and so pelt's heap keys, tie exactly, candidates
+    are doomed several ends before they are dropped, and penalty 0 makes
+    every refinement of a constant run tie.  pelt must equal the unpruned
+    recursion bit for bit."""
+    rng = np.random.default_rng(305)
+    for trial in range(40):
+        n = int(rng.integers(6, 41))
+        if trial % 5 == 0:
+            data = np.zeros((n, 2))
+        else:
+            data = rng.integers(0, int(rng.integers(2, 4)), size=(n, 2)).astype(float)
+        config = SearchConfig(min_size=int(rng.integers(1, 5)), jump=int(rng.integers(1, 4)))
+        fitted = fit(CostSpec(**PREFIX_FAMILIES[family]), validate_signal(data))
+        memo = oracle.MemoCost(fitted.cost)
+        for pen in (0.0, 0.5, 1.0, 1.5, 2.0):
+            result = pelt(fitted, pen, config)
+            expected = unpruned(fitted, memo, pen, config)
+            label = f"{family} trial {trial} pen={pen} {config}"
+            assert (result.bkps.ends, result.contrast) == expected, label
+
+
 @pytest.mark.parametrize("conditioning", list(ILL_CONDITIONED))
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_exact_engines_match_enumeration_on_ill_conditioned_signals(family, conditioning):

@@ -160,6 +160,17 @@ def switching_ar(rng, n_samples, n_segments):
     return data
 
 
+def long_case(family):
+    """8,000 samples with 80 changes: mean shifts for l2, switching AR(1)
+    coefficients for ar; the signal and its fitted cost."""
+    rng = np.random.default_rng(206)
+    if family == "l2":
+        data = shifted_means(rng, 8000, 81, 2)
+        return data, fresh_fitted(data)
+    data = switching_ar(rng, 8000, 81)
+    return data, fresh_fitted(data, family="ar", order=1)
+
+
 @pytest.mark.parametrize("family", ["l2", "ar"])
 def test_pelt_evaluates_few_candidates_per_sample(family):
     """On monotone costs pelt evaluates a live candidate only while its last
@@ -167,15 +178,27 @@ def test_pelt_evaluates_few_candidates_per_sample(family):
     10 evaluations a sample (5.4 for l2 and 8.8 for ar here, where every
     live candidate at every end is 55 and 75), and n_cost_evals is exactly
     the cost calls the search made."""
-    rng = np.random.default_rng(206)
-    if family == "l2":
-        data = shifted_means(rng, 8000, 81, 2)
-        fitted = fresh_fitted(data)
-    else:
-        data = switching_ar(rng, 8000, 81)
-        fitted = fresh_fitted(data, family="ar", order=1)
+    data, fitted = long_case(family)
     start = fitted.eval_counter
     result = pelt(fitted, penalty=3.0 * data.ndim * np.log(len(data)))
     assert result.n_cost_evals == fitted.eval_counter - start
     assert result.n_cost_evals <= 10 * len(data), result.n_cost_evals
     assert result.bkps.n_bkps >= 60
+
+
+@pytest.mark.parametrize("family", ["l2", "ar"])
+def test_pelt_evaluates_each_segment_at_most_once(family):
+    """Every cost call of one pelt search is a distinct segment, the calls
+    are what n_cost_evals counts, and the search still prunes."""
+    data, fitted = long_case(family)
+    calls = []
+
+    def recorded(start, end):
+        calls.append((start, end))
+        return type(fitted).cost(fitted, start, end)
+
+    fitted.cost = recorded
+    result = pelt(fitted, penalty=3.0 * data.ndim * np.log(len(data)))
+    assert len(set(calls)) == len(calls)
+    assert len(calls) == result.n_cost_evals
+    assert result.n_pruned > 0
