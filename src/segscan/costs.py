@@ -36,16 +36,16 @@ six families use four layouts:
   folded into the x diagonal, then one solve and one np.vecdot stacked over
   the groups: linear has one group, x being columns 1..d-1 and y column 0;
   ar has one per dimension, x being its lags;
-- rbf kernel: the integral image of the upper triangle of the Gram matrix,
-  built band by band, so a query reads two corners: O(1) instead of
-  O(end - start).  Each row band is stored as one contiguous rectangle
-  from its first row's diagonal column rightwards, so the image holds about
-  half of n x n entries and has no page for the lower triangle.  Whole
-  bands are split into pieces of about equal size, at most 16 MiB each, and
-  a per-row piece and base offset locate an entry: glibc serves blocks that
-  small from its heap once its mmap threshold has risen, so a later fit
-  reuses an earlier fit's freed pieces instead of mapping a new image
-  beside them.
+- rbf kernel: an integral image of the lower triangle of the Gram matrix,
+  so a query reads two entries: O(1) instead of O(end - start).  fit builds
+  no image.  Each engine names the segment ends it will read through
+  FittedCost._cover, and the image is built over the ends named so far,
+  one row and one column per end; a cost() call whose ends it does not
+  cover builds the full image, one row and column per sample.  Every image
+  holds the same bits for the same entry, so a cost never depends on which
+  image answers it.  Images are packed to the lower triangle by row bands,
+  in pieces of at most 16 MiB that glibc serves from its heap, so a later
+  fit reuses an earlier fit's freed pieces (see KernelCost).
 
 Every family is superadditive: splitting a segment never raises its cost
 (up to rounding; test_costs_are_superadditive in tests/test_costs.py checks
@@ -110,6 +110,8 @@ _BAND_ENTRIES = 1 << 16
 # float64 entries in one piece of the rbf integral image (16 MiB), half of
 # glibc's 32 MiB ceiling on its mmap threshold; see KernelCost
 _PIECE_ENTRIES = 1 << 21
+# the rbf image's row means are rounded to multiples of this; see KernelCost
+_CENTRING_UNIT = 2.0**-24
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,18 +184,46 @@ def _check_dense(side: int, what: str, entries=lambda side: side * side) -> None
 def _band_rows(n: int) -> int:
     """Rows per band of an n-column pass (the rbf integral image of n
     samples, a dynp layer over n positions): about _BAND_ENTRIES entries
-    each, and at most n, so the step x step mask of the image's second sweep
-    stays band-sized."""
+    each, and at most n, so the step x step mask of the image's sweep stays
+    band-sized."""
     return min(n, max(1, _BAND_ENTRIES // n))
 
 
 def _image_entries(n: int) -> int:
-    """float64 entries of the packed rbf integral image of n samples: band b
-    of the full ones holds step rows of n - b * step entries, and the last
-    n % step rows form one shorter band."""
+    """float64 entries of the full packed rbf integral image of n samples:
+    band b of the full ones holds step rows of (b + 1) * step entries, and
+    the last n % step rows hold n each."""
     step = _band_rows(n)
     full, rest = divmod(n, step)
-    return step * (full * n - step * full * (full - 1) // 2) + rest * (n - full * step)
+    return step * step * full * (full + 1) // 2 + rest * n
+
+
+def _packed(shapes):
+    """Rectangles of the given (rows, width) shapes, of at most _BAND_ENTRIES
+    entries each, back to back in pieces of at most _PIECE_ENTRIES entries:
+    as few pieces as keep one equal share of the entries plus one rectangle
+    under that cap, piece k taking the rectangles that start in the k-th
+    share.  Returns the rectangles, and for each of their rows in turn a
+    memoryview of its piece and the row's offset in it."""
+    entries = sum(height * width for height, width in shapes)
+    count = -(-entries // (_PIECE_ENTRIES - _BAND_ENTRIES))
+    groups = [[] for _ in range(count)]
+    total = 0
+    for height, width in shapes:
+        groups[total * count // entries].append((height, width))
+        total += height * width
+    rects, pieces, base = [], [], []
+    for group in groups:
+        piece = np.empty(sum(height * width for height, width in group))
+        view = memoryview(piece)
+        offset = 0
+        for height, width in group:
+            size = height * width
+            rects.append(piece[offset : offset + size].reshape(height, width))
+            pieces += [view] * height
+            base += range(offset, offset + size, width)
+            offset += size
+    return rects, pieces, base
 
 
 def median_heuristic(signal) -> float:
@@ -311,7 +341,9 @@ class FittedCost:
     length, delegates to _segment_cost, then counts the evaluation; no
     subclass overrides it, so the count and a wrapper see every evaluation.
     The instance also carries a private cache slot where dynp stashes its
-    cost matrix and value table keyed by their grid parameters.
+    cost matrix and value table keyed by their grid parameters.  Every
+    engine passes the ends of its grid to _cover before it reads a cost:
+    here that does nothing, and KernelCost builds its image there.
     """
 
     family: str = ""
@@ -356,6 +388,12 @@ class FittedCost:
 
     def _segment_cost(self, start: int, end: int) -> float:
         raise NotImplementedError
+
+    def _cover(self, positions) -> None:
+        """The hook through which an engine names the segment ends it will
+        read (search._prepare passes its grid).  The layouts built at fit
+        answer any segment and ignore it; KernelCost builds its image over
+        those ends."""
 
 
 class PrefixCost(FittedCost):
@@ -486,56 +524,75 @@ class KernelCost(FittedCost):
     """Feature-space spread around the segment mean, for the rbf kernel (the
     linear kernel's is the l2 cost, which PrefixCost answers).
 
-    c(a, b) = sum of diagonal entries over [a, b) minus the mean of the
-    (b - a)^2 Gram block.  The fit builds an integral image of the upper
-    triangle of the Gram matrix K: entry (i, j), i <= j, holds the sum of
-    K(a, b) over a <= i and a < b <= j.  The pairs a < b inside [s, e) then sum to
-    image[e-1, e-1] - image[s-1, e-1], the block sum is the diagonal sum plus
-    twice that, and a query reads two corners through zero-copy float
-    memoryviews: O(1).  Adding f(a) + f(b) to every entry leaves the cost
-    unchanged, so K is double-centred first, which keeps the corner values
-    small.
+    c(s, e) = sum of diagonal entries over [s, e) minus the mean of the
+    (e - s)^2 Gram block.  Adding f(a) + f(b) to every entry (a, b) of the
+    Gram matrix K leaves the cost unchanged, so the image is taken of
+    L = K - 1, which is 0 on the diagonal and as small as K's variation off
+    it, and double-centred on the way: with means the row means of L
+    rounded to multiples of _CENTRING_UNIT (2^-24) and shift the means less
+    their mean (rounded alike), the pairs a < b inside [s, e) sum to P[j, j] -
+    P[j, s - 1] for j = e - 1 (P[j, j] alone for s = 0), where
 
-    The image is packed by row bands of a few hundred kB: band [lo, hi) is
-    a contiguous (hi - lo) x (n - lo) rectangle holding columns lo..n-1 of
-    its rows.  The columns left of a band, most of the lower triangle, get
-    no storage, so the image takes about n^2 / 2 + n * step / 2 entries
-    (step rows per band) instead of n^2, and every page of it is written:
-    an n x n buffer with only its upper triangle written still becomes
-    resident almost whole once numpy advises huge pages.
+        R[j, a] = L(a + 1, a) + ... + L(j, a), added in that order,
+        C[j, a] = R[j, a] - ((j - a) shift[a] + Mp[j + 1] - Mp[a + 1]),
+        P[j, i] = C[j, 0] + ... + C[j, i], added in that order,
 
-    The bands are split, whole and in order, into pieces of at most
-    _PIECE_ENTRIES entries (16 MiB): as few pieces as keep one equal share
-    of the entries plus one band under that cap, piece k taking the bands
-    that start in the k-th share, each band where the one before it in its
-    piece ends.  Entry (i, j), j >= the first row of i's band, sits at
-    pieces[i][base[i] + j]: pieces holds, per row, a memoryview of the piece
-    the row lies in, and base the row's offset inside it.  The reason is
-    glibc's malloc: a block above its dynamic mmap threshold gets a fresh
-    mapping, and freeing one raises that threshold up to a 32 MiB ceiling,
-    after which smaller blocks come from the heap and stay resident once
-    freed, until the free top of the heap passes twice the threshold.  An
-    image of one block left the smaller images of earlier fits on the heap
-    and, above 32 MiB, was mapped on top of them.  Pieces of at most half
-    that ceiling are served from the heap and reuse the freed ones, and
-    equal shares keep them near the image's size divided by their count
-    (about 11 MiB at 2,931 samples), so the threshold stays low enough that
-    freeing a long image returns the heap's top to the system.
+    Mp being the prefix sums of means.  The block sum is the diagonal sum
+    plus twice the pairs, so a query reads two entries of row j of P through
+    zero-copy float memoryviews: O(1).  The rounding keeps every centring
+    term a multiple of 2^-24 below 2^17, so it is exact in float64 in any
+    order, and a kernel whose values are exact, as at a bandwidth where every
+    pair underflows, gives exact costs.
 
-    The bands are swept twice: the first computes the kernel and its row
-    sums (the band's own row sums plus, by symmetry, the column sums of the
-    bands above it); the second centres each band, takes its row prefix sums
-    and adds each row onto the one above, which for a band's first row is
-    the last row of the band above, read from column lo on, in its own piece
-    or the one before.  rbf signals over 20,000 samples fail the
-    dense-matrix guard (_check_dense) up front.
+    fit builds no image.  It keeps the bandwidth, the centred signal as the
+    two factors of one matrix product, and every check: a signal whose
+    kernel exponents can overflow fails there.  An engine names the ends it
+    will read (_cover, called by search._prepare), and the image is built
+    over the union of the ends named so far: the rows j = e - 1 and columns
+    i = s - 1 of those ends only.  A cost() whose ends the image does not
+    cover builds the full image, every row and column.  One builder serves
+    any set of ends.  It sweeps row bands of L's lower triangle (one matrix
+    product and one exp per band), adds each row of a band onto the one
+    above it with one np.add across all its columns, which gives R, and
+    keeps the rows of the ends.  Once the sweep has the row means, it
+    subtracts the centring of C, one exact matrix product per band, takes
+    the prefix sums P along each kept row and keeps the columns of the ends.
+    The sweep's products have the same shapes whichever ends are kept, and
+    every other step is exact or elementwise or runs along one row, so each
+    entry of P has the same bits in every image that holds it: cost(s, e) is
+    a function of the fit and the segment alone, whichever image answers
+    it.  Building takes _image_lock, never the search state's lock, which
+    dynp holds while it fills its matrix through cost().
+
+    The image is packed by row bands: the kept rows of one band of the sweep
+    form one contiguous rectangle as wide as its last row, so the full image
+    takes about n^2 / 2 + n * step / 2 entries (step rows per band) instead
+    of n^2, and every page of it is written: an n x n buffer with only one
+    triangle written still becomes resident almost whole once numpy advises
+    huge pages.  A band whose rows are all kept is swept in place; the kept
+    rows of any other are copied out of a scratch band.  The rectangles are
+    split, whole and in order, into pieces of at most _PIECE_ENTRIES entries
+    (16 MiB, see _packed): row r's entries sit at pieces[r][base[r] + i],
+    pieces holding per row a memoryview of its piece and base the row's
+    offset in it.  The reason is glibc's malloc: a block above its dynamic
+    mmap threshold gets a fresh mapping, and freeing one raises that
+    threshold up to a 32 MiB ceiling, after which smaller blocks come from
+    the heap and stay resident once freed, until the free top of the heap
+    passes twice the threshold.  An image of one block left the smaller
+    images of earlier fits on the heap and, above 32 MiB, was mapped on top
+    of them.  Pieces of at most half that ceiling are served from the heap
+    and reuse the freed ones, and equal shares keep them near the image's
+    size divided by their count (about 11 MiB for the full image of 2,931
+    samples), so the threshold stays low enough that freeing a long image
+    returns the heap's top to the system.  rbf signals over 20,000 samples
+    fail the dense-matrix guard (_check_dense) up front.
     """
 
     family = "kernel"
 
     def __init__(self, spec, signal):
         super().__init__(spec, signal, min_seg_len=1)
-        n = signal.n_samples
+        n, d = signal.data.shape
         _check_dense(n, "the rbf kernel's integral image", _image_entries)
         if spec.gamma == MEDIAN_HEURISTIC:
             # a single sample has no pair, and every cost is 0 whatever gamma is
@@ -544,96 +601,130 @@ class KernelCost(FittedCost):
             )
         else:
             self.gamma = float(spec.gamma)
-        self._row_pieces, self._base, self._diag_prefix = self._upper_image(
-            _centred(signal.data)
-        )
-        self._flat_diag = memoryview(self._diag_prefix).cast("B").cast("d")
-
-    def _upper_image(self, data: np.ndarray):
-        """The packed integral image of the double-centred rbf Gram matrix's
-        upper triangle, as a memoryview of each row's piece and each row's
-        base offset in it, and the prefix sums of its diagonal."""
-        n, d = data.shape
         gamma = self.gamma
+        data = _centred(signal.data)
         sq = np.einsum("td,td->t", data, data)
-        # left[a] . right[:, b] = -gamma * |x_a - x_b|^2 in one product
-        left = np.empty((n, d + 2))
-        left[:, :d] = data
-        left[:, d] = sq
-        left[:, d + 1] = 1.0
-        right = np.empty((d + 2, n))
-        right[:d] = (2.0 * gamma) * data.T
-        right[d] = -gamma
-        right[d + 1] = -gamma * sq
+        # left[b] . right[:, a] = -gamma * |x_a - x_b|^2 in one product
+        self._left = np.empty((n, d + 2))
+        self._left[:, :d] = data
+        self._left[:, d] = sq
+        self._left[:, d + 1] = 1.0
+        self._right = np.empty((d + 2, n))
+        self._right[:d] = (2.0 * gamma) * data.T
+        self._right[d] = -gamma
+        self._right[d + 1] = -gamma * sq
+        # every partial sum of the product is at most 2 gamma (|x_a|^2 +
+        # |x_b|^2) in magnitude, so with this bound finite every kernel value
+        # lies in [0, 1] and every image entry is finite
+        _check_totals(self._right, 8.0 * gamma * sq.max())
+        self._image_lock = threading.Lock()
+        # (slot, pieces, base, diagonal prefix sums): slot[e] is the row of end
+        # e and the column of start e, None where e is not kept; start 0
+        # reads no column
+        self._image = ([-1] + [None] * n, None, None, None)
+
+    def _cover(self, positions):
+        """Build the image over these ends and every end named before,
+        unless the current image already covers them."""
+        slot = self._image[0]
+        n = self.n_samples
+        # the full image has a row for every end, so its last, n's, is row n - 1
+        if slot[n] == n - 1 or None not in map(slot.__getitem__, positions):
+            return
+        with self._image_lock:
+            slot = self._image[0]
+            kept = {end for end in positions if slot[end] is None}
+            if kept:
+                kept.update(end for end, row in enumerate(slot) if row is not None)
+                kept.discard(0)
+                self._image = self._build(sorted(kept))
+
+    def _build(self, kept: list[int]):
+        """The image over the ends in kept (ascending, without 0), as the
+        tuple _image holds."""
+        left, right = self._left, self._right
+        n = len(left)
         step = _band_rows(n)
-        # piece k takes the bands that start in its k-th share of the entries,
-        # so it holds at most that share plus one band: _PIECE_ENTRIES
-        entries = _image_entries(n)
-        count = -(-entries // (_PIECE_ENTRIES - _BAND_ENTRIES))
-        groups = [[] for _ in range(count)]
-        total = 0
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            size = (hi - lo) * (n - lo)
-            groups[total * count // entries].append((lo, hi, size))
-            total += size
-        pieces = [None] * n
-        base = [0] * n
-        bands = []
-        for group in groups:
-            piece = np.empty(sum(size for _, _, size in group))
-            view = memoryview(piece)
-            offset = 0
-            for lo, hi, size in group:
-                bands.append((lo, hi, piece[offset : offset + size].reshape(hi - lo, n - lo)))
-                pieces[lo:hi] = [view] * (hi - lo)
-                base[lo:hi] = range(offset - lo, offset - lo + size, n - lo)
-                offset += size
+        rows = np.array(kept) - 1
+        bands = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+        # band k keeps rows[cuts[k]:cuts[k + 1]], at offsets chosen[k] from lo
+        cuts = np.searchsorted(rows, [lo for lo, _ in bands] + [n]).tolist()
+        chosen = [rows[k0:k1] - lo for (lo, _), k0, k1 in zip(bands, cuts, cuts[1:])]
+        rects, pieces, base = _packed(
+            [(len(sel), lo + int(sel[-1]) + 1) for (lo, _), sel in zip(bands, chosen) if len(sel)]
+        )
+        packed = iter(rects)
+        rects = [next(packed) if len(sel) else None for sel in chosen]
+        # a band of the sweep, and then a rectangle's centring
+        scratch = np.empty(max((hi - lo) * hi for lo, hi in bands))
+        carry = np.zeros(n)
+        upper = ~np.tri(step, k=-1, dtype=bool)
         ones = np.ones(n)
-        sums = np.zeros(n)
-        diag = np.empty(n)
-        # first sweep: the kernel values and the full row sums
-        for lo, hi, band in bands:
-            np.matmul(left[lo:hi], right[:, lo:], out=band)
-            # the product rounds to about gamma |x_a|^2 2^-52 at a = b, not 0
-            np.fill_diagonal(band[:, : hi - lo], 0.0)
+        sums = np.empty(n)
+        for (lo, hi), sel, rect in zip(bands, chosen, rects):
+            whole = len(sel) == hi - lo
+            band = rect if whole else scratch[: (hi - lo) * hi].reshape(hi - lo, hi)
+            np.matmul(left[lo:hi], right[:, :hi], out=band)
+            # the product can round above 0 for nearly equal samples
             np.minimum(band, 0.0, out=band)
             np.exp(band, out=band)
-            diag[lo:hi] = band[:, : hi - lo].diagonal()
-            sums[lo:hi] += band @ ones[lo:]
-            sums[hi:] += ones[lo:hi] @ band[:, hi - lo :]
-        means = sums / n
-        grand = float(means.mean())
+            band -= 1.0
+            band[:, lo:][upper[: hi - lo, : hi - lo]] = 0.0
+            np.matmul(band, ones[:hi], out=sums[lo:hi])
+            above = carry
+            # row j adds only its columns a < j: the rest stay 0
+            for j, row in enumerate(band, lo):
+                part = row[:j]
+                np.add(part, above[:j], out=part)
+                above = row
+            carry[:hi] = above
+            if rect is not None and not whole:
+                np.take(band[:, : rect.shape[1]], sel, axis=0, out=rect)
+        # L's row sums: the pairs left of the diagonal and, in R's last row,
+        # the pairs below it
+        sums += carry
+        means = np.round(sums / n / _CENTRING_UNIT) * _CENTRING_UNIT
+        grand = round(float(means.mean()) / _CENTRING_UNIT) * _CENTRING_UNIT
         shift = means - grand
+        mean_prefix = np.zeros(n + 1)
+        np.cumsum(means, out=mean_prefix[1:])
         diag_prefix = np.zeros(n + 1)
-        np.cumsum(diag - 2.0 * means + grand, out=diag_prefix[1:])
-        # second sweep: centre, clear the diagonal and below (only pairs a < b
-        # are summed), prefix sums along each row, then down the rows
-        lower = np.tri(step, dtype=bool)
-        above = None
-        for lo, hi, band in bands:
-            band -= shift[lo:hi, None]
-            band -= means[lo:]
-            band[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-            np.cumsum(band, axis=1, out=band)
-            if above is not None:
-                np.add(band[0], above[-1, lo - n :], out=band[0])
-            for r in range(1, hi - lo):
-                np.add(band[r, r:], band[r - 1, r:], out=band[r, r:])
-            above = band
-        # a NaN kernel value reaches the grand mean, which the centring takes
-        # from every entry, so the last corner shows it
-        _check_totals(pieces[-1][base[-1] + n - 1], diag_prefix[-1])
-        return pieces, base, diag_prefix
+        np.cumsum(grand - 2.0 * means, out=diag_prefix[1:])
+        # C's centring as [j, Mp[j + 1], 1] . [shift[a], 1, -(a shift[a] + Mp[a + 1])]
+        row_factors = np.ones((n, 3))
+        row_factors[:, 0] = np.arange(n)
+        row_factors[:, 1] = mean_prefix[1:]
+        col_factors = np.ones((3, n))
+        col_factors[0] = shift
+        col_factors[2] = -(np.arange(n) * shift + mean_prefix[1:])
+        for (lo, _), sel, rect, k1 in zip(bands, chosen, rects, cuts[1:]):
+            if rect is None:
+                continue
+            centring = scratch[: rect.size].reshape(rect.shape)
+            np.matmul(row_factors[lo + sel], col_factors[:, : rect.shape[1]], out=centring)
+            rect -= centring
+            np.cumsum(rect, axis=1, out=rect)
+            if len(rows) < n:
+                # row k keeps the columns of the ends up to its own
+                rect[:, :k1] = rect[:, rows[:k1]]
+        slot = [-1] + [None] * n
+        for row, end in enumerate(kept):
+            slot[end] = row
+        return slot, pieces, base, memoryview(diag_prefix).cast("B").cast("d")
 
     def _segment_cost(self, start, end):
-        pieces = self._row_pieces
-        base = self._base
-        last = end - 1
-        pairs = pieces[last][base[last] + last]
+        slot, pieces, base, diag = self._image
+        row, col = slot[end], slot[start]
+        if row is None or col is None:
+            self._cover(range(self.n_samples + 1))
+            slot, pieces, base, diag = self._image
+            row, col = slot[end], slot[start]
+        piece = pieces[row]
+        at = base[row]
+        pairs = piece[at + row]
         if start:
-            pairs -= pieces[start - 1][base[start - 1] + last]
-        diag = self._flat_diag[end] - self._flat_diag[start]
+            pairs -= piece[at + col]
+        diag = diag[end] - diag[start]
         value = diag - (diag + 2.0 * pairs) / (end - start)
         return value if value > 0.0 else 0.0
 
@@ -703,6 +794,8 @@ def fit(spec: CostSpec, signal) -> FittedCost:
     as large as the signal), SignalTooShortError when even one segment of the
     family's minimum length does not fit, and MemoryBudgetError from the
     dense-matrix guard (_check_dense) for rbf signals over 20,000 samples.
+    The rbf kernel's integral image is built later, by the first engine or
+    cost() call that reads it (see KernelCost).
     Raises NonFiniteValueError, naming the family (a kernel fit by its
     kernel: "rbf kernel cost: ..."), when the summaries overflow float64
     (squares of values beyond about 1e154, say): the queries would otherwise

@@ -29,6 +29,12 @@ candidates its heap of lower bounds, their last costs, leaves a chance to win.
 Each engine counts the costs it evaluates (a greedy call its cache's
 currsize), so n_cost_evals omits other threads' work.
 Ties are always broken toward the smallest change point indices.
+
+Before an engine reads a cost, _prepare names its grid positions to the
+fitted cost (FittedCost._cover), and window adds the ends of its half
+windows.  The rbf kernel builds its integral image there, over the ends
+named so far, so its image build counts in the engine's time, not in
+fit's; the other families ignore the call.
 """
 
 from __future__ import annotations
@@ -133,8 +139,9 @@ _NO_RULE = object()
 def _prepare(fitted, config, stop=_NO_RULE):
     """The prologue every engine shares: stop checked first when the engine
     takes a StoppingRule, then the config, the effective min_size and jump,
-    the grid positions with 0 and T, and dynp's state for that grid if dynp
-    has run on this fitted cost, else None."""
+    the grid positions with 0 and T, named to the fitted cost's _cover, and
+    dynp's state for that grid if dynp has run on this fitted cost, else
+    None."""
     if stop is not _NO_RULE and not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     cfg = config if config is not None else SearchConfig()
@@ -147,6 +154,7 @@ def _prepare(fitted, config, stop=_NO_RULE):
             f"signal length {fitted.n_samples} below the minimum segment length {min_size}"
         )
     positions = [0] + _grid(fitted.n_samples, min_size, jump) + [fitted.n_samples]
+    fitted._cover(positions)
     dense = fitted._search_state.get(("dynp", min_size, jump))
     return cfg, min_size, jump, positions, dense
 
@@ -624,6 +632,8 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     half = width // 2
     seg_cost, evaluated = _segment_cost(fitted, dense)
     grid = _grid(n_samples, half, jump)
+    # the window's own ends are off the grid unless jump divides half
+    fitted._cover([end for t in grid for end in (t - half, t + half)])
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)
         for t in grid

@@ -147,11 +147,14 @@ def centred_rbf_cost(data, gamma):
 
 
 def square_rbf_image_cost(data, gamma):
-    """The rbf cost as the kernel family computed it from an n x n integral
-    image, before the image was packed into row bands.  data is the centred
-    signal the family fits.  The two sweeps are the family's own, in the same
-    order and on the same values, only over square-matrix views, so the
-    packed image must give the same costs bit for bit."""
+    """The rbf cost as the kernel family computes it, from its full image
+    laid out as one n x n matrix instead of packed row bands.  data is the
+    centred signal the family fits.  The arithmetic is the family's own, in
+    the same order and over the same band shapes, only on square-matrix
+    views and with the rows added down the whole matrix, so the packed image
+    must give the same costs bit for bit: L = K - 1 below the diagonal, its
+    sums R down each column, the centring by row means rounded to multiples
+    of 2^-24 subtracted, prefix sums along each row."""
     n, d = data.shape
     sq = np.einsum("td,td->t", data, data)
     left = np.empty((n, d + 2))
@@ -162,40 +165,40 @@ def square_rbf_image_cost(data, gamma):
     right[:d] = (2.0 * gamma) * data.T
     right[d] = -gamma
     right[d + 1] = -gamma * sq
-    image = np.empty((n, n))
-    ones = np.ones(n)
-    sums = np.zeros(n)
-    diag = np.empty(n)
     step = min(n, max(1, (1 << 16) // n))
     bands = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    image = np.empty((n, n))
+    sums = np.empty(n)
     for lo, hi in bands:
-        band = image[lo:hi, lo:]
-        np.matmul(left[lo:hi], right[:, lo:], out=band)
-        np.fill_diagonal(band[:, : hi - lo], 0.0)
+        band = image[lo:hi, :hi]
+        np.matmul(left[lo:hi], right[:, :hi], out=band)
         np.minimum(band, 0.0, out=band)
         np.exp(band, out=band)
-        diag[lo:hi] = band[:, : hi - lo].diagonal()
-        sums[lo:hi] += band @ ones[lo:]
-        sums[hi:] += ones[lo:hi] @ band[:, hi - lo :]
-    means = sums / n
-    grand = float(means.mean())
-    shift = means - grand
-    diag_prefix = np.zeros(n + 1)
-    np.cumsum(diag - 2.0 * means + grand, out=diag_prefix[1:])
-    lower = np.tri(step, dtype=bool)
+        band -= 1.0
+    # the pairs a < b only: the diagonal and above are cleared
+    image[np.triu_indices(n)] = 0.0
     for lo, hi in bands:
-        band = image[lo:hi, lo:]
-        band -= shift[lo:hi, None]
-        band -= means[lo:]
-        band[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-        np.cumsum(band, axis=1, out=band)
-        for a in range(max(lo, 1), hi):
-            np.add(image[a, a:], image[a - 1, a:], out=image[a, a:])
+        sums[lo:hi] = image[lo:hi, :hi] @ np.ones(hi)
+    for j in range(1, n):
+        image[j, :j] += image[j - 1, :j]
+    unit = 2.0**-24
+    means = np.round((sums + image[n - 1]) / n / unit) * unit
+    grand = round(float(means.mean()) / unit) * unit
+    shift = means - grand
+    mean_prefix = np.zeros(n + 1)
+    np.cumsum(means, out=mean_prefix[1:])
+    diag_prefix = np.zeros(n + 1)
+    np.cumsum(grand - 2.0 * means, out=diag_prefix[1:])
+    row_factors = np.column_stack([np.arange(n), mean_prefix[1:], np.ones(n)])
+    col_factors = np.vstack([shift, np.ones(n), -(np.arange(n) * shift + mean_prefix[1:])])
+    for lo, hi in bands:
+        image[lo:hi, :hi] -= row_factors[lo:hi] @ col_factors[:, :hi]
+    np.cumsum(image, axis=1, out=image)
 
     def cost(a, b):
         pairs = float(image[b - 1, b - 1])
         if a:
-            pairs -= float(image[a - 1, b - 1])
+            pairs -= float(image[b - 1, a - 1])
         diag_sum = float(diag_prefix[b]) - float(diag_prefix[a])
         value = diag_sum - (diag_sum + 2.0 * pairs) / (b - a)
         return value if value > 0.0 else 0.0

@@ -104,10 +104,10 @@ def test_kernel_rbf_matches_definition(noisy_signal):
 
 @pytest.mark.parametrize("scale, gamma", [(1.0, 1e10), (1.0, 1e14), (100.0, 1e8), (1e4, 1.0)])
 def test_kernel_rbf_diagonal_is_exactly_one(scale, gamma):
-    """K(a, a) = exp(0) = 1 however large gamma |x_a|^2 is.  The fit expands
-    -gamma |x_a - x_b|^2 into products that round to about gamma |x_a|^2
-    2^-52 at a = b, so that exponent must be set to 0, not computed; at
-    gamma |x|^2 >= 1e10 the off-diagonal values underflow and every
+    """K(a, a) = exp(0) = 1 however large gamma |x_a|^2 is.  The image's
+    product expands -gamma |x_a - x_b|^2 into terms that round to about
+    gamma |x_a|^2 2^-52 at a = b, so the diagonal must not be taken from
+    it; at gamma |x|^2 >= 1e10 the off-diagonal values underflow and every
     segment of two or more samples costs its length less one."""
     data = scale * np.random.default_rng(8).normal(size=(120, 2))
     fitted = fit(CostSpec(family="kernel", kernel="rbf", gamma=gamma), validate_signal(data))
@@ -653,20 +653,22 @@ def test_kernel_summaries_match_oracle(kernel, n_samples, conditioning):
 
 
 def test_kernel_rbf_keeps_one_gram_sized_buffer():
-    """The integral image is built in place and packed to the upper
-    triangle: fitting allocates about half an n x n float64 matrix, plus at
-    most one row band, and no second buffer for the prefix sums.  The image's
-    pieces are counted once each, however many rows share one."""
+    """The full integral image is built in place and packed to the lower
+    triangle: fitting and a first cost() call, which builds the full image,
+    allocate about half an n x n float64 matrix, plus at most one row band,
+    and no second buffer for the prefix sums.  The image's pieces are
+    counted once each, however many rows share one."""
     signal = validate_signal(np.random.default_rng(60).normal(size=(1500, 2)))
     tracemalloc.start()
     try:
         fitted = fit(CostSpec(family="kernel", kernel="rbf"), signal)
+        fitted.cost(7, 1493)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     gram_bytes = 1500 * 1500 * 8
     band_bytes = 8 * costs._BAND_ENTRIES
-    pieces = {id(view): view.nbytes for view in fitted._row_pieces}
+    pieces = {id(view): view.nbytes for view in fitted._image[1]}
     assert sum(pieces.values()) <= gram_bytes / 2 + band_bytes
     assert peak < 0.6 * gram_bytes
 
@@ -678,9 +680,8 @@ def test_packed_rbf_image_matches_square_image_bitwise(n_samples):
     samples fit one band (the second exactly), 257 ends in a 2-row band, and
     1000 and 2931 span many bands with a shorter last one.  1999 samples are
     the most whose image takes one piece, 2000 take two and 2840 are the
-    fewest that take three, so rows are added onto the row above across a
-    piece boundary; every segment that reads a row on either side of a
-    boundary is checked."""
+    fewest that take three; every segment that starts or ends on the last
+    row of a piece or the first of the next is checked."""
     rng = np.random.default_rng(90 + n_samples)
     data = step_signal(rng, n_samples, 2, "plain")
     gamma = 0.5 if n_samples == 1 else MEDIAN_HEURISTIC
@@ -691,9 +692,11 @@ def test_packed_rbf_image_matches_square_image_bitwise(n_samples):
     else:
         queries = random_queries(rng, n_samples, 1, count=2000)
         queries += [(0, 1), (n_samples - 1, n_samples), (0, n_samples)]
-    rows = fitted._row_pieces
+    # the first query builds the full image
+    assert fitted.cost(*queries[0]).hex() == reference(*queries[0]).hex()
+    rows = fitted._image[1]
     for first in [r for r in range(1, n_samples) if rows[r] is not rows[r - 1]]:
-        # segments that read row first - 1 or row first at any column
+        # segments that start or end on row first - 1 or row first
         queries += [(a, b) for a in (first, first + 1) for b in range(a + 1, n_samples + 1)]
         queries += [(a, b) for b in (first, first + 1) for a in range(b)]
     for a, b in queries:
@@ -749,9 +752,10 @@ def test_kernel_rbf_fits_one_sample_with_the_fallback_bandwidth():
 @pytest.mark.parametrize("conditioning", list(CONDITIONING))
 @pytest.mark.parametrize("n_samples", [1000, 2931])
 def test_rbf_upper_image_matches_centred_gram(n_samples, conditioning):
-    """The upper-triangle image against the double-centred Gram matrix it
-    replaced, with block sums taken directly: random segments of any length,
-    both ends, length 1 and the whole signal."""
+    """The full integral image (once the upper triangle's, now the lower's)
+    against the double-centred Gram matrix it replaced, with block sums
+    taken directly: random segments of any length, both ends, length 1 and
+    the whole signal."""
     rng = np.random.default_rng(80 + n_samples)
     data = step_signal(rng, n_samples, 2, conditioning)
     fitted = fit(CostSpec(family="kernel", kernel="rbf"), validate_signal(data))

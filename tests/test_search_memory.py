@@ -3,13 +3,16 @@
 Only dynp and solve_budget hold a dense grid x grid cost matrix, and they
 refuse grids above 20,000 positions before allocating it.  The other
 engines keep O(T) state, checked by the peak RSS of a fresh process.
-bottomup has its own, shorter signal.  The rbf kernel's integral image is
-packed to the upper triangle, so fitting it raises the peak RSS by about
-half an n x n matrix.  It is split into pieces of about equal size, at
-most 16 MiB each, half of the 32 MiB ceiling of glibc's mmap threshold, so
-that glibc serves them from its heap and reuses freed ones: fits of growing
-length, as a CLI batch makes them, raise the peak RSS by not much more than
-the largest image.  Those checks run in a child process with a capped
+bottomup has its own, shorter signal.  An rbf fit builds no integral image:
+an engine builds one over the ends of its grid, and a cost() call off every
+grid builds the full one.  The full image is packed to the lower triangle,
+so it raises the peak RSS by about half an n x n matrix.  It is split into
+pieces of about equal size, at most 16 MiB each, half of the 32 MiB ceiling
+of glibc's mmap threshold, so that glibc serves them from its heap and
+reuses freed ones: full images of growing length, as a CLI batch's set-up
+makes them, raise the peak RSS by not much more than the largest image.
+The jump-10 engines of that batch build images of a tenth of the rows and
+raise it by a few MB.  Those checks run in a child process with a capped
 address space; the dynp layer's working set is measured in process with
 tracemalloc.
 """
@@ -101,8 +104,10 @@ from segscan import CostSpec, fit
 signal = np.random.default_rng(9).normal(size=({RBF_T}, 2))
 before_mb = peak_rss_mb()
 fitted = fit(CostSpec(family="kernel", kernel="rbf"), signal)
+# a first cost() builds the full image
+cost = fitted.cost(0, {RBF_T})
 rise_mb = peak_rss_mb() - before_mb
-print(json.dumps({{"cost": fitted.cost(0, {RBF_T}), "rise_mb": rise_mb}}))
+print(json.dumps({{"cost": cost, "rise_mb": rise_mb}}))
 """
 
 RBF_BATCH_CHILD = PEAK_MB_SOURCE + f"""
@@ -116,10 +121,30 @@ before_mb = peak_rss_mb()
 costs = []
 for signal in signals:
     fitted = fit(CostSpec(family="kernel", kernel="rbf"), signal)
+    # a first cost() builds the full image
     costs.append(fitted.cost(0, len(signal)))
     del fitted
 rise_mb = peak_rss_mb() - before_mb
 print(json.dumps({{"costs": costs, "rise_mb": rise_mb}}))
+"""
+
+RBF_GRID_CHILD = PEAK_MB_SOURCE + f"""
+import json
+import numpy as np
+from segscan import CostSpec, SearchConfig, StoppingRule, binseg, fit, window
+
+rng = np.random.default_rng(11)
+signals = [rng.normal(size=(n, 2)) for n in {BATCH_RBF_TS} for _ in range(3)]
+stop = StoppingRule(n_bkps=3)
+configs = ((window, SearchConfig(jump=10, window_width=100)), (binseg, SearchConfig(jump=10)))
+before_mb = peak_rss_mb()
+found = []
+for signal in signals:
+    fitted = fit(CostSpec(family="kernel", kernel="rbf"), signal)
+    found += [engine(fitted, stop, config).bkps.n_bkps for engine, config in configs]
+    del fitted
+rise_mb = peak_rss_mb() - before_mb
+print(json.dumps({{"found": found, "rise_mb": rise_mb}}))
 """
 
 OVER_LIMIT_CHILD = f"""
@@ -187,6 +212,25 @@ def test_rbf_fits_of_a_cli_batch_reuse_freed_images():
     assert report["rise_mb"] < 1.5 * BATCH_IMAGE_MB, (
         f"15 rbf fits raised the peak RSS by {report['rise_mb']:.1f} MB; "
         f"the largest image alone is {BATCH_IMAGE_MB:.1f} MB"
+    )
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the bound rests on glibc's malloc reusing the freed images of earlier fits",
+)
+def test_rbf_engines_on_a_coarse_grid_build_no_full_image():
+    """The CLI batch's rbf signals, each fitted and queried by a jump-10
+    window and binseg: the images cover the grid's ends, a tenth of the
+    rows, so the peak RSS rises by a few MB where the largest full image
+    alone takes 34.6 MB."""
+    proc = run_capped("-c", RBF_GRID_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["found"] == [3] * 2 * 3 * len(BATCH_RBF_TS)
+    assert report["rise_mb"] < 8.0, (
+        f"15 rbf fits on a jump-10 grid raised the peak RSS by {report['rise_mb']:.1f} MB; "
+        f"the largest full image alone is {BATCH_IMAGE_MB:.1f} MB"
     )
 
 

@@ -4,7 +4,9 @@ Each engine counts the costs it evaluates itself, so a call's n_cost_evals
 is the count it makes alone, however the threads interleave, and the calls'
 counts add up to the fitted cost's eval_counter.  The dynp calls run on a
 coarser grid than the others, so no other engine can read their table
-mid-run and every solo count is fixed.
+mid-run and every solo count is fixed.  An rbf fit shared by engines on
+two grids and a cost() off both has its image rebuilt under them, and each
+call still answers as it does alone.
 """
 
 import sys
@@ -80,5 +82,45 @@ def test_shared_fit_counts_each_calls_own_evaluations():
             assert dynp_counts == [0, 0, fill], f"trial {trial}"
             total = sum(result.n_cost_evals for result in found.values())
             assert total == shared.eval_counter, f"trial {trial}"
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_shared_rbf_fit_answers_each_grid_as_alone():
+    """A jump-7 and a jump-10 engine and a cost() off both grids, in
+    threads on one rbf fit: the image is built over one grid, then the
+    union of both, then in full, in whatever order the threads ask, and
+    every call gets the answer it gets on a fit of its own."""
+    signal, _ = pw_constant(GenSpec(700, 2, 4, 1.0, 5))
+    spec = CostSpec(family="kernel", kernel="rbf")
+    calls = {
+        "binseg jump 7": lambda fitted: binseg(fitted, STOP, SearchConfig(jump=7)),
+        "pelt jump 10": lambda fitted: pelt(fitted, 5.0, SearchConfig(jump=10)),
+        "off-grid cost": lambda fitted: [fitted.cost(s, s + 333) for s in range(3, 360, 11)],
+    }
+
+    def answer(result):
+        if isinstance(result, list):
+            return [value.hex() for value in result]
+        return result.bkps.ends, result.contrast.hex(), result.n_cost_evals, result.n_pruned
+
+    solo = {key: answer(call(fit(spec, signal))) for key, call in calls.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(3):
+            shared = fit(spec, signal)
+            found = {}
+
+            def run(key):
+                found[key] = answer(calls[key](shared))
+
+            threads = [threading.Thread(target=run, args=(key,)) for key in calls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert found == solo, f"trial {trial}"
     finally:
         sys.setswitchinterval(interval)
