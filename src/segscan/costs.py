@@ -40,8 +40,8 @@ six families use four layouts:
   so a query reads two entries: O(1) instead of O(end - start).  fit builds
   no image.  Each engine names the segment ends it will read through
   FittedCost._cover, and the image is built over the ends named so far,
-  one row and one column per end; a cost() call whose ends it does not
-  cover builds the full image, one row and column per sample.  Every image
+  one row per end, read at any start; a cost() call whose end it does not
+  cover builds the full image, one row per sample.  Every image
   holds the same bits for the same entry, so a cost never depends on which
   image answers it.  Images are packed to the lower triangle by row bands,
   in pieces of at most 16 MiB that glibc serves from its heap, so a later
@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -260,9 +261,14 @@ def median_heuristic(signal) -> float:
 
 def _fallback_gamma(reason: str) -> float:
     """The median heuristic's bandwidth when there is no distance to take the
-    median of: 1.0, with a DegenerateSignalWarning naming the reason."""
+    median of: 1.0, with a DegenerateSignalWarning naming the reason and
+    attributed to the first caller outside segscan."""
+    level, frame = 1, sys._getframe()
+    while frame.f_globals.get("__package__") == __package__ and frame.f_back is not None:
+        frame = frame.f_back
+        level += 1
     warnings.warn(
-        f"{reason}; falling back to gamma=1.0", DegenerateSignalWarning, stacklevel=3
+        f"{reason}; falling back to gamma=1.0", DegenerateSignalWarning, stacklevel=level
     )
     return 1.0
 
@@ -352,7 +358,6 @@ class FittedCost:
 
     def __init__(self, spec: CostSpec, signal: Signal, min_seg_len: int):
         self.spec = spec
-        self.signal = signal
         self.n_samples = signal.n_samples
         self.min_seg_len = int(min_seg_len)
         self._evals = itertools.count()
@@ -389,11 +394,11 @@ class FittedCost:
     def _segment_cost(self, start: int, end: int) -> float:
         raise NotImplementedError
 
-    def _cover(self, positions) -> None:
+    def _cover(self, ends) -> None:
         """The hook through which an engine names the segment ends it will
-        read (search._prepare passes its grid).  The layouts built at fit
-        answer any segment and ignore it; KernelCost builds its image over
-        those ends."""
+        read, each at least 1 (search._prepare passes its grid without 0).
+        The layouts built at fit answer any segment and ignore it;
+        KernelCost builds its image over those ends."""
 
 
 class PrefixCost(FittedCost):
@@ -548,21 +553,22 @@ class KernelCost(FittedCost):
     two factors of one matrix product, and every check: a signal whose
     kernel exponents can overflow fails there.  An engine names the ends it
     will read (_cover, called by search._prepare), and the image is built
-    over the union of the ends named so far: the rows j = e - 1 and columns
-    i = s - 1 of those ends only.  A cost() whose ends the image does not
-    cover builds the full image, every row and column.  One builder serves
-    any set of ends.  It sweeps row bands of L's lower triangle (one matrix
-    product and one exp per band), adds each row of a band onto the one
-    above it with one np.add across all its columns, which gives R, and
-    keeps the rows of the ends.  Once the sweep has the row means, it
-    subtracts the centring of C, one exact matrix product per band, takes
-    the prefix sums P along each kept row and keeps the columns of the ends.
-    The sweep's products have the same shapes whichever ends are kept, and
-    every other step is exact or elementwise or runs along one row, so each
-    entry of P has the same bits in every image that holds it: cost(s, e) is
-    a function of the fit and the segment alone, whichever image answers
-    it.  Building takes _image_lock, never the search state's lock, which
-    dynp holds while it fills its matrix through cost().
+    over the union of the ends named so far: the rows j = e - 1 of those
+    ends only.  Row j holds P[j, i] for every i <= j, so it answers any
+    start s > 0 at column s - 1.  A cost() whose end the image does not
+    cover builds the full image, every row.  One builder serves any set of
+    ends.  It sweeps row bands of L's lower triangle (one matrix product
+    and one exp per band), adds each row of a band onto the one above it
+    with one np.add across all its columns, which gives R, and keeps the
+    rows of the ends.  Once the sweep has the row means, it subtracts the
+    centring of C, one exact matrix product per band, and takes the prefix
+    sums P along each kept row.  The sweep's products have the same shapes
+    whichever ends are kept, and every other step is exact or elementwise
+    or runs along one row, so each entry of P has the same bits in every
+    image that holds it: cost(s, e) is a function of the fit and the
+    segment alone, whichever image answers it.  Building takes _image_lock,
+    never the search state's lock, which dynp holds while it fills its
+    matrix through cost().
 
     The image is packed by row bands: the kept rows of one band of the sweep
     form one contiguous rectangle as wide as its last row, so the full image
@@ -619,29 +625,27 @@ class KernelCost(FittedCost):
         _check_totals(self._right, 8.0 * gamma * sq.max())
         self._image_lock = threading.Lock()
         # (slot, pieces, base, diagonal prefix sums): slot[e] is the row of end
-        # e and the column of start e, None where e is not kept; start 0
-        # reads no column
-        self._image = ([-1] + [None] * n, None, None, None)
+        # e, None where e is not kept; row j = e - 1 is read at column s - 1
+        self._image = ([None] * (n + 1), None, None, None)
 
-    def _cover(self, positions):
+    def _cover(self, ends):
         """Build the image over these ends and every end named before,
         unless the current image already covers them."""
         slot = self._image[0]
         n = self.n_samples
         # the full image has a row for every end, so its last, n's, is row n - 1
-        if slot[n] == n - 1 or None not in map(slot.__getitem__, positions):
+        if slot[n] == n - 1 or None not in map(slot.__getitem__, ends):
             return
         with self._image_lock:
             slot = self._image[0]
-            kept = {end for end in positions if slot[end] is None}
+            kept = {end for end in ends if slot[end] is None}
             if kept:
                 kept.update(end for end, row in enumerate(slot) if row is not None)
-                kept.discard(0)
                 self._image = self._build(sorted(kept))
 
     def _build(self, kept: list[int]):
-        """The image over the ends in kept (ascending, without 0), as the
-        tuple _image holds."""
+        """The image over the ends in kept (ascending, each at least 1), as
+        the tuple _image holds."""
         left, right = self._left, self._right
         n = len(left)
         step = _band_rows(n)
@@ -697,33 +701,29 @@ class KernelCost(FittedCost):
         col_factors = np.ones((3, n))
         col_factors[0] = shift
         col_factors[2] = -(np.arange(n) * shift + mean_prefix[1:])
-        for (lo, _), sel, rect, k1 in zip(bands, chosen, rects, cuts[1:]):
+        for (lo, _), sel, rect in zip(bands, chosen, rects):
             if rect is None:
                 continue
             centring = scratch[: rect.size].reshape(rect.shape)
             np.matmul(row_factors[lo + sel], col_factors[:, : rect.shape[1]], out=centring)
             rect -= centring
             np.cumsum(rect, axis=1, out=rect)
-            if len(rows) < n:
-                # row k keeps the columns of the ends up to its own
-                rect[:, :k1] = rect[:, rows[:k1]]
-        slot = [-1] + [None] * n
+        slot = [None] * (n + 1)
         for row, end in enumerate(kept):
             slot[end] = row
         return slot, pieces, base, memoryview(diag_prefix).cast("B").cast("d")
 
     def _segment_cost(self, start, end):
         slot, pieces, base, diag = self._image
-        row, col = slot[end], slot[start]
-        if row is None or col is None:
-            self._cover(range(self.n_samples + 1))
-            slot, pieces, base, diag = self._image
-            row, col = slot[end], slot[start]
+        row = slot[end]
+        if row is None:
+            self._cover(range(1, self.n_samples + 1))
+            return self._segment_cost(start, end)
         piece = pieces[row]
-        at = base[row]
-        pairs = piece[at + row]
+        at = base[row] - 1
+        pairs = piece[at + end]
         if start:
-            pairs -= piece[at + col]
+            pairs -= piece[at + start]
         diag = diag[end] - diag[start]
         value = diag - (diag + 2.0 * pairs) / (end - start)
         return value if value > 0.0 else 0.0

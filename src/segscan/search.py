@@ -30,11 +30,11 @@ Each engine counts the costs it evaluates (a greedy call its cache's
 currsize), so n_cost_evals omits other threads' work.
 Ties are always broken toward the smallest change point indices.
 
-Before an engine reads a cost, _prepare names its grid positions to the
-fitted cost (FittedCost._cover), and window adds the ends of its half
-windows.  The rbf kernel builds its integral image there, over the ends
-named so far, so its image build counts in the engine's time, not in
-fit's; the other families ignore the call.
+Before an engine reads a cost, _prepare names its grid ends, every position
+but 0, to the fitted cost (FittedCost._cover), and window adds its windows'
+right ends; a start needs no naming.  The rbf kernel builds its integral
+image there, over the ends named so far, so its image build counts in the
+engine's time, not in fit's; the other families ignore the call.
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ _NO_RULE = object()
 def _prepare(fitted, config, stop=_NO_RULE):
     """The prologue every engine shares: stop checked first when the engine
     takes a StoppingRule, then the config, the effective min_size and jump,
-    the grid positions with 0 and T, named to the fitted cost's _cover, and
-    dynp's state for that grid if dynp has run on this fitted cost, else
-    None."""
+    the grid positions with 0 and T, all but 0 named to the fitted cost's
+    _cover, and dynp's state for that grid if dynp has run on this fitted
+    cost, else None."""
     if stop is not _NO_RULE and not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     cfg = config if config is not None else SearchConfig()
@@ -153,8 +153,9 @@ def _prepare(fitted, config, stop=_NO_RULE):
         raise InfeasibleError(
             f"signal length {fitted.n_samples} below the minimum segment length {min_size}"
         )
-    positions = [0] + _grid(fitted.n_samples, min_size, jump) + [fitted.n_samples]
-    fitted._cover(positions)
+    ends = _grid(fitted.n_samples, min_size, jump) + [fitted.n_samples]
+    fitted._cover(ends)
+    positions = [0, *ends]
     dense = fitted._search_state.get(("dynp", min_size, jump))
     return cfg, min_size, jump, positions, dense
 
@@ -468,6 +469,7 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
 def _add_greedily(fitted, stop, moves, cost, evaluated) -> DetectionResult:
     """Take a greedy engine's lazy (score, end) moves, best first, until the
     stopping rule holds; the one reader of the rule for binseg and window.
+    moves(ends) reads ends, the sorted list of T and every end taken so far.
 
     n_bkps takes that many moves, penalty stops at the first move scoring at
     or below it, budget takes moves while the total cost is above it; moves
@@ -475,6 +477,7 @@ def _add_greedily(fitted, stop, moves, cost, evaluated) -> DetectionResult:
     the moves the rule pulls are evaluated.
     """
     ends = [fitted.n_samples]
+    moves = moves(ends)
     if stop.kind == "n_bkps":
         for taken in range(stop.n_bkps):
             move = next(moves, None)
@@ -506,37 +509,34 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     """
     _, min_size, jump, positions, dense = _prepare(fitted, config, stop)
     cost, evaluated = _segment_cost(fitted, dense)
-    ends_idx = [len(positions) - 1]
 
     @functools.cache
-    def segment_best(a_idx: int, b_idx: int):
-        lo = bisect.bisect_left(positions, positions[a_idx] + min_size)
-        hi = bisect.bisect_right(positions, positions[b_idx] - min_size)
+    def segment_best(a: int, b: int):
+        lo = bisect.bisect_left(positions, a + min_size)
+        hi = bisect.bisect_right(positions, b - min_size)
         found = None
         if lo < hi:
-            a, b = positions[a_idx], positions[b_idx]
             base = cost(a, b)
-            for s in range(lo, hi):
-                gain = base - (cost(a, positions[s]) + cost(positions[s], b))
+            for s in positions[lo:hi]:
+                gain = base - (cost(a, s) + cost(s, b))
                 if found is None or gain > found[0]:
                     found = (gain, s)
         return found
 
-    def moves():
+    def moves(ends):
         while True:
             chosen = None
-            start_idx = 0
-            for end_idx in ends_idx:
-                info = segment_best(start_idx, end_idx)
+            start = 0
+            for end in ends:
+                info = segment_best(start, end)
                 if info is not None and (chosen is None or info[0] > chosen[0]):
                     chosen = info
-                start_idx = end_idx
+                start = end
             if chosen is None:
                 return
-            yield chosen[0], positions[chosen[1]]
-            bisect.insort(ends_idx, chosen[1])
+            yield chosen
 
-    return _add_greedily(fitted, stop, moves(), cost, evaluated)
+    return _add_greedily(fitted, stop, moves, cost, evaluated)
 
 
 def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -632,8 +632,8 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     half = width // 2
     seg_cost, evaluated = _segment_cost(fitted, dense)
     grid = _grid(n_samples, half, jump)
-    # the window's own ends are off the grid unless jump divides half
-    fitted._cover([end for t in grid for end in (t - half, t + half)])
+    # the windows' right ends are off the grid unless jump divides half
+    fitted._cover([t + half for t in grid])
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)
         for t in grid
@@ -653,11 +653,10 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
         i = k + 1
     ranked = sorted(peaks, key=lambda item: (-item[1], item[0]))
 
-    def moves():
-        chosen: list[int] = []
+    def moves(ends):
+        # T is at least half >= min_size past every peak
         for t, score in ranked:
-            if all(abs(t - u) >= min_size for u in chosen):
-                chosen.append(t)
+            if all(abs(t - u) >= min_size for u in ends):
                 yield score, t
 
-    return _add_greedily(fitted, stop, moves(), seg_cost, evaluated)
+    return _add_greedily(fitted, stop, moves, seg_cost, evaluated)

@@ -6,6 +6,7 @@ import sys
 import threading
 import warnings
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -747,6 +748,40 @@ def test_kernel_rbf_fits_one_sample_with_the_fallback_bandwidth():
     assert fitted.cost(0, 1) == 0.0
     with pytest.raises(SignalTooShortError):
         median_heuristic([[1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: fit(CostSpec(family="kernel"), np.ones((1, 2))), "one sample has no pairs"),
+        (lambda: fit(CostSpec(family="kernel"), np.ones((5, 2))), "pairwise distances are zero"),
+        (lambda: median_heuristic(np.ones((5, 2))), "pairwise distances are zero"),
+    ],
+    ids=["fit-one-sample", "fit-zero-distances", "median-heuristic"],
+)
+def test_degenerate_bandwidth_warning_names_the_callers_line(call, reason):
+    """The fallback bandwidth's warning is about the caller's input, so it
+    points at the caller's line, not at segscan's, whichever path emits it."""
+    with pytest.warns(DegenerateSignalWarning, match=reason) as record:
+        call()
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, call.__code__.co_firstlineno)]
+
+
+@pytest.mark.parametrize("family", ["l2", "normal", "linear", "ar", "kernel", "mahalanobis"])
+def test_fit_keeps_no_reference_to_its_signal(family):
+    """A fit holds its summaries only: the caller's Signal, and with it the
+    float64 copy of the input, is freed as soon as the caller drops it, and
+    the fit and its cached engine state still answer."""
+    signal = validate_signal(np.random.default_rng(3).normal(size=(60, 2)))
+    alive = weakref.ref(signal)
+    fitted = fit(CostSpec(family=family), signal)
+    result = dynp(fitted, 1)
+    whole = fitted.cost(0, 60)
+    del signal
+    assert alive() is None
+    assert fitted.cost(0, 60) == whole
+    again = dynp(fitted, 1)
+    assert (again.bkps, again.contrast) == (result.bkps, result.contrast)
 
 
 @pytest.mark.parametrize("conditioning", list(CONDITIONING))

@@ -113,14 +113,28 @@ def test_rbf_costs_at_grid_ends_equal_a_fresh_fit(n_samples, min_size, jump):
 
 
 def test_rbf_engine_grids_build_no_full_image():
-    """On a coarse grid the engines read only the grid image: the fit keeps
-    no image row per sample until a cost() off the grid asks for one."""
+    """On a coarse grid the engines read only the grid image.  A grid end's
+    row holds every column up to its own, so a cost() ending there reads it
+    at any start, on the grid or off it, with a fresh fit's bits; the fit
+    keeps no image row per sample until a cost() ending off the grid asks
+    for one."""
     n_samples = 2931
-    fitted = fit(CostSpec(family="kernel", kernel="rbf"), rbf_signal(n_samples))
+    spec = CostSpec(family="kernel", kernel="rbf")
+    signal = rbf_signal(n_samples)
+    fitted = fit(spec, signal)
     for call in engine_calls(n_samples, 1, 10).values():
         call(fitted)
-    rows = len(fitted._image[1])
-    assert rows == len(grid_ends(n_samples, 1, 10)) - 1
+    ends = grid_ends(n_samples, 1, 10)
+    rows = len(ends) - 1
+    assert len(fitted._image[1]) == rows
+    rng = np.random.default_rng(11)
+    pairs = [(5, 1500), (0, 10), (1, 10), (9, 10), (1, n_samples), (2929, 2930)]
+    for end in rng.choice(ends[1:], size=100).tolist():
+        pairs.append((int(rng.integers(0, end)), end))
+    fresh = fit(spec, signal)
+    expected = [fresh.cost(s, e).hex() for s, e in pairs]
+    assert [fitted.cost(s, e).hex() for s, e in pairs] == expected
+    assert len(fitted._image[1]) == rows
     fitted.cost(5, 17)
     assert len(fitted._image[1]) == n_samples
 
