@@ -19,6 +19,9 @@ Six families are available, selected by CostSpec.family:
 Every ridge follows one rule, _ridge: a base per family (1e-6 for normal and
 mahalanobis, 1e-8 for linear and ar) plus 2^-48 times the magnitude its
 rounding is relative to, so constant or collinear columns stay finite.
+linear and ar also fold a response ridge into their summaries, 2^-40 times
+the response's sum of squares and no base, which each query subtracts back
+out of its cost (see RegressionCost).
 
 fit() binds a spec to one signal and lays out its summaries, so that every
 cost(start, end) is one prefix difference plus at most one LAPACK call.  The
@@ -33,9 +36,11 @@ six families use four layouts:
   into the x diagonal, and one slogdet;
 - linear and ar: one class, RegressionCost, keeps prefix sums of the outer
   products of the centred [x, 1, y] per group of rows, with the ridge
-  folded into the x diagonal, then one solve and one np.vecdot stacked over
-  the groups: linear has one group, x being columns 1..d-1 and y column 0;
-  ar has one per dimension, x being its lags;
+  folded into the x diagonal and the response ridge into the y diagonal,
+  then one Cholesky factorisation stacked over the groups, whose last pivot
+  squared is each group's residual sum of squares plus that ridge: linear
+  has one group, x being columns 1..d-1 and y column 0; ar has one per
+  dimension, x being its lags;
 - rbf kernel: an integral image of the lower triangle of the Gram matrix,
   so a query reads two entries: O(1) instead of O(end - start).  fit builds
   no image.  Each engine names the segment ends it will read through
@@ -57,15 +62,18 @@ a sum of non-negative terms per row, so a segment grown at its end never
 costs less.  normal's cost is a log-determinant, which falls freely.
 
 The LAPACK calls of normal, linear and ar go straight to the gufuncs behind
-np.linalg.slogdet and np.linalg.solve (numpy.linalg._umath_linalg), with the
-same inner loops.  Those wrappers convert, check and promote their operands
-and set an errstate on every call, which costs more than LAPACK does on
-these small systems; the summaries are float64 and shaped once, at fit, so
-none of that work is needed per query.  The wrapper's one contract kept by
-hand is that a singular system raises np.linalg.LinAlgError: the gufunc
-solves it to NaN instead (with numpy's invalid-value RuntimeWarning), and
-linear and ar raise on a NaN cost.  fit refuses summaries that overflow
-float64 with NonFiniteValueError, so a NaN cannot come from anywhere else.
+np.linalg.slogdet and np.linalg.cholesky (numpy.linalg._umath_linalg), with
+the same inner loops.  Those wrappers convert, check and promote their
+operands and set an errstate on every call, which costs more than LAPACK
+does on these small systems; the summaries are float64 and shaped once, at
+fit, so none of that work is needed per query.  The wrapper's one contract
+kept by hand is that a singular system raises np.linalg.LinAlgError: the
+Cholesky gufunc fills a block it cannot factor with NaN instead (with
+numpy's invalid-value RuntimeWarning), and linear and ar raise on a NaN
+pivot.  The response ridge keeps the last pivot positive, so a NaN pivot
+means that the regressors' own block is singular.  fit refuses summaries
+that overflow float64 with NonFiniteValueError, so a NaN cannot come from
+anywhere else.
 
 Every cost() call that returns advances eval_counter by one, after the
 evaluation, so a call that raises is not counted; the count is an
@@ -82,8 +90,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky
 from numpy.linalg._umath_linalg import slogdet as _slogdet
-from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import Signal, _checked_int, _checked_real, _integral, validate_signal
 from .exceptions import (
@@ -496,29 +504,52 @@ class RegressionCost(FittedCost):
     [regressors, 1, y] per row, and the row of response t is at t - lag
     (lag is 0 for linear, order for ar).  The fit keeps prefix sums of their
     outer products with the ridge folded into the regressor diagonal, so a
-    prefix difference is each group's penalised normal equations: a query
-    is one solve stacked over the groups and one np.vecdot, yy - xy . coef
-    per group.  The solve is the gufunc itself (see the module docstring);
-    a singular system solves to NaN, and the query raises
-    np.linalg.LinAlgError for it, as np.linalg.solve does.
+    prefix difference is each group's penalised normal equations
+    [[XX, xy], [xy', yy]], XX over the regressors and the intercept.  A
+    query factors it with one Cholesky stacked over the groups, the gufunc
+    itself (see the module docstring), and reads each group's last pivot:
+    squared, it is the Schur complement yy - xy' XX^-1 xy, the penalised RSS.
+
+    An exact fit, a response constant over the segment say, makes that
+    complement 0, and rounding can take it below 0, where the
+    factorisation fails.  So the fit folds a response ridge per sample r_y
+    into the y diagonal, and the query subtracts m * r_y back out of the
+    pivot squared.  r_y is 2^-40 S_y, S_y being the group's response sum
+    of squares over the whole signal: the complement rounds relative to
+    the segment's yy, at most S_y, so m * r_y stands about 2^12 above that
+    rounding on well-conditioned blocks, and subtracting it back rounds at
+    2^-92 m S_y, far below the RSS's own rounding.  The factor is a power
+    of two, so r_y is S_y with its exponent shifted, exact at any scale.
+    There is no absolute base, which would not scale with the signal:
+    _ridge(1e-8, S_y) reads 0.0 for every cost of a signal at 1e-150, and
+    6.6e-23 for a constant response.  A group whose response is 0
+    throughout (S_y = 0, or 2^-40 S_y lost to underflow) takes r_y = 1,
+    and every one of its costs is 0.  What lies within the rounding of
+    m * r_y itself, 2^-50 of it, is clipped to 0.0, so a response constant
+    over the whole signal costs exactly 0.0.  A NaN pivot means XX itself
+    is singular, and the query raises np.linalg.LinAlgError for it, as
+    np.linalg.cholesky does.
     """
 
     def __init__(self, spec, signal, rows: np.ndarray, lag: int):
         k = rows.shape[-1] - 1
         super().__init__(spec, signal, min_seg_len=k + 1)
         self.family = spec.family
-        self._prod = _prefix_outer(rows, 1e-8, k - 1)
-        self._k = k
+        self._prod = prod = _prefix_outer(rows, 1e-8, k - 1)
+        ridges = 2.0**-40 * prod[-1, :, k, k]
+        ridges[ridges == 0.0] = 1.0
+        prod[:, :, k, k] += ridges * np.arange(len(prod))[:, None]
+        self._ridges = ridges.tolist()
         self._lag = lag
 
     def _segment_cost(self, start, end):
-        k = self._k
-        block = self._prod[end - self._lag] - self._prod[start]
-        xy = block[:, :k, k]
-        rss = block[:, k, k] - np.vecdot(xy, _solve1(block[:, :k, :k], xy))
+        end -= self._lag
+        pivots = _cholesky(self._prod[end] - self._prod[start])[:, -1, -1].tolist()
         total = 0.0
-        for value in rss.tolist():
-            if value > 0.0:
+        for pivot, ridge in zip(pivots, self._ridges):
+            ridge *= end - start
+            value = pivot * pivot - ridge
+            if value > 2.0**-50 * ridge:
                 total += value
             elif value != value:
                 raise np.linalg.LinAlgError("Singular matrix")

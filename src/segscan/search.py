@@ -31,10 +31,11 @@ currsize), so n_cost_evals omits other threads' work.
 Ties are always broken toward the smallest change point indices.
 
 Before an engine reads a cost, _prepare names its grid ends, every position
-but 0, to the fitted cost (FittedCost._cover), and window adds its windows'
-right ends; a start needs no naming.  The rbf kernel builds its integral
-image there, over the ends named so far, so its image build counts in the
-engine's time, not in fit's; the other families ignore the call.
+but 0, to the fitted cost (FittedCost._cover); window names them in the same
+call as its windows' right ends.  A start needs no naming.  The rbf kernel
+builds its integral image there, over the ends named so far, so its image
+build counts in the engine's time, not in fit's; the other families ignore
+the call.
 """
 
 from __future__ import annotations
@@ -136,11 +137,12 @@ def max_changes(n_samples: int, min_size: int, jump: int) -> int:
 _NO_RULE = object()
 
 
-def _prepare(fitted, config, stop=_NO_RULE):
+def _prepare(fitted, config, stop=_NO_RULE, cover=True):
     """The prologue every engine shares: stop checked first when the engine
     takes a StoppingRule, then the config, the effective min_size and jump,
     the grid positions with 0 and T, all but 0 named to the fitted cost's
-    _cover, and dynp's state for that grid if dynp has run on this fitted
+    _cover (unless cover is False: window names them together with its own
+    ends), and dynp's state for that grid if dynp has run on this fitted
     cost, else None."""
     if stop is not _NO_RULE and not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
@@ -154,7 +156,8 @@ def _prepare(fitted, config, stop=_NO_RULE):
             f"signal length {fitted.n_samples} below the minimum segment length {min_size}"
         )
     ends = _grid(fitted.n_samples, min_size, jump) + [fitted.n_samples]
-    fitted._cover(ends)
+    if cover:
+        fitted._cover(ends)
     positions = [0, *ends]
     dense = fitted._search_state.get(("dynp", min_size, jump))
     return cfg, min_size, jump, positions, dense
@@ -618,7 +621,7 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     Requires config.window_width; raises WindowTooLargeError when it exceeds
     the signal.
     """
-    cfg, min_size, jump, _, dense = _prepare(fitted, config, stop)
+    cfg, min_size, jump, positions, dense = _prepare(fitted, config, stop, cover=False)
     n_samples = fitted.n_samples
     width = cfg.window_width
     if width is None:
@@ -632,8 +635,9 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     half = width // 2
     seg_cost, evaluated = _segment_cost(fitted, dense)
     grid = _grid(n_samples, half, jump)
-    # the windows' right ends are off the grid unless jump divides half
-    fitted._cover([t + half for t in grid])
+    # one image over the grid and the windows' right ends, which lie off the
+    # grid unless jump divides half
+    fitted._cover(positions[1:] + [t + half for t in grid])
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)
         for t in grid

@@ -940,15 +940,17 @@ def spd_blocks(rng, size, stack=()):
 @pytest.mark.parametrize("stack", [(), (3,), (2, 4)])
 @pytest.mark.parametrize("size", range(1, 9))
 def test_direct_gufuncs_match_the_linalg_wrappers_bitwise(size, stack):
-    """The normal, linear and ar queries call the gufuncs behind
-    np.linalg.slogdet and np.linalg.solve directly: on float64 operands
-    they must give the wrappers' results bit for bit."""
+    """The normal query calls the gufunc behind np.linalg.slogdet directly,
+    and the linear and ar queries the one behind np.linalg.cholesky: on
+    float64 operands each must give its wrapper's results bit for bit, as
+    must the direct solves."""
     rng = np.random.default_rng(100 + size)
     blocks = spd_blocks(rng, size, stack)
     rhs = rng.normal(size=stack + (size, 2))
     vector = rng.normal(size=size)
     for direct, wrapped in zip(_umath_linalg.slogdet(blocks), np.linalg.slogdet(blocks)):
         assert np.array_equal(direct, wrapped)
+    assert np.array_equal(_umath_linalg.cholesky_lo(blocks), np.linalg.cholesky(blocks))
     assert np.array_equal(_umath_linalg.solve(blocks, rhs), np.linalg.solve(blocks, rhs))
     assert np.array_equal(_umath_linalg.solve(blocks, rhs[..., :1]),
                           np.linalg.solve(blocks, rhs[..., :1]))
@@ -969,6 +971,59 @@ def test_singular_segment_system_raises_linalg_error(noisy_signal, family, kw):
     fitted._prod[...] = 0.0
     with pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError, match="Singular"):
         fitted.cost(10, 60)
+
+
+def regression_stress_signal(kind):
+    """90 rows of 3 columns that push the regression layout's Cholesky to
+    its edges: constant and all-zero columns (a response with no spread at
+    all), integer steps, near-constant columns, scales far from 1, two
+    identical regressors at 1e9, and a response exactly linear in the
+    regressors, whose regressor column 1 is exactly linear in time."""
+    rng = np.random.default_rng(96)
+    noise = rng.normal(size=(90, 3))
+    t = np.arange(90.0)
+    if kind == "constant":
+        return np.full((90, 3), 5.0)
+    if kind == "zero":
+        return np.zeros((90, 3))
+    if kind == "integer-steps":
+        return np.repeat(rng.integers(-4, 5, size=(6, 3)), 15, axis=0).astype(np.float64)
+    if kind == "near-constant":
+        return 5.0 + 1e-7 * noise
+    if kind == "huge":
+        return 1e150 * noise
+    if kind == "tiny":
+        return 1e-150 * noise
+    if kind == "collinear":
+        return np.column_stack([noise[:, 0], 1e9 * noise[:, 1], 1e9 * noise[:, 1]])
+    x2 = (t * t) % 7
+    return np.column_stack([3.0 * t - 2.0 * x2 + 1.0, t, x2])
+
+
+REGRESSION_STRESS = ["constant", "zero", "integer-steps", "near-constant", "huge", "tiny",
+                     "collinear", "exactly-linear"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", REGRESSION_STRESS)
+def test_regression_costs_stay_finite_on_hard_signals(kind):
+    """Over every third start and every second end, no linear or ar cost
+    (orders 1 to 30) raises or warns, each is finite and >= 0, and a
+    response that is constant over the whole signal costs exactly 0.0: the
+    response ridge keeps the last pivot positive, and the clip takes the
+    rounding that subtracting it back leaves."""
+    data = regression_stress_signal(kind)
+    specs = [CostSpec(family="linear")] + [
+        CostSpec(family="ar", order=order) for order in (1, 2, 4, 8, 16, 30)
+    ]
+    for spec in specs:
+        fitted = fit(spec, data)
+        pairs = [(a, b) for a in range(0, 90, 3) for b in range(2, 91, 2)]
+        for a, b in [(a, b) for a, b in pairs if b - a >= fitted.min_seg_len]:
+            value = fitted.cost(a, b)
+            assert np.isfinite(value) and value >= 0.0, (spec, a, b, value)
+            if kind in ("constant", "zero"):
+                assert value == 0.0, (spec, a, b, value)
 
 
 def overflowing_signal():

@@ -22,8 +22,10 @@ from segscan import (
     fit,
     pelt,
     solve_budget,
+    sum_of_costs,
     window,
 )
+from segscan.costs import KernelCost
 from segscan.exceptions import SegscanError
 
 SIZES = [1, 2, 3, 255, 256, 257, 1000, 2931]
@@ -150,3 +152,33 @@ def test_rbf_costs_are_exact_where_every_pair_underflows(jump):
     assert result.contrast == 296.0
     ends = grid_ends(300, 1, jump)
     assert all(fitted.cost(s, e) == e - s - 1 for i, s in enumerate(ends) for e in ends[i + 1 :])
+
+
+def test_window_builds_one_image_over_the_grid_and_its_right_ends(monkeypatch):
+    """At jump 10 and half width 45 the windows' right ends t + 45 lie off
+    the grid.  window names them in the same _cover call as the grid, so
+    the image is built once, over the 300 grid ends and the 291 right ends,
+    and its answer has the bits of the same call on a fresh fit's full
+    image."""
+    n_samples = 3000
+    spec = CostSpec(family="kernel", kernel="rbf")
+    signal = rbf_signal(n_samples)
+    config = SearchConfig(jump=10, window_width=90)
+    stop = StoppingRule(n_bkps=3)
+    builds = []
+    build = KernelCost._build
+
+    def counted(self, kept):
+        builds.append(len(kept))
+        return build(self, kept)
+
+    monkeypatch.setattr(KernelCost, "_build", counted)
+    result = window(fit(spec, signal), stop, config)
+    assert builds == [591]
+    fresh = fit(spec, signal)
+    fresh.cost(0, n_samples)
+    assert builds == [591, n_samples]
+    expected = window(fresh, stop, config)
+    assert result.bkps.ends == expected.bkps.ends
+    assert result.contrast.hex() == expected.contrast.hex()
+    assert result.contrast == sum_of_costs(fresh, result.bkps)
