@@ -404,7 +404,7 @@ class FittedCost:
 
     def _cover(self, ends) -> None:
         """The hook through which an engine names the segment ends it will
-        read, each at least 1 (search._prepare passes its grid without 0).
+        read, each at least 1 (search._Reader passes its grid without 0).
         The layouts built at fit answer any segment and ignore it;
         KernelCost builds its image over those ends."""
 
@@ -583,7 +583,7 @@ class KernelCost(FittedCost):
     fit builds no image.  It keeps the bandwidth, the centred signal as the
     two factors of one matrix product, and every check: a signal whose
     kernel exponents can overflow fails there.  An engine names the ends it
-    will read (_cover, called by search._prepare), and the image is built
+    will read (_cover, called by search._Reader), and the image is built
     over the union of the ends named so far: the rows j = e - 1 of those
     ends only.  Row j holds P[j, i] for every i <= j, so it answers any
     start s > 0 at column s - 1.  A cost() whose end the image does not

@@ -16,26 +16,27 @@ _add_greedily(), takes under the stopping rule; bottomup() removes them
 in one loop of its own, since its penalty and budget tests point the other
 way.
 
+Every engine call reads segment costs through the one _Reader that
+_prepare returns.  It names the grid's ends, every position but 0, to the
+fitted cost's _cover in one call, together with any ends the engine adds
+(window's right ends); a start needs no naming.  The rbf kernel builds its
+integral image there, so the build counts in the engine's time, not in
+fit's; the other families ignore the call.  The reader answers cost(s, e)
+and row(e, starts), the segments from many grid starts to one grid end
+(dynp's fill, pelt's scan step), and counts in n_evals the costs it
+evaluates: the call's n_cost_evals, which omits other threads' work.
+pelt's heap step alone calls fitted.cost itself and adds to that count.
+
 Only dynp and solve_budget keep a dense grid x grid segment-cost matrix,
 cached on the fitted cost per (min_size, jump) together with the dynp value
 table (values and integer backpointers per change count), which is extended
-under a lock instead of recomputed.  The other engines hold O(grid) state:
-they read dynp's matrix when dynp has already run on the same fitted cost
-and grid (window for each segment whose ends are both grid positions), and
-otherwise evaluate costs on demand; a greedy call memoizes them in its own
-functools.cache, so repeating a pelt or greedy search pays its evaluations
-again.  On monotone costs, every family but normal, pelt evaluates only the
-candidates its heap of lower bounds, their last costs, leaves a chance to win.
-Each engine counts the costs it evaluates (a greedy call its cache's
-currsize), so n_cost_evals omits other threads' work.
-Ties are always broken toward the smallest change point indices.
-
-Before an engine reads a cost, _prepare names its grid ends, every position
-but 0, to the fitted cost (FittedCost._cover); window names them in the same
-call as its windows' right ends.  A start needs no naming.  The rbf kernel
-builds its integral image there, over the ends named so far, so its image
-build counts in the engine's time, not in fit's; the other families ignore
-the call.
+under a lock instead of recomputed.  Once it exists, every reader on that
+grid reads a segment whose ends are both grid positions from it, uncounted.
+The other engines hold O(grid) state, though binseg and window memoize a
+call's costs in a functools.cache, and repeating them pays again.  On
+monotone costs, every family but normal, pelt evaluates only the
+candidates its heap of lower bounds, their last costs, leaves a chance to
+win.  Ties are always broken toward the smallest change point indices.
 """
 
 from __future__ import annotations
@@ -137,13 +138,11 @@ def max_changes(n_samples: int, min_size: int, jump: int) -> int:
 _NO_RULE = object()
 
 
-def _prepare(fitted, config, stop=_NO_RULE, cover=True):
+def _prepare(fitted, config, stop=_NO_RULE, more=lambda cfg, min_size: []):
     """The prologue every engine shares: stop checked first when the engine
-    takes a StoppingRule, then the config, the effective min_size and jump,
-    the grid positions with 0 and T, all but 0 named to the fitted cost's
-    _cover (unless cover is False: window names them together with its own
-    ends), and dynp's state for that grid if dynp has run on this fitted
-    cost, else None."""
+    takes a StoppingRule, then the config.  Returns it, the effective
+    min_size and jump, the grid positions with 0 and T, and the call's
+    _Reader, which also names the ends more(cfg, min_size) returns."""
     if stop is not _NO_RULE and not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     cfg = config if config is not None else SearchConfig()
@@ -155,42 +154,50 @@ def _prepare(fitted, config, stop=_NO_RULE, cover=True):
         raise InfeasibleError(
             f"signal length {fitted.n_samples} below the minimum segment length {min_size}"
         )
-    ends = _grid(fitted.n_samples, min_size, jump) + [fitted.n_samples]
-    if cover:
-        fitted._cover(ends)
-    positions = [0, *ends]
-    dense = fitted._search_state.get(("dynp", min_size, jump))
-    return cfg, min_size, jump, positions, dense
+    positions = [0, *_grid(fitted.n_samples, min_size, jump), fitted.n_samples]
+    reader = _Reader(fitted, min_size, jump, positions, more(cfg, min_size))
+    return cfg, min_size, jump, positions, reader
 
 
-def _result(fitted, ends, contrast, n_cost_evals, n_pruned=0) -> DetectionResult:
-    bkps = validate_breakpoints(ends, fitted.n_samples)
-    return DetectionResult(bkps, contrast, n_cost_evals, n_pruned)
+class _Reader:
+    """One engine call's segment costs: cost() and row() read dynp's matrix
+    (state, looked up once the ends are named) where it holds the segment
+    and evaluate through fitted.cost otherwise, counting in n_evals."""
+
+    def __init__(self, fitted, min_size, jump, positions, more):
+        fitted._cover(positions[1:] + more)
+        self.fitted, self.positions, self.n_evals = fitted, positions, 0
+        self.key = ("dynp", min_size, jump)
+        self.state = fitted._search_state.get(self.key)
+
+    def cost(self, start: int, end: int) -> float:
+        if self.state is not None:
+            start_idx, end_idx = map(self.state.pos_index.get, (start, end))
+            if start_idx is not None and end_idx is not None:
+                return float(self.state.matrix[end_idx, start_idx])
+        self.n_evals += 1
+        return self.fitted.cost(start, end)
+
+    def row(self, end_idx: int, starts: np.ndarray) -> np.ndarray:
+        """The costs from each grid index in starts to the grid index end_idx."""
+        if self.state is not None:
+            return self.state.matrix[end_idx, starts]
+        self.n_evals += len(starts)
+        cost, positions = self.fitted.cost, self.positions
+        return np.array([cost(positions[s], positions[end_idx]) for s in starts.tolist()])
+
+    def dynp_state(self, min_size: int) -> _DynpState:
+        """dynp's state for this grid, filled through row() on first use.  The
+        caller holds fitted._state_lock, so one call alone fills and counts it."""
+        state = self.fitted._search_state.get(self.key)
+        if state is None:
+            state = self.fitted._search_state[self.key] = _DynpState(self, min_size)
+        return state
 
 
-def _segment_cost(fitted, dense):
-    """cost(start, end) for one greedy engine call, and the functools.cache
-    behind it.
-
-    Reads dynp's matrix when `dense` holds one for the caller's grid and both
-    ends are positions of that grid; otherwise evaluates through fitted.cost
-    once per distinct segment of this call, so the cache's currsize is the
-    number of costs the call has evaluated.
-    """
-    evaluated = functools.cache(fitted.cost)
-    if dense is None:
-        return evaluated, evaluated
-    index = dense.pos_index
-    matrix = dense.matrix
-
-    def cost(start: int, end: int) -> float:
-        start_idx = index.get(start)
-        end_idx = index.get(end)
-        if start_idx is None or end_idx is None:
-            return evaluated(start, end)
-        return float(matrix[end_idx, start_idx])
-
-    return cost, evaluated
+def _result(reader, ends, contrast, n_pruned=0) -> DetectionResult:
+    bkps = validate_breakpoints(ends, reader.fitted.n_samples)
+    return DetectionResult(bkps, contrast, reader.n_evals, n_pruned)
 
 
 class _DynpState:
@@ -204,21 +211,19 @@ class _DynpState:
     end tuples lexicographically (equal tuples share a rank), so an exact tie
     goes to the smallest (rank[s], s), which is the smallest end tuple.  All
     are retained across calls so a repeat or a smaller k costs nothing, and
-    the other engines read the matrix instead of evaluating again.  n_evals
-    is the number of costs the fill evaluated."""
+    readers read the matrix through pos_index.  The fill is row by row,
+    through the filling call's reader."""
 
-    def __init__(self, fitted, min_size: int, positions: list[int]):
+    def __init__(self, reader: _Reader, min_size: int):
+        positions = reader.positions
         count = len(positions)
         _check_dense(count, "dynp's cost matrix (a larger jump thins the grid)")
         self.positions = positions
         self.pos_index = {pos: i for i, pos in enumerate(positions)}
         self.matrix = np.full((count, count), np.inf)
-        cost = fitted.cost
-        self.n_evals = 0
-        for i, start in enumerate(positions):
-            lo = bisect.bisect_left(positions, start + min_size)
-            self.matrix[lo:, i] = [cost(start, end) for end in positions[lo:]]
-            self.n_evals += count - lo
+        for end_idx, end in enumerate(positions):
+            hi = bisect.bisect_right(positions, end - min_size)
+            self.matrix[end_idx, :hi] = reader.row(end_idx, np.arange(hi))
         # 0.0 + cost, as a left-to-right sum starts, so layer values are
         # bitwise the contrast of their end tuples
         self.layers = [0.0 + self.matrix[:, 0]]
@@ -262,18 +267,6 @@ class _DynpState:
         return tuple(ends[::-1]), contrast
 
 
-def _dynp_state(fitted, min_size, jump, positions) -> tuple[_DynpState, int]:
-    """The cached state for this grid, built on first use, and the number of
-    costs this call evaluated: the fill's if it built the state, else 0.  The
-    caller holds fitted._state_lock, so exactly one call reports the fill."""
-    key = ("dynp", min_size, jump)
-    state = fitted._search_state.get(key)
-    if state is not None:
-        return state, 0
-    state = fitted._search_state[key] = _DynpState(fitted, min_size, positions)
-    return state, state.n_evals
-
-
 def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionResult:
     """Exact minimum-cost segmentation with a fixed number of change points.
 
@@ -290,14 +283,13 @@ def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionRe
     guard (costs._check_dense) when the grid has more than 20,000 positions.
     """
     n_bkps = _checked_int("n_bkps", n_bkps, 0)
-    _, min_size, jump, positions, _ = _prepare(fitted, config)
+    _, min_size, jump, _, reader = _prepare(fitted, config)
     most = max_changes(fitted.n_samples, min_size, jump)
     if n_bkps > most:
         raise InfeasibleError(f"{n_bkps} change points do not fit: the grid admits at most {most}")
     with fitted._state_lock:
-        state, n_evals = _dynp_state(fitted, min_size, jump, positions)
-        ends, contrast = state.solve(n_bkps)
-    return _result(fitted, ends, contrast, n_evals)
+        ends, contrast = reader.dynp_state(min_size).solve(n_bkps)
+    return _result(reader, ends, contrast)
 
 
 def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> DetectionResult:
@@ -309,15 +301,15 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     feasible number of change points stays above the budget.
     """
     budget = _checked_real("budget", budget)
-    _, min_size, jump, positions, _ = _prepare(fitted, config)
+    _, min_size, jump, _, reader = _prepare(fitted, config)
     most = max_changes(fitted.n_samples, min_size, jump)
     with fitted._state_lock:
-        state, n_evals = _dynp_state(fitted, min_size, jump, positions)
+        state = reader.dynp_state(min_size)
         contrast = np.inf
         for k in range(most + 1):
             ends, contrast = state.solve(k)
             if contrast <= budget:
-                return _result(fitted, ends, contrast, n_evals)
+                return _result(reader, ends, contrast)
     raise BudgetUnreachableError(
         f"optimal cost {contrast} with {most} change points still exceeds budget {budget}"
     )
@@ -353,17 +345,18 @@ def _first_tuple(parent, depth, tied) -> tuple:
     return win
 
 
-def _pelt_scan(fitted, dense, penalty, min_size, positions):
-    """pelt's step over every live candidate at once, for the two cases that
-    read them all: dynp's matrix, and normal, whose costs bound nothing.
-    Returns each end's parent and last segment cost, n_evals and n_pruned."""
+def _pelt_scan(reader, penalty, min_size):
+    """pelt's step over every live candidate at once, one reader.row per end,
+    for the two cases that read them all: dynp's matrix, and normal, whose
+    costs bound nothing.  Returns each end's parent and last cost, n_pruned."""
+    positions = reader.positions
     count = len(positions)
     values = np.full(count, np.inf)
     values[0] = 0.0
     parent, depth, last_cost = [0] * count, [0] * count, [0.0] * count
     doomed_from = np.full(count, np.inf)
     candidates = np.empty(0, dtype=np.int64)
-    next_admission = n_evals = n_pruned = 0
+    next_admission = n_pruned = 0
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
         admitted = next_admission
@@ -373,11 +366,7 @@ def _pelt_scan(fitted, dense, penalty, min_size, positions):
         live = doomed_from[candidates] > end_pos
         n_pruned += len(candidates) - int(np.count_nonzero(live))
         candidates = candidates[live]
-        if dense is not None:
-            seg_costs = dense.matrix[end_idx, candidates]
-        else:
-            seg_costs = np.array([fitted.cost(positions[s], end_pos) for s in candidates.tolist()])
-            n_evals += len(candidates)
+        seg_costs = reader.row(end_idx, candidates)
         fits = values[candidates] + seg_costs
         totals = fits + penalty
         pick = int(totals.argmin())
@@ -390,21 +379,22 @@ def _pelt_scan(fitted, dense, penalty, min_size, positions):
         parent[end_idx], depth[end_idx] = winner, depth[winner] + 1
         doomed = (fits > best) & np.isinf(doomed_from[candidates])
         doomed_from[candidates[doomed]] = end_pos + min_size
-    return parent, last_cost, n_evals, n_pruned
+    return parent, last_cost, n_pruned
 
 
-def _pelt_heap(fitted, dense, penalty, min_size, positions):
-    """pelt's step on monotone costs without dynp's matrix (dense is None),
-    in work proportional to the candidates it evaluates; it returns what
-    _pelt_scan does.  The heap holds one (key, grid index) entry per live
-    candidate: -inf while it is fresh, then its exact total at the last end
-    it was evaluated at, F(s) + c(s, t') + penalty, which bounds its total
-    at any later end from below."""
-    cost, push, pop, inf = fitted.cost, heapq.heappush, heapq.heappop, np.inf
+def _pelt_heap(reader, penalty, min_size):
+    """pelt's step on monotone costs without dynp's matrix, in work
+    proportional to the candidates it evaluates through fitted.cost (counted
+    in the reader); it returns what _pelt_scan does.  The heap holds one
+    (key, grid index) entry per live candidate: -inf while it is fresh, then
+    its exact total at the last end it was evaluated at, F(s) + c(s, t') +
+    penalty, which bounds its total at any later end from below."""
+    cost, push, pop, inf = reader.fitted.cost, heapq.heappush, heapq.heappop, np.inf
+    positions = reader.positions
     count = len(positions)
     values, doomed_from, heap = [0.0] * count, [inf] * count, []
     parent, depth, last_cost = [0] * count, [0] * count, [0.0] * count
-    admitted = n_evals = n_pruned = 0
+    admitted = n_pruned = 0
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
         while positions[admitted] <= end_pos - min_size:
@@ -425,7 +415,7 @@ def _pelt_heap(fitted, dense, penalty, min_size, positions):
                 if total < best:
                     best, ties = total, []
                 ties.append((s, seg_cost))
-        n_evals += len(done)
+        reader.n_evals += len(done)
         winner, last_cost[end_idx] = _first_tuple(parent, depth, sorted(ties))
         values[end_idx] = best
         parent[end_idx], depth[end_idx] = winner, depth[winner] + 1
@@ -433,7 +423,7 @@ def _pelt_heap(fitted, dense, penalty, min_size, positions):
             if fit > best and doomed_from[s] == inf:
                 doomed_from[s] = end_pos + min_size
             push(heap, (total, s))
-    return parent, last_cost, n_evals, n_pruned
+    return parent, last_cost, n_pruned
 
 
 def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> DetectionResult:
@@ -458,18 +448,18 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     tuple.  A repeated call pays its evaluations again.
     """
     penalty = _checked_real("penalty", penalty)
-    _, min_size, jump, positions, dense = _prepare(fitted, config)
-    step = _pelt_heap if dense is None and fitted.monotone else _pelt_scan
-    parent, last_cost, n_evals, n_pruned = step(fitted, dense, penalty, min_size, positions)
+    _, min_size, _, positions, reader = _prepare(fitted, config)
+    step = _pelt_heap if reader.state is None and fitted.monotone else _pelt_scan
+    parent, last_cost, n_pruned = step(reader, penalty, min_size)
     path = _path_indices(parent, len(positions) - 1)
     ends = tuple(positions[i] for i in path)
     contrast = 0.0
     for idx in path:
         contrast += last_cost[idx]
-    return _result(fitted, ends, contrast, n_evals, n_pruned=n_pruned)
+    return _result(reader, ends, contrast, n_pruned=n_pruned)
 
 
-def _add_greedily(fitted, stop, moves, cost, evaluated) -> DetectionResult:
+def _add_greedily(reader, stop, moves, cost) -> DetectionResult:
     """Take a greedy engine's lazy (score, end) moves, best first, until the
     stopping rule holds; the one reader of the rule for binseg and window.
     moves(ends) reads ends, the sorted list of T and every end taken so far.
@@ -479,7 +469,7 @@ def _add_greedily(fitted, stop, moves, cost, evaluated) -> DetectionResult:
     running out first raise InfeasibleError or BudgetUnreachableError.  Only
     the moves the rule pulls are evaluated.
     """
-    ends = [fitted.n_samples]
+    ends = [reader.fitted.n_samples]
     moves = moves(ends)
     if stop.kind == "n_bkps":
         for taken in range(stop.n_bkps):
@@ -498,7 +488,7 @@ def _add_greedily(fitted, stop, moves, cost, evaluated) -> DetectionResult:
             if move is None:
                 raise BudgetUnreachableError(f"total cost {total} above budget {stop.budget}")
             bisect.insort(ends, move[1])
-    return _result(fitted, ends, _total(cost, ends), evaluated.cache_info().currsize)
+    return _result(reader, ends, _total(cost, ends))
 
 
 def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -510,8 +500,8 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     best gain at or below the penalty, or once the total cost fits the
     budget.  Ties go to the smallest split index.
     """
-    _, min_size, jump, positions, dense = _prepare(fitted, config, stop)
-    cost, evaluated = _segment_cost(fitted, dense)
+    _, min_size, _, positions, reader = _prepare(fitted, config, stop)
+    cost = functools.cache(reader.cost)
 
     @functools.cache
     def segment_best(a: int, b: int):
@@ -539,7 +529,7 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
                 return
             yield chosen
 
-    return _add_greedily(fitted, stop, moves, cost, evaluated)
+    return _add_greedily(reader, stop, moves, cost)
 
 
 def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -549,12 +539,16 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     the end whose removal raises the total cost least (smallest index on a
     tie).  Stops when n_bkps ends remain, when the smallest merge penalty
     exceeds the penalty value, or just before the total cost would exceed the
-    budget.  The merge deltas sit in one array aligned with the ends; a merge
-    re-prices only the two neighbouring ends, so a step is one argmin plus
-    an O(grid) shift that closes the gap.
+    budget.  Arrays indexed by grid position hold each current segment's
+    cost, at its end, and each internal end's spanning cost, that of the
+    segment a merge there leaves; the merge deltas sit in one array aligned
+    with the remaining ends.  A merge re-prices only the two neighbouring
+    ends: a step is one argmin plus an O(grid) shift that closes the gap.  A
+    new span holds the removed end and a neighbour, where every segment
+    evaluated before held at most one of them, so none is evaluated twice
+    and no memo is kept.
     """
-    _, min_size, jump, positions, dense = _prepare(fitted, config, stop)
-    cost, evaluated = _segment_cost(fitted, dense)
+    _, min_size, jump, positions, reader = _prepare(fitted, config, stop)
     kind = stop.kind
     terminal = len(positions) - 1
     # the finest valid ends, the multiples of _step: every stride-th grid index
@@ -565,8 +559,13 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
         raise InfeasibleError(
             f"{stop.n_bkps} change points requested but the finest grid has {len(internal)}"
         )
+    # seg is 0.0 off the current ends, so np.cumsum(seg), which adds left to
+    # right from seg[0] = 0.0, ends in _total of the current ends, bitwise
+    seg, span = np.zeros(len(positions)), np.empty(len(positions))
+    for a, b in zip([0, *internal], [*internal, terminal]):
+        seg[b] = reader.cost(positions[a], positions[b])
     # deltas[i] is the merge delta of internal[i]; argmin keeps the first
-    # minimum, the smallest end on a tie.  The ends in unpriced are evaluated
+    # minimum, the smallest end on a tie.  The ends in unpriced are priced
     # at the next pick, as a rescan of every end would
     deltas = np.empty(len(internal))
     unpriced = range(len(internal))
@@ -576,34 +575,27 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
         right = internal[where + 1] if where + 1 < len(internal) else terminal
         return left, right
 
-    if kind == "budget":
-        # every segment here is one a merge delta or the contrast evaluates
-        ends = [positions[i] for i in [0, *internal, terminal]]
-        seg_costs = np.array([cost(a, b) for a, b in zip(ends, ends[1:])])
     while internal and (kind != "n_bkps" or len(internal) > stop.n_bkps):
         for i in unpriced:
-            left, right = neighbours(i)
-            a, m, b = positions[left], positions[internal[i]], positions[right]
-            deltas[i] = cost(a, b) - (cost(a, m) + cost(m, b))
+            (left, right), end = neighbours(i), internal[i]
+            span[end] = reader.cost(positions[left], positions[right])
+            deltas[i] = span[end] - (seg[end] + seg[right])
         where = int(deltas.argmin())
         if kind == "penalty" and deltas[where] > stop.penalty:
             break
-        if kind == "budget":
-            left, right = neighbours(where)
-            merged = cost(positions[left], positions[right])
-            trial = np.concatenate((seg_costs[:where], [merged], seg_costs[where + 2 :]))
-            # np.cumsum adds left to right, so this is _total of the trial ends
-            if np.cumsum(trial)[-1] > stop.budget:
-                break
-            seg_costs = trial
+        end, right = internal[where], neighbours(where)[1]
+        before = seg[end], seg[right]
+        seg[end], seg[right] = 0.0, span[end]
+        if kind == "budget" and np.cumsum(seg)[-1] > stop.budget:
+            seg[end], seg[right] = before
+            break
         del internal[where]
         deltas[where:-1] = deltas[where + 1 :]
         deltas = deltas[:-1]
         # the two neighbours now merge across a longer segment
         unpriced = range(max(where - 1, 0), min(where + 1, len(internal)))
     ends = tuple(positions[i] for i in internal) + (positions[terminal],)
-    contrast = _total(cost, ends)
-    return _result(fitted, ends, contrast, evaluated.cache_info().currsize)
+    return _result(reader, ends, float(np.cumsum(seg)[-1]))
 
 
 def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:
@@ -621,23 +613,25 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     Requires config.window_width; raises WindowTooLargeError when it exceeds
     the signal.
     """
-    cfg, min_size, jump, positions, dense = _prepare(fitted, config, stop, cover=False)
     n_samples = fitted.n_samples
-    width = cfg.window_width
-    if width is None:
-        raise BadParamError("window_width must be set for the window engine")
-    if width > n_samples:
-        raise WindowTooLargeError(f"window_width {width} exceeds signal length {n_samples}")
-    if width < 2 * min_size:
-        raise BadParamError(
-            f"window_width {width} below twice the minimum segment length {min_size}"
-        )
-    half = width // 2
-    seg_cost, evaluated = _segment_cost(fitted, dense)
+
+    def right_ends(cfg, min_size):
+        width = cfg.window_width
+        if width is None:
+            raise BadParamError("window_width must be set for the window engine")
+        if width > n_samples:
+            raise WindowTooLargeError(f"window_width {width} exceeds signal length {n_samples}")
+        if width < 2 * min_size:
+            raise BadParamError(
+                f"window_width {width} below twice the minimum segment length {min_size}"
+            )
+        # named with the grid for one image; they lie off it unless jump divides half
+        return [t + width // 2 for t in _grid(n_samples, width // 2, cfg.jump)]
+
+    cfg, min_size, jump, _, reader = _prepare(fitted, config, stop, right_ends)
+    half = cfg.window_width // 2
+    seg_cost = functools.cache(reader.cost)
     grid = _grid(n_samples, half, jump)
-    # one image over the grid and the windows' right ends, which lie off the
-    # grid unless jump divides half
-    fitted._cover(positions[1:] + [t + half for t in grid])
     scores = [
         seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)
         for t in grid
@@ -663,4 +657,4 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             if all(abs(t - u) >= min_size for u in ends):
                 yield score, t
 
-    return _add_greedily(fitted, stop, moves, seg_cost, evaluated)
+    return _add_greedily(reader, stop, moves, seg_cost)

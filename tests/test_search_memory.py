@@ -13,8 +13,8 @@ reuses freed ones: full images of growing length, as a CLI batch's set-up
 makes them, raise the peak RSS by not much more than the largest image.
 The jump-10 engines of that batch build images of a tenth of the rows and
 raise it by a few MB.  Those checks run in a child process with a capped
-address space; the dynp layer's working set is measured in process with
-tracemalloc.
+address space; the dynp layer's working set, and bottomup's, are measured
+in process with tracemalloc.
 """
 
 import json
@@ -27,8 +27,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segscan import CostSpec, dynp, fit
+from segscan import CostSpec, StoppingRule, bottomup, dynp, fit
 from segscan.costs import _image_entries
+from segscan.generators import GenSpec, pw_constant
 
 LARGE_T = 6000
 DENSE_MB = (LARGE_T + 1) ** 2 * 8 / 1e6
@@ -40,6 +41,11 @@ RBF_GRAM_MB = RBF_T**2 * 8 / 1e6
 BATCH_RBF_TS = (1275, 1689, 2103, 2517, 2931)
 BATCH_IMAGE_MB = 8 * _image_entries(max(BATCH_RBF_TS)) / 1e6
 OVER_LIMIT_T = 20_000  # grid of 20,001 positions with jump 1
+BOTTOMUP_STATE_T = 10_000
+# bytes per grid position: the grid's and the remaining ends' Python ints
+# and lists and three float arrays take about 110; a memo of the evaluated
+# segments and its (start, end) keys bring that to about 480
+BOTTOMUP_BYTES_PER_POSITION = 250
 ADDRESS_CAP = 2**30
 # the child's own high-water RSS.  Not ru_maxrss: Linux carries that across
 # execve, so a child forked from a large test runner would report the
@@ -266,3 +272,21 @@ def test_dynp_layer_keeps_one_matrix_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * matrix_bytes, f"{peak} bytes at peak for a {matrix_bytes}-byte matrix"
+
+
+def test_bottomup_keeps_grid_sized_state():
+    """bottomup holds its segment, spanning and merge costs in float arrays
+    over the grid and evaluates no segment twice, so it keeps no memo: its
+    working set stays a few hundred bytes per grid position."""
+    signal, _ = pw_constant(GenSpec(BOTTOMUP_STATE_T, 2, 100, 1.0, 1))
+    fitted = fit(CostSpec("l2"), signal)
+    tracemalloc.start()
+    try:
+        found = bottomup(fitted, StoppingRule(n_bkps=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.bkps.n_bkps == 100
+    assert found.n_cost_evals == fitted.eval_counter
+    bound = BOTTOMUP_BYTES_PER_POSITION * (BOTTOMUP_STATE_T + 1)
+    assert peak < bound, f"{peak} bytes at peak; the bound is {bound}"
