@@ -72,19 +72,23 @@ class Signal:
 
     def __post_init__(self):
         try:
-            arr = np.asarray(self.data, dtype=np.float64)
+            # np.array always copies, once: asarray and then copy() would copy
+            # list, integer and float32 input twice
+            arr = np.array(self.data, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise RaggedInputError(f"not a rectangular numeric array: {exc}") from None
+        # before any reshape, so that the copy itself is read-only, not a view of it
+        arr.setflags(write=False)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
             raise RaggedInputError(f"expected 1D or 2D input, got {arr.ndim}D")
         if arr.size == 0:
             raise EmptySignalError(f"signal has shape {arr.shape[0]} x {arr.shape[1]}")
-        if not np.isfinite(arr).all():
+        # min and max are NaN where any entry is, and infinite where any is:
+        # unlike isfinite, the check allocates no mask beside the copy
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise NonFiniteValueError("signal contains NaN or infinite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property

@@ -52,6 +52,18 @@ six families use four layouts:
   in pieces of at most 16 MiB that glibc serves from its heap, so a later
   fit reuses an earlier fit's freed pieces (see KernelCost).
 
+A fit holds only what it keeps and what it multiplies.  It subtracts the
+column medians (_medians) as it writes the signal into the buffers it keeps
+or multiplies: the prefix sums' columns and the rbf factors one row band of
+about _BAND_ENTRIES entries at a time, and the rows of normal, linear and
+ar in place.  mahalanobis scales its mapped rows in place, and every ridge
+is added one diagonal entry and one row band at a time (_add_ridge).  So a
+fit allocates its summaries, the rows its layout multiplies (the mapped
+rows, normal's [x, 1], the regression rows) and one band, and its
+summaries are bit for bit those of the whole-array expressions: each band
+is reduced as a contiguous block, and each ridge magnitude still reduces
+its whole column.
+
 Every family is superadditive: splitting a segment never raises its cost
 (up to rounding; test_costs_are_superadditive in tests/test_costs.py checks
 it on plain, near-constant, badly scaled, offset and collinear signals), so
@@ -292,16 +304,35 @@ def _median(values: np.ndarray) -> float:
     return float((low + high) / 2.0)
 
 
-def _centred(data: np.ndarray) -> np.ndarray:
-    """The signal minus its column (lower) medians, for shift-invariant costs.
+def _medians(data: np.ndarray) -> np.ndarray:
+    """The column (lower) medians that every fit subtracts from the signal,
+    for shift-invariant costs.
 
     Summaries of an offset signal (1e6 + noise, say) would otherwise cancel
     away the variation they are taken for.  A median sample rather than the
     mean keeps integer data integral, so their sums stay exact.  np.partition
-    rather than np.median, which imports numpy.ma on first use.
+    rather than np.median, which imports numpy.ma on first use.  The row is
+    copied: a view of it would keep the whole partitioned copy alive.  Each
+    fit writes data minus these medians straight into the buffers it keeps
+    or multiplies, so no centred copy of the signal is made.
     """
     middle = (len(data) - 1) // 2
-    return data - np.partition(data, middle, axis=0)[middle]
+    return np.partition(data, middle, axis=0)[middle].copy()
+
+
+def _centred_bands(data: np.ndarray, medians: np.ndarray):
+    """(lo, band) for the row bands of data minus medians, about
+    _BAND_ENTRIES entries each, written in turn into one contiguous buffer
+    that each yield overwrites.  A fit reduces |x_t|^2 over such bands: over
+    a contiguous block einsum("td,td->t") does not add a row's d >= 3
+    products in sequence, so its bits depend on the layout, and contiguous
+    rows are the layout the summaries have always been reduced in."""
+    step = max(1, _BAND_ENTRIES // data.shape[1])
+    buffer = np.empty((min(step, len(data)), data.shape[1]))
+    for lo in range(0, len(data), step):
+        band = buffer[: len(data) - lo]
+        np.subtract(data[lo : lo + step], medians, out=band)
+        yield lo, band
 
 
 def _ridge(base: float, magnitude):
@@ -326,17 +357,30 @@ def _prefix_outer(rows: np.ndarray, base: float, ridged: int) -> np.ndarray:
     being one value per entry of rows[0, ..., :ridged].  A prefix difference
     over m rows then carries m * r_j there: a ridge per sample, which keeps
     the families' costs sums of per-row terms and so exactly superadditive.
-    The products are written into the output and accumulated in place.
+    The products are written into the output and accumulated in place, and
+    the ridges are added one diagonal entry and one row band at a time
+    (_add_ridge), so the only other allocation is a band; each r_j still
+    reduces its whole column at once.
     """
     out = np.zeros((rows.shape[0] + 1,) + rows.shape[1:] + rows.shape[-1:])
     np.einsum("...i,...j->...ij", rows, rows, out=out[1:])
     np.cumsum(out[1:], axis=0, out=out[1:])
     columns = rows[..., :ridged]
-    counts = np.arange(len(out), dtype=np.float64).reshape((-1,) + (1,) * (out.ndim - 2))
-    diag = np.arange(ridged)
-    out[..., diag, diag] += _ridge(base, np.einsum("t...,t...->...", columns, columns)) * counts
+    ridges = _ridge(base, np.einsum("t...,t...->...", columns, columns))
+    for j in range(ridged):
+        _add_ridge(out, j, ridges[..., j])
     _check_totals(out[-1])
     return out
+
+
+def _add_ridge(prod: np.ndarray, j: int, ridge) -> None:
+    """Add t * ridge to diagonal entry j of every prefix row prod[t], ridge
+    holding one value per entry of prod[0, ..., j, j], one row band at a
+    time."""
+    step = max(1, _BAND_ENTRIES // (np.size(ridge) + 1))
+    for lo in range(0, len(prod), step):
+        counts = np.arange(lo, min(len(prod), lo + step), dtype=np.float64)
+        prod[lo : lo + step, ..., j, j] += ridge * counts.reshape((-1,) + (1,) * np.ndim(ridge))
 
 
 def _check_totals(*totals) -> None:
@@ -404,7 +448,8 @@ class FittedCost:
 
     def _cover(self, ends) -> None:
         """The hook through which an engine names the segment ends it will
-        read, each at least 1 (search._Reader passes its grid without 0).
+        read, each at least 1, in any iterable, read once (search._Reader
+        passes its grid without 0, and window's right ends, as one chain).
         The layouts built at fit answer any segment and ignore it;
         KernelCost builds its image over those ends."""
 
@@ -417,6 +462,9 @@ class PrefixCost(FittedCost):
     is shift-invariant) and kept as one (d, n + 1) array, whose transpose is
     sums; _segment_cost reads each column and sq through zero-copy float
     memoryviews: d subtractions and products in plain Python, no numpy call.
+    The fit centres one row band at a time, writes the band into the sums'
+    columns and its squared norms into sq, and then accumulates both in
+    place: it allocates the summaries and one band.
     """
 
     gamma = None  # the linear kernel has no bandwidth
@@ -425,12 +473,16 @@ class PrefixCost(FittedCost):
         super().__init__(spec, signal, min_seg_len=1)
         self.family = spec.family
         n, d = rows.shape
-        centred = _centred(rows)
+        medians = _medians(rows)
         columns = np.zeros((d, n + 1))
-        np.cumsum(centred.T, axis=1, out=columns[:, 1:])
-        self.sums = columns.T
         self.sq = np.zeros(n + 1)
-        np.cumsum(np.einsum("td,td->t", centred, centred), out=self.sq[1:])
+        for lo, band in _centred_bands(rows, medians):
+            hi = 1 + lo + len(band)
+            columns[:, 1 + lo : hi] = band.T
+            np.einsum("td,td->t", band, band, out=self.sq[1 + lo : hi])
+        np.cumsum(columns[:, 1:], axis=1, out=columns[:, 1:])
+        np.cumsum(self.sq[1:], out=self.sq[1:])
+        self.sums = columns.T
         _check_totals(self.sums[-1], self.sq[-1])
         self._columns = [memoryview(column).cast("B").cast("d") for column in columns]
         self._flat_sq = memoryview(self.sq).cast("B").cast("d")
@@ -469,8 +521,9 @@ class NormalCost(FittedCost):
         super().__init__(spec, signal, min_seg_len=signal.n_dims + 1)
         data = signal.data
         n, d = data.shape
+        medians = _medians(data)
         aug = np.empty((n, d + 1))
-        aug[:, :d] = _centred(data)
+        np.subtract(data, medians, out=aug[:, :d])
         aug[:, d] = 1.0
         self._prod = _prefix_outer(aug, 1e-6, d)
         self._n_aug = d + 1
@@ -538,7 +591,7 @@ class RegressionCost(FittedCost):
         self._prod = prod = _prefix_outer(rows, 1e-8, k - 1)
         ridges = 2.0**-40 * prod[-1, :, k, k]
         ridges[ridges == 0.0] = 1.0
-        prod[:, :, k, k] += ridges * np.arange(len(prod))[:, None]
+        _add_ridge(prod, k, ridges)
         self._ridges = ridges.tolist()
         self._lag = lag
 
@@ -639,37 +692,41 @@ class KernelCost(FittedCost):
         else:
             self.gamma = float(spec.gamma)
         gamma = self.gamma
-        data = _centred(signal.data)
-        sq = np.einsum("td,td->t", data, data)
-        # left[b] . right[:, a] = -gamma * |x_a - x_b|^2 in one product
-        self._left = np.empty((n, d + 2))
-        self._left[:, :d] = data
-        self._left[:, d] = sq
-        self._left[:, d + 1] = 1.0
-        self._right = np.empty((d + 2, n))
-        self._right[:d] = (2.0 * gamma) * data.T
-        self._right[d] = -gamma
-        self._right[d + 1] = -gamma * sq
+        # left[b] . right[:, a] = -gamma * |x_a - x_b|^2 in one product, x
+        # centred, written one row band at a time
+        medians = _medians(signal.data)
+        left, right = np.empty((n, d + 2)), np.empty((d + 2, n))
+        for lo, band in _centred_bands(signal.data, medians):
+            hi = lo + len(band)
+            left[lo:hi, :d] = band
+            np.einsum("td,td->t", band, band, out=left[lo:hi, d])
+            np.multiply(band.T, 2.0 * gamma, out=right[:d, lo:hi])
+        sq = left[:, d]
+        left[:, d + 1] = 1.0
+        right[d] = -gamma
+        np.multiply(sq, -gamma, out=right[d + 1])
+        self._left, self._right = left, right
         # every partial sum of the product is at most 2 gamma (|x_a|^2 +
         # |x_b|^2) in magnitude, so with this bound finite every kernel value
         # lies in [0, 1] and every image entry is finite
-        _check_totals(self._right, 8.0 * gamma * sq.max())
+        _check_totals(right, 8.0 * gamma * sq.max())
         self._image_lock = threading.Lock()
         # (slot, pieces, base, diagonal prefix sums): slot[e] is the row of end
         # e, None where e is not kept; row j = e - 1 is read at column s - 1
         self._image = ([None] * (n + 1), None, None, None)
 
     def _cover(self, ends):
-        """Build the image over these ends and every end named before,
-        unless the current image already covers them."""
+        """Build the image over these ends, any iterable read once, and every
+        end named before, unless the current image already covers them."""
         slot = self._image[0]
         n = self.n_samples
         # the full image has a row for every end, so its last, n's, is row n - 1
-        if slot[n] == n - 1 or None not in map(slot.__getitem__, ends):
+        missing = [] if slot[n] == n - 1 else [end for end in ends if slot[end] is None]
+        if not missing:
             return
         with self._image_lock:
             slot = self._image[0]
-            kept = {end for end in ends if slot[end] is None}
+            kept = {end for end in missing if slot[end] is None}
             if kept:
                 kept.update(end for end, row in enumerate(slot) if row is not None)
                 self._image = self._build(sorted(kept))
@@ -784,18 +841,21 @@ def _mahalanobis_rows(spec: CostSpec, signal: Signal) -> np.ndarray:
             )
         eigvals, eigvecs = np.linalg.eigh((metric + metric.T) / 2.0)
         scales = np.sqrt(np.clip(eigvals, 0.0, None))
-    return signal.data @ eigvecs * scales
+    rows = signal.data @ eigvecs
+    rows *= scales
+    return rows
 
 
 def _linear_rows(signal: Signal) -> np.ndarray:
     """linear's one group of rows [x, 1, y]: the centred columns 1..d-1, an
     intercept and the centred column 0, shaped (n, 1, d + 1)."""
-    n, d = signal.data.shape
-    centred = _centred(signal.data)
+    data = signal.data
+    n, d = data.shape
+    medians = _medians(data)
     rows = np.empty((n, 1, d + 1))
-    rows[:, 0, : d - 1] = centred[:, 1:]
+    np.subtract(data[:, 1:], medians[1:], out=rows[:, 0, : d - 1])
     rows[:, 0, d - 1] = 1.0
-    rows[:, 0, d] = centred[:, 0]
+    np.subtract(data[:, 0], medians[0], out=rows[:, 0, d])
     return rows
 
 
@@ -808,13 +868,14 @@ def _ar_rows(spec: CostSpec, signal: Signal) -> np.ndarray:
         raise BadParamError(
             f"ar order {order} must be smaller than the signal length {signal.n_samples}"
         )
-    data = _centred(signal.data)
+    data = signal.data
     n, d = data.shape
+    medians = _medians(data)
     rows = np.empty((n - order, d, order + 2))
     for lag in range(1, order + 1):
-        rows[:, :, lag - 1] = data[order - lag : n - lag, :]
+        np.subtract(data[order - lag : n - lag], medians, out=rows[:, :, lag - 1])
     rows[:, :, order] = 1.0
-    rows[:, :, order + 1] = data[order:, :]
+    np.subtract(data[order:], medians, out=rows[:, :, order + 1])
     return rows
 
 

@@ -32,8 +32,10 @@ cached on the fitted cost per (min_size, jump) together with the dynp value
 table (values and integer backpointers per change count), which is extended
 under a lock instead of recomputed.  Once it exists, every reader on that
 grid reads a segment whose ends are both grid positions from it, uncounted.
-The other engines hold O(grid) state, though binseg and window memoize a
-call's costs in a functools.cache, and repeating them pays again.  On
+The other engines hold O(grid) state and no memo: each evaluates a
+segment at most once per call, and repeating a call pays again.  binseg
+keeps two cost rows per unsplit segment, window arrays of its window
+costs, and bottomup arrays of its segment and spanning costs.  On
 monotone costs, every family but normal, pelt evaluates only the
 candidates its heap of lower bounds, their last costs, leaves a chance to
 win.  Ties are always broken toward the smallest change point indices.
@@ -42,8 +44,8 @@ win.  Ties are always broken toward the smallest change point indices.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +125,9 @@ def _step(min_size: int, jump: int) -> int:
     return -(-min_size // jump) * jump
 
 
-def _grid(n_samples: int, min_size: int, jump: int) -> list[int]:
+def _grid(n_samples: int, min_size: int, jump: int) -> range:
     """Admissible internal ends: multiples of jump in [min_size, T - min_size]."""
-    return list(range(_step(min_size, jump), n_samples - min_size + 1, jump))
+    return range(_step(min_size, jump), n_samples - min_size + 1, jump)
 
 
 def max_changes(n_samples: int, min_size: int, jump: int) -> int:
@@ -141,8 +143,9 @@ _NO_RULE = object()
 def _prepare(fitted, config, stop=_NO_RULE, more=lambda cfg, min_size: []):
     """The prologue every engine shares: stop checked first when the engine
     takes a StoppingRule, then the config.  Returns it, the effective
-    min_size and jump, the grid positions with 0 and T, and the call's
-    _Reader, which also names the ends more(cfg, min_size) returns."""
+    min_size and jump, the grid positions with 0 and T (one list, built
+    once), and the call's _Reader, which also names the ends, any iterable,
+    that more(cfg, min_size) returns."""
     if stop is not _NO_RULE and not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     cfg = config if config is not None else SearchConfig()
@@ -165,7 +168,7 @@ class _Reader:
     and evaluate through fitted.cost otherwise, counting in n_evals."""
 
     def __init__(self, fitted, min_size, jump, positions, more):
-        fitted._cover(positions[1:] + more)
+        fitted._cover(itertools.chain(itertools.islice(positions, 1, None), more))
         self.fitted, self.positions, self.n_evals = fitted, positions, 0
         self.key = ("dynp", min_size, jump)
         self.state = fitted._search_state.get(self.key)
@@ -495,39 +498,66 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     """Greedy top-down splitting: always take the split with the largest gain.
 
     The gain of splitting [a, b) at s is c(a, b) - c(a, s) - c(s, b).  Each
-    unsplit segment's best split is computed once and cached.  The splits
-    are moves for _add_greedily: it stops after n_bkps splits, at the first
-    best gain at or below the penalty, or once the total cost fits the
-    budget.  Ties go to the smallest split index.
+    unsplit segment keeps two cost rows over its split positions, c(a, .)
+    and c(., b), as its slices of two arrays indexed by grid position: the
+    children of a split inherit a prefix of the left row and a suffix of
+    the right one, and each evaluates only the row ending or starting at the
+    split, at the next pull of the moves.  The root is scanned there too, so
+    n_bkps = 0 scans nothing.  A segment's best split is the first argmax of
+    its gains, the smallest split on a tie, computed once.  The splits are
+    moves for _add_greedily: it stops after n_bkps splits, at the first best
+    gain at or below the penalty, or once the total cost fits the budget,
+    reading the current segments' costs from the rows.  State is O(grid),
+    and no segment is evaluated twice.
     """
     _, min_size, _, positions, reader = _prepare(fitted, config, stop)
-    cost = functools.cache(reader.cost)
+    # left[i] = c(a, positions[i]) and right[i] = c(positions[i], b) over the
+    # split positions i of each unsplit segment [a, b)
+    left, right = np.empty(len(positions)), np.empty(len(positions))
+    # (a, b) -> [c(a, b), the rows it still has to scan, its best (gain,
+    # split, index)]; the root's cost is evaluated when it is first read
+    segments = {(0, fitted.n_samples): [None, ("left", "right"), None]}
 
-    @functools.cache
-    def segment_best(a: int, b: int):
-        lo = bisect.bisect_left(positions, a + min_size)
-        hi = bisect.bisect_right(positions, b - min_size)
-        found = None
-        if lo < hi:
-            base = cost(a, b)
-            for s in positions[lo:hi]:
-                gain = base - (cost(a, s) + cost(s, b))
-                if found is None or gain > found[0]:
-                    found = (gain, s)
-        return found
+    def cost(a: int, b: int) -> float:
+        segment = segments[a, b]
+        if segment[0] is None:
+            segment[0] = reader.cost(a, b)
+        return segment[0]
+
+    def best(a: int, b: int):
+        segment = segments[a, b]
+        if segment[1]:
+            lo = bisect.bisect_left(positions, a + min_size)
+            hi = bisect.bisect_right(positions, b - min_size)
+            if lo < hi:
+                splits = positions[lo:hi]
+                if "left" in segment[1]:
+                    left[lo:hi] = [reader.cost(a, s) for s in splits]
+                if "right" in segment[1]:
+                    right[lo:hi] = [reader.cost(s, b) for s in splits]
+                gains = cost(a, b) - (left[lo:hi] + right[lo:hi])
+                i = int(gains.argmax())
+                segment[2] = (float(gains[i]), splits[i], lo + i)
+            segment[1] = ()
+        return segment[2]
 
     def moves(ends):
         while True:
             chosen = None
             start = 0
             for end in ends:
-                info = segment_best(start, end)
-                if info is not None and (chosen is None or info[0] > chosen[0]):
-                    chosen = info
+                found = best(start, end)
+                if found is not None and (chosen is None or found[0] > chosen[0]):
+                    chosen, a, b = found, start, end
                 start = end
             if chosen is None:
                 return
-            yield chosen
+            gain, s, i = chosen
+            segments[a, s] = [float(left[i]), ("right",), None]
+            segments[s, b] = [float(right[i]), ("left",), None]
+            yield gain, s
+            # pulled again, so the split was taken
+            del segments[a, b]
 
     return _add_greedily(reader, stop, moves, cost)
 
@@ -608,7 +638,11 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     score order (smallest t on a tie), the peaks at least min_size away from
     every earlier pick are moves for _add_greedily: it stops after n_bkps
     peaks, at the first score at or below the penalty, or once the total
-    cost fits the budget.  After dynp on the same fitted cost and grid, a
+    cost fits the budget.  The full-window and half-window costs of every
+    centre are kept in float arrays, each evaluated once: c(t - w/2, t) is
+    read as the right half of the centre t - w/2 when that is one, and the
+    rule's totals and the contrast read their segments from the arrays when
+    a window holds them.  After dynp on the same fitted cost and grid, a
     segment whose ends are both grid positions is read from its matrix.
     Requires config.window_width; raises WindowTooLargeError when it exceeds
     the signal.
@@ -626,16 +660,33 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
                 f"window_width {width} below twice the minimum segment length {min_size}"
             )
         # named with the grid for one image; they lie off it unless jump divides half
-        return [t + width // 2 for t in _grid(n_samples, width // 2, cfg.jump)]
+        return (t + width // 2 for t in _grid(n_samples, width // 2, cfg.jump))
 
     cfg, min_size, jump, _, reader = _prepare(fitted, config, stop, right_ends)
     half = cfg.window_width // 2
-    seg_cost = functools.cache(reader.cost)
     grid = _grid(n_samples, half, jump)
-    scores = [
-        seg_cost(t - half, t + half) - seg_cost(t - half, t) - seg_cost(t, t + half)
-        for t in grid
-    ]
+    # windows[:, i] = c(t - half, t + half), c(t - half, t) and c(t, t + half)
+    # for t = grid[i]; c(t - half, t) is the right half of the centre t - half
+    # when that is on the grid, which it is only when jump divides half
+    windows = np.empty((3, len(grid)))
+    for i, t in enumerate(grid):
+        if t - half in grid:
+            left_half = windows[2, grid.index(t - half)]
+        else:
+            left_half = reader.cost(t - half, t)
+        windows[:, i] = reader.cost(t - half, t + half), left_half, reader.cost(t, t + half)
+    scores = (windows[0] - windows[1] - windows[2]).tolist()
+    others = {}
+
+    def seg_cost(a: int, b: int) -> float:
+        """A segment of the rule or the contrast: read from the windows when
+        one holds it, else evaluated once."""
+        for row, length, t in ((0, 2 * half, a + half), (1, half, b), (2, half, a)):
+            if b - a == length and t in grid:
+                return float(windows[row, grid.index(t)])
+        if (a, b) not in others:
+            others[a, b] = reader.cost(a, b)
+        return others[a, b]
 
     # local maxima with plateaus collapsing to their leftmost point
     peaks: list[tuple[int, float]] = []

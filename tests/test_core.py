@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,32 @@ def test_validate_signal_copies_and_freezes():
     assert not sig.data.flags.writeable
     with pytest.raises(ValueError):
         sig.data[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("kind", ["list", "int64", "float32", "float64"])
+def test_signal_copies_its_input_once(kind):
+    """Building a Signal allocates one float64 copy of its input and
+    nothing of its size besides: coercing first and copying after took two
+    copies of list, integer and float32 input.  The copy is the Signal's
+    own: writes to the input do not reach it, and it stays read-only."""
+    n = 200_000
+    raw = np.arange(n, dtype=np.int64) % 1000
+    raw = raw.tolist() if kind == "list" else raw.astype(kind)
+    tracemalloc.start()
+    try:
+        signal = Signal(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    copy_bytes = 8 * n
+    assert signal.data.nbytes == copy_bytes
+    assert peak < copy_bytes + 4096, f"{peak} bytes at peak for a {copy_bytes}-byte copy"
+    raw[0] = 123
+    assert signal.data[0, 0] == 0.0
+    assert not signal.data.flags.writeable
+    assert signal.data.base is None or not signal.data.base.flags.writeable
+    with pytest.raises(ValueError):
+        signal.data[0, 0] = 1.0
 
 
 def test_validate_signal_passthrough():

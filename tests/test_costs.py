@@ -301,7 +301,7 @@ def test_eval_counter_stays_exact_under_constant_thread_switching(noisy_signal):
 def _row_major_costs(rows):
     """cost(start, end) of l2 on rows as PrefixCost computed it with its sums
     row-major: one (n + 1, d) cumsum down the rows, read flat at row * d + k."""
-    centred = costs._centred(rows)
+    centred = whole_array_centred(rows)
     n, d = rows.shape
     sums = np.zeros((n + 1, d))
     np.cumsum(centred, axis=0, out=sums[1:])
@@ -687,7 +687,7 @@ def test_packed_rbf_image_matches_square_image_bitwise(n_samples):
     data = step_signal(rng, n_samples, 2, "plain")
     gamma = 0.5 if n_samples == 1 else MEDIAN_HEURISTIC
     fitted = fit(CostSpec(family="kernel", kernel="rbf", gamma=gamma), validate_signal(data))
-    reference = oracle.square_rbf_image_cost(costs._centred(data), fitted.gamma)
+    reference = oracle.square_rbf_image_cost(whole_array_centred(data), fitted.gamma)
     if n_samples <= 257:
         queries = [(a, b) for a in range(n_samples) for b in range(a + 1, n_samples + 1)]
     else:
@@ -1047,3 +1047,163 @@ def test_fit_refuses_summaries_that_overflow(family, kw):
     name = f"{kw['kernel']} kernel" if family == "kernel" else family
     with pytest.raises(NonFiniteValueError, match=f"^{name} cost: .*overflow float64"):
         fit(CostSpec(family=family, **kw), overflowing_signal())
+
+
+# The summaries as every fit computed them over whole arrays, with a centred
+# copy of the signal and whole-array ridges: the reference for the band-wise
+# fits, which must reproduce them bit for bit.
+
+
+def whole_array_centred(data):
+    middle = (len(data) - 1) // 2
+    return data - np.partition(data, middle, axis=0)[middle]
+
+
+def whole_array_prefix_outer(rows, base, ridged):
+    out = np.zeros((rows.shape[0] + 1,) + rows.shape[1:] + rows.shape[-1:])
+    np.einsum("...i,...j->...ij", rows, rows, out=out[1:])
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    columns = rows[..., :ridged]
+    counts = np.arange(len(out), dtype=np.float64).reshape((-1,) + (1,) * (out.ndim - 2))
+    diag = np.arange(ridged)
+    ridges = costs._ridge(base, np.einsum("t...,t...->...", columns, columns))
+    out[..., diag, diag] += ridges * counts
+    return out
+
+
+def whole_array_summaries(spec, data, gamma=None):
+    """{attribute: array} of the summaries fit(spec, data) keeps."""
+    n, d = data.shape
+    if spec.family in ("l2", "mahalanobis") or spec.kernel == "linear" and spec.family == "kernel":
+        rows = data
+        if spec.family == "mahalanobis":
+            rows = costs._mahalanobis_rows(spec, validate_signal(data))
+        centred = whole_array_centred(rows)
+        columns = np.zeros((d, n + 1))
+        np.cumsum(centred.T, axis=1, out=columns[:, 1:])
+        sq = np.zeros(n + 1)
+        np.cumsum(np.einsum("td,td->t", centred, centred), out=sq[1:])
+        return {"sums": columns.T, "sq": sq}
+    if spec.family == "normal":
+        aug = np.empty((n, d + 1))
+        aug[:, :d] = whole_array_centred(data)
+        aug[:, d] = 1.0
+        return {"_prod": whole_array_prefix_outer(aug, 1e-6, d)}
+    centred = whole_array_centred(data)
+    if spec.family == "linear":
+        rows = np.empty((n, 1, d + 1))
+        rows[:, 0, : d - 1] = centred[:, 1:]
+        rows[:, 0, d - 1] = 1.0
+        rows[:, 0, d] = centred[:, 0]
+    elif spec.family == "ar":
+        order = spec.order
+        rows = np.empty((n - order, d, order + 2))
+        for lag in range(1, order + 1):
+            rows[:, :, lag - 1] = centred[order - lag : n - lag, :]
+        rows[:, :, order] = 1.0
+        rows[:, :, order + 1] = centred[order:, :]
+    else:
+        sq = np.einsum("td,td->t", centred, centred)
+        left = np.empty((n, d + 2))
+        left[:, :d] = centred
+        left[:, d] = sq
+        left[:, d + 1] = 1.0
+        right = np.empty((d + 2, n))
+        right[:d] = (2.0 * gamma) * centred.T
+        right[d] = -gamma
+        right[d + 1] = -gamma * sq
+        return {"_left": left, "_right": right}
+    k = rows.shape[-1] - 1
+    prod = whole_array_prefix_outer(rows, 1e-8, k - 1)
+    ridges = 2.0**-40 * prod[-1, :, k, k]
+    ridges[ridges == 0.0] = 1.0
+    prod[:, :, k, k] += ridges * np.arange(len(prod))[:, None]
+    return {"_prod": prod}
+
+
+SUMMARY_SPECS = [
+    CostSpec(family="l2"),
+    CostSpec(family="mahalanobis"),
+    CostSpec(family="normal"),
+    CostSpec(family="linear"),
+    CostSpec(family="ar", order=3),
+    CostSpec(family="kernel", kernel="linear"),
+    CostSpec(family="kernel", kernel="rbf"),
+]
+
+
+@pytest.mark.parametrize("band_entries", [costs._BAND_ENTRIES, 64, 1])
+@pytest.mark.parametrize("dims", [1, 2, 3, 5, 9])
+def test_band_wise_fits_keep_the_whole_array_summaries_bitwise(dims, band_entries, monkeypatch):
+    """Every fit centres, reduces and ridges its rows one band at a time;
+    its summaries are bit for bit those of the whole-array expressions
+    above, whether the signal is one band (the default at this size), many
+    (64 entries) or one row a band.  The signal is offset, unevenly scaled
+    and integral in one column, so the medians and sums are not trivial."""
+    rng = np.random.default_rng(300 + dims)
+    data = 1e3 + rng.normal(size=(1201, dims)) * rng.uniform(0.1, 10.0, size=dims)
+    data[:, 0] = np.round(data[:, 0])
+    signal = validate_signal(data)
+    monkeypatch.setattr(costs, "_BAND_ENTRIES", band_entries)
+    for spec in SUMMARY_SPECS + [CostSpec(family="mahalanobis", metric=np.eye(dims) + 0.5)]:
+        fitted = fit(spec, signal)
+        expected = whole_array_summaries(spec, signal.data, getattr(fitted, "gamma", None))
+        for name, reference in expected.items():
+            kept = getattr(fitted, name)
+            assert kept.shape == reference.shape, (spec, name)
+            assert kept.tobytes() == reference.tobytes(), (spec.family, name)
+
+
+# Bytes a numpy operation may keep in its iterator buffers (8,192 entries of
+# each operand) on top of the band a fit names
+NUMPY_BUFFER_BYTES = 1 << 17
+
+
+def kept_bytes(fitted):
+    """Bytes of the arrays a fitted cost keeps, each buffer counted once, plus
+    the rbf image's slot list."""
+    buffers = {}
+    for value in vars(fitted).values():
+        if isinstance(value, np.ndarray):
+            base = value if value.base is None else value.base
+            buffers[id(base)] = base.nbytes
+    image = getattr(fitted, "_image", None)
+    return sum(buffers.values()) + (sys.getsizeof(image[0]) if image else 0)
+
+
+# (spec, T, d, bytes of the rows the layout multiplies per sample): the
+# mahalanobis rows mapped by the metric, normal's [x, 1], linear's
+# [x, 1, y] and ar's lags, intercept and response per dimension
+MEMORY_CASES = [
+    (CostSpec(family="l2"), 100_000, 3, 0),
+    (CostSpec(family="kernel", kernel="linear"), 100_000, 3, 0),
+    (CostSpec(family="mahalanobis"), 100_000, 3, 8 * 3),
+    (CostSpec(family="normal"), 100_000, 3, 8 * 4),
+    (CostSpec(family="linear"), 100_000, 3, 8 * 4),
+    (CostSpec(family="ar", order=4), 100_000, 1, 8 * 6),
+    (CostSpec(family="kernel", kernel="rbf"), 20_000, 8, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,n_samples,dims,row_bytes",
+    MEMORY_CASES,
+    ids=["l2", "linear-kernel", "mahalanobis", "normal", "linear", "ar", "rbf"],
+)
+def test_fit_allocates_its_summaries_its_rows_and_one_band(spec, n_samples, dims, row_bytes):
+    """A fit's tracemalloc peak, less the summaries it keeps, stays within
+    the rows its layout multiplies plus one band of _BAND_ENTRIES float64
+    entries (and numpy's iterator buffers): the signal spans several bands
+    (rbf, held to 20,000 samples by the dense guard, at d = 8), and no
+    centred copy of it, no whole-array temporary of its summaries and no
+    per-sample ridge array is made."""
+    signal = validate_signal(np.random.default_rng(61).normal(size=(n_samples, dims)))
+    tracemalloc.start()
+    try:
+        fitted = fit(spec, signal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = kept_bytes(fitted)
+    bound = row_bytes * n_samples + 8 * costs._BAND_ENTRIES + NUMPY_BUFFER_BYTES
+    assert peak - kept <= bound, f"{peak - kept} bytes beyond the {kept} kept; the bound is {bound}"

@@ -13,8 +13,8 @@ reuses freed ones: full images of growing length, as a CLI batch's set-up
 makes them, raise the peak RSS by not much more than the largest image.
 The jump-10 engines of that batch build images of a tenth of the rows and
 raise it by a few MB.  Those checks run in a child process with a capped
-address space; the dynp layer's working set, and bottomup's, are measured
-in process with tracemalloc.
+address space; the dynp layer's working set, and that of each greedy
+engine, are measured in process with tracemalloc.
 """
 
 import json
@@ -27,7 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segscan import CostSpec, StoppingRule, bottomup, dynp, fit
+from segscan import CostSpec, SearchConfig, StoppingRule, binseg, bottomup, dynp, fit, window
 from segscan.costs import _image_entries
 from segscan.generators import GenSpec, pw_constant
 
@@ -44,7 +44,8 @@ OVER_LIMIT_T = 20_000  # grid of 20,001 positions with jump 1
 BOTTOMUP_STATE_T = 10_000
 # bytes per grid position: the grid's and the remaining ends' Python ints
 # and lists and three float arrays take about 110; a memo of the evaluated
-# segments and its (start, end) keys bring that to about 480
+# segments and its (start, end) keys bring that to about 480.  The same
+# bound holds binseg's two cost rows and window's three cost arrays
 BOTTOMUP_BYTES_PER_POSITION = 250
 ADDRESS_CAP = 2**30
 # the child's own high-water RSS.  Not ru_maxrss: Linux carries that across
@@ -274,15 +275,16 @@ def test_dynp_layer_keeps_one_matrix_sized_temporary():
     assert peak < 0.6 * matrix_bytes, f"{peak} bytes at peak for a {matrix_bytes}-byte matrix"
 
 
-def test_bottomup_keeps_grid_sized_state():
-    """bottomup holds its segment, spanning and merge costs in float arrays
-    over the grid and evaluates no segment twice, so it keeps no memo: its
-    working set stays a few hundred bytes per grid position."""
+def check_grid_sized_state(engine, config=None):
+    """One greedy engine call with 100 change points on an l2 signal of
+    BOTTOMUP_STATE_T samples: its tracemalloc peak stays under
+    BOTTOMUP_BYTES_PER_POSITION bytes a grid position, and its
+    n_cost_evals is the fit's eval_counter."""
     signal, _ = pw_constant(GenSpec(BOTTOMUP_STATE_T, 2, 100, 1.0, 1))
     fitted = fit(CostSpec("l2"), signal)
     tracemalloc.start()
     try:
-        found = bottomup(fitted, StoppingRule(n_bkps=100))
+        found = engine(fitted, StoppingRule(n_bkps=100), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,3 +292,24 @@ def test_bottomup_keeps_grid_sized_state():
     assert found.n_cost_evals == fitted.eval_counter
     bound = BOTTOMUP_BYTES_PER_POSITION * (BOTTOMUP_STATE_T + 1)
     assert peak < bound, f"{peak} bytes at peak; the bound is {bound}"
+
+
+def test_bottomup_keeps_grid_sized_state():
+    """bottomup holds its segment, spanning and merge costs in float arrays
+    over the grid and evaluates no segment twice, so it keeps no memo: its
+    working set stays a few hundred bytes per grid position."""
+    check_grid_sized_state(bottomup)
+
+
+def test_binseg_keeps_grid_sized_state():
+    """binseg keeps two cost rows per unsplit segment in two float arrays
+    over the grid, and a split's children inherit theirs, so it keeps no
+    memo of the segments it evaluates."""
+    check_grid_sized_state(binseg)
+
+
+def test_window_keeps_grid_sized_state():
+    """window keeps its full-window and half-window costs in float arrays
+    over its centres and reads the contrast's segments from them, so it
+    keeps no memo of the segments it evaluates."""
+    check_grid_sized_state(window, SearchConfig(window_width=100))
