@@ -71,7 +71,8 @@ pelt always prunes.  Every layout but normal's is also monotone
 (FittedCost.monotone), so pelt may take a candidate's last cost as a lower
 bound: its cost is the minimum, over a mean or regression coefficients, of
 a sum of non-negative terms per row, so a segment grown at its end never
-costs less.  normal's cost is a log-determinant, which falls freely.
+costs less, and its query clips it at 0.0, so 0 bounds a candidate not yet
+evaluated.  normal's cost is a log-determinant, which falls freely.
 
 The LAPACK calls of normal, linear and ar go straight to the gufuncs behind
 np.linalg.slogdet and np.linalg.cholesky (numpy.linalg._umath_linalg), with

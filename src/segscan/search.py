@@ -37,8 +37,9 @@ segment at most once per call, and repeating a call pays again.  binseg
 keeps two cost rows per unsplit segment, window arrays of its window
 costs, and bottomup arrays of its segment and spanning costs.  On
 monotone costs, every family but normal, pelt evaluates only the
-candidates its heap of lower bounds, their last costs, leaves a chance to
-win.  Ties are always broken toward the smallest change point indices.
+candidates its heap of lower bounds leaves a chance to win: F(s) + penalty
+until a candidate is first evaluated, as its costs are >= 0, then its last
+total.  Ties are always broken toward the smallest change point indices.
 """
 
 from __future__ import annotations
@@ -329,10 +330,11 @@ def _path_indices(parent, idx) -> list[int]:
 
 
 def _first_tuple(parent, depth, tied) -> tuple:
-    """The entry of `tied`, (candidate, ...) tuples in index order, whose end
-    tuple (parent chain, then the shared end) is smallest: the smaller child
-    below the chains' lowest common ancestor, or the descendant if one is
-    the other's ancestor.  It walks the chains there and builds no path."""
+    """The entry of `tied`, (candidate, ...) tuples of distinct candidates in
+    any order, whose end tuple (parent chain, then the shared end) is
+    smallest: the smaller child below the chains' lowest common ancestor, or
+    the descendant if one is the other's ancestor.  It walks the chains
+    there and builds no path."""
     win = tied[0]
     for entry in tied[1:]:
         a, b = win[0], entry[0]
@@ -389,9 +391,11 @@ def _pelt_heap(reader, penalty, min_size):
     """pelt's step on monotone costs without dynp's matrix, in work
     proportional to the candidates it evaluates through fitted.cost (counted
     in the reader); it returns what _pelt_scan does.  The heap holds one
-    (key, grid index) entry per live candidate: -inf while it is fresh, then
-    its exact total at the last end it was evaluated at, F(s) + c(s, t') +
-    penalty, which bounds its total at any later end from below."""
+    (key, grid index) entry per live candidate, a lower bound on its total
+    at any later end: F(s) + penalty until it is first evaluated, since
+    costs are >= 0 and rounding is monotone, then its exact total at the
+    last end it was evaluated at, F(s) + c(s, t') + penalty.  An exact tie
+    is settled as it is found, against the winner so far."""
     cost, push, pop, inf = reader.fitted.cost, heapq.heappush, heapq.heappop, np.inf
     positions = reader.positions
     count = len(positions)
@@ -401,9 +405,9 @@ def _pelt_heap(reader, penalty, min_size):
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
         while positions[admitted] <= end_pos - min_size:
-            push(heap, (-inf, admitted))
+            push(heap, (values[admitted] + penalty, admitted))
             admitted += 1
-        best, ties, done = inf, [], []
+        best, win, done = inf, None, []
         # at most: a bound landing exactly on the best total joins the tie-break
         while heap and heap[0][0] <= best:
             s = pop(heap)[1]
@@ -414,12 +418,12 @@ def _pelt_heap(reader, penalty, min_size):
             fit = values[s] + seg_cost
             total = fit + penalty
             done.append((fit, total, s))
-            if total <= best:
-                if total < best:
-                    best, ties = total, []
-                ties.append((s, seg_cost))
+            if total < best:
+                best, win = total, (s, seg_cost)
+            elif total == best:
+                win = _first_tuple(parent, depth, (win, (s, seg_cost)))
         reader.n_evals += len(done)
-        winner, last_cost[end_idx] = _first_tuple(parent, depth, sorted(ties))
+        winner, last_cost[end_idx] = win
         values[end_idx] = best
         parent[end_idx], depth[end_idx] = winner, depth[winner] + 1
         for fit, total, s in done:
@@ -441,10 +445,11 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     checks it), so pelt always prunes.
 
     State is O(grid).  Without dynp's matrix, on the monotone families (all
-    but normal), a candidate's last evaluated cost bounds its later costs
-    from below, and pelt evaluates only the candidates a heap of those
-    bounds leaves a chance to win (_pelt_heap); it prunes lazily there,
-    n_pruned counting the doomed candidates popped from t + min_size on.
+    but normal), costs are >= 0 and a candidate's last evaluated cost bounds
+    its later costs from below, and pelt evaluates only the candidates a
+    heap of those bounds leaves a chance to win (_pelt_heap); it prunes
+    lazily there, n_pruned counting the doomed candidates popped from
+    t + min_size on.
     dynp's matrix and normal read every live candidate at each end in one
     numpy step (_pelt_scan).  Values, argmin and ties are bitwise those of
     evaluating every live candidate; an exact tie goes to the smallest end

@@ -864,9 +864,10 @@ def test_costs_are_superadditive(family, kw, conditioning):
 @pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
 def test_monotone_costs_never_fall_as_the_segment_grows(family, kw, conditioning):
     """What a monotone cost class declares and pelt's bounds rest on:
-    c(s, t) >= c(s, t - 1) for every segment, with no slack.  normal's
-    log-determinant falls freely, so its class must not declare it, and the
-    plain signal shows it falling."""
+    c(s, t) >= c(s, t - 1) for every segment, with no slack, and c(s, t) >= 0
+    from the shortest segment on, so F(s) + penalty bounds a fresh
+    candidate's total.  normal's log-determinant falls freely, so its class
+    must not declare it, and the plain signal shows it falling."""
     signal = validate_signal(superadditivity_signal(conditioning))
     fitted = fit(CostSpec(family=family, **kw), signal)
     assert fitted.monotone == (family != "normal")
@@ -877,6 +878,8 @@ def test_monotone_costs_never_fall_as_the_segment_grows(family, kw, conditioning
     for s in range(n - low):
         row = [fitted.cost(s, t) for t in range(s + low, n + 1)]
         falls += [(s, s + low + i + 1) for i in range(len(row) - 1) if row[i + 1] < row[i]]
+        if fitted.monotone:
+            assert row[0] >= 0.0, (s, row[0])
     if fitted.monotone:
         assert not falls, falls[:5]
     else:
