@@ -23,10 +23,11 @@ fitted = ss.fit(ss.CostSpec(family="l2"), signal)
 exact = ss.dynp(fitted, 4)
 print("dynp ends:        ", exact.bkps.ends, " contrast %.1f" % exact.contrast)
 
-# if you do not, penalize each extra segment instead
+# if you do not, penalize each extra segment instead; pelt reads the cost
+# matrix dynp left on the fitted cost, so it evaluates no cost again
 penalized = ss.pelt(fitted, penalty=15.0)
 print("pelt ends:        ", penalized.bkps.ends,
-      " (%d candidates pruned)" % penalized.n_pruned)
+      " (%d new cost evaluations)" % penalized.n_cost_evals)
 
 print("hausdorff dynp vs truth:", ss.hausdorff(truth, exact.bkps))
 print("hausdorff pelt vs truth:", ss.hausdorff(truth, penalized.bkps))

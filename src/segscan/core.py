@@ -201,12 +201,15 @@ def sum_of_costs(fitted, bkps: Breakpoints) -> float:
     `fitted` is any fitted cost (see segscan.costs.fit).  Penalties are never
     included here.  Raises MismatchedLengthError when the breakpoints refer to
     a different signal length, and whatever the cost raises for a segment that
-    is too short.
+    is too short.  The ends are named to the fitted cost first, as an engine
+    names its grid, so an rbf fit builds image rows for these ends alone
+    (with the same bits as its full image).
     """
     if fitted.n_samples != bkps.n_samples:
         raise MismatchedLengthError(
             f"cost fitted on {fitted.n_samples} samples, breakpoints on {bkps.n_samples}"
         )
+    fitted._cover(bkps.ends)
     return _total(fitted.cost, bkps.ends)
 
 
@@ -229,8 +232,9 @@ class DetectionResult:
     n_cost_evals counts the cost evaluations this particular call made (never
     another thread's on a shared fitted cost), so a fully cached repeat
     reports 0; n_pruned counts the candidates pelt discarded (pelt only,
-    which always prunes, every cost family being superadditive; its heap
-    step discards a doomed candidate when it next pops it).
+    which prunes where it evaluates costs, every cost family being
+    superadditive, and reads dynp's matrix without pruning; its heap step
+    discards a doomed candidate when it next pops it).
     """
 
     bkps: Breakpoints

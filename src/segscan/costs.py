@@ -43,14 +43,14 @@ six families use four layouts:
   dimension, x being its lags;
 - rbf kernel: an integral image of the lower triangle of the Gram matrix,
   so a query reads two entries: O(1) instead of O(end - start).  fit builds
-  no image.  Each engine names the segment ends it will read through
-  FittedCost._cover, and the image is built over the ends named so far,
-  one row per end, read at any start; a cost() call whose end it does not
-  cover builds the full image, one row per sample.  Every image
-  holds the same bits for the same entry, so a cost never depends on which
-  image answers it.  Images are packed to the lower triangle by row bands,
-  in pieces of at most 16 MiB that glibc serves from its heap, so a later
-  fit reuses an earlier fit's freed pieces (see KernelCost).
+  no image.  Each engine, and sum_of_costs, names the segment ends it will
+  read through FittedCost._cover, and the image is built over the ends
+  named so far, one row per end, read at any start; a cost() call whose
+  end it does not cover builds the full image, one row per sample.  Every
+  image holds the same bits for the same entry, so a cost never depends on
+  which image answers it.  Images are packed to the lower triangle by row
+  bands, in pieces of at most 16 MiB that glibc serves from its heap, so a
+  later fit reuses an earlier fit's freed pieces (see KernelCost).
 
 A fit holds only what it keeps and what it multiplies.  It subtracts the
 column medians (_medians) as it writes the signal into the buffers it keeps
@@ -67,7 +67,8 @@ its whole column.
 Every family is superadditive: splitting a segment never raises its cost
 (up to rounding; test_costs_are_superadditive in tests/test_costs.py checks
 it on plain, near-constant, badly scaled, offset and collinear signals), so
-pelt always prunes.  Every layout but normal's is also monotone
+pelt prunes wherever it evaluates costs (over dynp's matrix it reads them
+and prunes nothing).  Every layout but normal's is also monotone
 (FittedCost.monotone), so pelt may take a candidate's last cost as a lower
 bound: its cost is the minimum, over a mean or regression coefficients, of
 a sum of non-negative terms per row, so a segment grown at its end never
@@ -450,7 +451,8 @@ class FittedCost:
     def _cover(self, ends) -> None:
         """The hook through which an engine names the segment ends it will
         read, each at least 1, in any iterable, read once (search._Reader
-        passes its grid without 0, and window's right ends, as one chain).
+        passes its grid without 0, and window's right ends, as one chain;
+        sum_of_costs the ends it sums).
         The layouts built at fit answer any segment and ignore it;
         KernelCost builds its image over those ends."""
 
@@ -637,23 +639,23 @@ class KernelCost(FittedCost):
     fit builds no image.  It keeps the bandwidth, the centred signal as the
     two factors of one matrix product, and every check: a signal whose
     kernel exponents can overflow fails there.  An engine names the ends it
-    will read (_cover, called by search._Reader), and the image is built
-    over the union of the ends named so far: the rows j = e - 1 of those
-    ends only.  Row j holds P[j, i] for every i <= j, so it answers any
-    start s > 0 at column s - 1.  A cost() whose end the image does not
-    cover builds the full image, every row.  One builder serves any set of
-    ends.  It sweeps row bands of L's lower triangle (one matrix product
-    and one exp per band), adds each row of a band onto the one above it
-    with one np.add across all its columns, which gives R, and keeps the
-    rows of the ends.  Once the sweep has the row means, it subtracts the
-    centring of C, one exact matrix product per band, and takes the prefix
-    sums P along each kept row.  The sweep's products have the same shapes
-    whichever ends are kept, and every other step is exact or elementwise
-    or runs along one row, so each entry of P has the same bits in every
-    image that holds it: cost(s, e) is a function of the fit and the
-    segment alone, whichever image answers it.  Building takes _image_lock,
-    never the search state's lock, which dynp holds while it fills its
-    matrix through cost().
+    will read (_cover, called by search._Reader and by sum_of_costs), and
+    the image is built over the union of the ends named so far: the rows
+    j = e - 1 of those ends only.  Row j holds P[j, i] for every i <= j, so
+    it answers any start s > 0 at column s - 1.  A cost() whose end the image
+    does not cover builds the full image, every row.  One builder serves any
+    set of ends.  It sweeps row bands of L's lower triangle (one matrix
+    product and one exp per band), adds each row of a band onto the one
+    above it with one np.add across all its columns, which gives R, and
+    keeps the rows of the ends.  Once the sweep has the row means, it
+    subtracts the centring of C, one exact matrix product per band, and
+    takes the prefix sums P along each kept row.  The sweep's products have
+    the same shapes whichever ends are kept, and every other step is exact
+    or elementwise or runs along one row, so each entry of P has the same
+    bits in every image that holds it: cost(s, e) is a function of the fit
+    and the segment alone, whichever image answers it.  Building takes
+    _image_lock, never the search state's lock, which dynp holds while it
+    fills its matrix through cost().
 
     The image is packed by row bands: the kept rows of one band of the sweep
     form one contiguous rectangle as wide as its last row, so the full image

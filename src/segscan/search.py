@@ -7,10 +7,11 @@ as the terminal end.  min_size is silently raised to the fitted cost's own
 minimum segment length.
 
 dynp() is exact for a fixed number of change points (full dynamic program);
-pelt() is exact for a linear penalty and prunes candidates that can never win
-again; binseg(), bottomup() and window() are greedy approximations that
-accept any of the three stopping rules; solve_budget() finds the fewest
-change points whose optimal cost fits a budget by growing the dynp table.
+pelt() is exact for a linear penalty, pruning candidates that can never win
+again where it evaluates costs; binseg(), bottomup() and window() are
+greedy approximations that accept any of the three stopping rules;
+solve_budget() finds the fewest change points whose optimal cost fits a
+budget by growing the dynp table.
 binseg() and window() add change points as lazy moves that one loop,
 _add_greedily(), takes under the stopping rule; bottomup() removes them
 in one loop of its own, since its penalty and budget tests point the other
@@ -22,24 +23,27 @@ fitted cost's _cover in one call, together with any ends the engine adds
 (window's right ends); a start needs no naming.  The rbf kernel builds its
 integral image there, so the build counts in the engine's time, not in
 fit's; the other families ignore the call.  The reader answers cost(s, e)
-and row(e, starts), the segments from many grid starts to one grid end
-(dynp's fill, pelt's scan step), and counts in n_evals the costs it
-evaluates: the call's n_cost_evals, which omits other threads' work.
+and row(e, starts), the segments from many grid starts to one grid end,
+evaluated (dynp's fill, pelt's scan step), and counts in n_evals the costs
+it evaluates: the call's n_cost_evals, which omits other threads' work.
 pelt's heap step alone calls fitted.cost itself and adds to that count.
 
 Only dynp and solve_budget keep a dense grid x grid segment-cost matrix,
 cached on the fitted cost per (min_size, jump) together with the dynp value
 table (values and integer backpointers per change count), which is extended
 under a lock instead of recomputed.  Once it exists, every reader on that
-grid reads a segment whose ends are both grid positions from it, uncounted.
+grid reads a segment whose ends are both grid positions from it, uncounted,
+and pelt's matrix step reads it directly, two contiguous slices per end.
 The other engines hold O(grid) state and no memo: each evaluates a
 segment at most once per call, and repeating a call pays again.  binseg
 keeps two cost rows per unsplit segment, window arrays of its window
-costs, and bottomup arrays of its segment and spanning costs.  On
-monotone costs, every family but normal, pelt evaluates only the
-candidates its heap of lower bounds leaves a chance to win: F(s) + penalty
-until a candidate is first evaluated, as its costs are >= 0, then its last
-total.  Ties are always broken toward the smallest change point indices.
+costs, and bottomup arrays of its segment and spanning costs.  Without
+the matrix, on monotone costs, every family but normal, pelt evaluates only
+the candidates its heap of lower bounds leaves a chance to win: F(s) +
+penalty until a candidate is first evaluated, as its costs are >= 0, then
+its last total.  Over the matrix, where reads are free, it runs the
+unpruned recursion.  Ties are always broken toward the smallest change
+point indices.
 """
 
 from __future__ import annotations
@@ -164,9 +168,10 @@ def _prepare(fitted, config, stop=_NO_RULE, more=lambda cfg, min_size: []):
 
 
 class _Reader:
-    """One engine call's segment costs: cost() and row() read dynp's matrix
-    (state, looked up once the ends are named) where it holds the segment
-    and evaluate through fitted.cost otherwise, counting in n_evals."""
+    """One engine call's segment costs: cost() reads dynp's matrix (state,
+    looked up once the ends are named) where it holds the segment, and
+    cost() and row() evaluate through fitted.cost otherwise, counting in
+    n_evals."""
 
     def __init__(self, fitted, min_size, jump, positions, more):
         fitted._cover(itertools.chain(itertools.islice(positions, 1, None), more))
@@ -183,9 +188,9 @@ class _Reader:
         return self.fitted.cost(start, end)
 
     def row(self, end_idx: int, starts: np.ndarray) -> np.ndarray:
-        """The costs from each grid index in starts to the grid index end_idx."""
-        if self.state is not None:
-            return self.state.matrix[end_idx, starts]
+        """The costs from each grid index in starts to the grid index end_idx,
+        evaluated: its callers, dynp's fill and _pelt_scan, run where no
+        matrix holds them."""
         self.n_evals += len(starts)
         cost, positions = self.fitted.cost, self.positions
         return np.array([cost(positions[s], positions[end_idx]) for s in starts.tolist()])
@@ -350,10 +355,38 @@ def _first_tuple(parent, depth, tied) -> tuple:
     return win
 
 
+def _pelt_matrix(reader, penalty, min_size):
+    """pelt's step over dynp's matrix: the unpruned recursion, since a read
+    costs nothing.  At each end the admitted starts are a prefix of the
+    grid, so their totals, (F(s) + c(s, t)) + penalty, come from two
+    contiguous slices; an exact tie goes to the smallest end tuple.
+    Returns what _pelt_scan does, with n_pruned 0."""
+    positions, matrix = reader.positions, reader.state.matrix
+    count = len(positions)
+    # F(0) = 0; a start is admitted only after its own value is written
+    values, totals = np.zeros(count), np.empty(count)
+    parent, depth = [0] * count, [0] * count
+    admitted = 0
+    for end_idx in range(1, count):
+        end_pos = positions[end_idx]
+        while positions[admitted] <= end_pos - min_size:
+            admitted += 1
+        out = totals[:admitted]
+        np.add(values[:admitted], matrix[end_idx, :admitted], out=out)
+        out += penalty
+        pick = int(out.argmin())
+        values[end_idx] = best = out[pick]
+        tied = (out == best).nonzero()[0]
+        if len(tied) > 1:
+            pick = _first_tuple(parent, depth, [(s,) for s in tied.tolist()])[0]
+        parent[end_idx], depth[end_idx] = pick, depth[pick] + 1
+    return parent, matrix[np.arange(count), parent].tolist(), 0
+
+
 def _pelt_scan(reader, penalty, min_size):
-    """pelt's step over every live candidate at once, one reader.row per end,
-    for the two cases that read them all: dynp's matrix, and normal, whose
-    costs bound nothing.  Returns each end's parent and last cost, n_pruned."""
+    """pelt's step for normal, whose costs bound nothing: every live
+    candidate at once, one reader.row per end.  Returns each end's parent
+    and last cost, n_pruned."""
     positions = reader.positions
     count = len(positions)
     values = np.full(count, np.inf)
@@ -434,30 +467,36 @@ def _pelt_heap(reader, penalty, min_size):
 
 
 def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> DetectionResult:
-    """Exact linearly penalized segmentation with candidate pruning.
+    """Exact linearly penalized segmentation, pruning where it evaluates.
 
     Minimizes total cost plus penalty per segment via F(t) = min over s of
-    F(s) + c(s, t) + penalty.  A candidate with F(s) + c(s, t) > F(t) can
-    never win again once t itself is old enough to act as a split, so it is
-    dropped when the endpoint reaches t + min_size; dropping it at t
-    directly would lose exactness for min_size > 1.  The rule is safe
-    because every cost family is superadditive (test_costs_are_superadditive
-    checks it), so pelt always prunes.
+    (F(s) + c(s, t)) + penalty.  After dynp on the same fitted cost and grid
+    every cost is a free read of its matrix, so pelt runs exactly that
+    recursion over every admitted start (_pelt_matrix): n_pruned and
+    n_cost_evals are 0, and the answer is the recursion's.
 
-    State is O(grid).  Without dynp's matrix, on the monotone families (all
-    but normal), costs are >= 0 and a candidate's last evaluated cost bounds
-    its later costs from below, and pelt evaluates only the candidates a
-    heap of those bounds leaves a chance to win (_pelt_heap); it prunes
-    lazily there, n_pruned counting the doomed candidates popped from
-    t + min_size on.
-    dynp's matrix and normal read every live candidate at each end in one
-    numpy step (_pelt_scan).  Values, argmin and ties are bitwise those of
-    evaluating every live candidate; an exact tie goes to the smallest end
-    tuple.  A repeated call pays its evaluations again.
+    Otherwise a candidate with F(s) + c(s, t) > F(t) can never win again
+    once t itself is old enough to act as a split, so it is dropped when
+    the endpoint reaches t + min_size; dropping it at t directly would lose
+    exactness for min_size > 1.  The rule is safe because every cost family
+    is superadditive (test_costs_are_superadditive checks it).  On the
+    monotone families (all but normal), costs are >= 0 and a candidate's
+    last evaluated cost bounds its later costs from below, and pelt
+    evaluates only the candidates a heap of those bounds leaves a chance to
+    win (_pelt_heap); it prunes lazily there, n_pruned counting the doomed
+    candidates popped from t + min_size on.  normal evaluates every live
+    candidate at each end in one numpy step (_pelt_scan).  Values, argmin
+    and ties are bitwise those of evaluating every live candidate.
+
+    State is O(grid).  An exact tie goes to the smallest end tuple.  A
+    repeated call pays its evaluations again.
     """
     penalty = _checked_real("penalty", penalty)
     _, min_size, _, positions, reader = _prepare(fitted, config)
-    step = _pelt_heap if reader.state is None and fitted.monotone else _pelt_scan
+    if reader.state is not None:
+        step = _pelt_matrix
+    else:
+        step = _pelt_heap if fitted.monotone else _pelt_scan
     parent, last_cost, n_pruned = step(reader, penalty, min_size)
     path = _path_indices(parent, len(positions) - 1)
     ends = tuple(positions[i] for i in path)
@@ -578,10 +617,11 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     cost, at its end, and each internal end's spanning cost, that of the
     segment a merge there leaves; the merge deltas sit in one array aligned
     with the remaining ends.  A merge re-prices only the two neighbouring
-    ends: a step is one argmin plus an O(grid) shift that closes the gap.  A
-    new span holds the removed end and a neighbour, where every segment
-    evaluated before held at most one of them, so none is evaluated twice
-    and no memo is kept.
+    ends: a step is one argmin plus an O(grid) shift that closes the gap,
+    and under the budget rule a re-sum of the running totals from the
+    merged end on.  A new span holds the removed end and a neighbour, where
+    every segment evaluated before held at most one of them, so none is
+    evaluated twice and no memo is kept.
     """
     _, min_size, jump, positions, reader = _prepare(fitted, config, stop)
     kind = stop.kind
@@ -599,6 +639,9 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     seg, span = np.zeros(len(positions)), np.empty(len(positions))
     for a, b in zip([0, *internal], [*internal, terminal]):
         seg[b] = reader.cost(positions[a], positions[b])
+    # the budget's running sums, np.cumsum(seg) of the merges taken: a merge
+    # re-adds them from its end on, carrying the sum before it
+    sums = np.cumsum(seg)
     # deltas[i] is the merge delta of internal[i]; argmin keeps the first
     # minimum, the smallest end on a tie.  The ends in unpriced are priced
     # at the next pick, as a rescan of every end would
@@ -621,9 +664,13 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
         end, right = internal[where], neighbours(where)[1]
         before = seg[end], seg[right]
         seg[end], seg[right] = 0.0, span[end]
-        if kind == "budget" and np.cumsum(seg)[-1] > stop.budget:
-            seg[end], seg[right] = before
-            break
+        if kind == "budget":
+            trial = np.concatenate((sums[end - 1 : end], seg[end:]))
+            np.cumsum(trial, out=trial)
+            if trial[-1] > stop.budget:
+                seg[end], seg[right] = before
+                break
+            sums[end:] = trial[1:]
         del internal[where]
         deltas[where:-1] = deltas[where + 1 :]
         deltas = deltas[:-1]

@@ -1,7 +1,8 @@
 """An rbf cost is a function of the fit and the segment alone.
 
-An engine has the rbf image built over the ends of its grid, and a cost()
-call whose ends no image covers has the full image built.  Every image that
+An engine has the rbf image built over the ends of its grid, sum_of_costs
+over the ends it sums, and a cost() call whose ends no image covers has
+the full image built.  Every image that
 holds an entry holds the same bits, so a cost at grid ends equals a fresh
 fit's value bit for bit, whether an engine or cost() ran first, and every
 engine answers the same either way.  The grids cover one band and a partial
@@ -182,3 +183,21 @@ def test_window_builds_one_image_over_the_grid_and_its_right_ends(monkeypatch):
     assert result.bkps.ends == expected.bkps.ends
     assert result.contrast.hex() == expected.contrast.hex()
     assert result.contrast == sum_of_costs(fresh, result.bkps)
+
+
+def test_sum_of_costs_builds_image_rows_for_its_ends_alone():
+    """sum_of_costs names its ends to the fit before it sums, as an engine
+    names its grid, so a fresh rbf fit builds one image row per segment end
+    instead of one per sample, and the total has a full image's bits."""
+    n_samples = 2931
+    spec = CostSpec(family="kernel", kernel="rbf")
+    signal = rbf_signal(n_samples)
+    fresh = fit(spec, signal)
+    bkps = binseg(fresh, StoppingRule(n_bkps=3), SearchConfig(jump=10)).bkps
+    fitted = fit(spec, signal)
+    value = sum_of_costs(fitted, bkps)
+    assert len(fitted._image[1]) == len(bkps.ends)
+    full = fit(spec, signal)
+    full.cost(0, n_samples)
+    assert len(full._image[1]) == n_samples
+    assert value.hex() == sum_of_costs(full, bkps).hex()

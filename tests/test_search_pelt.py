@@ -93,6 +93,52 @@ def test_first_tuple_picks_the_smallest_end_tuple_in_any_order():
             assert folded == expected, (trial, order)
 
 
+def after_dynp_and_recursion(fitted, data, penalty, config):
+    """pelt on fitted after dynp on the same grid, and the unpruned recursion
+    over a fresh fit of the same family, each as (ends, contrast bits)."""
+    dynp(fitted, 0, config)
+    result = pelt(fitted, penalty, config)
+    assert (result.n_pruned, result.n_cost_evals) == (0, 0)
+    fresh = fit(fitted.spec, validate_signal(data))
+    min_size = max(config.min_size, fresh.min_seg_len)
+    ends, contrast = oracle.optimal_partitioning(
+        oracle.MemoCost(fresh.cost), len(data), penalty, min_size, config.jump
+    )
+    return (result.bkps.ends, result.contrast.hex()), (ends, contrast.hex())
+
+
+def test_pelt_over_dynp_matrix_is_the_unpruned_recursion():
+    """Over dynp's matrix a read costs nothing, so pelt scans every admitted
+    start and prunes none.  On this case pruning at rounding level once
+    answered (2, 4, 10, 12, ..., 24), an end tuple above the recursion's
+    with the same contrast."""
+    data = np.array([1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1], float)
+    fitted = fresh_fitted(data[:, None], family="mahalanobis")
+    found, expected = after_dynp_and_recursion(
+        fitted, data[:, None], 0.0, SearchConfig(min_size=2, jump=2)
+    )
+    assert found == expected == ((2, 4, 6, 8, *range(12, 25, 2)), "0x1.1fffab10d36e1p+3")
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_pelt_over_dynp_matrix_matches_the_recursion_on_tie_heavy_signals(family):
+    """Small 0/1 signals, half with 1e-9 noise, at penalties 0, 1e-9 and 1
+    tie many segmentations, some only up to rounding; pelt over dynp's matrix
+    returns the recursion's ends and contrast bits on every one."""
+    rng = np.random.default_rng(208)
+    spec = dict(FAMILIES[family], **({"gamma": 1.0} if family == "kernel" else {}))
+    for trial in range(80):
+        n, dims = int(rng.integers(8, 25)), int(rng.integers(1, 3))
+        data = rng.integers(0, 2, size=(n, dims)).astype(float)
+        if trial % 2:
+            data += 1e-9 * rng.normal(size=data.shape)
+        config = SearchConfig(min_size=int(rng.integers(1, 4)), jump=int(rng.integers(1, 3)))
+        penalty = (0.0, 1e-9, 1.0)[trial % 3]
+        fitted = fresh_fitted(data, **spec)
+        found, expected = after_dynp_and_recursion(fitted, data, penalty, config)
+        assert found == expected, (trial, penalty, config)
+
+
 def test_pelt_hand_example():
     fitted = fresh_fitted(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
     result = pelt(fitted, penalty=0.1)
