@@ -202,8 +202,9 @@ def sum_of_costs(fitted, bkps: Breakpoints) -> float:
     included here.  Raises MismatchedLengthError when the breakpoints refer to
     a different signal length, and whatever the cost raises for a segment that
     is too short.  The ends are named to the fitted cost first, as an engine
-    names its grid, so an rbf fit builds image rows for these ends alone
-    (with the same bits as its full image).
+    names its grid, so a fresh rbf fit builds image rows for these ends
+    alone, and one whose image lacks some of them builds the full image;
+    every image has the same bits.
     """
     if fitted.n_samples != bkps.n_samples:
         raise MismatchedLengthError(

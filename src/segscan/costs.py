@@ -44,13 +44,14 @@ six families use four layouts:
 - rbf kernel: an integral image of the lower triangle of the Gram matrix,
   so a query reads two entries: O(1) instead of O(end - start).  fit builds
   no image.  Each engine, and sum_of_costs, names the segment ends it will
-  read through FittedCost._cover, and the image is built over the ends
-  named so far, one row per end, read at any start; a cost() call whose
-  end it does not cover builds the full image, one row per sample.  Every
-  image holds the same bits for the same entry, so a cost never depends on
-  which image answers it.  Images are packed to the lower triangle by row
-  bands, in pieces of at most 16 MiB that glibc serves from its heap, so a
-  later fit reuses an earlier fit's freed pieces (see KernelCost).
+  read through FittedCost._cover.  The first ends named to a fit get an
+  image of their own, one row per end, read at any start; any end that
+  image lacks, named later or read by a cost() call, has the full image
+  built, one row per sample, so a fit sweeps its Gram matrix at most twice.
+  Every image holds the same bits for the same entry, so a cost never
+  depends on which image answers it.  Each row band of an image is one
+  block of at most _BAND_ENTRIES entries, which glibc serves from its heap,
+  so a later fit reuses an earlier fit's freed blocks (see KernelCost).
 
 A fit holds only what it keeps and what it multiplies.  It subtracts the
 column medians (_medians) as it writes the signal into the buffers it keeps
@@ -127,12 +128,10 @@ _KERNELS = ("linear", "rbf")
 _DENSE_SIDE_LIMIT = 20_000
 _MEDIAN_PAIR_CAP = 10_000
 _MEDIAN_SEED = 12345
-# float64 entries in one row band of the rbf integral image or of the copy
-# a dynp layer permutes (512 kB)
+# float64 entries in one row band of the rbf integral image, and so at most
+# in one block of it, or of the copy a dynp layer permutes (512 KiB); see
+# KernelCost
 _BAND_ENTRIES = 1 << 16
-# float64 entries in one piece of the rbf integral image (16 MiB), half of
-# glibc's 32 MiB ceiling on its mmap threshold; see KernelCost
-_PIECE_ENTRIES = 1 << 21
 # the rbf image's row means are rounded to multiples of this; see KernelCost
 _CENTRING_UNIT = 2.0**-24
 
@@ -219,34 +218,6 @@ def _image_entries(n: int) -> int:
     step = _band_rows(n)
     full, rest = divmod(n, step)
     return step * step * full * (full + 1) // 2 + rest * n
-
-
-def _packed(shapes):
-    """Rectangles of the given (rows, width) shapes, of at most _BAND_ENTRIES
-    entries each, back to back in pieces of at most _PIECE_ENTRIES entries:
-    as few pieces as keep one equal share of the entries plus one rectangle
-    under that cap, piece k taking the rectangles that start in the k-th
-    share.  Returns the rectangles, and for each of their rows in turn a
-    memoryview of its piece and the row's offset in it."""
-    entries = sum(height * width for height, width in shapes)
-    count = -(-entries // (_PIECE_ENTRIES - _BAND_ENTRIES))
-    groups = [[] for _ in range(count)]
-    total = 0
-    for height, width in shapes:
-        groups[total * count // entries].append((height, width))
-        total += height * width
-    rects, pieces, base = [], [], []
-    for group in groups:
-        piece = np.empty(sum(height * width for height, width in group))
-        view = memoryview(piece)
-        offset = 0
-        for height, width in group:
-            size = height * width
-            rects.append(piece[offset : offset + size].reshape(height, width))
-            pieces += [view] * height
-            base += range(offset, offset + size, width)
-            offset += size
-    return rects, pieces, base
 
 
 def median_heuristic(signal) -> float:
@@ -639,15 +610,16 @@ class KernelCost(FittedCost):
     fit builds no image.  It keeps the bandwidth, the centred signal as the
     two factors of one matrix product, and every check: a signal whose
     kernel exponents can overflow fails there.  An engine names the ends it
-    will read (_cover, called by search._Reader and by sum_of_costs), and
-    the image is built over the union of the ends named so far: the rows
-    j = e - 1 of those ends only.  Row j holds P[j, i] for every i <= j, so
-    it answers any start s > 0 at column s - 1.  A cost() whose end the image
-    does not cover builds the full image, every row.  One builder serves any
-    set of ends.  It sweeps row bands of L's lower triangle (one matrix
-    product and one exp per band), adds each row of a band onto the one
-    above it with one np.add across all its columns, which gives R, and
-    keeps the rows of the ends.  Once the sweep has the row means, it
+    will read (_cover, called by search._Reader and by sum_of_costs).  The
+    first ends named to a fit get an image of their own: the rows j = e - 1
+    of those ends only.  Row j holds P[j, i] for every i <= j, so it answers
+    any start s > 0 at column s - 1.  Any end that image lacks, named later
+    or read by a cost() call, has the full image built, every row, so a fit
+    sweeps at most twice however many sets of ends it is asked for.  One
+    builder serves any set of ends.  It sweeps row bands of L's lower
+    triangle (one matrix product and one exp per band), adds each row of a
+    band onto the one above it with one np.add across all its columns,
+    which gives R, and keeps the rows of the ends.  Once the sweep has the row means, it
     subtracts the centring of C, one exact matrix product per band, and
     takes the prefix sums P along each kept row.  The sweep's products have
     the same shapes whichever ends are kept, and every other step is exact
@@ -663,22 +635,21 @@ class KernelCost(FittedCost):
     of n^2, and every page of it is written: an n x n buffer with only one
     triangle written still becomes resident almost whole once numpy advises
     huge pages.  A band whose rows are all kept is swept in place; the kept
-    rows of any other are copied out of a scratch band.  The rectangles are
-    split, whole and in order, into pieces of at most _PIECE_ENTRIES entries
-    (16 MiB, see _packed): row r's entries sit at pieces[r][base[r] + i],
-    pieces holding per row a memoryview of its piece and base the row's
-    offset in it.  The reason is glibc's malloc: a block above its dynamic
-    mmap threshold gets a fresh mapping, and freeing one raises that
-    threshold up to a 32 MiB ceiling, after which smaller blocks come from
-    the heap and stay resident once freed, until the free top of the heap
-    passes twice the threshold.  An image of one block left the smaller
-    images of earlier fits on the heap and, above 32 MiB, was mapped on top
-    of them.  Pieces of at most half that ceiling are served from the heap
-    and reuse the freed ones, and equal shares keep them near the image's
-    size divided by their count (about 11 MiB for the full image of 2,931
-    samples), so the threshold stays low enough that freeing a long image
-    returns the heap's top to the system.  rbf signals over 20,000 samples
-    fail the dense-matrix guard (_check_dense) up front.
+    rows of any other are copied out of a scratch band.  Each rectangle is
+    a block of its own, of at most _BAND_ENTRIES entries (512 KiB): row r's
+    entries sit at pieces[r][base[r] + i], pieces holding per row a
+    memoryview of its band's block, shared by the band's rows, and base the
+    row's offset in it.  The reason is glibc's malloc: a block above its
+    dynamic mmap threshold gets a fresh mapping, and freeing one raises that
+    threshold to the block's size, after which blocks up to that size come
+    from the heap and reuse the freed ones.  So once the first mapped block
+    of an image is freed, the blocks of later images come from the heap,
+    where the freed blocks of earlier fits serve them, and the threshold
+    stays low enough that freeing a long image returns the heap's top to
+    the system.  An image of one block would instead leave the smaller
+    images of earlier fits on the heap and, above glibc's 32 MiB ceiling on
+    that threshold, be mapped on top of them.  rbf signals over 20,000
+    samples fail the dense-matrix guard (_check_dense) up front.
     """
 
     family = "kernel"
@@ -719,8 +690,9 @@ class KernelCost(FittedCost):
         self._image = ([None] * (n + 1), None, None, None)
 
     def _cover(self, ends):
-        """Build the image over these ends, any iterable read once, and every
-        end named before, unless the current image already covers them."""
+        """Build an image that covers these ends, any iterable read once,
+        unless the current one does: over these ends alone for a fit's first
+        image, and the full image once one is built."""
         slot = self._image[0]
         n = self.n_samples
         # the full image has a row for every end, so its last, n's, is row n - 1
@@ -729,12 +701,11 @@ class KernelCost(FittedCost):
             return
         with self._image_lock:
             slot = self._image[0]
-            kept = {end for end in missing if slot[end] is None}
-            if kept:
-                kept.update(end for end, row in enumerate(slot) if row is not None)
-                self._image = self._build(sorted(kept))
+            if any(slot[end] is None for end in missing):
+                built = self._image[1] is not None
+                self._image = self._build(range(1, n + 1) if built else sorted(set(missing)))
 
-    def _build(self, kept: list[int]):
+    def _build(self, kept):
         """The image over the ends in kept (ascending, each at least 1), as
         the tuple _image holds."""
         left, right = self._left, self._right
@@ -745,11 +716,15 @@ class KernelCost(FittedCost):
         # band k keeps rows[cuts[k]:cuts[k + 1]], at offsets chosen[k] from lo
         cuts = np.searchsorted(rows, [lo for lo, _ in bands] + [n]).tolist()
         chosen = [rows[k0:k1] - lo for (lo, _), k0, k1 in zip(bands, cuts, cuts[1:])]
-        rects, pieces, base = _packed(
-            [(len(sel), lo + int(sel[-1]) + 1) for (lo, _), sel in zip(bands, chosen) if len(sel)]
-        )
-        packed = iter(rects)
-        rects = [next(packed) if len(sel) else None for sel in chosen]
+        # a band's kept rows form one block as wide as its last row; a band
+        # that keeps none gets an empty one
+        rects, pieces, base = [], [], []
+        for (lo, _), sel in zip(bands, chosen):
+            width = lo + int(sel[-1]) + 1 if len(sel) else 1
+            block = np.empty(len(sel) * width)
+            rects.append(block.reshape(len(sel), width))
+            pieces += [memoryview(block)] * len(sel)
+            base += range(0, block.size, width)
         # a band of the sweep, and then a rectangle's centring
         scratch = np.empty(max((hi - lo) * hi for lo, hi in bands))
         carry = np.zeros(n)
@@ -773,7 +748,7 @@ class KernelCost(FittedCost):
                 np.add(part, above[:j], out=part)
                 above = row
             carry[:hi] = above
-            if rect is not None and not whole:
+            if not whole:
                 np.take(band[:, : rect.shape[1]], sel, axis=0, out=rect)
         # L's row sums: the pairs left of the diagonal and, in R's last row,
         # the pairs below it
@@ -793,8 +768,6 @@ class KernelCost(FittedCost):
         col_factors[0] = shift
         col_factors[2] = -(np.arange(n) * shift + mean_prefix[1:])
         for (lo, _), sel, rect in zip(bands, chosen, rects):
-            if rect is None:
-                continue
             centring = scratch[: rect.size].reshape(rect.shape)
             np.matmul(row_factors[lo + sel], col_factors[:, : rect.shape[1]], out=centring)
             rect -= centring

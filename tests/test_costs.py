@@ -657,7 +657,7 @@ def test_kernel_rbf_keeps_one_gram_sized_buffer():
     """The full integral image is built in place and packed to the lower
     triangle: fitting and a first cost() call, which builds the full image,
     allocate about half an n x n float64 matrix, plus at most one row band,
-    and no second buffer for the prefix sums.  The image's pieces are
+    and no second buffer for the prefix sums.  The image's blocks are
     counted once each, however many rows share one."""
     signal = validate_signal(np.random.default_rng(60).normal(size=(1500, 2)))
     tracemalloc.start()
@@ -679,10 +679,10 @@ def test_packed_rbf_image_matches_square_image_bitwise(n_samples):
     """The row-band packing changes where entries live, not how they are
     computed: every cost equals the n x n image's bit for bit.  255 and 256
     samples fit one band (the second exactly), 257 ends in a 2-row band, and
-    1000 and 2931 span many bands with a shorter last one.  1999 samples are
-    the most whose image takes one piece, 2000 take two and 2840 are the
-    fewest that take three; every segment that starts or ends on the last
-    row of a piece or the first of the next is checked."""
+    1000 and 2931 span many bands with a shorter last one.  Each band is a
+    block of its own, and every segment that starts or ends on the last row
+    of a block or the first of the next is checked.  1999, 2000 and 2840
+    samples add more band heights and lengths of the last band."""
     rng = np.random.default_rng(90 + n_samples)
     data = step_signal(rng, n_samples, 2, "plain")
     gamma = 0.5 if n_samples == 1 else MEDIAN_HEURISTIC

@@ -1,13 +1,15 @@
 """An rbf cost is a function of the fit and the segment alone.
 
 An engine has the rbf image built over the ends of its grid, sum_of_costs
-over the ends it sums, and a cost() call whose ends no image covers has
-the full image built.  Every image that
-holds an entry holds the same bits, so a cost at grid ends equals a fresh
-fit's value bit for bit, whether an engine or cost() ran first, and every
-engine answers the same either way.  The grids cover one band and a partial
-one (255 to 257 samples), many bands (1000 and 2931), a grid with every end
-(jump 1), every end but two (min_size 2), and coarse grids.
+over the ends it sums.  That holds for a fit's first image: once one is
+built, any end it lacks, named by a later engine or sum_of_costs or read by
+a cost() call, has the full image built, so a fit builds at most two.
+Every image that holds an entry holds the same bits, so a cost at grid ends
+equals a fresh fit's value bit for bit, whether an engine or cost() ran
+first, and every engine answers the same either way.  The grids cover one
+band and a partial one (255 to 257 samples), many bands (1000 and 2931), a
+grid with every end (jump 1), every end but two (min_size 2), and coarse
+grids.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from segscan import (
     pelt,
     solve_budget,
     sum_of_costs,
+    validate_breakpoints,
     window,
 )
 from segscan.costs import KernelCost
@@ -155,6 +158,19 @@ def test_rbf_costs_are_exact_where_every_pair_underflows(jump):
     assert all(fitted.cost(s, e) == e - s - 1 for i, s in enumerate(ends) for e in ends[i + 1 :])
 
 
+def counted_builds(monkeypatch):
+    """The number of kept ends of each KernelCost._build call, in order."""
+    builds = []
+    build = KernelCost._build
+
+    def counted(self, kept):
+        builds.append(len(kept))
+        return build(self, kept)
+
+    monkeypatch.setattr(KernelCost, "_build", counted)
+    return builds
+
+
 def test_window_builds_one_image_over_the_grid_and_its_right_ends(monkeypatch):
     """At jump 10 and half width 45 the windows' right ends t + 45 lie off
     the grid.  window names them in the same _cover call as the grid, so
@@ -166,14 +182,7 @@ def test_window_builds_one_image_over_the_grid_and_its_right_ends(monkeypatch):
     signal = rbf_signal(n_samples)
     config = SearchConfig(jump=10, window_width=90)
     stop = StoppingRule(n_bkps=3)
-    builds = []
-    build = KernelCost._build
-
-    def counted(self, kept):
-        builds.append(len(kept))
-        return build(self, kept)
-
-    monkeypatch.setattr(KernelCost, "_build", counted)
+    builds = counted_builds(monkeypatch)
     result = window(fit(spec, signal), stop, config)
     assert builds == [591]
     fresh = fit(spec, signal)
@@ -201,3 +210,46 @@ def test_sum_of_costs_builds_image_rows_for_its_ends_alone():
     full.cost(0, n_samples)
     assert len(full._image[1]) == n_samples
     assert value.hex() == sum_of_costs(full, bkps).hex()
+
+
+def test_sums_of_many_segmentations_build_at_most_two_images(monkeypatch):
+    """20 random 3-change segmentations summed on one fit: the first builds
+    an image over its four ends, the second misses ends and builds the full
+    image, and the other 18 build nothing.  Each total has the bits of a
+    fresh fit's full-image total."""
+    n_samples = 2931
+    spec = CostSpec(family="kernel", kernel="rbf")
+    signal = rbf_signal(n_samples)
+    full = fit(spec, signal)
+    full.cost(0, n_samples)
+    rng = np.random.default_rng(31)
+    segmentations = [
+        validate_breakpoints(
+            sorted(rng.choice(np.arange(1, n_samples), size=3, replace=False).tolist())
+            + [n_samples],
+            n_samples,
+        )
+        for _ in range(20)
+    ]
+    expected = [sum_of_costs(full, bkps).hex() for bkps in segmentations]
+    builds = counted_builds(monkeypatch)
+    fitted = fit(spec, signal)
+    assert [sum_of_costs(fitted, bkps).hex() for bkps in segmentations] == expected
+    assert builds == [4, n_samples]
+
+
+def test_a_second_grid_builds_the_full_image(monkeypatch):
+    """binseg at jump 7 and then pelt at jump 10 on one fit: the image is
+    built over the jump-7 grid and then in full, never over the union of
+    both grids, and each call answers as it does on a fresh fit."""
+    n_samples = 2931
+    spec = CostSpec(family="kernel", kernel="rbf")
+    signal = rbf_signal(n_samples)
+    stop = StoppingRule(n_bkps=3)
+    binseg_7 = {"binseg": lambda fitted: binseg(fitted, stop, SearchConfig(jump=7))}
+    pelt_10 = {"pelt": lambda fitted: pelt(fitted, 5.0, SearchConfig(jump=10))}
+    expected = answers(fit(spec, signal), binseg_7) | answers(fit(spec, signal), pelt_10)
+    builds = counted_builds(monkeypatch)
+    fitted = fit(spec, signal)
+    assert answers(fitted, binseg_7) | answers(fitted, pelt_10) == expected
+    assert builds == [len(grid_ends(n_samples, 1, 7)) - 1, n_samples]

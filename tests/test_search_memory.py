@@ -6,11 +6,12 @@ engines keep O(T) state, checked by the peak RSS of a fresh process.
 bottomup has its own, shorter signal.  An rbf fit builds no integral image:
 an engine builds one over the ends of its grid, and a cost() call off every
 grid builds the full one.  The full image is packed to the lower triangle,
-so it raises the peak RSS by about half an n x n matrix.  It is split into
-pieces of about equal size, at most 16 MiB each, half of the 32 MiB ceiling
-of glibc's mmap threshold, so that glibc serves them from its heap and
-reuses freed ones: full images of growing length, as a CLI batch's set-up
-makes them, raise the peak RSS by not much more than the largest image.
+so it raises the peak RSS by about half an n x n matrix.  Each row band of
+it is a block of its own, at most 512 KiB, so that once glibc has freed the
+first mapped block and raised its mmap threshold to that size, it serves
+the blocks from its heap and reuses freed ones: full images of growing
+length, as a CLI batch's set-up makes them, raise the peak RSS by not much
+more than the largest image.
 The jump-10 engines of that batch build images of a tenth of the rows and
 raise it by a few MB.  Those checks run in a child process with a capped
 address space; the dynp layer's working set, and that of each greedy
@@ -209,7 +210,7 @@ def test_rbf_fit_stays_well_below_a_gram_matrix():
 )
 def test_rbf_fits_of_a_cli_batch_reuse_freed_images():
     """Fits of growing length, each dropped before the next, as one CLI
-    batch makes them: freed pieces are reused, so the peak RSS rises by not
+    batch makes them: freed blocks are reused, so the peak RSS rises by not
     much more than the largest image, not by that image on top of the
     smaller ones glibc still holds."""
     proc = run_capped("-c", RBF_BATCH_CHILD)

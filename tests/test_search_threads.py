@@ -88,8 +88,8 @@ def test_shared_fit_counts_each_calls_own_evaluations():
 
 def test_shared_rbf_fit_answers_each_grid_as_alone():
     """A jump-7 and a jump-10 engine and a cost() off both grids, in
-    threads on one rbf fit: the image is built over one grid, then the
-    union of both, then in full, in whatever order the threads ask, and
+    threads on one rbf fit: the image is built over one grid, then in
+    full, in whatever order the threads ask, and
     every call gets the answer it gets on a fit of its own."""
     signal, _ = pw_constant(GenSpec(700, 2, 4, 1.0, 5))
     spec = CostSpec(family="kernel", kernel="rbf")
