@@ -23,17 +23,17 @@ fitted cost's _cover in one call, together with any ends the engine adds
 (window's right ends); a start needs no naming.  The rbf kernel builds its
 integral image there, so the build counts in the engine's time, not in
 fit's; the other families ignore the call.  The reader answers cost(s, e)
-and row(e, starts), the segments from many grid starts to one grid end,
-evaluated (dynp's fill, pelt's scan step), and counts in n_evals the costs
-it evaluates: the call's n_cost_evals, which omits other threads' work.
+and row(e, starts), the segments from many grid starts to one grid end
+(dynp's fill, pelt's row step), and counts in n_evals the costs it
+evaluates: the call's n_cost_evals, which omits other threads' work.
 pelt's heap step alone calls fitted.cost itself and adds to that count.
 
 Only dynp and solve_budget keep a dense grid x grid segment-cost matrix,
 cached on the fitted cost per (min_size, jump) together with the dynp value
 table (values and integer backpointers per change count), which is extended
 under a lock instead of recomputed.  Once it exists, every reader on that
-grid reads a segment whose ends are both grid positions from it, uncounted,
-and pelt's matrix step reads it directly, two contiguous slices per end.
+grid reads from it, uncounted, every segment whose ends are both grid
+positions, and a row as one slice or gather of a matrix row.
 The other engines hold O(grid) state and no memo: each evaluates a
 segment at most once per call, and repeating a call pays again.  binseg
 keeps two cost rows per unsplit segment, window arrays of its window
@@ -41,8 +41,8 @@ costs, and bottomup arrays of its segment and spanning costs.  Without
 the matrix, on monotone costs, every family but normal, pelt evaluates only
 the candidates its heap of lower bounds leaves a chance to win: F(s) +
 penalty until a candidate is first evaluated, as its costs are >= 0, then
-its last total.  Over the matrix, where reads are free, it runs the
-unpruned recursion.  Ties are always broken toward the smallest change
+its last total.  Over the matrix, where reads are free, its row step runs
+the unpruned recursion.  Ties are always broken toward the smallest change
 point indices.
 """
 
@@ -168,9 +168,9 @@ def _prepare(fitted, config, stop=_NO_RULE, more=lambda cfg, min_size: []):
 
 
 class _Reader:
-    """One engine call's segment costs: cost() reads dynp's matrix (state,
-    looked up once the ends are named) where it holds the segment, and
-    cost() and row() evaluate through fitted.cost otherwise, counting in
+    """One engine call's segment costs: cost() and row() read dynp's matrix
+    (state, looked up once the ends are named), uncounted, where it holds
+    the segments, and evaluate through fitted.cost otherwise, counting in
     n_evals."""
 
     def __init__(self, fitted, min_size, jump, positions, more):
@@ -187,10 +187,13 @@ class _Reader:
         self.n_evals += 1
         return self.fitted.cost(start, end)
 
-    def row(self, end_idx: int, starts: np.ndarray) -> np.ndarray:
-        """The costs from each grid index in starts to the grid index end_idx,
-        evaluated: its callers, dynp's fill and _pelt_scan, run where no
-        matrix holds them."""
+    def row(self, end_idx: int, starts) -> np.ndarray:
+        """The costs from each grid index in starts to the grid index end_idx:
+        read from dynp's matrix when it exists, uncounted, where starts may
+        also be a slice; else evaluated through fitted.cost, with starts an
+        index array."""
+        if self.state is not None:
+            return self.state.matrix[end_idx, starts]
         self.n_evals += len(starts)
         cost, positions = self.fitted.cost, self.positions
         return np.array([cost(positions[s], positions[end_idx]) for s in starts.tolist()])
@@ -355,75 +358,56 @@ def _first_tuple(parent, depth, tied) -> tuple:
     return win
 
 
-def _pelt_matrix(reader, penalty, min_size):
-    """pelt's step over dynp's matrix: the unpruned recursion, since a read
-    costs nothing.  At each end the admitted starts are a prefix of the
-    grid, so their totals, (F(s) + c(s, t)) + penalty, come from two
-    contiguous slices; an exact tie goes to the smallest end tuple.
-    Returns what _pelt_scan does, with n_pruned 0."""
-    positions, matrix = reader.positions, reader.state.matrix
-    count = len(positions)
-    # F(0) = 0; a start is admitted only after its own value is written
-    values, totals = np.zeros(count), np.empty(count)
-    parent, depth = [0] * count, [0] * count
-    admitted = 0
-    for end_idx in range(1, count):
-        end_pos = positions[end_idx]
-        while positions[admitted] <= end_pos - min_size:
-            admitted += 1
-        out = totals[:admitted]
-        np.add(values[:admitted], matrix[end_idx, :admitted], out=out)
-        out += penalty
-        pick = int(out.argmin())
-        values[end_idx] = best = out[pick]
-        tied = (out == best).nonzero()[0]
-        if len(tied) > 1:
-            pick = _first_tuple(parent, depth, [(s,) for s in tied.tolist()])[0]
-        parent[end_idx], depth[end_idx] = pick, depth[pick] + 1
-    return parent, matrix[np.arange(count), parent].tolist(), 0
-
-
-def _pelt_scan(reader, penalty, min_size):
-    """pelt's step for normal, whose costs bound nothing: every live
-    candidate at once, one reader.row per end.  Returns each end's parent
-    and last cost, n_pruned."""
+def _pelt_rows(reader, penalty, min_size):
+    """pelt's step by rows, for normal, whose costs bound nothing, and over
+    dynp's matrix: every live candidate at once, one reader.row per end.  It
+    prunes only where the reader evaluates.  Over the matrix a read costs
+    nothing and pruning at rounding level would settle ties away from the
+    recursion, so there it runs the unpruned recursion, reading the admitted
+    prefix of the grid as slices.  Returns each end's parent and last cost,
+    n_pruned."""
     positions = reader.positions
     count = len(positions)
-    values = np.full(count, np.inf)
-    values[0] = 0.0
+    prune = reader.state is None
+    # F(0) = 0; a start is admitted only after its own value is written
+    values, index = np.zeros(count), np.arange(count)
     parent, depth, last_cost = [0] * count, [0] * count, [0.0] * count
     doomed_from = np.full(count, np.inf)
-    candidates = np.empty(0, dtype=np.int64)
-    next_admission = n_pruned = 0
+    ids = index[:0]
+    admitted = n_pruned = 0
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
-        admitted = next_admission
-        next_admission = bisect.bisect_right(positions, end_pos - min_size)
-        if next_admission > admitted:
-            candidates = np.concatenate((candidates, np.arange(admitted, next_admission)))
-        live = doomed_from[candidates] > end_pos
-        n_pruned += len(candidates) - int(np.count_nonzero(live))
-        candidates = candidates[live]
-        seg_costs = reader.row(end_idx, candidates)
-        fits = values[candidates] + seg_costs
+        first = admitted
+        while positions[admitted] <= end_pos - min_size:
+            admitted += 1
+        if prune:
+            ids = np.concatenate((ids, index[first:admitted]))
+            live = doomed_from[ids] > end_pos
+            n_pruned += len(ids) - int(np.count_nonzero(live))
+            rows = ids = ids[live]
+        else:
+            ids, rows = index[:admitted], slice(admitted)
+        seg_costs = reader.row(end_idx, rows)
+        fits = values[rows] + seg_costs
         totals = fits + penalty
         pick = int(totals.argmin())
         best = totals[pick]
         tied = (totals == best).nonzero()[0]
         if len(tied) > 1:
-            pick = _first_tuple(parent, depth, [*zip(candidates[tied].tolist(), tied)])[1]
-        winner = int(candidates[pick])
+            pick = _first_tuple(parent, depth, [*zip(ids[tied].tolist(), tied)])[1]
+        winner = int(ids[pick])
         values[end_idx], last_cost[end_idx] = best, float(seg_costs[pick])
         parent[end_idx], depth[end_idx] = winner, depth[winner] + 1
-        doomed = (fits > best) & np.isinf(doomed_from[candidates])
-        doomed_from[candidates[doomed]] = end_pos + min_size
+        if prune:
+            doomed = (fits > best) & np.isinf(doomed_from[ids])
+            doomed_from[ids[doomed]] = end_pos + min_size
     return parent, last_cost, n_pruned
 
 
 def _pelt_heap(reader, penalty, min_size):
     """pelt's step on monotone costs without dynp's matrix, in work
     proportional to the candidates it evaluates through fitted.cost (counted
-    in the reader); it returns what _pelt_scan does.  The heap holds one
+    in the reader); it returns what _pelt_rows does.  The heap holds one
     (key, grid index) entry per live candidate, a lower bound on its total
     at any later end: F(s) + penalty until it is first evaluated, since
     costs are >= 0 and rounding is monotone, then its exact total at the
@@ -470,33 +454,33 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     """Exact linearly penalized segmentation, pruning where it evaluates.
 
     Minimizes total cost plus penalty per segment via F(t) = min over s of
-    (F(s) + c(s, t)) + penalty.  After dynp on the same fitted cost and grid
-    every cost is a free read of its matrix, so pelt runs exactly that
-    recursion over every admitted start (_pelt_matrix): n_pruned and
-    n_cost_evals are 0, and the answer is the recursion's.
-
-    Otherwise a candidate with F(s) + c(s, t) > F(t) can never win again
-    once t itself is old enough to act as a split, so it is dropped when
-    the endpoint reaches t + min_size; dropping it at t directly would lose
+    (F(s) + c(s, t)) + penalty, in one of two steps.  Where pelt evaluates
+    costs, a candidate with F(s) + c(s, t) > F(t) can never win again once
+    t itself is old enough to act as a split, so it is dropped when the
+    endpoint reaches t + min_size; dropping it at t directly would lose
     exactness for min_size > 1.  The rule is safe because every cost family
-    is superadditive (test_costs_are_superadditive checks it).  On the
-    monotone families (all but normal), costs are >= 0 and a candidate's
-    last evaluated cost bounds its later costs from below, and pelt
-    evaluates only the candidates a heap of those bounds leaves a chance to
-    win (_pelt_heap); it prunes lazily there, n_pruned counting the doomed
-    candidates popped from t + min_size on.  normal evaluates every live
-    candidate at each end in one numpy step (_pelt_scan).  Values, argmin
-    and ties are bitwise those of evaluating every live candidate.
+    is superadditive (test_costs_are_superadditive checks it).
+
+    On the monotone families (all but normal), without dynp's matrix, costs
+    are >= 0 and a candidate's last evaluated cost bounds its later costs
+    from below, and pelt evaluates only the candidates a heap of those
+    bounds leaves a chance to win (_pelt_heap); it prunes lazily there,
+    n_pruned counting the doomed candidates popped from t + min_size on.
+    Otherwise it reads every live candidate at each end as one reader.row
+    (_pelt_rows): normal's fresh fits evaluate the row and prune it.  After
+    dynp on the same fitted cost and grid every row is a free read of its
+    matrix, so pelt prunes nothing, n_pruned and n_cost_evals are 0, and
+    the answer is the recursion's, bit for bit.  On a fresh fit, pruning
+    and the heap's bounds hold only up to rounding, so on tie-heavy signals
+    the answer can settle an exact tie differently from the recursion, or
+    lie a few roundings above its objective.
 
     State is O(grid).  An exact tie goes to the smallest end tuple.  A
     repeated call pays its evaluations again.
     """
     penalty = _checked_real("penalty", penalty)
     _, min_size, _, positions, reader = _prepare(fitted, config)
-    if reader.state is not None:
-        step = _pelt_matrix
-    else:
-        step = _pelt_heap if fitted.monotone else _pelt_scan
+    step = _pelt_heap if fitted.monotone and reader.state is None else _pelt_rows
     parent, last_cost, n_pruned = step(reader, penalty, min_size)
     path = _path_indices(parent, len(positions) - 1)
     ends = tuple(positions[i] for i in path)
