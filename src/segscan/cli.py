@@ -85,7 +85,7 @@ def _read_csv(path: str, header: bool) -> Signal:
     rows, and for anything but a regular file (a pipe can be read only once),
     the file is scanned record by record instead: that scan accepts what only
     float() reads (1_000, say) and raises the error of the first bad record,
-    naming its line.
+    naming the line it starts on.
     """
     if not os.path.isfile(path):
         return _scan_csv(path, header)
@@ -112,23 +112,27 @@ def _scan_csv(path: str, header: bool) -> Signal:
     expected = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
+        if header:
+            next(reader, None)
+        # a record can span lines inside quotes, so an error names the line
+        # its record starts on: one past the line the last record ended on
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
             if not row:
                 continue
             if expected is None:
                 expected = len(row)
             elif len(row) != expected:
                 raise RaggedInputError(
-                    f"{path} line {lineno}: expected {expected} columns, got {len(row)}"
+                    f"{path} line {line}: expected {expected} columns, got {len(row)}"
                 )
             try:
                 rows.append([float(cell) for cell in row])
             except ValueError:
                 bad = next(cell for cell in row if not _parses_as_float(cell))
                 raise FormatError(
-                    f"{path} line {lineno}: could not parse {bad!r} as a number"
+                    f"{path} line {line}: could not parse {bad!r} as a number"
                 ) from None
     if not rows:
         raise EmptySignalError(f"{path}: no data rows")

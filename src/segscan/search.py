@@ -36,14 +36,15 @@ grid reads from it, uncounted, every segment whose ends are both grid
 positions, and a row as one slice or gather of a matrix row.
 The other engines hold O(grid) state and no memo: each evaluates a
 segment at most once per call, and repeating a call pays again.  binseg
-keeps two cost rows per unsplit segment, window arrays of its window
-costs, and bottomup arrays of its segment and spanning costs.  Without
-the matrix, on monotone costs, every family but normal, pelt evaluates only
-the candidates its heap of lower bounds leaves a chance to win: F(s) +
-penalty until a candidate is first evaluated, as its costs are >= 0, then
-its last total.  Over the matrix, where reads are free, its row step runs
-the unpruned recursion.  Ties are always broken toward the smallest change
-point indices.
+keeps two cost rows over the grid, sliced per unsplit segment, and a heap
+of each segment's best split; window keeps arrays of its window costs, and
+bottomup one list of its current ends and arrays of its segment and
+spanning costs.  Without the matrix, on monotone costs, every family but
+normal, pelt evaluates only the candidates its heap of lower bounds leaves
+a chance to win: F(s) + penalty until a candidate is first evaluated, as
+its costs are >= 0, then its last total.  Over the matrix, where reads
+are free, its row step runs the unpruned recursion.  Ties are always
+broken toward the smallest change point indices.
 """
 
 from __future__ import annotations
@@ -531,61 +532,52 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     children of a split inherit a prefix of the left row and a suffix of
     the right one, and each evaluates only the row ending or starting at the
     split, at the next pull of the moves.  The root is scanned there too, so
-    n_bkps = 0 scans nothing.  A segment's best split is the first argmax of
-    its gains, the smallest split on a tie, computed once.  The splits are
-    moves for _add_greedily: it stops after n_bkps splits, at the first best
-    gain at or below the penalty, or once the total cost fits the budget,
-    reading the current segments' costs from the rows.  State is O(grid),
-    and no segment is evaluated twice.
+    n_bkps = 0 scans nothing.  A scanned segment's best split, the first
+    argmax of its gains, enters one heap keyed (-gain, split), so a pull
+    takes the largest gain, the smallest split on a tie, in O(log K).  The
+    splits are moves for _add_greedily: it stops after n_bkps splits, at the
+    first best gain at or below the penalty, or once the total cost fits the
+    budget, reading the current segments' costs from a dict filled from the
+    rows.  State is O(grid), and no segment is evaluated twice.
     """
     _, min_size, _, positions, reader = _prepare(fitted, config, stop)
     # left[i] = c(a, positions[i]) and right[i] = c(positions[i], b) over the
     # split positions i of each unsplit segment [a, b)
     left, right = np.empty(len(positions)), np.empty(len(positions))
-    # (a, b) -> [c(a, b), the rows it still has to scan, its best (gain,
-    # split, index)]; the root's cost is evaluated when it is first read
-    segments = {(0, fitted.n_samples): [None, ("left", "right"), None]}
+    # c(a, b) of the current segments; the root's is evaluated when first read
+    costs = {}
 
     def cost(a: int, b: int) -> float:
-        segment = segments[a, b]
-        if segment[0] is None:
-            segment[0] = reader.cost(a, b)
-        return segment[0]
-
-    def best(a: int, b: int):
-        segment = segments[a, b]
-        if segment[1]:
-            lo = bisect.bisect_left(positions, a + min_size)
-            hi = bisect.bisect_right(positions, b - min_size)
-            if lo < hi:
-                splits = positions[lo:hi]
-                if "left" in segment[1]:
-                    left[lo:hi] = [reader.cost(a, s) for s in splits]
-                if "right" in segment[1]:
-                    right[lo:hi] = [reader.cost(s, b) for s in splits]
-                gains = cost(a, b) - (left[lo:hi] + right[lo:hi])
-                i = int(gains.argmax())
-                segment[2] = (float(gains[i]), splits[i], lo + i)
-            segment[1] = ()
-        return segment[2]
+        if (a, b) not in costs:
+            costs[a, b] = reader.cost(a, b)
+        return costs[a, b]
 
     def moves(ends):
+        # (a, b, whether its left row is new, whether its right row is new) of
+        # the segments to scan at this pull; the heap holds one (-gain, split,
+        # a, b, grid index) entry per scanned segment with a split
+        scan, heap = [(0, fitted.n_samples, True, True)], []
         while True:
-            chosen = None
-            start = 0
-            for end in ends:
-                found = best(start, end)
-                if found is not None and (chosen is None or found[0] > chosen[0]):
-                    chosen, a, b = found, start, end
-                start = end
-            if chosen is None:
+            for a, b, new_left, new_right in scan:
+                lo = bisect.bisect_left(positions, a + min_size)
+                hi = bisect.bisect_right(positions, b - min_size)
+                if lo < hi:
+                    splits = positions[lo:hi]
+                    if new_left:
+                        left[lo:hi] = [reader.cost(a, s) for s in splits]
+                    if new_right:
+                        right[lo:hi] = [reader.cost(s, b) for s in splits]
+                    gains = cost(a, b) - (left[lo:hi] + right[lo:hi])
+                    i = int(gains.argmax())
+                    heapq.heappush(heap, (-float(gains[i]), splits[i], a, b, lo + i))
+            if not heap:
                 return
-            gain, s, i = chosen
-            segments[a, s] = [float(left[i]), ("right",), None]
-            segments[s, b] = [float(right[i]), ("left",), None]
-            yield gain, s
+            gain, s, a, b, i = heapq.heappop(heap)
+            costs[a, s], costs[s, b] = float(left[i]), float(right[i])
+            scan = [(a, s, False, True), (s, b, True, False)]
+            yield -gain, s
             # pulled again, so the split was taken
-            del segments[a, b]
+            del costs[a, b]
 
     return _add_greedily(reader, stop, moves, cost)
 
@@ -597,55 +589,52 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     the end whose removal raises the total cost least (smallest index on a
     tie).  Stops when n_bkps ends remain, when the smallest merge penalty
     exceeds the penalty value, or just before the total cost would exceed the
-    budget.  Arrays indexed by grid position hold each current segment's
-    cost, at its end, and each internal end's spanning cost, that of the
-    segment a merge there leaves; the merge deltas sit in one array aligned
-    with the remaining ends.  A merge re-prices only the two neighbouring
-    ends: a step is one argmin plus an O(grid) shift that closes the gap,
-    and under the budget rule a re-sum of the running totals from the
-    merged end on.  A new span holds the removed end and a neighbour, where
-    every segment evaluated before held at most one of them, so none is
-    evaluated twice and no memo is kept.
+    budget.  One list holds the grid indices of 0, the remaining ends and
+    T, so an end's neighbours are the entries beside it.  Arrays indexed by
+    grid position hold each current segment's cost, at its end, and each
+    internal end's spanning cost, that of the segment a merge there leaves;
+    the merge deltas sit in one array aligned with the internal ends.  A
+    merge re-prices only the two neighbouring ends: a step is one argmin
+    plus an O(grid) deletion and shift that close the gap, and under the
+    budget rule a re-sum of the running totals from the merged end on.  A
+    new span holds the removed end and a neighbour, where every segment
+    evaluated before held at most one of them, so none is evaluated twice
+    and no memo is kept.
     """
     _, min_size, jump, positions, reader = _prepare(fitted, config, stop)
     kind = stop.kind
-    terminal = len(positions) - 1
-    # the finest valid ends, the multiples of _step: every stride-th grid index
+    # the finest valid ends, the multiples of _step: every stride-th grid
+    # index, between 0 and the terminal, so the internal end ends[i + 1] and
+    # its neighbours are ends[i : i + 3]
     stride = _step(min_size, jump) // jump
     count = max_changes(fitted.n_samples, min_size, jump)
-    internal = list(range(1, 1 + count * stride, stride))
-    if kind == "n_bkps" and stop.n_bkps > len(internal):
+    ends = [0, *range(1, 1 + count * stride, stride), len(positions) - 1]
+    if kind == "n_bkps" and stop.n_bkps > count:
         raise InfeasibleError(
-            f"{stop.n_bkps} change points requested but the finest grid has {len(internal)}"
+            f"{stop.n_bkps} change points requested but the finest grid has {count}"
         )
     # seg is 0.0 off the current ends, so np.cumsum(seg), which adds left to
     # right from seg[0] = 0.0, ends in _total of the current ends, bitwise
     seg, span = np.zeros(len(positions)), np.empty(len(positions))
-    for a, b in zip([0, *internal], [*internal, terminal]):
+    for a, b in itertools.pairwise(ends):
         seg[b] = reader.cost(positions[a], positions[b])
     # the budget's running sums, np.cumsum(seg) of the merges taken: a merge
     # re-adds them from its end on, carrying the sum before it
     sums = np.cumsum(seg)
-    # deltas[i] is the merge delta of internal[i]; argmin keeps the first
+    # deltas[i] is the merge delta of ends[i + 1]; argmin keeps the first
     # minimum, the smallest end on a tie.  The ends in unpriced are priced
     # at the next pick, as a rescan of every end would
-    deltas = np.empty(len(internal))
-    unpriced = range(len(internal))
-
-    def neighbours(where: int) -> tuple[int, int]:
-        left = internal[where - 1] if where > 0 else 0
-        right = internal[where + 1] if where + 1 < len(internal) else terminal
-        return left, right
-
-    while internal and (kind != "n_bkps" or len(internal) > stop.n_bkps):
+    deltas = np.empty(count)
+    unpriced = range(count)
+    while len(ends) > 2 and (kind != "n_bkps" or len(ends) - 2 > stop.n_bkps):
         for i in unpriced:
-            (left, right), end = neighbours(i), internal[i]
+            left, end, right = ends[i : i + 3]
             span[end] = reader.cost(positions[left], positions[right])
             deltas[i] = span[end] - (seg[end] + seg[right])
         where = int(deltas.argmin())
         if kind == "penalty" and deltas[where] > stop.penalty:
             break
-        end, right = internal[where], neighbours(where)[1]
+        end, right = ends[where + 1 : where + 3]
         before = seg[end], seg[right]
         seg[end], seg[right] = 0.0, span[end]
         if kind == "budget":
@@ -655,13 +644,12 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
                 seg[end], seg[right] = before
                 break
             sums[end:] = trial[1:]
-        del internal[where]
+        del ends[where + 1]
         deltas[where:-1] = deltas[where + 1 :]
         deltas = deltas[:-1]
         # the two neighbours now merge across a longer segment
-        unpriced = range(max(where - 1, 0), min(where + 1, len(internal)))
-    ends = tuple(positions[i] for i in internal) + (positions[terminal],)
-    return _result(reader, ends, float(np.cumsum(seg)[-1]))
+        unpriced = range(max(where - 1, 0), min(where + 1, len(ends) - 2))
+    return _result(reader, [positions[i] for i in ends[1:]], float(np.cumsum(seg)[-1]))
 
 
 def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> DetectionResult:

@@ -84,6 +84,27 @@ def test_reader_matches_record_scan(name, header, tmp_path):
     assert _outcome(cli._read_csv, path, header) == expected
 
 
+@pytest.mark.parametrize(
+    "content, header, error",
+    [
+        ('"a\nb",c\n1,2\n3,x\n', True, "line 4: could not parse 'x' as a number"),
+        ('"a\nb",c\n1,2\n3\n', True, "line 4: expected 2 columns, got 1"),
+        ('1,"2\n"\n\n3,x\n', False, "line 4: could not parse 'x' as a number"),
+    ],
+    ids=["header-over-two-lines", "ragged-after-two-lines", "record-over-two-lines"],
+)
+def test_scan_errors_name_the_line_after_records_over_several_lines(
+    content, header, error, tmp_path
+):
+    """A quoted cell can carry a record over several lines: an error names the
+    line its own record starts on, not the number of records read."""
+    path = tmp_path / "multiline.csv"
+    path.write_bytes(content.encode("utf-8"))
+    with pytest.raises((cli.FormatError, cli.RaggedInputError)) as raised:
+        cli._read_csv(str(path), header)
+    assert str(raised.value) == f"{path} {error}"
+
+
 def test_well_formed_files_skip_the_record_scan(tmp_path, monkeypatch):
     """Plain numeric files, quoted cells and a header all parse in the one
     np.loadtxt call; only the odd ones fall back to the scan."""

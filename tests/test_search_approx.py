@@ -72,6 +72,10 @@ def test_binseg_tie_takes_smallest_split():
     # gains tie exactly and the smaller index must win
     result = binseg(fresh_fitted(np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])), StoppingRule(n_bkps=1))
     assert result.bkps.ends == (2, 6)
+    # after the split at 4, [0, 4) at 2 and [4, 8) at 6 gain exactly 9 each:
+    # a tie across two segments, which the smaller split must win too
+    result = binseg(fresh_fitted(np.array([0.0, 0, 3, 3, 10, 10, 13, 13])), StoppingRule(n_bkps=2))
+    assert result.bkps.ends == (2, 4, 8)
 
 
 def test_binseg_recovers_clean_staircase():

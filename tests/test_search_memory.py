@@ -43,10 +43,11 @@ BATCH_RBF_TS = (1275, 1689, 2103, 2517, 2931)
 BATCH_IMAGE_MB = 8 * _image_entries(max(BATCH_RBF_TS)) / 1e6
 OVER_LIMIT_T = 20_000  # grid of 20,001 positions with jump 1
 BOTTOMUP_STATE_T = 10_000
-# bytes per grid position: the grid's and the remaining ends' Python ints
-# and lists and three float arrays take about 110; a memo of the evaluated
-# segments and its (start, end) keys bring that to about 480.  The same
-# bound holds binseg's two cost rows and window's three cost arrays
+# bytes per grid position: the grid's and bottomup's list of current ends'
+# Python ints and lists and three float arrays take about 110; a memo of the
+# evaluated segments and its (start, end) keys bring that to about 480.  The
+# same bound holds binseg's two cost rows, its heap of one best split per
+# segment and dict of segment costs, and window's three cost arrays
 BOTTOMUP_BYTES_PER_POSITION = 250
 ADDRESS_CAP = 2**30
 # the child's own high-water RSS.  Not ru_maxrss: Linux carries that across
@@ -303,9 +304,10 @@ def test_bottomup_keeps_grid_sized_state():
 
 
 def test_binseg_keeps_grid_sized_state():
-    """binseg keeps two cost rows per unsplit segment in two float arrays
-    over the grid, and a split's children inherit theirs, so it keeps no
-    memo of the segments it evaluates."""
+    """binseg keeps each unsplit segment's two cost rows as slices of two
+    float arrays over the grid, which a split's children inherit, and one
+    heap entry and one dict cost per segment, so it keeps no memo of the
+    segments it evaluates."""
     check_grid_sized_state(binseg)
 
 
