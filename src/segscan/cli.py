@@ -127,24 +127,18 @@ def _scan_csv(path: str, header: bool) -> Signal:
                 raise RaggedInputError(
                     f"{path} line {line}: expected {expected} columns, got {len(row)}"
                 )
+            values = []
             try:
-                rows.append([float(cell) for cell in row])
+                for cell in row:
+                    values.append(float(cell))
             except ValueError:
-                bad = next(cell for cell in row if not _parses_as_float(cell))
                 raise FormatError(
-                    f"{path} line {line}: could not parse {bad!r} as a number"
+                    f"{path} line {line}: could not parse {cell!r} as a number"
                 ) from None
+            rows.append(values)
     if not rows:
         raise EmptySignalError(f"{path}: no data rows")
     return validate_signal(np.asarray(rows))
-
-
-def _parses_as_float(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def _write_csv(path: str, signal: Signal, header: bool) -> None:

@@ -12,6 +12,10 @@ again where it evaluates costs; binseg(), bottomup() and window() are
 greedy approximations that accept any of the three stopping rules;
 solve_budget() finds the fewest change points whose optimal cost fits a
 budget by growing the dynp table.
+Every engine's stopping argument is one StoppingRule, checked in the one
+prologue, _prepare, with the config: dynp, pelt and solve_budget wrap
+their scalar in one.  There an n_bkps above max_changes is refused with
+InfeasibleError before any cost is evaluated.
 binseg() and window() add change points as lazy moves that one loop,
 _add_greedily(), takes under the stopping rule; bottomup() removes them
 in one loop of its own, since its penalty and budget tests point the other
@@ -142,30 +146,33 @@ def max_changes(n_samples: int, min_size: int, jump: int) -> int:
     return max(0, (n_samples - min_size) // _step(min_size, jump))
 
 
-# _prepare's stop for the engines that no StoppingRule drives
-_NO_RULE = object()
-
-
-def _prepare(fitted, config, stop=_NO_RULE, more=lambda cfg, min_size: []):
-    """The prologue every engine shares: stop checked first when the engine
-    takes a StoppingRule, then the config.  Returns it, the effective
-    min_size and jump, the grid positions with 0 and T (one list, built
-    once), and the call's _Reader, which also names the ends, any iterable,
-    that more(cfg, min_size) returns."""
-    if stop is not _NO_RULE and not isinstance(stop, StoppingRule):
+def _prepare(fitted, config, stop, more=lambda cfg, min_size: []):
+    """The prologue every engine shares, the one place its stopping rule is
+    checked: the rule first, then the config, then the signal length and
+    the ends, any iterable, that more(cfg, min_size) returns.  An n_bkps
+    above max_changes raises InfeasibleError before the _Reader is built,
+    so before any cost is evaluated or any rbf image built.  Returns the
+    config, the effective min_size, max_changes, the grid positions with 0
+    and T (one list, built once), and the call's _Reader, which also names
+    more's ends."""
+    if not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     cfg = config if config is not None else SearchConfig()
     if not isinstance(cfg, SearchConfig):
         raise BadParamError(f"expected a SearchConfig, got {type(cfg).__name__}")
     min_size = max(cfg.min_size, fitted.min_seg_len)
-    jump = cfg.jump
     if fitted.n_samples < min_size:
         raise InfeasibleError(
             f"signal length {fitted.n_samples} below the minimum segment length {min_size}"
         )
-    positions = [0, *_grid(fitted.n_samples, min_size, jump), fitted.n_samples]
-    reader = _Reader(fitted, min_size, jump, positions, more(cfg, min_size))
-    return cfg, min_size, jump, positions, reader
+    positions = [0, *_grid(fitted.n_samples, min_size, cfg.jump), fitted.n_samples]
+    extra = more(cfg, min_size)
+    most = max_changes(fitted.n_samples, min_size, cfg.jump)
+    if stop.kind == "n_bkps" and stop.n_bkps > most:
+        raise InfeasibleError(
+            f"{stop.n_bkps} change points do not fit: the grid admits at most {most}"
+        )
+    return cfg, min_size, most, positions, _Reader(fitted, min_size, cfg.jump, positions, extra)
 
 
 class _Reader:
@@ -290,18 +297,15 @@ def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionRe
     segment costs, and the other engines read the same matrix.  Ties go to
     the lexicographically smallest end sequence, kept as a per-layer rank.
     The whole solve holds the fitted cost's state lock.  n_bkps is an
-    integer >= 0, else BadParamError.  Raises InfeasibleError, before any
-    cost is evaluated, when n_bkps changes do not fit under the constraints,
-    and MemoryBudgetError, before allocating, from the one dense-matrix
-    guard (costs._check_dense) when the grid has more than 20,000 positions.
+    integer >= 0, else BadParamError.  Raises InfeasibleError from _prepare,
+    before any cost is evaluated, when n_bkps exceeds max_changes, and
+    MemoryBudgetError, before allocating, from the one dense-matrix guard
+    (costs._check_dense) when the grid has more than 20,000 positions.
     """
-    n_bkps = _checked_int("n_bkps", n_bkps, 0)
-    _, min_size, jump, _, reader = _prepare(fitted, config)
-    most = max_changes(fitted.n_samples, min_size, jump)
-    if n_bkps > most:
-        raise InfeasibleError(f"{n_bkps} change points do not fit: the grid admits at most {most}")
+    stop = StoppingRule(n_bkps=n_bkps)
+    _, min_size, _, _, reader = _prepare(fitted, config, stop)
     with fitted._state_lock:
-        ends, contrast = reader.dynp_state(min_size).solve(n_bkps)
+        ends, contrast = reader.dynp_state(min_size).solve(stop.n_bkps)
     return _result(reader, ends, contrast)
 
 
@@ -313,18 +317,17 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     grids the same way.  Raises BudgetUnreachableError when even the largest
     feasible number of change points stays above the budget.
     """
-    budget = _checked_real("budget", budget)
-    _, min_size, jump, _, reader = _prepare(fitted, config)
-    most = max_changes(fitted.n_samples, min_size, jump)
+    stop = StoppingRule(budget=budget)
+    _, min_size, most, _, reader = _prepare(fitted, config, stop)
     with fitted._state_lock:
         state = reader.dynp_state(min_size)
         contrast = np.inf
         for k in range(most + 1):
             ends, contrast = state.solve(k)
-            if contrast <= budget:
+            if contrast <= stop.budget:
                 return _result(reader, ends, contrast)
     raise BudgetUnreachableError(
-        f"optimal cost {contrast} with {most} change points still exceeds budget {budget}"
+        f"optimal cost {contrast} with {most} change points still exceeds budget {stop.budget}"
     )
 
 
@@ -479,10 +482,10 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     State is O(grid).  An exact tie goes to the smallest end tuple.  A
     repeated call pays its evaluations again.
     """
-    penalty = _checked_real("penalty", penalty)
-    _, min_size, _, positions, reader = _prepare(fitted, config)
+    stop = StoppingRule(penalty=penalty)
+    _, min_size, _, positions, reader = _prepare(fitted, config, stop)
     step = _pelt_heap if fitted.monotone and reader.state is None else _pelt_rows
-    parent, last_cost, n_pruned = step(reader, penalty, min_size)
+    parent, last_cost, n_pruned = step(reader, stop.penalty, min_size)
     path = _path_indices(parent, len(positions) - 1)
     ends = tuple(positions[i] for i in path)
     contrast = 0.0
@@ -498,8 +501,11 @@ def _add_greedily(reader, stop, moves, cost) -> DetectionResult:
 
     n_bkps takes that many moves, penalty stops at the first move scoring at
     or below it, budget takes moves while the total cost is above it; moves
-    running out first raise InfeasibleError or BudgetUnreachableError.  Only
-    the moves the rule pulls are evaluated.
+    running out first raise InfeasibleError or BudgetUnreachableError.  A
+    count above max_changes never gets here (_prepare refuses it), but one
+    within it can still run out: the picks so far can leave too little room
+    around them, as a binseg split at 5 does at T = 10 with min_size 3.
+    Only the moves the rule pulls are evaluated.
     """
     ends = [reader.fitted.n_samples]
     moves = moves(ends)
@@ -538,7 +544,8 @@ def binseg(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     splits are moves for _add_greedily: it stops after n_bkps splits, at the
     first best gain at or below the penalty, or once the total cost fits the
     budget, reading the current segments' costs from a dict filled from the
-    rows.  State is O(grid), and no segment is evaluated twice.
+    rows.  State is O(grid), and no segment is evaluated twice.  An n_bkps
+    above max_changes is refused before any cost is evaluated.
     """
     _, min_size, _, positions, reader = _prepare(fitted, config, stop)
     # left[i] = c(a, positions[i]) and right[i] = c(positions[i], b) over the
@@ -599,20 +606,17 @@ def bottomup(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> 
     budget rule a re-sum of the running totals from the merged end on.  A
     new span holds the removed end and a neighbour, where every segment
     evaluated before held at most one of them, so none is evaluated twice
-    and no memo is kept.
+    and no memo is kept.  The finest grid holds max_changes ends, which
+    _prepare returns after refusing a larger n_bkps before any cost is
+    evaluated.
     """
-    _, min_size, jump, positions, reader = _prepare(fitted, config, stop)
+    cfg, min_size, count, positions, reader = _prepare(fitted, config, stop)
     kind = stop.kind
     # the finest valid ends, the multiples of _step: every stride-th grid
     # index, between 0 and the terminal, so the internal end ends[i + 1] and
     # its neighbours are ends[i : i + 3]
-    stride = _step(min_size, jump) // jump
-    count = max_changes(fitted.n_samples, min_size, jump)
+    stride = _step(min_size, cfg.jump) // cfg.jump
     ends = [0, *range(1, 1 + count * stride, stride), len(positions) - 1]
-    if kind == "n_bkps" and stop.n_bkps > count:
-        raise InfeasibleError(
-            f"{stop.n_bkps} change points requested but the finest grid has {count}"
-        )
     # seg is 0.0 off the current ends, so np.cumsum(seg), which adds left to
     # right from seg[0] = 0.0, ends in _total of the current ends, bitwise
     seg, span = np.zeros(len(positions)), np.empty(len(positions))
@@ -669,7 +673,8 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     a window holds them.  After dynp on the same fitted cost and grid, a
     segment whose ends are both grid positions is read from its matrix.
     Requires config.window_width; raises WindowTooLargeError when it exceeds
-    the signal.
+    the signal.  An n_bkps above max_changes is refused after the width is
+    checked and before any cost is evaluated.
     """
     n_samples = fitted.n_samples
 
@@ -686,9 +691,9 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
         # named with the grid for one image; they lie off it unless jump divides half
         return (t + width // 2 for t in _grid(n_samples, width // 2, cfg.jump))
 
-    cfg, min_size, jump, _, reader = _prepare(fitted, config, stop, right_ends)
+    cfg, min_size, _, _, reader = _prepare(fitted, config, stop, right_ends)
     half = cfg.window_width // 2
-    grid = _grid(n_samples, half, jump)
+    grid = _grid(n_samples, half, cfg.jump)
     # windows[:, i] = c(t - half, t + half), c(t - half, t) and c(t, t + half)
     # for t = grid[i]; c(t - half, t) is the right half of the centre t - half
     # when that is on the grid, which it is only when jump divides half

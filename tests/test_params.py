@@ -200,10 +200,24 @@ def test_engines_refuse_a_config_that_is_not_a_search_config(engine, config):
     assert fitted.eval_counter == 0
 
 
-@pytest.mark.parametrize("stop", [None, 1, {"n_bkps": 1}], ids=repr)
-@pytest.mark.parametrize("engine", [binseg, bottomup, window], ids=lambda e: e.__name__)
-def test_greedy_engines_check_the_stopping_rule_before_the_config(engine, stop):
+def _bad_rules():
+    """(engine, a bad stopping argument, what the rule's BadParamError says):
+    the greedy engines take a StoppingRule, the others the one scalar they
+    wrap in one."""
+    for engine in (binseg, bottomup, window):
+        for stop in (None, 1, {"n_bkps": 1}):
+            yield engine, stop, "expected a StoppingRule"
+    for engine, name in ((dynp, "n_bkps"), (pelt, "penalty"), (solve_budget, "budget")):
+        for stop in (-1, "1", np.nan):
+            yield engine, stop, f"{name} must be "
+
+
+@pytest.mark.parametrize(
+    ("engine", "stop", "match"),
+    [pytest.param(*case, id=f"{case[0].__name__}-{case[1]!r}") for case in _bad_rules()],
+)
+def test_greedy_engines_check_the_stopping_rule_before_the_config(engine, stop, match):
     fitted = _fitted()
-    with pytest.raises(BadParamError, match="expected a StoppingRule"):
+    with pytest.raises(BadParamError, match=match):
         engine(fitted, stop, "SearchConfig")
     assert fitted.eval_counter == 0

@@ -13,6 +13,7 @@ from segscan import (
     bottomup,
     dynp,
     fit,
+    max_changes,
     sum_of_costs,
     validate_signal,
     window,
@@ -343,10 +344,14 @@ def test_split_engines_match_greedy_references(family):
                     assert result.contrast == oracle.total_cost(memo, expected), label
                     assert result.n_cost_evals == fitted.eval_counter - evals_before, label
                 # a fresh fit evaluates what the reference does; after dynp,
-                # only the segments with an end off dynp's grid
+                # only the segments with an end off dynp's grid.  A count
+                # above max_changes, as n // min_size always is, is refused
+                # before anything is evaluated
                 evals = len(memo.memo)
                 if fitted is warm:
                     evals = sum(1 for segment in memo.memo if not on_grid.issuperset(segment))
+                if stop.get("n_bkps", 0) > max_changes(n, min_size, config.jump):
+                    evals = 0
                 assert fitted.eval_counter - evals_before == evals, label
 
 

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from segscan import CostSpec, SearchConfig, dynp, fit, pelt, sum_of_costs, validate_signal
+from segscan import (
+    CostSpec,
+    SearchConfig,
+    StoppingRule,
+    dynp,
+    fit,
+    pelt,
+    sum_of_costs,
+    validate_signal,
+)
 from segscan.exceptions import BadParamError
 from segscan.search import _first_tuple, _path_indices, _prepare
 
@@ -158,7 +167,7 @@ def test_reader_row_reads_dynp_matrix_without_evaluating(family):
     fitted = fresh_fitted(data, **FAMILIES[family])
     dynp(fitted, 0, config)
     before = fitted.eval_counter
-    reader = _prepare(fitted, config)[4]
+    reader = _prepare(fitted, config, StoppingRule(penalty=0.0))[4]
     matrix = reader.state.matrix
     for end_idx in range(len(reader.positions)):
         for starts in (np.arange(end_idx), rng.permutation(end_idx)[: end_idx // 2], slice(end_idx)):
