@@ -52,6 +52,9 @@ six families use four layouts:
   depends on which image answers it.  Each row band of an image is one
   block of at most _BAND_ENTRIES entries, which glibc serves from its heap,
   so a later fit reuses an earlier fit's freed blocks (see KernelCost).
+  dynp's segment-cost matrix is packed the same way, every row kept: both
+  allocate through _band_blocks, and one guard, _check_dense, refuses
+  either above 20,000 rows.
 
 A fit holds only what it keeps and what it multiplies.  It subtracts the
 column medians (_medians) as it writes the signal into the buffers it keeps
@@ -124,13 +127,13 @@ AUTO_METRIC = "auto"
 
 _FAMILIES = ("l2", "normal", "linear", "ar", "kernel", "mahalanobis")
 _KERNELS = ("linear", "rbf")
-# the largest side of a dense float64 matrix (3.2 GB); see _check_dense
+# the largest side of a packed dense structure (about 1.6 GB); see _check_dense
 _DENSE_SIDE_LIMIT = 20_000
 _MEDIAN_PAIR_CAP = 10_000
 _MEDIAN_SEED = 12345
-# float64 entries in one row band of the rbf integral image, and so at most
-# in one block of it, or of the copy a dynp layer permutes (512 KiB); see
-# KernelCost
+# float64 entries in one row band of a packed triangle (_band_blocks), and
+# so at most in one block of the rbf integral image or of dynp's matrix, or
+# of the copy a dynp layer permutes (512 KiB); see KernelCost
 _BAND_ENTRIES = 1 << 16
 # the rbf image's row means are rounded to multiples of this; see KernelCost
 _CENTRING_UNIT = 2.0**-24
@@ -189,17 +192,17 @@ class CostSpec:
             object.__setattr__(self, "metric", metric)
 
 
-def _check_dense(side: int, what: str, entries=lambda side: side * side) -> None:
+def _check_dense(side: int, what: str) -> None:
     """The one guard on the dense float64 structures a side indexes (the rbf
     integral image and dynp's cost matrix): MemoryBudgetError, before anything
-    is allocated, for a side over 20,000.  entries(side) is the number of
-    float64 entries the structure allocates, side x side by default, so the
-    message names the bytes it would really take."""
+    is allocated, for a side over 20,000.  Both are packed lower triangles of
+    _image_entries(side) entries, so the message names the bytes the
+    structure would really take: about 1.6 GB at the limit."""
     if side > _DENSE_SIDE_LIMIT:
         raise MemoryBudgetError(
-            f"{what} needs {entries(side):,} float64 entries for a side of {side}, "
-            f"{8 * entries(side):,} bytes; the limit is {_DENSE_SIDE_LIMIT} per side, "
-            f"{8 * entries(_DENSE_SIDE_LIMIT):,} bytes"
+            f"{what} needs {_image_entries(side):,} float64 entries for a side of {side}, "
+            f"{8 * _image_entries(side):,} bytes; the limit is {_DENSE_SIDE_LIMIT} per side, "
+            f"{8 * _image_entries(_DENSE_SIDE_LIMIT):,} bytes"
         )
 
 
@@ -212,12 +215,37 @@ def _band_rows(n: int) -> int:
 
 
 def _image_entries(n: int) -> int:
-    """float64 entries of the full packed rbf integral image of n samples:
-    band b of the full ones holds step rows of (b + 1) * step entries, and
-    the last n % step rows hold n each."""
+    """float64 entries of a packed lower triangle with n rows, every row kept
+    (_band_blocks): the full rbf integral image of n samples, or dynp's
+    matrix over n positions.  Band b of the full ones holds step rows of
+    (b + 1) * step entries, and the last n % step rows hold n each."""
     step = _band_rows(n)
     full, rest = divmod(n, step)
     return step * step * full * (full + 1) // 2 + rest * n
+
+
+def _band_blocks(n: int, rows, fill=None):
+    """The one layout of a packed lower triangle of n rows, over the kept
+    rows (ascending, each in [0, n)): row r keeps columns 0..r, and the kept
+    rows of each band of _band_rows(n) rows form one block as wide as the
+    band's last kept row, its entries set to fill (left unset for None); a
+    band that keeps none gets an empty one.  Returns the bands (lo, hi),
+    each band's kept rows as offsets from lo, one rectangle per band, and
+    per kept row pieces, a memoryview of its band's block, and base, its
+    offset there: the r-th kept row's column i is pieces[r][base[r] + i]."""
+    step = _band_rows(n)
+    bands = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    # band k keeps rows[cuts[k]:cuts[k + 1]], at offsets chosen[k] from lo
+    cuts = np.searchsorted(rows, [lo for lo, _ in bands] + [n]).tolist()
+    chosen = [rows[k0:k1] - lo for (lo, _), k0, k1 in zip(bands, cuts, cuts[1:])]
+    rects, pieces, base = [], [], []
+    for (lo, _), sel in zip(bands, chosen):
+        width = lo + int(sel[-1]) + 1 if len(sel) else 1
+        block = np.empty(len(sel) * width) if fill is None else np.full(len(sel) * width, fill)
+        rects.append(block.reshape(len(sel), width))
+        pieces += [memoryview(block)] * len(sel)
+        base += range(0, block.size, width)
+    return bands, chosen, rects, pieces, base
 
 
 def median_heuristic(signal) -> float:
@@ -657,7 +685,7 @@ class KernelCost(FittedCost):
     def __init__(self, spec, signal):
         super().__init__(spec, signal, min_seg_len=1)
         n, d = signal.data.shape
-        _check_dense(n, "the rbf kernel's integral image", _image_entries)
+        _check_dense(n, "the rbf kernel's integral image")
         if spec.gamma == MEDIAN_HEURISTIC:
             # a single sample has no pair, and every cost is 0 whatever gamma is
             self.gamma = (
@@ -711,20 +739,7 @@ class KernelCost(FittedCost):
         left, right = self._left, self._right
         n = len(left)
         step = _band_rows(n)
-        rows = np.array(kept) - 1
-        bands = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-        # band k keeps rows[cuts[k]:cuts[k + 1]], at offsets chosen[k] from lo
-        cuts = np.searchsorted(rows, [lo for lo, _ in bands] + [n]).tolist()
-        chosen = [rows[k0:k1] - lo for (lo, _), k0, k1 in zip(bands, cuts, cuts[1:])]
-        # a band's kept rows form one block as wide as its last row; a band
-        # that keeps none gets an empty one
-        rects, pieces, base = [], [], []
-        for (lo, _), sel in zip(bands, chosen):
-            width = lo + int(sel[-1]) + 1 if len(sel) else 1
-            block = np.empty(len(sel) * width)
-            rects.append(block.reshape(len(sel), width))
-            pieces += [memoryview(block)] * len(sel)
-            base += range(0, block.size, width)
+        bands, chosen, rects, pieces, base = _band_blocks(n, np.array(kept) - 1)
         # a band of the sweep, and then a rectangle's centring
         scratch = np.empty(max((hi - lo) * hi for lo, hi in bands))
         carry = np.zeros(n)
@@ -749,7 +764,9 @@ class KernelCost(FittedCost):
                 above = row
             carry[:hi] = above
             if not whole:
-                np.take(band[:, : rect.shape[1]], sel, axis=0, out=rect)
+                # the indices are in range, and mode="clip" spares numpy's
+                # buffered copy of out that the default mode makes
+                np.take(band[:, : rect.shape[1]], sel, axis=0, out=rect, mode="clip")
         # L's row sums: the pairs left of the diagonal and, in R's last row,
         # the pairs below it
         sums += carry

@@ -32,12 +32,14 @@ and row(e, starts), the segments from many grid starts to one grid end
 evaluates: the call's n_cost_evals, which omits other threads' work.
 pelt's heap step alone calls fitted.cost itself and adds to that count.
 
-Only dynp and solve_budget keep a dense grid x grid segment-cost matrix,
-cached on the fitted cost per (min_size, jump) together with the dynp value
-table (values and integer backpointers per change count), which is extended
-under a lock instead of recomputed.  Once it exists, every reader on that
-grid reads from it, uncounted, every segment whose ends are both grid
-positions, and a row as one slice or gather of a matrix row.
+Only dynp and solve_budget keep a grid x grid segment-cost matrix, packed
+to its lower triangle in row-band blocks as the rbf integral image is
+(costs._band_blocks), cached on the fitted cost per (min_size, jump)
+together with the dynp value table (values and integer backpointers per
+change count), which is extended under a lock instead of recomputed.  Once
+it exists, every reader on that grid reads from it, uncounted, every
+segment whose ends are both grid positions: one cost as a float, and a row
+as one slice or gather of a view of the matrix row.
 The other engines hold O(grid) state and no memo: each evaluates a
 segment at most once per call, and repeating a call pays again.  binseg
 keeps two cost rows over the grid, sliced per unsplit segment, and a heap
@@ -56,12 +58,13 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DetectionResult, _checked_int, _checked_real, _total, validate_breakpoints
-from .costs import _band_rows, _check_dense
+from .costs import _band_blocks, _band_rows, _check_dense
 from .exceptions import (
     BadParamError,
     BudgetUnreachableError,
@@ -190,8 +193,9 @@ class _Reader:
     def cost(self, start: int, end: int) -> float:
         if self.state is not None:
             start_idx, end_idx = map(self.state.pos_index.get, (start, end))
-            if start_idx is not None and end_idx is not None:
-                return float(self.state.matrix[end_idx, start_idx])
+            # a start at or past its end is not in the triangle
+            if start_idx is not None and end_idx is not None and start < end:
+                return self.state.pieces[end_idx][self.state.base[end_idx] + start_idx]
         self.n_evals += 1
         return self.fitted.cost(start, end)
 
@@ -201,7 +205,7 @@ class _Reader:
         also be a slice; else evaluated through fitted.cost, with starts an
         index array."""
         if self.state is not None:
-            return self.state.matrix[end_idx, starts]
+            return self.state.row(end_idx)[starts]
         self.n_evals += len(starts)
         cost, positions = self.fitted.cost, self.positions
         return np.array([cost(positions[s], positions[end_idx]) for s in starts.tolist()])
@@ -221,16 +225,19 @@ def _result(reader, ends, contrast, n_pruned=0) -> DetectionResult:
 
 
 class _DynpState:
-    """Dense segment-cost matrix and value table of the dynamic program.
+    """The dynamic program's segment-cost matrix and value table.
 
-    matrix[e, s] is the cost of [positions[s], positions[e]), +inf where the
-    segment is shorter than min_size; one row per end, so a layer's argmin
-    runs along contiguous memory.  layers[k][i] is the best cost of
-    cutting [0, positions[i]) into k + 1 segments and back[k - 1][i] the grid
-    index of that cut's last internal end.  rank orders the newest layer's
-    end tuples lexicographically (equal tuples share a rank), so an exact tie
-    goes to the smallest (rank[s], s), which is the smallest end tuple.  All
-    are retained across calls so a repeat or a smaller k costs nothing, and
+    The matrix is the packed lower triangle of costs._band_blocks, the rbf
+    integral image's layout with every row kept: row e holds columns 0..e,
+    the cost of [positions[s], positions[e]) at column s, +inf where the
+    segment is shorter than min_size, and each band of rows is one block as
+    wide as its last row, read through rects, or pieces and base for one
+    entry.  layers[k][i] is the best cost of cutting [0, positions[i]) into
+    k + 1 segments and back[k - 1][i] the grid index of that cut's last
+    internal end.  rank orders the newest layer's end tuples
+    lexicographically (equal tuples share a rank), so an exact tie goes to
+    the smallest (rank[s], s), which is the smallest end tuple.  All are
+    retained across calls so a repeat or a smaller k costs nothing, and
     readers read the matrix through pos_index.  The fill is row by row,
     through the filling call's reader."""
 
@@ -240,49 +247,62 @@ class _DynpState:
         _check_dense(count, "dynp's cost matrix (a larger jump thins the grid)")
         self.positions = positions
         self.pos_index = {pos: i for i, pos in enumerate(positions)}
-        self.matrix = np.full((count, count), np.inf)
+        self.index = np.arange(count)
+        self.step = _band_rows(count)
+        self.bands, _, self.rects, self.pieces, self.base = _band_blocks(count, self.index, np.inf)
         for end_idx, end in enumerate(positions):
             hi = bisect.bisect_right(positions, end - min_size)
-            self.matrix[end_idx, :hi] = reader.row(end_idx, np.arange(hi))
+            self.row(end_idx)[:hi] = reader.row(end_idx, self.index[:hi])
         # 0.0 + cost, as a left-to-right sum starts, so layer values are
         # bitwise the contrast of their end tuples
-        self.layers = [0.0 + self.matrix[:, 0]]
+        self.layers = [0.0 + np.concatenate([rect[:, 0] for rect in self.rects])]
         self.back: list[np.ndarray] = []
-        self.rank = np.zeros(count, dtype=np.int64)
+        self.rank = np.zeros(count, dtype=np.intp)
+
+    def row(self, end_idx: int) -> np.ndarray:
+        """The matrix's row end_idx, columns 0..end_idx and maybe more +inf, as
+        a view."""
+        return self.rects[end_idx // self.step][end_idx % self.step]
 
     def _extend_to(self, n_layers: int) -> None:
-        count = len(self.positions)
-        index = np.arange(count)
-        step = _band_rows(count)
+        index = self.index
         while len(self.layers) <= n_layers:
+            # the permuted copy of one block, reused by every block: a fresh
+            # copy per block can cost a fresh mapping and its page faults
+            scratch = np.empty(max(rect.size for rect in self.rects))
             # starts in tie-break order; argmin keeps the first minimum
             order = np.lexsort((index, self.rank))
-            before = self.layers[-1][order]
-            pick = np.empty(count, dtype=np.intp)
-            layer = np.empty(count)
-            # the permuted copy is taken one row band at a time, so it stays
-            # band-sized instead of a second matrix
-            for lo in range(0, count, step):
-                hi = min(count, lo + step)
-                cand = self.matrix[lo:hi].take(order, axis=1)
-                cand += before
-                pick[lo:hi] = cand.argmin(axis=1)
-                layer[lo:hi] = cand[index[: hi - lo], pick[lo:hi]]
+            place = np.empty_like(order)
+            place[order] = index
+            prev = self.layers[-1]
+            layer, back = np.empty(len(index)), np.empty_like(order)
+            # block by block, the block's columns in that order: its rows are
+            # +inf from column hi on, so a finite row keeps its first minimum.
+            # The indices are in range, and mode="clip" spares numpy's
+            # buffered copy of out that the default mode makes
+            for (lo, hi), rect in zip(self.bands, self.rects):
+                cols = order[order < hi] if hi < len(index) else order
+                cand = scratch[: rect.size].reshape(rect.shape)
+                np.take(rect, cols, axis=1, out=cand, mode="clip")
+                cand += prev[cols]
+                pick = cand.argmin(axis=1)
+                layer[lo:hi] = cand[index[: hi - lo], pick]
+                back[lo:hi] = cols[pick]
             self.layers.append(layer)
-            self.back.append(order[pick])
+            self.back.append(back)
             # a cell's tuple is its start's tuple plus that start, and the
             # starts are sorted by exactly that, so the start's place ranks it
-            self.rank = pick
+            self.rank = place[back]
 
     def solve(self, n_bkps: int) -> tuple[tuple[int, ...], float]:
         self._extend_to(n_bkps)
         idx = len(self.positions) - 1
         contrast = float(self.layers[n_bkps][idx])
-        if not np.isfinite(contrast):
+        if not math.isfinite(contrast):
             raise InfeasibleError(f"no valid segmentation with {n_bkps} change points")
         ends = [self.positions[idx]]
         for back in reversed(self.back[:n_bkps]):
-            idx = back[idx]
+            idx = int(back[idx])
             ends.append(self.positions[idx])
         return tuple(ends[::-1]), contrast
 
@@ -290,17 +310,18 @@ class _DynpState:
 def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionResult:
     """Exact minimum-cost segmentation with a fixed number of change points.
 
-    Solves the full dynamic program over the admissible grid from a dense
-    grid x grid cost matrix, one numpy pass per change count, then follows
-    integer backpointers.  Matrix and value table are cached on the fitted
-    cost, so asking again (or for fewer change points) evaluates no new
-    segment costs, and the other engines read the same matrix.  Ties go to
-    the lexicographically smallest end sequence, kept as a per-layer rank.
-    The whole solve holds the fitted cost's state lock.  n_bkps is an
-    integer >= 0, else BadParamError.  Raises InfeasibleError from _prepare,
-    before any cost is evaluated, when n_bkps exceeds max_changes, and
-    MemoryBudgetError, before allocating, from the one dense-matrix guard
-    (costs._check_dense) when the grid has more than 20,000 positions.
+    Solves the full dynamic program over the admissible grid from the grid
+    x grid cost matrix, packed to its lower triangle, one numpy pass over
+    the triangle per change count, then follows integer backpointers.
+    Matrix and value table are cached on the fitted cost, so asking again
+    (or for fewer change points) evaluates no new segment costs, and the
+    other engines read the same matrix.  Ties go to the lexicographically
+    smallest end sequence, kept as a per-layer rank.  The whole solve holds
+    the fitted cost's state lock.  n_bkps is an integer >= 0, else
+    BadParamError.  Raises InfeasibleError from _prepare, before any cost is
+    evaluated, when n_bkps exceeds max_changes, and MemoryBudgetError,
+    before allocating, from the one dense-matrix guard (costs._check_dense)
+    when the grid has more than 20,000 positions.
     """
     stop = StoppingRule(n_bkps=n_bkps)
     _, min_size, _, _, reader = _prepare(fitted, config, stop)

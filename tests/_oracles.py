@@ -419,6 +419,45 @@ def best_fixed_k(cost_fn, n_samples, n_bkps, min_size=1, jump=1):
     return best_ends, best_value
 
 
+def dense_dynp(cost_fn, positions, min_size, n_layers):
+    """dynp's table over the grid positions, kept dense: a full count x count
+    segment-cost matrix, +inf wherever a segment is shorter than min_size or
+    empty, and one whole-matrix pass per change count.  A pass sorts the
+    starts by (rank, index), adds the last layer to every row in that
+    order, and keeps each row's first minimum, so an exact tie goes to the
+    smallest end tuple; a cell's rank is its start's place in that order.
+    Returns the matrix, the n_layers + 1 layers, and per layer after the
+    first its backpointers and ranks."""
+    count = len(positions)
+    matrix = np.full((count, count), np.inf)
+    for e, end in enumerate(positions):
+        for s, start in enumerate(positions[:e]):
+            if end - start >= min_size:
+                matrix[e, s] = cost_fn(start, end)
+    index = np.arange(count)
+    layers, backs, ranks = [0.0 + matrix[:, 0]], [], []
+    rank = np.zeros(count, dtype=np.intp)
+    for _ in range(n_layers):
+        order = np.lexsort((index, rank))
+        cand = matrix[:, order] + layers[-1][order]
+        rank = cand.argmin(axis=1)
+        layers.append(cand[index, rank])
+        backs.append(order[rank])
+        ranks.append(rank)
+    return matrix, layers, backs, ranks
+
+
+def dense_dynp_ends(positions, backs, n_bkps):
+    """The end tuple of n_bkps change points that dense_dynp's backpointers
+    give for the last position."""
+    idx = len(positions) - 1
+    ends = [positions[idx]]
+    for back in reversed(backs[:n_bkps]):
+        idx = int(back[idx])
+        ends.append(positions[idx])
+    return tuple(ends[::-1])
+
+
 def best_penalized(cost_fn, n_samples, penalty, min_size=1, jump=1):
     """Exhaustive minimum of total cost plus a penalty per segment.
 

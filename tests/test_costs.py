@@ -706,7 +706,7 @@ def test_packed_rbf_image_matches_square_image_bitwise(n_samples):
 
 def test_dense_guard_names_the_bytes_it_would_allocate():
     """The refusal reports the structure's own size: the packed rbf image
-    takes about half of a side x side matrix, dynp's matrix all of it."""
+    and dynp's packed matrix each take about half of a side x side matrix."""
     side = 20_001
     step = costs._BAND_ENTRIES // side
     packed = sum((min(side, lo + step) - lo) * (side - lo) for lo in range(0, side, step))
@@ -717,7 +717,8 @@ def test_dense_guard_names_the_bytes_it_would_allocate():
     assert 8 * packed < 0.51 * 8 * side**2
     with pytest.raises(MemoryBudgetError) as refused:
         dynp(fit(CostSpec("l2"), validate_signal(np.zeros(side - 1))), 1)
-    assert f"{8 * side**2:,} bytes;" in str(refused.value)
+    assert f"{packed:,} float64 entries" in str(refused.value)
+    assert f"{8 * packed:,} bytes;" in str(refused.value)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""Exact search: dynp against exhaustive enumeration, plus the caching and
-tie-breaking contracts."""
+"""Exact search: dynp against exhaustive enumeration and a dense reference
+of its table, plus the caching and tie-breaking contracts."""
 
 import sys
 import threading
@@ -11,6 +11,8 @@ import _oracles as oracle
 from segscan import (
     CostSpec,
     SearchConfig,
+    StoppingRule,
+    costs,
     dynp,
     fit,
     max_changes,
@@ -20,6 +22,16 @@ from segscan import (
 )
 from segscan.generators import GenSpec, pw_constant
 from segscan.exceptions import BadParamError, BudgetUnreachableError, InfeasibleError
+from segscan.search import _prepare
+
+FAMILIES = {
+    "l2": dict(family="l2"),
+    "normal": dict(family="normal"),
+    "linear": dict(family="linear"),
+    "ar": dict(family="ar", order=1),
+    "kernel": dict(family="kernel", kernel="rbf", gamma=1.0),
+    "mahalanobis": dict(family="mahalanobis"),
+}
 
 
 def fresh_fitted(data, family="l2", **kw):
@@ -136,6 +148,65 @@ def test_dynp_refuses_an_impossible_count_before_the_fill():
     fill = sum(1 for a in positions for b in positions if b - a >= 5)
     assert fill == 41_624
     assert result.n_cost_evals == fill
+
+
+def check_against_dense(spec, data, config, n_layers=None):
+    """dynp's packed state on a fit of data against oracle.dense_dynp over a
+    second fit's cost(): every matrix entry, read as a row view and as one
+    reader.cost, and every layer bitwise; backpointers and ranks on every
+    finite cell; the ends and contrast bits of every K up to n_layers,
+    max_changes by default."""
+    fitted, other = fit(spec, data), fit(spec, data)
+    dynp(fitted, 0, config)
+    _, min_size, most, positions, reader = _prepare(fitted, config, StoppingRule(n_bkps=0))
+    state = reader.state
+    n_layers = most if n_layers is None else n_layers
+    matrix, layers, backs, ranks = oracle.dense_dynp(other.cost, positions, min_size, n_layers)
+    for e, end in enumerate(positions):
+        assert state.row(e)[: e + 1].tobytes() == matrix[e, : e + 1].tobytes(), e
+        for s, start in enumerate(positions[:e]):
+            assert reader.cost(start, end).hex() == matrix[e, s].hex(), (s, e)
+    assert reader.n_evals == 0
+    for k in range(n_layers + 1):
+        result = dynp(fitted, k, config)
+        assert result.bkps.ends == oracle.dense_dynp_ends(positions, backs, k), k
+        assert result.contrast.hex() == layers[k][-1].hex(), k
+        assert state.layers[k].tobytes() == layers[k].tobytes(), k
+        if k:
+            finite = np.isfinite(layers[k])
+            assert np.array_equal(state.back[k - 1][finite], backs[k - 1][finite]), k
+            assert np.array_equal(state.rank[finite], ranks[k - 1][finite]), k
+
+
+@pytest.mark.parametrize("band_entries", [None, 40], ids=["shipped-bands", "many-bands"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_packed_dynp_state_matches_a_dense_reference(family, band_entries, monkeypatch):
+    """Tie-heavy signals of 8 to 30 samples, min_size 1 to 3 and jump 1 or
+    2, every K up to max_changes: random 0/1 and small-integer samples, and
+    a short 0/1 block repeated, whose exact ties the tie-break order settles
+    most often.  The shipped bands hold such a grid in one block; at 40
+    entries a band it spans several, so each layer reads only a band's
+    columns in the tie-break order."""
+    if band_entries is not None:
+        monkeypatch.setattr(costs, "_BAND_ENTRIES", band_entries)
+    rng = np.random.default_rng(110)
+    for trial in range(30):
+        n, dims = int(rng.integers(8, 31)), int(rng.integers(1, 3))
+        if trial % 3 == 2:
+            block = rng.integers(0, 2, size=(int(rng.integers(2, 6)), dims))
+            data = np.tile(block, (n, 1))[:n].astype(float)
+        else:
+            data = rng.integers(0, 2 if trial % 3 else 5, size=(n, dims)).astype(float)
+        config = SearchConfig(min_size=int(rng.integers(1, 4)), jump=int(rng.integers(1, 3)))
+        check_against_dense(CostSpec(**FAMILIES[family]), validate_signal(data), config)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_packed_dynp_state_matches_a_dense_reference_across_shipped_bands(family):
+    """A 0/1 signal of 300 samples makes a grid of about 300 positions,
+    two of the shipped bands, the second one partial; ten layers."""
+    data = np.random.default_rng(111).integers(0, 2, size=(300, 1)).astype(float)
+    check_against_dense(CostSpec(**FAMILIES[family]), validate_signal(data), SearchConfig(), 10)
 
 
 def test_dynp_caches_across_calls():

@@ -277,6 +277,22 @@ def test_dynp_layer_keeps_one_matrix_sized_temporary():
     assert peak < 0.6 * matrix_bytes, f"{peak} bytes at peak for a {matrix_bytes}-byte matrix"
 
 
+def test_dynp_fill_keeps_about_half_a_dense_matrix():
+    """dynp's matrix is packed to its lower triangle in row-band blocks, 0.52
+    of a dense count x count float64 matrix on a 1,200-position grid, so
+    filling it peaks under 0.55 of one with the grid's lists and one row's
+    temporaries (a dense matrix alone is 1.0)."""
+    fitted = fit(CostSpec("l2"), np.random.default_rng(9).normal(size=1199))
+    tracemalloc.start()
+    try:
+        dynp(fitted, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense_bytes = 8 * 1200**2
+    assert peak <= 0.55 * dense_bytes, f"{peak} bytes at peak; a dense matrix is {dense_bytes}"
+
+
 def check_grid_sized_state(engine, config=None):
     """One greedy engine call with 100 change points on an l2 signal of
     BOTTOMUP_STATE_T samples: its tracemalloc peak stays under

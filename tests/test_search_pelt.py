@@ -157,22 +157,26 @@ def test_pelt_over_dynp_matrix_matches_the_recursion_on_tie_heavy_signals(family
 
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_reader_row_reads_dynp_matrix_without_evaluating(family):
-    """After dynp on a grid, a fresh reader's row is the matrix's row at the
-    same starts, bit for bit, for index arrays and the prefix slices pelt
-    reads, and it evaluates nothing: neither the reader's n_evals nor the
-    fit's eval_counter moves."""
+    """After dynp on a grid, a fresh reader's row holds a second fresh fit's
+    cost() at every start min_size or more before the end, bit for bit, and
+    +inf at every start closer to it, for index arrays and the prefix
+    slices pelt reads, and it evaluates nothing: neither the reader's
+    n_evals nor the fit's eval_counter moves."""
     rng = np.random.default_rng(209)
     data = rng.normal(size=(40, 2)) + np.repeat(rng.normal(scale=2.0, size=(2, 2)), 20, axis=0)
     config = SearchConfig(min_size=2, jump=2)
     fitted = fresh_fitted(data, **FAMILIES[family])
+    other = fresh_fitted(data, **FAMILIES[family])
     dynp(fitted, 0, config)
     before = fitted.eval_counter
-    reader = _prepare(fitted, config, StoppingRule(penalty=0.0))[4]
-    matrix = reader.state.matrix
-    for end_idx in range(len(reader.positions)):
+    _, min_size, _, positions, reader = _prepare(fitted, config, StoppingRule(penalty=0.0))
+    for end_idx, end in enumerate(positions):
+        expected = np.array(
+            [other.cost(start, end) if end - start >= min_size else np.inf for start in positions[:end_idx]]
+        )
         for starts in (np.arange(end_idx), rng.permutation(end_idx)[: end_idx // 2], slice(end_idx)):
             row = reader.row(end_idx, starts)
-            assert row.tobytes() == matrix[end_idx, starts].tobytes(), (end_idx, starts)
+            assert row.tobytes() == expected[starts].tobytes(), (end_idx, starts)
     assert (reader.n_evals, fitted.eval_counter) == (0, before)
 
 
