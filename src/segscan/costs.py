@@ -49,7 +49,10 @@ six families use four layouts:
   image lacks, named later or read by a cost() call, has the full image
   built, one row per sample, so a fit sweeps its Gram matrix at most twice.
   Every image holds the same bits for the same entry, so a cost never
-  depends on which image answers it.  Each row band of an image is one
+  depends on which image answers it: the full image adds its Gram rows
+  down each column one row at a time, and an image over chosen ends makes
+  the same additions in the same order with one np.add.reduce per kept row,
+  written straight into that row.  Each row band of an image is one
   block of at most _BAND_ENTRIES entries, which glibc serves from its heap,
   so a later fit reuses an earlier fit's freed blocks (see KernelCost).
   dynp's segment-cost matrix is packed the same way, every row kept: both
@@ -645,29 +648,36 @@ class KernelCost(FittedCost):
     or read by a cost() call, has the full image built, every row, so a fit
     sweeps at most twice however many sets of ends it is asked for.  One
     builder serves any set of ends.  It sweeps row bands of L's lower
-    triangle (one matrix product and one exp per band), adds each row of a
-    band onto the one above it with one np.add across all its columns,
-    which gives R, and keeps the rows of the ends.  Once the sweep has the row means, it
-    subtracts the centring of C, one exact matrix product per band, and
-    takes the prefix sums P along each kept row.  The sweep's products have
-    the same shapes whichever ends are kept, and every other step is exact
-    or elementwise or runs along one row, so each entry of P has the same
-    bits in every image that holds it: cost(s, e) is a function of the fit
-    and the segment alone, whichever image answers it.  Building takes
-    _image_lock, never the search state's lock, which dynp holds while it
-    fills its matrix through cost().
+    triangle (one matrix product and one exp per band) and sums them down
+    each column, which gives R.  A band whose rows are all kept adds each
+    row onto the one above it in place, one np.add per row.  Any other band
+    sits in a scratch buffer under one running row of sums, which starts as
+    the previous band's last row: each kept row is one axis-0
+    np.add.reduce over the rows from the running row through its own,
+    written straight into its row of the image and back as the running row,
+    and one more reduction carries the band's last row on.  numpy adds such
+    a block row by row, in order, so both ways make the same additions.
+    Once the sweep has the row means, it subtracts the centring of C, one
+    exact matrix product per band, and takes the prefix sums P along each
+    kept row.  The sweep's products have the same shapes whichever ends are
+    kept, R takes the same additions in the same order, and every other
+    step is exact or elementwise or runs along one row, so each entry of P
+    has the same bits in every image that holds it: cost(s, e) is a
+    function of the fit and the segment alone, whichever image answers it.
+    Building takes _image_lock, never the search state's lock, which dynp
+    holds while it fills its matrix through cost().
 
     The image is packed by row bands: the kept rows of one band of the sweep
     form one contiguous rectangle as wide as its last row, so the full image
     takes about n^2 / 2 + n * step / 2 entries (step rows per band) instead
     of n^2, and every page of it is written: an n x n buffer with only one
     triangle written still becomes resident almost whole once numpy advises
-    huge pages.  A band whose rows are all kept is swept in place; the kept
-    rows of any other are copied out of a scratch band.  Each rectangle is
-    a block of its own, of at most _BAND_ENTRIES entries (512 KiB): row r's
-    entries sit at pieces[r][base[r] + i], pieces holding per row a
-    memoryview of its band's block, shared by the band's rows, and base the
-    row's offset in it.  The reason is glibc's malloc: a block above its
+    huge pages.  A band whose rows are all kept is swept in place; any
+    other is swept in the scratch buffer, which only its kept rows leave.
+    Each rectangle is a block of its own, of at most _BAND_ENTRIES entries
+    (512 KiB): row r's entries sit at pieces[r][base[r] + i], pieces
+    holding per row a memoryview of its band's block, shared by the band's
+    rows, and base the row's offset in it.  The reason is glibc's malloc: a block above its
     dynamic mmap threshold gets a fresh mapping, and freeing one raises that
     threshold to the block's size, after which blocks up to that size come
     from the heap and reuse the freed ones.  So once the first mapped block
@@ -740,15 +750,17 @@ class KernelCost(FittedCost):
         n = len(left)
         step = _band_rows(n)
         bands, chosen, rects, pieces, base = _band_blocks(n, np.array(kept) - 1)
-        # a band of the sweep, and then a rectangle's centring
-        scratch = np.empty(max((hi - lo) * hi for lo, hi in bands))
+        # a band of the sweep under its running row, and then a rectangle's
+        # centring
+        scratch = np.empty(max((hi - lo + 1) * hi for lo, hi in bands))
         carry = np.zeros(n)
         upper = ~np.tri(step, k=-1, dtype=bool)
         ones = np.ones(n)
         sums = np.empty(n)
         for (lo, hi), sel, rect in zip(bands, chosen, rects):
             whole = len(sel) == hi - lo
-            band = rect if whole else scratch[: (hi - lo) * hi].reshape(hi - lo, hi)
+            running = scratch[: (hi - lo + 1) * hi].reshape(hi - lo + 1, hi)
+            band = rect if whole else running[1:]
             np.matmul(left[lo:hi], right[:, :hi], out=band)
             # the product can round above 0 for nearly equal samples
             np.minimum(band, 0.0, out=band)
@@ -756,17 +768,30 @@ class KernelCost(FittedCost):
             band -= 1.0
             band[:, lo:][upper[: hi - lo, : hi - lo]] = 0.0
             np.matmul(band, ones[:hi], out=sums[lo:hi])
-            above = carry
-            # row j adds only its columns a < j: the rest stay 0
-            for j, row in enumerate(band, lo):
-                part = row[:j]
-                np.add(part, above[:j], out=part)
-                above = row
-            carry[:hi] = above
-            if not whole:
-                # the indices are in range, and mode="clip" spares numpy's
-                # buffered copy of out that the default mode makes
-                np.take(band[:, : rect.shape[1]], sel, axis=0, out=rect, mode="clip")
+            if whole:
+                above = carry
+                # row j adds only its columns a < j: the rest stay 0
+                for j, row in enumerate(band, lo):
+                    part = row[:j]
+                    np.add(part, above[:j], out=part)
+                    above = row
+                carry[:hi] = above
+            else:
+                # the band's rows sit under a running row of R, first the
+                # last band's last row.  Each kept row sums the rows from the
+                # running one through its own, and becomes the running row.
+                # numpy reduces axis 0 of a block at least 2 columns wide row
+                # by row, in order, so R gets the additions of the loop
+                # above, bit for bit; a 1-column block would be summed
+                # pairwise from 8 rows on, and the only one here is end 1's
+                # in band 0, over 2 rows
+                running[0] = carry[:hi]
+                width, top = rect.shape[1], 0
+                for k, row in zip(sel.tolist(), rect):
+                    np.add.reduce(running[top : k + 2, :width], axis=0, out=row)
+                    running[k + 1, :width] = row
+                    top = k + 1
+                np.add.reduce(running[top:], axis=0, out=carry[:hi])
         # L's row sums: the pairs left of the diagonal and, in R's last row,
         # the pairs below it
         sums += carry

@@ -9,7 +9,8 @@ equals a fresh fit's value bit for bit, whether an engine or cost() ran
 first, and every engine answers the same either way.  The grids cover one
 band and a partial one (255 to 257 samples), many bands (1000 and 2931), a
 grid with every end (jump 1), every end but two (min_size 2), and coarse
-grids.
+grids: at jump 50 most of 2931 samples' bands of 22 rows keep no row, and
+at jump 22 kept rows fall on bands' first and last rows.
 """
 
 import numpy as np
@@ -29,11 +30,11 @@ from segscan import (
     validate_breakpoints,
     window,
 )
-from segscan.costs import KernelCost
+from segscan.costs import KernelCost, _band_rows
 from segscan.exceptions import SegscanError
 
 SIZES = [1, 2, 3, 255, 256, 257, 1000, 2931]
-GRIDS = [(1, 1), (2, 1), (1, 3), (5, 3), (1, 10)]
+GRIDS = [(1, 1), (2, 1), (1, 3), (5, 3), (1, 10), (1, 22), (1, 50)]
 # dynp's matrix takes one cost per pair of grid ends: it runs on the grids
 # of at most this many ends
 DYNP_ENDS = 400
@@ -143,6 +144,65 @@ def test_rbf_engine_grids_build_no_full_image():
     assert len(fitted._image[1]) == rows
     fitted.cost(5, 17)
     assert len(fitted._image[1]) == n_samples
+
+
+def image_rows(image, ends):
+    """Row j = e - 1 of an image built by KernelCost._build, columns 0..j,
+    per end e, as int64 bit patterns."""
+    slot, pieces, base, _ = image
+    rows = {}
+    for end in ends:
+        at = base[slot[end]]
+        rows[end] = np.frombuffer(pieces[slot[end]], dtype=np.int64)[at : at + end].copy()
+    return rows
+
+
+@pytest.mark.parametrize("n_samples", [255, 1000, 2931])
+def test_grid_image_rows_equal_the_full_image(n_samples):
+    """_build over any ascending subset of ends holds each kept row with
+    the full image's bits: dense and sparse random subsets, single rows
+    (end 1's, whose running sums are one column wide, and the last), both
+    edges of one band, bands that keep their first and last rows only, and
+    every end but one, so whole bands sit beside partial ones."""
+    fitted = fit(CostSpec(family="kernel", kernel="rbf"), rbf_signal(n_samples))
+    full = fitted._build(range(1, n_samples + 1))
+    step = _band_rows(n_samples)
+    rng = np.random.default_rng(n_samples)
+    subsets = [[1], [2], [n_samples], [step], [step + 1], [step, step + 1, 2 * step]]
+    # the first and last rows (ends lo + 1 and lo + step) of one band, and of every band
+    middle = step * (n_samples // step // 2)
+    subsets.append([middle + 1, middle + step])
+    subsets.append([end for lo in range(0, n_samples, step) for end in (lo + 1, lo + step)])
+    subsets.append([end for end in range(1, n_samples + 1) if end != n_samples // 2])
+    for share in (0.01, 0.1, 0.5, 0.9):
+        mask = rng.random(n_samples) < share
+        subsets.append((np.flatnonzero(mask) + 1).tolist() or [n_samples])
+    expected = image_rows(full, range(1, n_samples + 1))
+    for kept in subsets:
+        kept = sorted({min(end, n_samples) for end in kept})
+        image = fitted._build(kept)
+        assert image[3] == full[3]
+        found = image_rows(image, kept)
+        assert all(np.array_equal(found[end], expected[end]) for end in kept), kept[:5]
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 300])
+def test_numpy_reduces_axis_0_row_by_row(width):
+    """KernelCost._build sums a grid image's running rows with one axis-0
+    np.add.reduce per kept row and relies on numpy adding the rows one after
+    another, in order, as the in-place loop of a whole band does, for any
+    block at least 2 columns wide: C-contiguous, or a column slice of a
+    wider one, written into a row of another array."""
+    rng = np.random.default_rng(width)
+    wider = rng.normal(size=(40, width + 5)) * 10.0 ** rng.integers(-8, 8, size=(40, width + 5))
+    for n_rows in (2, 3, 8, 9, 40):
+        for block in (np.ascontiguousarray(wider[:n_rows, :width]), wider[:n_rows, :width]):
+            looped = block[0].copy()
+            for row in block[1:]:
+                np.add(looped, row, out=looped)
+            out = np.empty((2, width))
+            np.add.reduce(block, axis=0, out=out[1])
+            assert out[1].tobytes() == looped.tobytes(), (n_rows, block.flags.c_contiguous)
 
 
 @pytest.mark.parametrize("jump", [1, 3, 10])

@@ -1,4 +1,5 @@
-"""The pure parts of tools/pairs.py, on canned run.py output: no second
+"""The pure parts of tools/pairs.py, on canned run.py output, and of
+tools/differential.py, on this tree against itself in process: no second
 checkout and no benchmark run."""
 
 import importlib.util
@@ -80,6 +81,29 @@ def test_summary_adds_the_unscaled_wall_when_every_run_reports_it():
     assert "raw_wall_s" not in by_metric(pairs.summarize(base, head[:1] + canned([1.0]), SPEC))
 
 
+def test_summary_adds_the_probe_scale_when_every_run_reports_both_walls():
+    def with_walls(scaled, raw):
+        info = {"walls_s": scaled, "walls_raw_s": raw}
+        return pairs.parse_run(json.dumps(info) + "\n" + run_line())
+
+    # medians: scaled 1.2 over raw 1.0, scaled 1.5 over raw 1.25, and so on
+    base = [with_walls([1.2, 1.1, 1.3], [1.0, 0.9, 1.1]), with_walls([1.5], [1.25])]
+    head = [with_walls([1.4], [1.0]), with_walls([1.1, 1.2], [1.0, 1.0])]
+    rows = by_metric(pairs.summarize(base, head, SPEC))
+    row = rows["probe_scale"]
+    assert row["base"]["values"] == pytest.approx([1.2, 1.2])
+    assert row["head"]["values"] == pytest.approx([1.4, 1.15])
+    assert (row["unit"], row["bound"], row["beyond_bound"]) == ("ratio", None, False)
+    # a lower scale wins: the head's is higher in the first pair only
+    assert row["head_wins"] == 1
+    assert [r["metric"] for r in pairs.summarize(base, head, SPEC)][-2:] == ["raw_wall_s", "probe_scale"]
+    assert "probe_scale" in pairs.format_rows([row])
+    # raw walls alone give the raw row but no scale
+    raw_only = pairs.parse_run(json.dumps({"walls_raw_s": [1.0]}) + "\n" + run_line())
+    assert "probe_scale" not in raw_only["metrics"]
+    assert "probe_scale" not in by_metric(pairs.summarize(base, [raw_only, raw_only], SPEC))
+
+
 def test_summary_refuses_a_run_that_is_not_correct():
     with pytest.raises(ValueError, match="head run of pair 2 is not correct"):
         pairs.summarize(canned([1.0, 1.0]), canned([1.0]) + canned([1.0], correct=False), SPEC)
@@ -102,3 +126,39 @@ def test_record_keeps_each_workload_and_both_sides(tmp_path):
     assert entry["verdicts"]["query_ms.p50"]["head_wins"] == 2
     assert set(entry["head"]) == {"commit", "dirty", "metrics"}
     assert "q1" in pairs.format_rows(rows).splitlines()[0]
+
+
+_dspec = importlib.util.spec_from_file_location("differential", ROOT / "tools" / "differential.py")
+differential = importlib.util.module_from_spec(_dspec)
+_dspec.loader.exec_module(differential)
+
+
+def test_differential_runs_the_tree_against_itself():
+    """The differential's cases through this tree twice, in process: every
+    engine, every rule kind and both modes run, and the two record lists
+    match in answers and counts."""
+    cases = differential.cases_for([1], 12)
+    assert [case["mode"] for case in cases].count("long") == 1
+    first = differential.run_cases(cases)
+    assert differential.compare(first, differential.run_cases(cases)) == ([], [])
+    engines = {record["key"].rsplit("/", 1)[1] for record in first}
+    assert engines == {"dynp", "pelt", "solve_budget", "binseg", "bottomup", "window"}
+    kinds = {record["key"].split("/")[4].split(":")[1] for record in first if "/fit" not in record["key"]}
+    assert kinds == {"n_bkps", "penalty", "budget"}
+    assert any(r["error"] for r in first) and any(r["contrast"] for r in first)
+    assert any(r["key"].startswith("long/") and r["contrast"] for r in first)
+
+
+def test_differential_separates_answer_mismatches_from_count_changes():
+    base = differential.run_cases(differential.generate("small", 2, 2))
+    head = [dict(record) for record in base]
+    answered = [r for r in head if r["contrast"]]
+    answered[0]["contrast"] = (float.fromhex(answered[0]["contrast"]) + 1.0).hex()
+    answered[1]["n_cost_evals"] += 1
+    answered[2]["eval_delta"] += 1
+    mismatches, changes = differential.compare(base, head)
+    assert len(mismatches) == 1 and mismatches[0].startswith(answered[0]["key"] + ": contrast")
+    assert len(changes) == 2
+    assert changes[0].startswith(answered[1]["key"] + ": n_cost_evals")
+    assert changes[1].startswith(answered[2]["key"] + ": eval_delta")
+    assert differential.compare(base, head[1:]) == (["the two trees ran different calls"], [])

@@ -11,8 +11,11 @@ direction and ``bound`` are read there, not restated here) it prints both
 sides' medians and quartiles, how many pairs the head wins, whether the
 gap between the medians exceeds the base's quartile spread, and whether
 the head is worse than the base by more than the metric's bound, read as a
-fraction of the base's median.  A last row, raw_wall_s, compares the
-unscaled batch walls, which run.py prints on the line before its result.
+fraction of the base's median.  Two last rows, with no bound, read the line
+run.py prints before its result: raw_wall_s compares the unscaled batch
+walls, and probe_scale the speed probe's scale, the median scaled batch wall
+over the median unscaled one, per run, so a claim on a scaled time shows
+how much of it the probe's reading moved.
 
 Run from the repository root:
 
@@ -42,16 +45,21 @@ def load_spec(checkout: Path) -> dict:
 
 
 def parse_run(stdout: str) -> dict:
-    """The result object of one run.py run, its last stdout line, with one
-    more metric, raw_wall_s, the median of the unscaled batch walls that the
-    line before it holds, when it holds them."""
+    """The result object of one run.py run, its last stdout line, with up to
+    two more metrics from the line before it: raw_wall_s, the median of the
+    unscaled batch walls, when it holds them, and probe_scale, the median
+    scaled batch wall over raw_wall_s, when it holds both."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("run.py printed nothing")
     result = json.loads(lines[-1])
     info = json.loads(lines[-2]) if len(lines) > 1 and lines[-2].startswith("{") else {}
     if info.get("walls_raw_s"):
-        result["metrics"]["raw_wall_s"] = {"value": statistics.median(info["walls_raw_s"]), "unit": "s"}
+        raw = statistics.median(info["walls_raw_s"])
+        result["metrics"]["raw_wall_s"] = {"value": raw, "unit": "s"}
+        if info.get("walls_s"):
+            scale = statistics.median(info["walls_s"]) / raw
+            result["metrics"]["probe_scale"] = {"value": scale, "unit": "ratio"}
     return result
 
 
@@ -74,10 +82,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(base_runs: list[dict], head_runs: list[dict], spec: dict) -> list[dict]:
     """One row per end-to-end metric of spec, from the pairs' result
-    objects (base_runs[i] and head_runs[i] form pair i + 1), and a last row,
-    with no bound, for the unscaled batch wall when every run reports it:
-    run.py scales its times by a speed probe on the other CPU, and this row
-    shows what the scaling moved.  Raises ValueError unless every run is
+    objects (base_runs[i] and head_runs[i] form pair i + 1), and last rows,
+    with no bound, for the unscaled batch wall and the probe's scale, each
+    when every run reports it: run.py scales its times by a speed probe on
+    the other CPU, and these rows show what the scaling moved.  A lower
+    scale counts as the head's win.  Raises ValueError unless every run is
     correct."""
     if len(base_runs) != len(head_runs) or not base_runs:
         raise ValueError("need the same positive number of base and head runs")
@@ -85,9 +94,10 @@ def summarize(base_runs: list[dict], head_runs: list[dict], spec: dict) -> list[
         for i, run in enumerate(runs, 1):
             if not run.get("correct"):
                 raise ValueError(f"{side} run of pair {i} is not correct: {run.get('failed')} failed")
-    metrics = spec["end_to_end"]
-    if all("raw_wall_s" in run["metrics"] for run in base_runs + head_runs):
-        metrics = [*metrics, {"name": "raw_wall_s", "unit": "s", "better": "lower", "bound": None}]
+    metrics = list(spec["end_to_end"])
+    for name, unit in (("raw_wall_s", "s"), ("probe_scale", "ratio")):
+        if all(name in run["metrics"] for run in base_runs + head_runs):
+            metrics.append({"name": name, "unit": unit, "better": "lower", "bound": None})
     rows = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
