@@ -45,12 +45,14 @@ segment at most once per call, and repeating a call pays again.  binseg
 keeps two cost rows over the grid, sliced per unsplit segment, and a heap
 of each segment's best split; window keeps arrays of its window costs, and
 bottomup one list of its current ends and arrays of its segment and
-spanning costs.  Without the matrix, on monotone costs, every family but
-normal, pelt evaluates only the candidates its heap of lower bounds leaves
-a chance to win: F(s) + penalty until a candidate is first evaluated, as
-its costs are >= 0, then its last total.  Over the matrix, where reads
-are free, its row step runs the unpruned recursion.  Ties are always
-broken toward the smallest change point indices.
+spanning costs.  Without the matrix pelt prunes in one loop, which
+evaluates only the candidates its heap of lower bounds leaves a chance to
+win: F(s) + penalty until a candidate is first evaluated, then its last
+total, each plus the least a segment can cost, 0.0 on monotone costs
+(every family but normal) and -inf on normal's, so normal evaluates every
+live candidate.  Over the matrix, where reads are free, its row step runs
+the unpruned recursion.  Ties are always broken toward the smallest
+change point indices.
 """
 
 from __future__ import annotations
@@ -384,61 +386,52 @@ def _first_tuple(parent, depth, tied) -> tuple:
 
 
 def _pelt_rows(reader, penalty, min_size):
-    """pelt's step by rows, for normal, whose costs bound nothing, and over
-    dynp's matrix: every live candidate at once, one reader.row per end.  It
-    prunes only where the reader evaluates.  Over the matrix a read costs
-    nothing and pruning at rounding level would settle ties away from the
-    recursion, so there it runs the unpruned recursion, reading the admitted
-    prefix of the grid as slices.  Returns each end's parent and last cost,
-    n_pruned."""
+    """pelt's step over dynp's matrix, where a read costs nothing and pruning
+    at rounding level would settle ties away from the recursion: the
+    unpruned recursion, every admitted start at each end as one slice of the
+    matrix row, so the winner is a grid index.  Returns what _pelt_heap
+    does, n_pruned 0."""
     positions = reader.positions
     count = len(positions)
-    prune = reader.state is None
     # F(0) = 0; a start is admitted only after its own value is written
-    values, index = np.zeros(count), np.arange(count)
+    values = np.zeros(count)
     parent, depth, last_cost = [0] * count, [0] * count, [0.0] * count
-    doomed_from = np.full(count, np.inf)
-    ids = index[:0]
-    admitted = n_pruned = 0
+    admitted = 0
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
-        first = admitted
         while positions[admitted] <= end_pos - min_size:
             admitted += 1
-        if prune:
-            ids = np.concatenate((ids, index[first:admitted]))
-            live = doomed_from[ids] > end_pos
-            n_pruned += len(ids) - int(np.count_nonzero(live))
-            rows = ids = ids[live]
-        else:
-            ids, rows = index[:admitted], slice(admitted)
-        seg_costs = reader.row(end_idx, rows)
-        fits = values[rows] + seg_costs
-        totals = fits + penalty
-        pick = int(totals.argmin())
-        best = totals[pick]
-        tied = (totals == best).nonzero()[0]
+        seg_costs = reader.row(end_idx, slice(admitted))
+        totals = (values[:admitted] + seg_costs) + penalty
+        winner = int(totals.argmin())
+        best = totals[winner]
+        tied = (totals == best).nonzero()[0].tolist()
         if len(tied) > 1:
-            pick = _first_tuple(parent, depth, [*zip(ids[tied].tolist(), tied)])[1]
-        winner = int(ids[pick])
-        values[end_idx], last_cost[end_idx] = best, float(seg_costs[pick])
+            winner = _first_tuple(parent, depth, [*zip(tied)])[0]
+        values[end_idx], last_cost[end_idx] = best, float(seg_costs[winner])
         parent[end_idx], depth[end_idx] = winner, depth[winner] + 1
-        if prune:
-            doomed = (fits > best) & np.isinf(doomed_from[ids])
-            doomed_from[ids[doomed]] = end_pos + min_size
-    return parent, last_cost, n_pruned
+    return parent, last_cost, 0
 
 
 def _pelt_heap(reader, penalty, min_size):
-    """pelt's step on monotone costs without dynp's matrix, in work
-    proportional to the candidates it evaluates through fitted.cost (counted
-    in the reader); it returns what _pelt_rows does.  The heap holds one
-    (key, grid index) entry per live candidate, a lower bound on its total
-    at any later end: F(s) + penalty until it is first evaluated, since
-    costs are >= 0 and rounding is monotone, then its exact total at the
-    last end it was evaluated at, F(s) + c(s, t') + penalty.  An exact tie
-    is settled as it is found, against the winner so far."""
-    cost, push, pop, inf = reader.fitted.cost, heapq.heappush, heapq.heappop, np.inf
+    """pelt's step without dynp's matrix, in work proportional to the
+    candidates it evaluates through fitted.cost (counted in the reader).
+    The heap holds one (key, grid index) entry per live candidate, a lower
+    bound on its total at any later end: F(s) + penalty until it is first
+    evaluated, then its exact total at the last end it was evaluated at,
+    F(s) + c(s, t') + penalty, each plus the fit's floor, the least a
+    segment can cost.  On monotone costs the floor is 0.0, which moves no
+    key's bits, and rounding is monotone, so the keys bound the totals.
+    normal's costs bound nothing: its floor is -inf, every live candidate
+    is popped and evaluated at every end, pop order does not matter, and a
+    list stands in for the heap.  An exact tie is settled as it is found,
+    against the winner so far.  Returns each end's parent and last cost,
+    n_pruned."""
+    cost, inf = reader.fitted.cost, np.inf
+    if reader.fitted.monotone:
+        floor, push, pop = 0.0, heapq.heappush, heapq.heappop
+    else:
+        floor, push, pop = -inf, list.append, list.pop
     positions = reader.positions
     count = len(positions)
     values, doomed_from, heap = [0.0] * count, [inf] * count, []
@@ -447,7 +440,7 @@ def _pelt_heap(reader, penalty, min_size):
     for end_idx in range(1, count):
         end_pos = positions[end_idx]
         while positions[admitted] <= end_pos - min_size:
-            push(heap, (values[admitted] + penalty, admitted))
+            push(heap, (values[admitted] + penalty + floor, admitted))
             admitted += 1
         best, win, done = inf, None, []
         # at most: a bound landing exactly on the best total joins the tie-break
@@ -471,7 +464,7 @@ def _pelt_heap(reader, penalty, min_size):
         for fit, total, s in done:
             if fit > best and doomed_from[s] == inf:
                 doomed_from[s] = end_pos + min_size
-            push(heap, (total, s))
+            push(heap, (total + floor, s))
     return parent, last_cost, n_pruned
 
 
@@ -479,33 +472,33 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     """Exact linearly penalized segmentation, pruning where it evaluates.
 
     Minimizes total cost plus penalty per segment via F(t) = min over s of
-    (F(s) + c(s, t)) + penalty, in one of two steps.  Where pelt evaluates
-    costs, a candidate with F(s) + c(s, t) > F(t) can never win again once
-    t itself is old enough to act as a split, so it is dropped when the
-    endpoint reaches t + min_size; dropping it at t directly would lose
-    exactness for min_size > 1.  The rule is safe because every cost family
-    is superadditive (test_costs_are_superadditive checks it).
+    (F(s) + c(s, t)) + penalty, in one of two steps.  Without dynp's matrix
+    pelt evaluates costs in one loop (_pelt_heap), where a candidate with
+    F(s) + c(s, t) > F(t) can never win again once t itself is old enough
+    to act as a split, so it is dropped when the endpoint reaches
+    t + min_size; dropping it at t directly would lose exactness for
+    min_size > 1.  The rule is safe because every cost family is
+    superadditive (test_costs_are_superadditive checks it).
 
-    On the monotone families (all but normal), without dynp's matrix, costs
-    are >= 0 and a candidate's last evaluated cost bounds its later costs
-    from below, and pelt evaluates only the candidates a heap of those
-    bounds leaves a chance to win (_pelt_heap); it prunes lazily there,
-    n_pruned counting the doomed candidates popped from t + min_size on.
-    Otherwise it reads every live candidate at each end as one reader.row
-    (_pelt_rows): normal's fresh fits evaluate the row and prune it.  After
-    dynp on the same fitted cost and grid every row is a free read of its
-    matrix, so pelt prunes nothing, n_pruned and n_cost_evals are 0, and
-    the answer is the recursion's, bit for bit.  On a fresh fit, pruning
-    and the heap's bounds hold only up to rounding, so on tie-heavy signals
-    the answer can settle an exact tie differently from the recursion, or
-    lie a few roundings above its objective.
+    On the monotone families (all but normal) costs are >= 0 and a
+    candidate's last evaluated cost bounds its later costs from below, so
+    the loop evaluates only the candidates a heap of those bounds leaves a
+    chance to win.  normal's costs bound nothing, so there it evaluates
+    every live candidate at every end.  It prunes lazily, n_pruned counting
+    the doomed candidates popped from t + min_size on.  After dynp on the
+    same fitted cost and grid, every admitted start at each end is one free
+    read of its matrix (_pelt_rows), so pelt prunes nothing, n_pruned and
+    n_cost_evals are 0, and the answer is the recursion's, bit for bit.  On
+    a fresh fit, pruning and the heap's bounds hold only up to rounding,
+    so on tie-heavy signals the answer can settle an exact tie differently
+    from the recursion, or lie a few roundings above its objective.
 
     State is O(grid).  An exact tie goes to the smallest end tuple.  A
     repeated call pays its evaluations again.
     """
     stop = StoppingRule(penalty=penalty)
     _, min_size, _, positions, reader = _prepare(fitted, config, stop)
-    step = _pelt_heap if fitted.monotone and reader.state is None else _pelt_rows
+    step = _pelt_heap if reader.state is None else _pelt_rows
     parent, last_cost, n_pruned = step(reader, stop.penalty, min_size)
     path = _path_indices(parent, len(positions) - 1)
     ends = tuple(positions[i] for i in path)

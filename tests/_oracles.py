@@ -497,6 +497,34 @@ def optimal_partitioning(cost_fn, n_samples, penalty, min_size=1, jump=1):
     return ends, total_cost(cost_fn, ends)
 
 
+def pruned_partitioning(cost_fn, n_samples, penalty, min_size=1, jump=1):
+    """Textbook PELT with pelt's drop rule over the admissible grid: a start
+    s is doomed at the first end t where F(s) + c(s, t) > F(t), F(t)
+    holding the penalty, and it is still evaluated until it is dropped, and
+    counted, at t + min_size.  An exact tie goes to the smallest end tuple.
+    Returns (ends, contrast, evaluations, pruned)."""
+    memo = MemoCost(cost_fn)
+    starts = [0] + admissible_grid(n_samples, min_size, jump)
+    best = {0: (0.0, ())}
+    doomed_at, dropped = {}, set()
+    for t in starts[1:] + [n_samples]:
+        fits = {}
+        for s in starts:
+            if s > t - min_size or s in dropped:
+                continue
+            if s in doomed_at and doomed_at[s] + min_size <= t:
+                dropped.add(s)
+            else:
+                fits[s] = best[s][0] + memo(s, t)
+        best[t] = min((fit + penalty, best[s][1] + (t,)) for s, fit in fits.items())
+        for s, fit in fits.items():
+            if fit > best[t][0]:
+                doomed_at.setdefault(s, t)
+    ends = best[n_samples][1]
+    evaluations = len(memo.memo)
+    return ends, total_cost(memo, ends), evaluations, len(dropped)
+
+
 def greedy_bottomup(cost_fn, n_samples, min_size=1, jump=1, n_bkps=None, penalty=None, budget=None):
     """Greedy bottom-up merging, rescanning every end at every step.
 

@@ -186,7 +186,7 @@ def test_reader_row_reads_dynp_matrix_without_evaluating(family):
     reason="pruning on costs superadditive only up to rounding settles this tie away from the recursion",
 )
 def test_pelt_rows_on_a_fresh_fit_match_the_recursion_on_a_tie():
-    """normal's row step prunes on a fresh fit, where its costs are
+    """normal's pruned heap loop runs on a fresh fit, where its costs are
     superadditive only up to rounding.  On this 0/1 signal, trial 276 of the
     tie-heavy generator above at seed 1 restricted to normal on fresh fits,
     it answers (6, 8, ..., 16) where the recursion answers (2, 8, ..., 16),
@@ -230,6 +230,40 @@ def test_pelt_prunes_and_pruning_is_lossless(family):
     memo = oracle.MemoCost(fitted.cost)
     expected = oracle.optimal_partitioning(memo, len(data), 2.0, fitted.min_seg_len)
     assert (pruned.bkps.ends, pruned.contrast) == expected
+
+
+def normal_shifts(rng, n_samples, dims):
+    """1-5 changes of mean and scale at random places, per column."""
+    cuts = np.sort(rng.choice(np.arange(1, n_samples), size=int(rng.integers(1, 6)), replace=False))
+    sizes = np.diff([0, *cuts.tolist(), n_samples])
+    means = np.repeat(rng.normal(scale=2.0, size=(len(sizes), dims)), sizes, axis=0)
+    scales = np.repeat(rng.uniform(0.3, 3.0, size=(len(sizes), dims)), sizes, axis=0)
+    return means + scales * rng.normal(size=(n_samples, dims))
+
+
+def test_pelt_on_normal_prunes_and_counts_as_textbook_pelt():
+    """normal's costs bound nothing, so on a fresh fit pelt evaluates every
+    live candidate at every end and drops a doomed one min_size ends on.
+    On 40 signals of T 30-300, min_size 1-3 and jump 1-2, at penalties
+    that prune strongly and weakly, the ends, contrast bits, evaluations
+    and pruned count are textbook PELT's with the same drop rule, and
+    n_cost_evals is what the fit counted."""
+    rng = np.random.default_rng(210)
+    for trial in range(40):
+        n = int(rng.integers(30, 301))
+        data = normal_shifts(rng, n, int(rng.integers(1, 3)))
+        config = SearchConfig(min_size=int(rng.integers(1, 4)), jump=int(rng.integers(1, 3)))
+        penalty = float(rng.uniform(2.0, 10.0) if trial % 2 else rng.uniform(30.0, 120.0))
+        fitted = fresh_fitted(data, family="normal")
+        min_size = max(config.min_size, fitted.min_seg_len)
+        ends, contrast, evaluations, pruned = oracle.pruned_partitioning(
+            fresh_fitted(data, family="normal").cost, n, penalty, min_size, config.jump
+        )
+        before = fitted.eval_counter
+        result = pelt(fitted, penalty, config)
+        assert result.n_cost_evals == fitted.eval_counter - before, trial
+        found = (result.bkps.ends, result.contrast.hex(), result.n_cost_evals, result.n_pruned)
+        assert found == (ends, contrast.hex(), evaluations, pruned), (trial, penalty, config)
 
 
 def test_pelt_is_optimal_at_its_own_change_count():

@@ -135,10 +135,11 @@ _dspec.loader.exec_module(differential)
 
 def test_differential_runs_the_tree_against_itself():
     """The differential's cases through this tree twice, in process: every
-    engine, every rule kind and both modes run, and the two record lists
-    match in answers and counts."""
-    cases = differential.cases_for([1], 12)
-    assert [case["mode"] for case in cases].count("long") == 1
+    engine, every rule kind and both modes, with the long mode's rbf and
+    normal cases, run, and the two record lists match in answers and
+    counts."""
+    cases = differential.cases_for([1], 12) + differential.generate("long", 1, 2)[1:]
+    assert [case["family"] for case in cases if case["mode"] == "long"] == ["rbf", "normal"]
     first = differential.run_cases(cases)
     assert differential.compare(first, differential.run_cases(cases)) == ([], [])
     engines = {record["key"].rsplit("/", 1)[1] for record in first}
@@ -146,7 +147,8 @@ def test_differential_runs_the_tree_against_itself():
     kinds = {record["key"].split("/")[4].split(":")[1] for record in first if "/fit" not in record["key"]}
     assert kinds == {"n_bkps", "penalty", "budget"}
     assert any(r["error"] for r in first) and any(r["contrast"] for r in first)
-    assert any(r["key"].startswith("long/") and r["contrast"] for r in first)
+    for index in (0, 1):
+        assert any(r["key"].startswith(f"long/1/{index}/") and r["contrast"] for r in first)
 
 
 def test_differential_separates_answer_mismatches_from_count_changes():

@@ -20,11 +20,18 @@ Two modes run in turn:
   integer 0-3) and two budgets (a share of c(0, T), and 0).  n_bkps runs
   dynp, binseg, bottomup and window, a penalty pelt and the three greedy
   engines, a budget solve_budget and the three;
-- long: per seed, one case for every 20 small ones (at least one): rbf on
-  piecewise constant signals like pw_constant's, T 500-3,000 with 1-3
-  columns and 2-8 changes, every third rounded to integers, on grids of
-  min_size 1-5 and jump 3-10, windows 40-120 wide, with one rule of each
-  kind.  dynp and solve_budget run only on grids of at most 400 ends.
+- long: per seed, one case for every 20 small ones (at least one), each
+  with one rule of each kind (n_bkps 1-12, a penalty, a budget share of
+  0.2-0.9) and windows 40-120 wide.  The cases at index 0 and 2 mod 3 are
+  rbf on piecewise constant signals like pw_constant's, T 500-3,000 with
+  1-3 columns and 2-8 changes, those at 2 mod 3 rounded to integers, on
+  grids of min_size 1-5 and jump 3-10, at penalties 1-30.
+  The case at index 1 mod 3 is normal on a signal like pw_normal's, T
+  200-600 with 2 columns whose correlation flips at 2-8 changes, on grids
+  of min_size 1-5 (normal raises it to 3) and jump 1-3, at penalties
+  15-80, where pelt's loop evaluates about 10 to 80 live candidates at
+  each end.  dynp and solve_budget run only on grids of at most 400
+  ends.
 
 Each call gets a fresh fit, once as it is and once after dynp(fitted, 0,
 config) has filled dynp's matrix (where dynp runs), so both the costs and
@@ -80,17 +87,34 @@ def _small_signal(rng: np.random.Generator, n: int, d: int, kind: int) -> np.nda
     return steps + rng.normal(scale=0.5, size=(n, d))
 
 
+def _cuts(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k sorted change points at least n / (4 (k + 1)) apart and from both
+    ends."""
+    spacing = n // (4 * (k + 1))
+    return np.sort(rng.integers(0, n - (k + 1) * spacing + 1, size=k)) + spacing * np.arange(1, k + 1)
+
+
 def _long_signal(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
     """pw_constant's kind of signal, drawn here so that it never depends on
     the tree: k changes at least n / (4 (k + 1)) apart, the first level at
     0, each change a jump of random sign and magnitude in [1, 5] per column,
     and Gaussian noise of scale 0.5-1.5."""
-    spacing = n // (4 * (k + 1))
-    cuts = np.sort(rng.integers(0, n - (k + 1) * spacing + 1, size=k)) + spacing * np.arange(1, k + 1)
+    cuts = _cuts(rng, n, k)
     jumps = rng.choice([-1.0, 1.0], size=(k, d)) * rng.uniform(1.0, 5.0, size=(k, d))
     levels = np.cumsum(np.vstack([np.zeros((1, d)), jumps]), axis=0)
     steps = np.repeat(levels, np.diff([0, *cuts.tolist(), n]), axis=0)
     return steps + rng.normal(scale=rng.uniform(0.5, 1.5), size=(n, d))
+
+
+def _normal_signal(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """pw_normal's kind of signal: zero-mean 2-d Gaussian noise whose
+    correlation flips between +0.9 and -0.9 at k changes placed as
+    _long_signal places them, mixed elementwise so that no BLAS call can
+    move a bit."""
+    cuts = _cuts(rng, n, k)
+    raw = rng.standard_normal((n, 2))
+    rho = np.repeat(np.resize([0.9, -0.9], k + 1), np.diff([0, *cuts.tolist(), n]))
+    return np.column_stack([raw[:, 0], rho * raw[:, 0] + np.sqrt(1.0 - rho * rho) * raw[:, 1]])
 
 
 def generate(mode: str, seed: int, count: int) -> list[dict]:
@@ -110,14 +134,22 @@ def generate(mode: str, seed: int, count: int) -> list[dict]:
                      ("penalty", float(rng.integers(0, 4))),
                      ("budget", float(rng.uniform(0.0, 1.0))), ("budget", 0.0)]
         else:
-            n, d = int(rng.integers(500, 3001)), int(rng.integers(1, 4))
-            data = _long_signal(rng, n, d, int(rng.integers(2, 9)))
-            if index % 3 == 2:
-                data = np.round(data)
-            family = "rbf"
-            min_size, jump = int(rng.integers(1, 6)), int(rng.integers(3, 11))
+            family = "normal" if index % 3 == 1 else "rbf"
+            if family == "normal":
+                n = int(rng.integers(200, 601))
+                data = _normal_signal(rng, n, int(rng.integers(2, 9)))
+            else:
+                n, d = int(rng.integers(500, 3001)), int(rng.integers(1, 4))
+                data = _long_signal(rng, n, d, int(rng.integers(2, 9)))
+                if index % 3 == 2:
+                    data = np.round(data)
+            # normal's pelt evaluates every live candidate at every end: a fine
+            # grid and penalties of 15-80 leave about 10 to 80 of them
+            min_size = int(rng.integers(1, 6))
+            jump = int(rng.integers(1, 4) if family == "normal" else rng.integers(3, 11))
             width = int(rng.integers(40, 121))
-            rules = [("n_bkps", int(rng.integers(1, 13))), ("penalty", float(rng.uniform(1.0, 30.0))),
+            low, high = (15.0, 80.0) if family == "normal" else (1.0, 30.0)
+            rules = [("n_bkps", int(rng.integers(1, 13))), ("penalty", float(rng.uniform(low, high))),
                      ("budget", float(rng.uniform(0.2, 0.9)))]
         cases.append({"mode": mode, "seed": seed, "index": index, "family": family,
                       "data": data, "min_size": min_size, "jump": jump,
