@@ -27,19 +27,20 @@ fitted cost's _cover in one call, together with any ends the engine adds
 (window's right ends); a start needs no naming.  The rbf kernel builds its
 integral image there, so the build counts in the engine's time, not in
 fit's; the other families ignore the call.  The reader answers cost(s, e)
-and row(e, starts), the segments from many grid starts to one grid end
-(dynp's fill, pelt's row step), and counts in n_evals the costs it
-evaluates: the call's n_cost_evals, which omits other threads' work.
-pelt's heap step alone calls fitted.cost itself and adds to that count.
+and counts in n_evals the costs it evaluates: the call's n_cost_evals,
+which omits other threads' work.  The two loops that evaluate many
+segments at once, dynp's fill (every grid start to one grid end, row by
+row) and pelt's heap step, call fitted.cost themselves and add to that
+count.
 
 Only dynp and solve_budget keep a grid x grid segment-cost matrix, packed
 to its lower triangle in row-band blocks as the rbf integral image is
 (costs._band_blocks), cached on the fitted cost per (min_size, jump)
 together with the dynp value table (values and integer backpointers per
 change count), which is extended under a lock instead of recomputed.  Once
-it exists, every reader on that grid reads from it, uncounted, every
-segment whose ends are both grid positions: one cost as a float, and a row
-as one slice or gather of a view of the matrix row.
+it exists, every reader's cost() on that grid reads from it, uncounted,
+every segment whose ends are both grid positions, and pelt's row step
+reads each end's admitted starts as one slice of a view of the matrix row.
 The other engines hold O(grid) state and no memo: each evaluates a
 segment at most once per call, and repeating a call pays again.  binseg
 keeps two cost rows over the grid, sliced per unsplit segment, and a heap
@@ -181,10 +182,11 @@ def _prepare(fitted, config, stop, more=lambda cfg, min_size: []):
 
 
 class _Reader:
-    """One engine call's segment costs: cost() and row() read dynp's matrix
-    (state, looked up once the ends are named), uncounted, where it holds
-    the segments, and evaluate through fitted.cost otherwise, counting in
-    n_evals."""
+    """One engine call's segment costs: cost() reads dynp's matrix (state,
+    looked up once the ends are named), uncounted, where it holds the
+    segment, and evaluates through fitted.cost otherwise, counting in
+    n_evals.  dynp's fill and pelt's heap step evaluate through fitted.cost
+    themselves and add to n_evals; pelt's row step slices state's rows."""
 
     def __init__(self, fitted, min_size, jump, positions, more):
         fitted._cover(itertools.chain(itertools.islice(positions, 1, None), more))
@@ -201,20 +203,10 @@ class _Reader:
         self.n_evals += 1
         return self.fitted.cost(start, end)
 
-    def row(self, end_idx: int, starts) -> np.ndarray:
-        """The costs from each grid index in starts to the grid index end_idx:
-        read from dynp's matrix when it exists, uncounted, where starts may
-        also be a slice; else evaluated through fitted.cost, with starts an
-        index array."""
-        if self.state is not None:
-            return self.state.row(end_idx)[starts]
-        self.n_evals += len(starts)
-        cost, positions = self.fitted.cost, self.positions
-        return np.array([cost(positions[s], positions[end_idx]) for s in starts.tolist()])
-
     def dynp_state(self, min_size: int) -> _DynpState:
-        """dynp's state for this grid, filled through row() on first use.  The
-        caller holds fitted._state_lock, so one call alone fills and counts it."""
+        """dynp's state for this grid, filled on first use, its evaluations
+        counted in this reader.  The caller holds fitted._state_lock, so one
+        call alone fills and counts it."""
         state = self.fitted._search_state.get(self.key)
         if state is None:
             state = self.fitted._search_state[self.key] = _DynpState(self, min_size)
@@ -240,8 +232,9 @@ class _DynpState:
     lexicographically (equal tuples share a rank), so an exact tie goes to
     the smallest (rank[s], s), which is the smallest end tuple.  All are
     retained across calls so a repeat or a smaller k costs nothing, and
-    readers read the matrix through pos_index.  The fill is row by row,
-    through the filling call's reader."""
+    readers read the matrix through pos_index.  The fill evaluates row by
+    row through fitted.cost, every start at least min_size before the end,
+    and adds its count to the filling call's reader."""
 
     def __init__(self, reader: _Reader, min_size: int):
         positions = reader.positions
@@ -252,9 +245,11 @@ class _DynpState:
         self.index = np.arange(count)
         self.step = _band_rows(count)
         self.bands, _, self.rects, self.pieces, self.base = _band_blocks(count, self.index, np.inf)
+        cost = reader.fitted.cost
         for end_idx, end in enumerate(positions):
             hi = bisect.bisect_right(positions, end - min_size)
-            self.row(end_idx)[:hi] = reader.row(end_idx, self.index[:hi])
+            reader.n_evals += hi
+            self.row(end_idx)[:hi] = [cost(start, end) for start in positions[:hi]]
         # 0.0 + cost, as a left-to-right sum starts, so layer values are
         # bitwise the contrast of their end tuples
         self.layers = [0.0 + np.concatenate([rect[:, 0] for rect in self.rects])]
@@ -386,11 +381,11 @@ def _first_tuple(parent, depth, tied) -> tuple:
 
 
 def _pelt_rows(reader, penalty, min_size):
-    """pelt's step over dynp's matrix, where a read costs nothing and pruning
-    at rounding level would settle ties away from the recursion: the
-    unpruned recursion, every admitted start at each end as one slice of the
-    matrix row, so the winner is a grid index.  Returns what _pelt_heap
-    does, n_pruned 0."""
+    """pelt's step over dynp's matrix (reader.state), where a read costs
+    nothing and pruning at rounding level would settle ties away from the
+    recursion: the unpruned recursion, every admitted start at each end as
+    one slice of the matrix row, read uncounted, so the winner is a grid
+    index.  Returns what _pelt_heap does, n_pruned 0."""
     positions = reader.positions
     count = len(positions)
     # F(0) = 0; a start is admitted only after its own value is written
@@ -401,7 +396,7 @@ def _pelt_rows(reader, penalty, min_size):
         end_pos = positions[end_idx]
         while positions[admitted] <= end_pos - min_size:
             admitted += 1
-        seg_costs = reader.row(end_idx, slice(admitted))
+        seg_costs = reader.state.row(end_idx)[:admitted]
         totals = (values[:admitted] + seg_costs) + penalty
         winner = int(totals.argmin())
         best = totals[winner]
@@ -485,13 +480,15 @@ def pelt(fitted, penalty: float, config: SearchConfig | None = None) -> Detectio
     the loop evaluates only the candidates a heap of those bounds leaves a
     chance to win.  normal's costs bound nothing, so there it evaluates
     every live candidate at every end.  It prunes lazily, n_pruned counting
-    the doomed candidates popped from t + min_size on.  After dynp on the
-    same fitted cost and grid, every admitted start at each end is one free
-    read of its matrix (_pelt_rows), so pelt prunes nothing, n_pruned and
-    n_cost_evals are 0, and the answer is the recursion's, bit for bit.  On
-    a fresh fit, pruning and the heap's bounds hold only up to rounding,
-    so on tie-heavy signals the answer can settle an exact tie differently
-    from the recursion, or lie a few roundings above its objective.
+    the doomed candidates popped from t + min_size on, and counts each
+    fitted.cost call in n_cost_evals.  After dynp on the same fitted cost
+    and grid, the row step (_pelt_rows) slices every admitted start at each
+    end straight from a row of its matrix, uncounted, so pelt prunes
+    nothing, n_pruned and n_cost_evals are 0, and the answer is the
+    recursion's, bit for bit.  On a fresh fit, pruning and the heap's
+    bounds hold only up to rounding, so on tie-heavy signals the answer can
+    settle an exact tie differently from the recursion, or lie a few
+    roundings above its objective.
 
     State is O(grid).  An exact tie goes to the smallest end tuple.  A
     repeated call pays its evaluations again.

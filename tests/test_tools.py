@@ -164,3 +164,67 @@ def test_differential_separates_answer_mismatches_from_count_changes():
     assert changes[0].startswith(answered[1]["key"] + ": n_cost_evals")
     assert changes[1].startswith(answered[2]["key"] + ": eval_delta")
     assert differential.compare(base, head[1:]) == (["the two trees ran different calls"], [])
+
+
+_cspec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_cspec)
+_cspec.loader.exec_module(code_lines)
+
+
+def test_code_lines_count_nothing_for_blank_lines_comments_and_docstrings(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "\n"
+        "import math  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def area(self):\n"
+        "        '''Method docstring,\n"
+        "        over two lines.'''\n"
+        "        # an indented comment\n"
+        "        side = 2\n"
+        '        """A string standing as a statement of its own."""\n'
+        "        return math.pi * side\n"
+    )
+    # import, class, def, the assignment and return
+    assert code_lines.code_lines(source) == 5
+    source.write_text('"""Only a docstring."""\n\n# and a comment\n')
+    assert code_lines.code_lines(source) == 0
+    source.write_text("")
+    assert code_lines.code_lines(source) == 0
+
+
+def test_code_lines_count_each_line_a_statement_or_string_spans(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "total = (\n"
+        "    1\n"
+        "    # a comment line inside the statement\n"
+        "    + 2  # a trailing comment\n"
+        ")\n"
+        'text = """a string\n'
+        "\n"
+        'that is not a docstring"""\n'
+        "print(\n"
+        '    "a string argument on a line of its own",\n'
+        ")\n"
+    )
+    # 4 of the first statement's 5 lines, all 3 of the string's, all 3 of the call's
+    assert code_lines.code_lines(source) == 10
+
+
+def test_code_lines_print_each_module_then_the_total(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "b.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "pkg" / "a.py").write_text('"""Docstring."""\nz = 3\n')
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    code_lines.main(str(tmp_path))
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["2", str(tmp_path / "b.py")], ["1", str(tmp_path / "pkg" / "a.py")], ["3", "total"]]
