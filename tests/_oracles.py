@@ -656,3 +656,57 @@ def pair_rand_index(left_ends, right_ends, n_samples):
             if (a[i] == a[j]) == (b[i] == b[j]):
                 agree += 1
     return agree / total if total else 1.0
+
+
+def all_pairs_hausdorff(left_ends, right_ends):
+    """The largest of all nearest-end distances, from the full K1 x K2
+    matrix of end distances."""
+    gaps = np.abs(np.asarray(left_ends)[:, None] - np.asarray(right_ends)[None, :])
+    return int(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
+
+
+def segment_pair_rand_index(left_ends, right_ends, n_samples):
+    """Rand index from the overlap of every pair of a left and a right
+    segment, in exact integer arithmetic, as a float divided last."""
+    if n_samples < 2:
+        return 1.0
+
+    def pairs(x):
+        return x * (x - 1) // 2
+
+    def segments(ends):
+        return list(zip((0, *ends), ends))
+
+    overlap_pairs = 0
+    for a_start, a_end in segments(left_ends):
+        for b_start, b_end in segments(right_ends):
+            overlap = min(a_end, b_end) - max(a_start, b_start)
+            if overlap > 1:
+                overlap_pairs += pairs(overlap)
+    same_left = sum(pairs(e - s) for s, e in segments(left_ends))
+    same_right = sum(pairs(e - s) for s, e in segments(right_ends))
+    total = pairs(n_samples)
+    return (total - same_left - same_right + 2 * overlap_pairs) / total
+
+
+def scanning_precision_recall(true_ends, pred_ends, margin):
+    """(precision, recall, true positives) of the greedy one-to-one
+    matching: true change points in increasing order, each scanning every
+    unmatched predicted one for the nearest within the margin, ties to the
+    smaller.  Two empty lists score (1, 1), one empty list (0, 0)."""
+    if not true_ends and not pred_ends:
+        return 1.0, 1.0, 0
+    unmatched = list(pred_ends)
+    hits = 0
+    for target in true_ends:
+        best = None
+        for candidate in unmatched:
+            distance = abs(candidate - target)
+            if distance > margin:
+                continue
+            if best is None or distance < best[0] or (distance == best[0] and candidate < best[1]):
+                best = (distance, candidate)
+        if best is not None:
+            hits += 1
+            unmatched.remove(best[1])
+    return hits / max(1, len(pred_ends)), hits / max(1, len(true_ends)), hits

@@ -1,9 +1,31 @@
+import json
+
 import numpy as np
 import pytest
 
 import _oracles as oracle
 from segscan import hausdorff, precision_recall, rand_index, validate_breakpoints
 from segscan.exceptions import BadParamError, MismatchedLengthError
+from test_search_memory import run_capped
+
+LONG_T = 1_000_000
+LONG_K = 20_000
+# scores the segmentations of two segscan JSON files, truth and prediction
+LONG_CHILD = """
+import json, sys, tracemalloc
+from segscan import hausdorff, precision_recall, rand_index, validate_breakpoints
+
+truth, pred = (validate_breakpoints(json.load(open(path))["bkps"], {T}) for path in sys.argv[1:])
+report = {{}}
+for name, metric in (("hausdorff", hausdorff), ("rand_index", rand_index)):
+    tracemalloc.start()
+    report[name] = metric(truth, pred)
+    report[name + "_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+scores = precision_recall(truth, pred, margin=2.5)
+report.update(precision=scores.precision, recall=scores.recall)
+print(json.dumps(report))
+""".format(T=LONG_T)
 
 
 def bk(ends, n):
@@ -105,6 +127,99 @@ def test_precision_recall_counts_are_consistent():
             assert scores.precision == scores.true_positives / kp
         if kt:
             assert scores.recall == scores.true_positives / kt
+
+
+def _draw_pair(rng, n, kind):
+    """Two end lists for a signal of n samples: random ends at any density
+    (kind 0), a truth and predictions at equal distances on both sides of
+    its ends (1), a segmentation of one end against random ends (2), or two
+    sparse ones (3)."""
+
+    def draw(count):
+        count = min(count, n - 1)
+        return sorted(rng.choice(np.arange(1, n), size=count, replace=False).tolist()) if count else []
+
+    if kind == 0:
+        return draw(int(rng.integers(0, n))), draw(int(rng.integers(0, n)))
+    if kind == 1:
+        truth = draw(int(rng.integers(0, max(1, n // 6))))
+        pred = set()
+        for t in truth:
+            shift = int(rng.integers(0, 4))
+            pred.update((t - shift, t + shift))
+        return truth, sorted(e for e in pred if 0 < e < n)
+    if kind == 2:
+        return [], draw(int(rng.integers(0, n)))
+    return draw(int(rng.integers(0, 4))), draw(int(rng.integers(0, 4)))
+
+
+def test_metrics_equal_the_quadratic_definitions_bit_for_bit():
+    """The metrics read sorted ends with bisections; the oracles compare every
+    pair of ends, of segments, or of a true end and an unmatched prediction.
+    Both ways give the same integers and the same float bits, in both orders
+    of the two segmentations."""
+    rng = np.random.default_rng(402)
+    ties = one_end = 0
+    for case in range(2000):
+        n = int(rng.integers(1, 81))
+        margin = (0, 0.5, 3.7, n + 0.5)[case // 4 % 4]
+        left, right = _draw_pair(rng, n, case % 4)
+        a, b = bk(left + [n], n), bk(right + [n], n)
+        one_end += not left or not right
+        ties += any(t - d in right and t + d in right for t in left for d in range(1, int(margin) + 1))
+        assert hausdorff(a, b) == hausdorff(b, a) == oracle.all_pairs_hausdorff(a.ends, b.ends)
+        for x, y in ((a, b), (b, a)):
+            assert rand_index(x, y).hex() == oracle.segment_pair_rand_index(x.ends, y.ends, n).hex()
+            scores = precision_recall(x, y, margin)
+            expect = oracle.scanning_precision_recall(x.internal, y.internal, margin)
+            assert scores.precision.hex() == expect[0].hex()
+            assert scores.recall.hex() == expect[1].hex()
+            assert scores.true_positives == expect[2]
+    assert ties > 100 and one_end > 400, (ties, one_end)
+
+
+def test_metrics_score_long_segmentations_in_bounded_memory(tmp_path):
+    """Two 20,000-change segmentations of a million samples, scored in a
+    child capped at 1 GiB of address space, by the library and by segscan
+    eval: a K1 x K2 matrix of end distances alone would take 3.2 GB."""
+    # each predicted end 3 samples or less from its true end and 43 or more
+    # from every other
+    truth_ends = [49 * k for k in range(1, LONG_K + 1)] + [LONG_T]
+    pred_ends = [49 * k + k % 7 - 3 for k in range(1, LONG_K + 1)] + [LONG_T]
+    truth_path, pred_path = tmp_path / "truth.json", tmp_path / "pred.json"
+    truth_path.write_text(json.dumps({"T": LONG_T, "bkps": truth_ends}))
+    pred_path.write_text(json.dumps({"bkps": pred_ends}))
+    # the rand index from sample labels: pairs in one segment of the truth,
+    # of the prediction, and of both
+    def labels(ends):
+        return np.repeat(np.arange(len(ends)), np.diff([0, *ends]))
+
+    def same_pairs(keys):
+        counts = np.unique(keys, return_counts=True)[1].tolist()
+        return sum(c * (c - 1) // 2 for c in counts)
+
+    total = LONG_T * (LONG_T - 1) // 2
+    truth_labels, pred_labels = labels(truth_ends), labels(pred_ends)
+    both = same_pairs(truth_labels * (LONG_K + 1) + pred_labels)
+    expect_rand = (total - same_pairs(truth_labels) - same_pairs(pred_labels) + 2 * both) / total
+    # the true ends with a prediction within 2.5 samples: offsets -2 to 2
+    expect_hits = sum(1 for k in range(1, LONG_K + 1) if k % 7 not in (0, 6))
+
+    proc = run_capped("-c", LONG_CHILD, str(truth_path), str(pred_path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["hausdorff"] == 3
+    assert report["rand_index"] == expect_rand
+    assert report["precision"] == report["recall"] == expect_hits / LONG_K
+    assert report["hausdorff_peak_mb"] < 10 and report["rand_index_peak_mb"] < 10, report
+
+    proc = run_capped(
+        "-m", "segscan", "eval", "--truth", str(truth_path), "--pred", str(pred_path),
+        "--margin", "2.5",
+    )
+    assert proc.returncode == 0, proc.stderr
+    keys = ("hausdorff", "rand_index", "precision", "recall")
+    assert json.loads(proc.stdout) == {key: report[key] for key in keys}
 
 
 def test_metrics_reject_mismatched_lengths():
