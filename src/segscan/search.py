@@ -44,11 +44,11 @@ reads each end's admitted starts as one slice of a view of the matrix row.
 The other engines hold O(grid) state and no memo: each evaluates a
 segment at most once per call, and repeating a call pays again.  binseg
 keeps two cost rows over the grid, sliced per unsplit segment, and a heap
-of each segment's best split; window keeps arrays of its window costs, and
-bottomup one list of its current ends and arrays of its segment and
-spanning costs.  Without the matrix pelt prunes in one loop, which
-evaluates only the candidates its heap of lower bounds leaves a chance to
-win: F(s) + penalty until a candidate is first evaluated, then its last
+of each segment's best split; window keeps three rows of its window
+costs, and bottomup one list of its current ends and arrays of its
+segment and spanning costs.  Without the matrix pelt prunes in one loop,
+which evaluates only the candidates its heap of lower bounds leaves a
+chance to win: F(s) + penalty until a candidate is first evaluated, then its last
 total, each plus the least a segment can cost, 0.0 on monotone costs
 (every family but normal) and -inf on normal's, so normal evaluates every
 live candidate.  Over the matrix, where reads are free, its row step runs
@@ -152,15 +152,16 @@ def max_changes(n_samples: int, min_size: int, jump: int) -> int:
     return max(0, (n_samples - min_size) // _step(min_size, jump))
 
 
-def _prepare(fitted, config, stop, more=lambda cfg, min_size: []):
+def _prepare(fitted, config, stop, more=lambda cfg, min_size: [], dense=False):
     """The prologue every engine shares, the one place its stopping rule is
     checked: the rule first, then the config, then the signal length and
     the ends, any iterable, that more(cfg, min_size) returns.  An n_bkps
-    above max_changes raises InfeasibleError before the _Reader is built,
-    so before any cost is evaluated or any rbf image built.  Returns the
-    config, the effective min_size, max_changes, the grid positions with 0
-    and T (one list, built once), and the call's _Reader, which also names
-    more's ends."""
+    above max_changes raises InfeasibleError, and with dense (dynp and
+    solve_budget) a grid too large for dynp's matrix MemoryBudgetError,
+    before the _Reader is built, so before any cost is evaluated or any rbf
+    image built.  Returns the config, the effective min_size, max_changes,
+    the grid positions with 0 and T (one list, built once), and the call's
+    _Reader, which also names more's ends."""
     if not isinstance(stop, StoppingRule):
         raise BadParamError(f"expected a StoppingRule, got {type(stop).__name__}")
     cfg = config if config is not None else SearchConfig()
@@ -178,6 +179,8 @@ def _prepare(fitted, config, stop, more=lambda cfg, min_size: []):
         raise InfeasibleError(
             f"{stop.n_bkps} change points do not fit: the grid admits at most {most}"
         )
+    if dense:
+        _check_dense(len(positions), "dynp's cost matrix (a larger jump thins the grid)")
     return cfg, min_size, most, positions, _Reader(fitted, min_size, cfg.jump, positions, extra)
 
 
@@ -239,7 +242,6 @@ class _DynpState:
     def __init__(self, reader: _Reader, min_size: int):
         positions = reader.positions
         count = len(positions)
-        _check_dense(count, "dynp's cost matrix (a larger jump thins the grid)")
         self.positions = positions
         self.pos_index = {pos: i for i, pos in enumerate(positions)}
         self.index = np.arange(count)
@@ -315,13 +317,13 @@ def dynp(fitted, n_bkps: int, config: SearchConfig | None = None) -> DetectionRe
     other engines read the same matrix.  Ties go to the lexicographically
     smallest end sequence, kept as a per-layer rank.  The whole solve holds
     the fitted cost's state lock.  n_bkps is an integer >= 0, else
-    BadParamError.  Raises InfeasibleError from _prepare, before any cost is
-    evaluated, when n_bkps exceeds max_changes, and MemoryBudgetError,
-    before allocating, from the one dense-matrix guard (costs._check_dense)
+    BadParamError.  Raises from _prepare, before any cost is evaluated or
+    any rbf image built, InfeasibleError when n_bkps exceeds max_changes and
+    MemoryBudgetError, from the one dense-matrix guard (costs._check_dense),
     when the grid has more than 20,000 positions.
     """
     stop = StoppingRule(n_bkps=n_bkps)
-    _, min_size, _, _, reader = _prepare(fitted, config, stop)
+    _, min_size, _, _, reader = _prepare(fitted, config, stop, dense=True)
     with fitted._state_lock:
         ends, contrast = reader.dynp_state(min_size).solve(stop.n_bkps)
     return _result(reader, ends, contrast)
@@ -336,7 +338,7 @@ def solve_budget(fitted, budget: float, config: SearchConfig | None = None) -> D
     feasible number of change points stays above the budget.
     """
     stop = StoppingRule(budget=budget)
-    _, min_size, most, _, reader = _prepare(fitted, config, stop)
+    _, min_size, most, _, reader = _prepare(fitted, config, stop, dense=True)
     with fitted._state_lock:
         state = reader.dynp_state(min_size)
         contrast = np.inf
@@ -391,11 +393,8 @@ def _pelt_rows(reader, penalty, min_size):
     # F(0) = 0; a start is admitted only after its own value is written
     values = np.zeros(count)
     parent, depth, last_cost = [0] * count, [0] * count, [0.0] * count
-    admitted = 0
     for end_idx in range(1, count):
-        end_pos = positions[end_idx]
-        while positions[admitted] <= end_pos - min_size:
-            admitted += 1
+        admitted = bisect.bisect_right(positions, positions[end_idx] - min_size)
         seg_costs = reader.state.row(end_idx)[:admitted]
         totals = (values[:admitted] + seg_costs) + penalty
         winner = int(totals.argmin())
@@ -673,16 +672,19 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
 
     Z(t) = c(t - w/2, t + w/2) - c(t - w/2, t) - c(t, t + w/2) over grid
     points with a half window on both sides.  Candidate change points are the
-    local maxima of Z (plateaus keep their leftmost point).  In decreasing
-    score order (smallest t on a tie), the peaks at least min_size away from
-    every earlier pick are moves for _add_greedily: it stops after n_bkps
-    peaks, at the first score at or below the penalty, or once the total
-    cost fits the budget.  The full-window and half-window costs of every
-    centre are kept in float arrays, each evaluated once: c(t - w/2, t) is
-    read as the right half of the centre t - w/2 when that is one, and the
-    rule's totals and the contrast read their segments from the arrays when
-    a window holds them.  After dynp on the same fitted cost and grid, a
-    segment whose ends are both grid positions is read from its matrix.
+    local maxima of Z: the starts of its plateaus (runs of equal scores)
+    that lie above both neighbouring plateaus, the grid's edges counting as
+    -inf, found with array operations.  In decreasing score order (smallest
+    t on a tie), the peaks at least min_size away from every earlier pick
+    are moves for _add_greedily: it stops after n_bkps peaks, at the first
+    score at or below the penalty, or once the total cost fits the budget.
+    The full-window and half-window costs of every centre are kept in three
+    float rows, each filled in one pass and each cost evaluated once:
+    c(t - w/2, t) is read as the right half of the centre t - w/2 when that
+    is one, and the rule's totals and the contrast read their segments from
+    the rows when a window holds them.  After dynp on the same fitted cost
+    and grid, a segment whose ends are both grid positions is read from its
+    matrix.
     Requires config.window_width; raises WindowTooLargeError when it exceeds
     the signal.  An n_bkps above max_changes is refused after the width is
     checked and before any cost is evaluated.
@@ -706,16 +708,16 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
     half = cfg.window_width // 2
     grid = _grid(n_samples, half, cfg.jump)
     # windows[:, i] = c(t - half, t + half), c(t - half, t) and c(t, t + half)
-    # for t = grid[i]; c(t - half, t) is the right half of the centre t - half
-    # when that is on the grid, which it is only when jump divides half
+    # for t = grid[i], a row at a time.  c(t - half, t) is the right half of
+    # the centre t - half when that is on the grid: only when jump divides
+    # half, and from index half // jump on
     windows = np.empty((3, len(grid)))
-    for i, t in enumerate(grid):
-        if t - half in grid:
-            left_half = windows[2, grid.index(t - half)]
-        else:
-            left_half = reader.cost(t - half, t)
-        windows[:, i] = reader.cost(t - half, t + half), left_half, reader.cost(t, t + half)
-    scores = (windows[0] - windows[1] - windows[2]).tolist()
+    windows[0] = [reader.cost(t - half, t + half) for t in grid]
+    windows[2] = [reader.cost(t, t + half) for t in grid]
+    shift = len(grid) if half % cfg.jump else min(half // cfg.jump, len(grid))
+    windows[1, :shift] = [reader.cost(t - half, t) for t in grid[:shift]]
+    windows[1, shift:] = windows[2, : len(grid) - shift]
+    scores = windows[0] - windows[1] - windows[2]
     others = {}
 
     def seg_cost(a: int, b: int) -> float:
@@ -728,19 +730,14 @@ def window(fitted, stop: StoppingRule, config: SearchConfig | None = None) -> De
             others[a, b] = reader.cost(a, b)
         return others[a, b]
 
-    # local maxima with plateaus collapsing to their leftmost point
-    peaks: list[tuple[int, float]] = []
-    i = 0
-    while i < len(grid):
-        k = i
-        while k + 1 < len(grid) and scores[k + 1] == scores[i]:
-            k += 1
-        left = scores[i - 1] if i > 0 else -np.inf
-        right = scores[k + 1] if k + 1 < len(grid) else -np.inf
-        if scores[i] > left and scores[i] > right:
-            peaks.append((grid[i], scores[i]))
-        i = k + 1
-    ranked = sorted(peaks, key=lambda item: (-item[1], item[0]))
+    # the peaks: plateau starts (equal by ==, so -0.0 ties 0.0) above both
+    # neighbouring plateaus, the grid's edges counting as -inf
+    starts = np.flatnonzero(scores != np.r_[np.nan, scores[:-1]])
+    around = np.r_[-np.inf, scores[starts], -np.inf]
+    peaks = starts[(around[1:-1] > around[:-2]) & (around[1:-1] > around[2:])]
+    # score descending, then the smaller centre
+    peaks = peaks[np.lexsort((peaks, -scores[peaks]))].tolist()
+    ranked = [(grid[i], float(scores[i])) for i in peaks]
 
     def moves(ends):
         # T is at least half >= min_size past every peak

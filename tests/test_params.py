@@ -2,8 +2,8 @@
 
 Integers: Python or numpy integers, not bool, at least the site's minimum,
 stored as int.  Reals: anything float() takes except bool, str and bytes,
-finite and >= 0 (> 0 for gamma), stored as float.  Flags: Python or numpy
-bools only, stored as bool.  Every violation raises BadParamError.
+finite and >= 0 (> 0 for gamma), stored as float.  Every violation raises
+BadParamError.
 """
 
 import warnings

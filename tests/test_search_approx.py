@@ -297,18 +297,41 @@ def test_bottomup_matches_greedy_reference(family):
             assert (again.bkps.ends, again.contrast, again.n_cost_evals) == (expected, contrast, 0)
 
 
+# window's plateau edges, as (data, config, width): a constant signal, whose
+# one plateau spans the grid and peaks at the first centre; a ramp after a
+# flat stretch, whose last plateau touches the last centre, at a half width
+# that jump divides and at one it does not; grids of exactly one centre and
+# of none (n = width, and a jump that does not divide half).  Every family's
+# min_size, up to 6, fits twice in each width
+RAMP = np.column_stack([np.r_[np.zeros(20), np.arange(1.0, 21.0)]] * 2)
+SHORT = np.random.default_rng(431).normal(size=(12, 2))
+PLATEAU_EDGES = [
+    (np.zeros((30, 2)), SearchConfig(), 12),
+    (RAMP, SearchConfig(jump=2), 12),
+    (RAMP, SearchConfig(min_size=2, jump=4), 14),
+    (SHORT, SearchConfig(), 12),
+    (SHORT, SearchConfig(jump=4), 12),
+]
+
+
+# the constant signal's rbf fit falls back to gamma 1.0, with a warning
+@pytest.mark.filterwarnings("ignore::segscan.exceptions.DegenerateSignalWarning")
 @pytest.mark.parametrize("family", GREEDY_FAMILIES)
 def test_split_engines_match_greedy_references(family):
     """binseg and window, with and without dynp's matrix, give the ends,
     contrast, evaluation count and error class of their rescanning
-    references under all three stopping rules."""
+    references under all three stopping rules, on random instances (window
+    at a random width) and on window's plateau edges."""
     rng = np.random.default_rng(420)
-    for trial, (data, config) in enumerate(bottomup_instances(430 + len(family), 12)):
+    instances = bottomup_instances(430 + len(family), 12)
+    instances = [(data, config, None) for data, config in instances] + PLATEAU_EDGES
+    for trial, (data, config, width) in enumerate(instances):
         spec = CostSpec(family=family)
         probe = fit(spec, validate_signal(data))
         n = len(data)
         min_size = max(config.min_size, probe.min_seg_len)
-        width = int(rng.integers(2 * min_size, min(n, 2 * min_size + 12) + 1))
+        if width is None:
+            width = int(rng.integers(2 * min_size, min(n, 2 * min_size + 12) + 1))
         window_config = SearchConfig(config.min_size, config.jump, window_width=width)
         whole = probe.cost(0, n)
         stops = [

@@ -1,11 +1,11 @@
 """Memory bounds of the search engines.
 
 Only dynp and solve_budget hold a dense grid x grid cost matrix, and they
-refuse grids above 20,000 positions before allocating it.  The other
-engines keep O(T) state, checked by the peak RSS of a fresh process.
-bottomup has its own, shorter signal.  An rbf fit builds no integral image:
-an engine builds one over the ends of its grid, and a cost() call off every
-grid builds the full one.  The full image is packed to the lower triangle,
+refuse grids above 20,000 positions before allocating it or building an
+rbf image.  The other engines keep O(T) state, checked by the peak RSS of
+a fresh process.  bottomup has its own, shorter signal.  An rbf fit
+builds no integral image: an engine builds one over the ends of its grid,
+and a cost() call off every grid builds the full one.  The full image is packed to the lower triangle,
 so it raises the peak RSS by about half an n x n matrix.  Each row band of
 it is a block of its own, at most 512 KiB, so that once glibc has freed the
 first mapped block and raised its mmap threshold to that size, it serves
@@ -28,8 +28,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segscan import CostSpec, SearchConfig, StoppingRule, binseg, bottomup, dynp, fit, window
+from segscan import (
+    CostSpec,
+    SearchConfig,
+    StoppingRule,
+    binseg,
+    bottomup,
+    costs,
+    dynp,
+    fit,
+    solve_budget,
+    window,
+)
 from segscan.costs import _image_entries
+from segscan.exceptions import MemoryBudgetError
 from segscan.generators import GenSpec, pw_constant
 
 LARGE_T = 6000
@@ -259,6 +271,21 @@ def test_cli_dynp_over_the_limit_is_exit_4(tmp_path):
                       "--n-bkps", "1")
     assert proc.returncode == 4, proc.stderr
     assert "MemoryBudgetError" in proc.stderr
+
+
+def test_dense_engines_refuse_before_the_rbf_image(monkeypatch):
+    """At a side limit patched to 60, an rbf fit of 60 samples passes the
+    image's check, but its grid has 61 positions: dynp and solve_budget
+    refuse dynp's matrix before the image over the grid is built, so
+    nothing is built and nothing evaluated."""
+    monkeypatch.setattr(costs, "_DENSE_SIDE_LIMIT", 60)
+    data = np.random.default_rng(17).normal(size=60)
+    for call in (lambda fitted: dynp(fitted, 1), lambda fitted: solve_budget(fitted, 1.0)):
+        fitted = fit(CostSpec("kernel", kernel="rbf"), data)
+        with pytest.raises(MemoryBudgetError, match="dynp's cost matrix"):
+            call(fitted)
+        assert fitted._image[1] is None
+        assert fitted.eval_counter == 0
 
 
 def test_dynp_layer_keeps_one_matrix_sized_temporary():
