@@ -24,8 +24,14 @@ the response's sum of squares and no base, which each query subtracts back
 out of its cost (see RegressionCost).
 
 fit() binds a spec to one signal and lays out its summaries, so that every
-cost(start, end) is one prefix difference plus at most one LAPACK call.  The
-six families use four layouts:
+cost(start, end) is one prefix difference plus at most one LAPACK call, and
+a row of segments that share an end is one numpy pass over their starts,
+the LAPACK call stacked over them, with the same bits per segment
+(_segment_costs), in chunks whose stacked matrices hold about
+_BAND_ENTRIES floats.  dynp's fill names each row of its matrix to the fit
+before it asks for the row's costs, so the first cost() call of a row
+evaluates the whole row and every call reads its own entry (see
+FittedCost).  The six families use four layouts:
 
 - l2, mahalanobis and the linear kernel: one class, PrefixCost, keeps prefix
   sums of the centred rows, column by column, and of their squared norms,
@@ -91,10 +97,11 @@ fit, so none of that work is needed per query.  The wrapper's one contract
 kept by hand is that a singular system raises np.linalg.LinAlgError: the
 Cholesky gufunc fills a block it cannot factor with NaN instead (with
 numpy's invalid-value RuntimeWarning), and linear and ar raise on a NaN
-pivot.  The response ridge keeps the last pivot positive, so a NaN pivot
-means that the regressors' own block is singular.  fit refuses summaries
-that overflow float64 with NonFiniteValueError, so a NaN cannot come from
-anywhere else.
+pivot; a row leaves a start whose pivot is NaN to that scalar query, so
+the same call raises, and warns.  The response ridge keeps the last pivot
+positive, so a NaN pivot means that the regressors' own block is
+singular.  fit refuses summaries that overflow float64 with
+NonFiniteValueError, so a NaN cannot come from anywhere else.
 
 Every cost() call that returns advances eval_counter by one, after the
 evaluation, so a call that raises is not counted; the count is an
@@ -103,6 +110,7 @@ itertools.count, exact under concurrent callers without a lock.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import sys
@@ -398,10 +406,23 @@ def _check_totals(*totals) -> None:
 class FittedCost:
     """A cost family bound to one signal, answering segment queries.
 
-    Subclasses precompute their summaries in __init__ and supply the method
-    _segment_cost.  cost() checks bounds and the family's minimum segment
-    length, delegates to _segment_cost, then counts the evaluation; no
-    subclass overrides it, so the count and a wrapper see every evaluation.
+    Subclasses precompute their summaries in __init__ and supply two
+    methods with the same bits: _segment_cost, one segment, and
+    _segment_costs(starts, end), one row of segments that share an end, as
+    one numpy pass.  cost() checks bounds and the family's minimum segment
+    length, evaluates, then counts the evaluation; no subclass overrides
+    it, so the count and a wrapper see every evaluation.
+
+    A loop that is about to query a whole row names it first, within
+    _announcing: its starts, in the order it will ask for them, and its
+    end.  The row is private to the announcing thread (held per thread id
+    in _rows).  That thread's first cost() call at the row's end evaluates
+    the whole row through _segment_costs into one float64 array, and each
+    call then returns its own entry; every other call, another thread's
+    included, runs _segment_cost.  Either way every call runs the checks
+    and counts one, so eval_counter and a wrapper around cost() see the
+    same calls as without the row.
+
     The instance also carries a private cache slot where dynp stashes its
     cost matrix and value table keyed by their grid parameters.  Every
     engine passes the ends of its grid to _cover before it reads a cost:
@@ -411,6 +432,8 @@ class FittedCost:
     family: str = ""
     # c(s, t) >= c(s, u) for every u <= t: see the module docstring
     monotone: bool = True
+    # floats that _segment_costs holds per start in its stacked temporaries
+    _row_width: int = 1
 
     def __init__(self, spec: CostSpec, signal: Signal, min_seg_len: int):
         self.spec = spec
@@ -419,6 +442,8 @@ class FittedCost:
         self._evals = itertools.count()
         self._state_lock = threading.Lock()
         self._search_state: dict = {}
+        # thread id -> the row it announced: [end, starts, entries, next index]
+        self._rows: dict = {}
 
     @property
     def eval_counter(self) -> int:
@@ -443,12 +468,60 @@ class FittedCost:
             raise SegmentTooShortError(
                 f"segment [{start}, {end}) shorter than min_seg_len={self.min_seg_len}"
             )
-        value = float(self._segment_cost(start, end))
+        if self._rows and (row := self._rows.get(threading.get_ident())) is not None and row[0] == end:
+            value = self._row_entry(row, start)
+        else:
+            value = float(self._segment_cost(start, end))
         next(self._evals)
         return value
 
     def _segment_cost(self, start: int, end: int) -> float:
         raise NotImplementedError
+
+    def _segment_costs(self, starts: np.ndarray, end: int) -> np.ndarray:
+        """The costs of [s, end) for each s in starts, an int array of valid
+        starts, bit for bit those of _segment_cost."""
+        raise NotImplementedError
+
+    @contextlib.contextmanager
+    def _announcing(self):
+        """Yields announce(starts, end): the calling thread's next cost()
+        calls at end ask for these starts, a list of ints, in this order.
+        A new announcement replaces the last, and leaving the block
+        withdraws it."""
+        ident = threading.get_ident()
+
+        def announce(starts, end):
+            self._rows[ident] = [end, starts, None, 0]
+
+        try:
+            yield announce
+        finally:
+            self._rows.pop(ident, None)
+
+    def _row_entry(self, row, start: int) -> float:
+        """cost(start, end) from the announced row [end, starts, entries,
+        next index].  The row's first call evaluates every entry, in chunks
+        of starts whose stacked temporaries hold about _BAND_ENTRIES floats.
+        A call in the announced order reads its own; any other call, and an
+        entry that is not finite, takes _segment_cost, which raises or warns
+        as it does alone (the row is evaluated with numpy's warnings off)."""
+        end, starts, entries, i = row
+        if entries is None:
+            starts_array = np.array(starts)
+            values = np.empty(len(starts))
+            step = max(1, _BAND_ENTRIES // self._row_width)
+            with np.errstate(all="ignore"):
+                for at in range(0, len(starts), step):
+                    values[at:at + step] = self._segment_costs(starts_array[at:at + step], end)
+            values[~np.isfinite(values)] = np.nan
+            row[2] = entries = memoryview(values)
+        if i < len(starts) and starts[i] == start:
+            row[3] = i + 1
+            value = entries[i]
+            if value == value:
+                return value
+        return float(self._segment_cost(start, end))
 
     def _cover(self, ends) -> None:
         """The hook through which an engine names the segment ends it will
@@ -500,6 +573,19 @@ class PrefixCost(FittedCost):
         value = (self._flat_sq[end] - self._flat_sq[start]) - sq_dev / (end - start)
         return value if value > 0.0 else 0.0
 
+    def _segment_costs(self, starts, end):
+        # the scalar sum's order, from 0.0, and its clip: np.maximum would
+        # keep a -0.0 or NaN that the scalar test turns into 0.0
+        sq_dev = np.zeros(len(starts))
+        for column in self.sums.T:
+            diff = column[end] - column[starts]
+            sq_dev += diff * diff
+        # in place, so that a row of dynp's fill holds few row-sized temporaries
+        sq_dev /= end - starts
+        value = self.sq[end] - self.sq[starts]
+        value -= sq_dev
+        return np.where(value > 0.0, value, 0.0)
+
 
 class NormalCost(FittedCost):
     """Gaussian likelihood cost: length times log det of the segment covariance.
@@ -531,12 +617,20 @@ class NormalCost(FittedCost):
         np.subtract(data, medians, out=aug[:, :d])
         aug[:, d] = 1.0
         self._prod = _prefix_outer(aug, 1e-6, d)
+        self._row_width = self._prod[0].size
         self._n_aug = d + 1
 
     def _segment_cost(self, start, end):
         length = end - start
         logdet = _slogdet(self._prod[end] - self._prod[start])[1]
         return length * (logdet - self._n_aug * math.log(length))
+
+    def _segment_costs(self, starts, end):
+        lengths = end - starts
+        logdets = _slogdet(self._prod[end] - self._prod[starts])[1]
+        # math.log's bits: np.log may take a vector path that rounds differently
+        logs = np.array([math.log(length) for length in lengths.tolist()])
+        return lengths * (logdets - self._n_aug * logs)
 
 
 class RegressionCost(FittedCost):
@@ -597,7 +691,9 @@ class RegressionCost(FittedCost):
         ridges = 2.0**-40 * prod[-1, :, k, k]
         ridges[ridges == 0.0] = 1.0
         _add_ridge(prod, k, ridges)
+        self._ridge_vector = ridges
         self._ridges = ridges.tolist()
+        self._row_width = prod[0].size
         self._lag = lag
 
     def _segment_cost(self, start, end):
@@ -611,6 +707,19 @@ class RegressionCost(FittedCost):
                 total += value
             elif value != value:
                 raise np.linalg.LinAlgError("Singular matrix")
+        return total
+
+    def _segment_costs(self, starts, end):
+        end -= self._lag
+        pivots = _cholesky(self._prod[end] - self._prod[starts])[..., -1, -1]
+        ridges = self._ridge_vector * (end - starts)[:, None]
+        values = pivots * pivots - ridges
+        # the groups in order from 0.0, as the scalar query adds them; a start
+        # with a NaN pivot is left NaN, for the scalar query to raise on
+        total = np.zeros(len(starts))
+        for value, ridge in zip(values.T, ridges.T):
+            total += np.where(value > 2.0**-50 * ridge, value, 0.0)
+        total[np.isnan(values).any(axis=1)] = np.nan
         return total
 
 
@@ -833,6 +942,20 @@ class KernelCost(FittedCost):
         diag = diag[end] - diag[start]
         value = diag - (diag + 2.0 * pairs) / (end - start)
         return value if value > 0.0 else 0.0
+
+    def _segment_costs(self, starts, end):
+        slot, pieces, base, diag = self._image
+        # dynp's fill, the only caller, covers its ends before it starts
+        row = slot[end]
+        piece, diag = np.frombuffer(pieces[row]), np.frombuffer(diag)
+        at = base[row] - 1
+        # a start of 0 reads no entry, and x - 0.0 is x
+        before = piece[at + starts]
+        before[starts == 0] = 0.0
+        pairs = piece[at + end] - before
+        diag = diag[end] - diag[starts]
+        value = diag - (diag + 2.0 * pairs) / (end - starts)
+        return np.where(value > 0.0, value, 0.0)
 
 
 def _mahalanobis_rows(spec: CostSpec, signal: Signal) -> np.ndarray:

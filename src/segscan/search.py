@@ -31,7 +31,10 @@ and counts in n_evals the costs it evaluates: the call's n_cost_evals,
 which omits other threads' work.  The two loops that evaluate many
 segments at once, dynp's fill (every grid start to one grid end, row by
 row) and pelt's heap step, call fitted.cost themselves and add to that
-count.
+count.  The fill names each row to the fit before its calls
+(FittedCost._announcing), so the row's first call evaluates the whole row
+in stacked numpy passes and each call reads its own entry: one counted cost()
+call per entry still, with the bits of a call alone.
 
 Only dynp and solve_budget keep a grid x grid segment-cost matrix, packed
 to its lower triangle in row-band blocks as the rbf integral image is
@@ -237,7 +240,10 @@ class _DynpState:
     retained across calls so a repeat or a smaller k costs nothing, and
     readers read the matrix through pos_index.  The fill evaluates row by
     row through fitted.cost, every start at least min_size before the end,
-    and adds its count to the filling call's reader."""
+    and adds its count to the filling call's reader.  It announces each row,
+    its starts and its end, to the fit first, so the row's first cost() call
+    evaluates every entry in stacked numpy passes (_segment_costs) and
+    each call returns its own entry."""
 
     def __init__(self, reader: _Reader, min_size: int):
         positions = reader.positions
@@ -247,11 +253,15 @@ class _DynpState:
         self.index = np.arange(count)
         self.step = _band_rows(count)
         self.bands, _, self.rects, self.pieces, self.base = _band_blocks(count, self.index, np.inf)
-        cost = reader.fitted.cost
-        for end_idx, end in enumerate(positions):
-            hi = bisect.bisect_right(positions, end - min_size)
-            reader.n_evals += hi
-            self.row(end_idx)[:hi] = [cost(start, end) for start in positions[:hi]]
+        fitted = reader.fitted
+        cost = fitted.cost
+        with fitted._announcing() as announce:
+            for end_idx, end in enumerate(positions):
+                hi = bisect.bisect_right(positions, end - min_size)
+                reader.n_evals += hi
+                starts = positions[:hi]
+                announce(starts, end)
+                self.row(end_idx)[:hi] = [cost(start, end) for start in starts]
         # 0.0 + cost, as a left-to-right sum starts, so layer values are
         # bitwise the contrast of their end tuples
         self.layers = [0.0 + np.concatenate([rect[:, 0] for rect in self.rects])]

@@ -13,11 +13,13 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 import _oracles as oracle
+from test_search_exactness import fitted_for, ill_conditioned_instances
 from segscan import costs
 from segscan import (
     AUTO_METRIC,
     MEDIAN_HEURISTIC,
     CostSpec,
+    SearchConfig,
     dynp,
     fit,
     median_heuristic,
@@ -1211,3 +1213,111 @@ def test_fit_allocates_its_summaries_its_rows_and_one_band(spec, n_samples, dims
     kept = kept_bytes(fitted)
     bound = row_bytes * n_samples + 8 * costs._BAND_ENTRIES + NUMPY_BUFFER_BYTES
     assert peak - kept <= bound, f"{peak - kept} bytes beyond the {kept} kept; the bound is {bound}"
+
+
+def assert_rows_equal_cost(fitted, segments):
+    """_segment_costs over each end's starts equals cost() on every segment,
+    bit for bit (float.hex, so a -0.0 or a NaN would show).  The ends are
+    covered first, as dynp's fill covers its grid: an rbf row reads the
+    image over those ends alone."""
+    by_end = {}
+    for a, b in segments:
+        by_end.setdefault(b, []).append(a)
+    fitted._cover(sorted(by_end))
+    for end, starts in by_end.items():
+        row = fitted._segment_costs(np.array(starts), end).tolist()
+        expected = [fitted.cost(a, end) for a in starts]
+        assert [v.hex() for v in row] == [v.hex() for v in expected], (fitted.family, end)
+
+
+@pytest.mark.parametrize("family,kw", GUARD_FAMILIES)
+def test_row_bodies_equal_cost_bitwise(family, kw):
+    """Each layout's one-row body, which the announced rows of dynp's fill
+    read, gives cost()'s bits on 3,000 random segments, the shortest ones
+    at both edges and the whole signal among them.  The rbf rows come from
+    an image over the segments' ends alone, as dynp's grid image."""
+    rng = np.random.default_rng(97)
+    data = step_signal(rng, 320, 3, "plain", relation=True)
+    fitted = fit(CostSpec(family=family, **kw), validate_signal(data))
+    segments = summary_queries(rng, 320, fitted.min_seg_len, 3000)
+    assert_rows_equal_cost(fitted, segments)
+
+
+@pytest.mark.parametrize("conditioning", ["near-constant", "badly-scaled"])
+@pytest.mark.parametrize("family", ["l2", "normal", "linear", "ar", "kernel", "mahalanobis"])
+def test_row_bodies_equal_cost_bitwise_on_ill_conditioned_signals(family, conditioning):
+    """Every segment of the exactness tests' ill-conditioned instances,
+    where the prefix differences cancel most of their digits and the clip
+    at 0.0 decides many costs."""
+    for data, _ in ill_conditioned_instances(family, conditioning):
+        fitted = fitted_for(family, data)
+        n, m = fitted.n_samples, fitted.min_seg_len
+        assert_rows_equal_cost(fitted, [(a, b) for b in range(m, n + 1) for a in range(b - m + 1)])
+
+
+@pytest.mark.parametrize("kind", REGRESSION_STRESS)
+def test_regression_row_bodies_equal_cost_bitwise_on_hard_signals(kind):
+    """linear's and ar's rows on the signals that push their Cholesky to its
+    edges, where the clip and the response ridge decide the costs."""
+    data = regression_stress_signal(kind)
+    for spec in (CostSpec(family="linear"), CostSpec(family="ar", order=2)):
+        fitted = fit(spec, data)
+        m = fitted.min_seg_len
+        assert_rows_equal_cost(fitted, [(a, b) for b in range(m, 91, 3) for a in range(0, b - m + 1, 2)])
+
+
+def test_announced_row_answers_its_own_thread_in_order():
+    """Within _announcing, the row's calls in order read its entries, which
+    carry cost()'s bits; a call out of order or at another end, and one
+    with bad bounds, take the scalar body or raise as without the row, and
+    every call that returns counts one."""
+    data = step_signal(np.random.default_rng(98), 60, 2, "plain")
+    fitted = fit(CostSpec(family="normal"), validate_signal(data))
+    alone = fit(CostSpec(family="normal"), validate_signal(data))
+    starts = [0, 5, 10, 30]
+    with fitted._announcing() as announce:
+        announce(starts, 40)
+        out_of_order = fitted.cost(5, 40)
+        other_end = fitted.cost(0, 39)
+        with pytest.raises(IndexOutOfRangeError):
+            fitted.cost(30, 61)
+        in_order = [fitted.cost(start, 40) for start in starts]
+        assert fitted._rows[threading.get_ident()][3] == len(starts)
+    assert fitted._rows == {}
+    assert out_of_order.hex() == alone.cost(5, 40).hex()
+    assert other_end.hex() == alone.cost(0, 39).hex()
+    assert [v.hex() for v in in_order] == [alone.cost(start, 40).hex() for start in starts]
+    assert fitted.eval_counter == 2 + len(starts)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dynp_fill_raises_at_a_singular_start_with_the_scalar_count():
+    """ar of order 1 on a jump-2 grid: a start s reads prefix row s and an
+    end e row e - 1, which is odd, so a NaN in row 10 breaks the segments
+    starting at 10 alone.  The first fill row that holds one, end 14, reads
+    its starts 0 to 8 from the row body and takes the scalar query at 10,
+    which raises LinAlgError: the fill raises it with the eval_counter of
+    the scalar calls in the fill's order, and withdraws its row."""
+    data = ar_signal(np.random.default_rng(99), 80, 2, "plain")
+
+    def broken():
+        fitted = fit(CostSpec(family="ar", order=1), validate_signal(data))
+        fitted._prod[10, 0, 0, 0] = np.nan
+        return fitted
+
+    scalar, min_size = broken(), 3
+    positions = [0, *range(4, 80 - min_size + 1, 2), 80]
+    failed = None
+    for end in positions:
+        try:
+            for start in [s for s in positions if s <= end - min_size]:
+                failed = (start, end)
+                scalar.cost(start, end)
+        except np.linalg.LinAlgError:
+            break
+    assert failed == (10, 14)
+    fitted = broken()
+    with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+        dynp(fitted, 1, SearchConfig(jump=2))
+    assert fitted.eval_counter == scalar.eval_counter
+    assert fitted._rows == {}

@@ -320,6 +320,23 @@ def test_dynp_fill_keeps_about_half_a_dense_matrix():
     assert peak <= 0.55 * dense_bytes, f"{peak} bytes at peak; a dense matrix is {dense_bytes}"
 
 
+def test_dynp_fill_evaluates_wide_rows_in_bounded_chunks():
+    """A 30-column normal fit keeps a 31 x 31 summary per sample, so one
+    stacked body over a whole 400-start row would hold about 3 MB per
+    temporary.  The fill evaluates each row in chunks of about
+    _BAND_ENTRIES floats, so it peaks under its packed matrix plus three
+    chunks."""
+    fitted = fit(CostSpec("normal"), np.random.default_rng(10).normal(size=(399, 30)))
+    tracemalloc.start()
+    try:
+        dynp(fitted, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 0.55 * 8 * 400**2 + 3 * 8 * costs._BAND_ENTRIES
+    assert peak <= bound, f"{peak} bytes at peak; the bound is {bound}"
+
+
 def check_grid_sized_state(engine, config=None):
     """One greedy engine call with 100 change points on an l2 signal of
     BOTTOMUP_STATE_T samples: its tracemalloc peak stays under

@@ -12,6 +12,8 @@ call still answers as it does alone.
 import sys
 import threading
 
+import pytest
+
 from segscan import (
     CostSpec,
     SearchConfig,
@@ -24,6 +26,7 @@ from segscan import (
     solve_budget,
     window,
 )
+from segscan.exceptions import IndexOutOfRangeError
 from segscan.generators import GenSpec, pw_constant
 
 FINE = SearchConfig(min_size=2, jump=1, window_width=20)
@@ -122,5 +125,60 @@ def test_shared_rbf_fit_answers_each_grid_as_alone():
                 thread.join(timeout=60)
                 assert not thread.is_alive()
             assert found == solo, f"trial {trial}"
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("spec", [CostSpec(family="normal"), CostSpec(family="linear"),
+                                  CostSpec(family="l2"), CostSpec(family="kernel", kernel="rbf")],
+                         ids=["normal", "linear", "l2", "rbf"])
+def test_announced_rows_stay_with_the_filling_thread(spec):
+    """dynp's fill announces each row of its matrix to the fit, in its own
+    thread, while another thread calls fitted.cost on the very segments of
+    those rows, in the fill's order, plus one call with bad bounds: each
+    thread gets the bits it gets alone, the bad call raises as it does
+    alone, and the calls' counts add up to eval_counter."""
+    signal, _ = pw_constant(GenSpec(160, 2, 4, 1.0, 6))
+    alone = fit(spec, signal)
+    min_size = alone.min_seg_len
+    positions = [0, *range(min_size, 160 - min_size + 1), 160]
+    segments = [(s, e) for e in positions for s in positions if s <= e - min_size]
+    solo = dynp(fit(spec, signal), 3)
+    solo_costs = [alone.cost(s, e).hex() for s, e in segments]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(3):
+            shared = fit(spec, signal)
+            barrier = threading.Barrier(2)
+            found = {}
+
+            def fill():
+                barrier.wait(timeout=60)
+                found["dynp"] = dynp(shared, 3)
+
+            def query():
+                barrier.wait(timeout=60)
+                values = [shared.cost(s, e).hex() for s, e in segments[: len(segments) // 2]]
+                try:
+                    shared.cost(5, 161)
+                except IndexOutOfRangeError:
+                    found["raised"] = True
+                values += [shared.cost(s, e).hex() for s, e in segments[len(segments) // 2 :]]
+                found["costs"] = values
+
+            threads = [threading.Thread(target=fill), threading.Thread(target=query)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            label = f"trial {trial}"
+            got = found["dynp"]
+            assert (got.bkps.ends, got.contrast.hex()) == (solo.bkps.ends, solo.contrast.hex()), label
+            assert got.n_cost_evals == solo.n_cost_evals, label
+            assert found["costs"] == solo_costs and found["raised"], label
+            assert shared.eval_counter == got.n_cost_evals + len(segments), label
+            assert shared._rows == {}, label
     finally:
         sys.setswitchinterval(interval)

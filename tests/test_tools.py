@@ -1,6 +1,6 @@
-"""The pure parts of tools/pairs.py, on canned run.py output, and of
-tools/differential.py, on this tree against itself in process: no second
-checkout and no benchmark run."""
+"""The pure parts of tools/pairs.py and tools/layers.py, on canned run.py
+and child output, and of tools/differential.py, on this tree against
+itself in process: no second checkout and no benchmark run."""
 
 import importlib.util
 import json
@@ -228,3 +228,55 @@ def test_code_lines_print_each_module_then_the_total(tmp_path, capsys):
     code_lines.main(str(tmp_path))
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["2", str(tmp_path / "b.py")], ["1", str(tmp_path / "pkg" / "a.py")], ["3", "total"]]
+
+
+_lspec = importlib.util.spec_from_file_location("layers", ROOT / "tools" / "layers.py")
+layers = importlib.util.module_from_spec(_lspec)
+_lspec.loader.exec_module(layers)
+
+
+def replies(values, digest="d1"):
+    """Canned child replies, one per round."""
+    return [{"value": value, "digest": digest} for value in values]
+
+
+def test_layer_summary_counts_wins_and_the_ratio_of_medians(capsys):
+    base = replies([10.0, 12.0, 11.0, 10.0, 13.0])
+    head = replies([5.0, 6.0, 12.0, 5.5, 4.0])
+    row = layers.summarize("fill.normal", base, head)
+    assert (row["unit"], row["rounds"]) == ("ms", 5)
+    assert (row["base"]["median"], row["head"]["median"]) == (11.0, 5.5)
+    assert (row["base"]["q1"], row["base"]["q3"]) == (10.0, 12.0)
+    # the head takes less time in every round but the third
+    assert row["head_wins"] == 4
+    assert row["ratio"] == 0.5
+    assert row["answers_match"]
+    assert layers.report([row]) == 0
+    out = capsys.readouterr().out
+    assert "fill.normal" in out and "0.500" in out and "same" in out
+    with pytest.raises(ValueError, match="same positive number"):
+        layers.summarize("fill.normal", base, head[:4])
+
+
+def test_layer_answers_that_differ_fail_the_run(capsys):
+    """A digest that differs in any reply, of either tree, fails: the trees
+    answer differently, or one tree's answers depend on the round."""
+    same = layers.summarize("cost.l2", replies([1.0, 1.0]), replies([1.0, 1.0]))
+    for base, head in ((replies([1.0, 1.0]), replies([0.9, 0.9], "d2")),
+                       (replies([1.0]) + replies([1.0], "d2"), replies([1.0, 1.0]))):
+        row = layers.summarize("cost.l2", base, head)
+        assert not row["answers_match"]
+        assert layers.report([same, row]) == 1
+        captured = capsys.readouterr()
+        assert "DIFFER" in captured.out and "cost.l2" in captured.err
+
+
+def test_layer_measures_in_process_with_a_fixed_digest():
+    """A cost layer through this tree: a positive time and the same digest
+    in every call, as two trees with the same answers give."""
+    import segscan
+
+    first = layers.measure(segscan, "cost.l2")
+    assert first["value"] > 0.0
+    assert layers.measure(segscan, "cost.l2")["digest"] == first["digest"]
+    assert set(layers.LAYERS) >= {"cost.rbf", "fill.ar", "pelt.normal"}
